@@ -30,8 +30,9 @@ from .solvers import (StableSetResult, UnsupportedInstanceError,
 from .treewidth import (Ear, EarSequence, NiceDecomposition,
                         SearchBudgetExceeded, TreeDecomposition,
                         TreewidthReject, lift_tree_decomposition,
-                        nice_decomposition, skeleton_from_ears,
-                        skeleton_tree_decomposition, triangulation_from_ears)
+                        min_fill_decomposition, nice_decomposition,
+                        skeleton_from_ears, skeleton_tree_decomposition,
+                        triangulation_from_ears)
 from .twins import (SkeletonDecomposition, SkeletonReject,
                     clique_number_via_skeleton, extract_skeleton,
                     reconstruct_atom, twin_classes)

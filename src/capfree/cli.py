@@ -27,8 +27,8 @@ from .recognition import DEFAULT_ORACLE_GUARD, recognize
 from .solvers import (UnsupportedInstanceError, chromatic_number,
                       clique_number, greedy_color, mwss, q_color_graph)
 from .treewidth import (DEFAULT_EXACT_BUDGET, SearchBudgetExceeded,
-                        TreewidthReject, decomposition_from_order,
-                        _min_fill_order, skeleton_tree_decomposition)
+                        TreewidthReject, min_fill_decomposition,
+                        skeleton_tree_decomposition)
 from .twins import (COMPLETE_ATOM, SkeletonReject, extract_skeleton)
 
 USAGE_ERROR = 2
@@ -142,7 +142,7 @@ def cmd_treewidth(args) -> int:
     g = _read_graph(args.file)
     guards = _budget_guards(args)
     if find_forbidden_induced(g, "triangle") is not None:
-        td = decomposition_from_order(g, _min_fill_order(g))
+        td = min_fill_decomposition(g)
         _emit({"width": td.width, "bags": [_ids(b) for b in td.bags],
                "tree_edges": [list(e) for e in td.edges], "exact": False})
         return 0

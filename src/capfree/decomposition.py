@@ -2,8 +2,10 @@
 
 The cutset search follows Tarjan's scheme: compute a minimal elimination
 ordering (LEX-M), then test each vertex's later-neighborhood in the fill
-graph.  A candidate that is a clique and separates the current graph is a
-clique cutset; if no candidate works, the graph has none.
+graph.  One test serves both find_clique_cutset and the tree: a candidate
+is used when it is a clique and a minimal separator of the current graph.
+Some candidate passes whenever the graph has a clique cutset (Tarjan 1985),
+so if none passes, the graph has none.
 """
 
 from __future__ import annotations
@@ -66,46 +68,61 @@ def _lexm_reach(g: Graph, v: int, numbered: list[bool],
     return [u for u, b in sorted(bottleneck.items()) if b < ranks[u]]
 
 
-def _component_of(g: Graph, start: int, excluded: set[int]) -> set[int]:
+def _component_of(g: Graph, start: int, excluded: set[int],
+                  alive: set[int]) -> set[int]:
+    """Vertices of g[alive] minus excluded reachable from start."""
     comp = {start}
     stack = [start]
     while stack:
         v = stack.pop()
         for u in g.adj[v]:
-            if u not in comp and u not in excluded:
+            if u in alive and u not in comp and u not in excluded:
                 comp.add(u)
                 stack.append(u)
     return comp
 
 
 def _components(g: Graph) -> list[list[int]]:
+    everything = set(g.vertices())
     seen: set[int] = set()
     out = []
     for v in g.vertices():
         if v not in seen:
-            comp = sorted(_component_of(g, v, set()))
+            comp = sorted(_component_of(g, v, set(), everything))
             seen.update(comp)
             out.append(comp)
     return out
 
 
-def _is_minimal_separator(g: Graph, sep: set[int], alive: set[int]) -> bool:
-    """At least two components of g[alive] minus sep see all of sep."""
+def _clique_separator(g: Graph, v: int, fill: list[set[int]],
+                      position: dict[int, int], alive: set[int]
+                      ) -> Optional[tuple[tuple[int, ...], set[int]]]:
+    """(K, side) when v's later fill-neighborhood K is a clique minimal
+    separator of g[alive] (at least two components of g[alive] minus K see
+    all of K), side being v's component; None otherwise.
+
+    By Tarjan (1985) some candidate K of a minimal elimination ordering is
+    a clique minimal separator whenever g[alive] has a clique cutset.
+    """
+    cand = vertex_set(u for u in fill[v] if position[u] > position[v])
+    if any(u not in alive for u in cand) or not g.is_clique(cand):
+        return None
+    sep = set(cand)
+    side = _component_of(g, v, sep, alive)
+    if len(side) + len(sep) == len(alive):
+        return None
     full = 0
     seen: set[int] = set()
-    for v in alive:
-        if v in sep or v in seen:
+    for u in alive - sep:
+        if u in seen:
             continue
-        comp = _component_of_alive(g, v, sep, alive)
+        comp = _component_of(g, u, sep, alive)
         seen |= comp
-        nbhd = set()
-        for u in comp:
-            nbhd.update(w for w in g.adj[u] if w in sep)
-        if nbhd == sep:
+        if sep == {w for x in comp for w in g.adj[x] if w in sep}:
             full += 1
-            if full >= 2:
-                return True
-    return False
+            if full == 2:
+                return cand, side
+    return None
 
 
 def find_clique_cutset(g: Graph
@@ -115,10 +132,10 @@ def find_clique_cutset(g: Graph
     """A clique cutset with the two-sided split, or None if no cutset exists.
 
     Returns (K, (H1, H2)) with H1, H2 the nonempty sides of G minus K.
-    Disconnected graphs yield K = () and the component split.  Candidates
-    (later fill-neighborhoods under a minimal elimination ordering) are
-    scanned in ascending vertex order; minimal separators are preferred so
-    the cutset is as small as the structure allows.
+    Disconnected graphs yield K = () and the component split.  Otherwise K
+    is always a clique minimal separator: the first, in ascending vertex
+    order, of the candidates (later fill-neighborhoods under a minimal
+    elimination ordering) that is one.
     """
     comps = _components(g)
     if len(comps) > 1:
@@ -129,20 +146,13 @@ def find_clique_cutset(g: Graph
     order, fill = _lex_m(g)
     position = {v: i for i, v in enumerate(order)}
     everything = set(g.vertices())
-    fallback = None
     for v in range(g.n):
-        cand = vertex_set(u for u in fill[v] if position[u] > position[v])
-        if not g.is_clique(cand):
-            continue
-        side = _component_of(g, v, set(cand))
-        if len(side) + len(cand) == g.n:
-            continue
-        rest = vertex_set(everything - side - set(cand))
-        if _is_minimal_separator(g, set(cand), everything):
+        found = _clique_separator(g, v, fill, position, everything)
+        if found is not None:
+            cand, side = found
+            rest = vertex_set(everything - side - set(cand))
             return cand, (vertex_set(side), rest)
-        if fallback is None:
-            fallback = cand, (vertex_set(side), rest)
-    return fallback
+    return None
 
 
 @dataclass(frozen=True)
@@ -163,47 +173,47 @@ class DecompositionTree:
     graph: Graph
     root: DecompositionNode
 
-    def leaves(self) -> list[DecompositionNode]:
-        """Leaves in left-to-right order."""
+    def _preorder(self) -> list[DecompositionNode]:
+        """All nodes, each before its left and then its right subtree."""
         out: list[DecompositionNode] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
+            out.append(node)
+            if not node.is_leaf:
                 stack.extend((node.right, node.left))
         return out
+
+    def leaves(self) -> list[DecompositionNode]:
+        """Leaves in left-to-right order."""
+        return [node for node in self._preorder() if node.is_leaf]
 
     def atoms(self) -> list[tuple[int, ...]]:
         return [leaf.vertices for leaf in self.leaves()]
 
     def internal_nodes(self) -> list[DecompositionNode]:
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                out.append(node)
-                stack.extend((node.right, node.left))
-        return out
+        return [node for node in self._preorder() if not node.is_leaf]
 
 
 def clique_cutset_tree(g: Graph) -> DecompositionTree:
     """Decompose g; every internal node splits off one atom as its left
     child, so the tree is a caterpillar with at most n-1 leaves on
-    connected inputs."""
-    return DecompositionTree(g, _build(g, vertex_set(g.vertices())))
+    connected inputs.  A disconnected graph first splits off its
+    components in order of their least vertex, each along an empty
+    cutset."""
+    comps = _components(g) or [[]]
+    node = _component_tree(g, comps[-1])
+    covered = set(comps[-1])
+    for comp in reversed(comps[:-1]):
+        covered.update(comp)
+        node = DecompositionNode(vertex_set(covered), (),
+                                 _component_tree(g, comp), node)
+    return DecompositionTree(g, node)
 
 
-def _build(root: Graph, vs: tuple[int, ...]) -> DecompositionNode:
+def _component_tree(root: Graph, vs: list[int]) -> DecompositionNode:
+    """The caterpillar of the connected subgraph root[vs]."""
     sub, back = induced_subgraph(root, vs)
-    comps = _components(sub)
-    if len(comps) > 1:
-        left = vertex_set(back[v] for v in comps[0])
-        rest = vertex_set(back[v] for c in comps[1:] for v in c)
-        return DecompositionNode(vs, (), _build(root, left),
-                                 _build(root, rest))
     pieces = _tarjan_pieces(sub)
     node = DecompositionNode(vertex_set(back[v] for v in pieces[-1][1]))
     for cutset, atom in reversed(pieces[:-1]):
@@ -231,52 +241,41 @@ def _tarjan_pieces(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     for v in order:
         if v not in alive:
             continue
-        cand = [u for u in fill[v] if position[u] > position[v]]
-        if any(u not in alive for u in cand) or not g.is_clique(cand):
+        found = _clique_separator(g, v, fill, position, alive)
+        if found is None:
             continue
-        side = _component_of_alive(g, v, set(cand), alive)
-        if len(side) + len(cand) == len(alive):
-            continue
-        if not _is_minimal_separator(g, set(cand), alive):
-            continue
-        pieces.append((vertex_set(cand), vertex_set(side | set(cand))))
+        cand, side = found
+        pieces.append((cand, vertex_set(side | set(cand))))
         alive -= side
     pieces.append(((), vertex_set(alive)))
     return pieces
 
 
-def _component_of_alive(g: Graph, start: int, excluded: set[int],
-                        alive: set[int]) -> set[int]:
-    comp = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in g.adj[v]:
-            if u in alive and u not in comp and u not in excluded:
-                comp.add(u)
-                stack.append(u)
-    return comp
-
-
 def tree_to_dot(tree: DecompositionTree) -> str:
-    """DOT rendering: internal nodes show the cutset, leaves the atom size."""
-    lines = ["graph decomposition {"]
-    counter = [0]
+    """DOT rendering: internal nodes show the cutset, leaves the atom size.
 
-    def walk(node: DecompositionNode) -> int:
-        my_id = counter[0]
-        counter[0] += 1
+    Nodes are numbered in preorder; each tree edge is written after the
+    child's whole subtree."""
+    lines = ["graph decomposition {"]
+    next_id = 0
+    stack: list = [(tree.root, None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, parent_id = item
+        my_id = next_id
+        next_id += 1
         if node.is_leaf:
             lines.append(f'  n{my_id} [label="atom |{len(node.vertices)}|"'
                          f", shape=box];")
         else:
             cut = ",".join(str(v + 1) for v in node.cutset) or "empty"
             lines.append(f'  n{my_id} [label="cutset {{{cut}}}"];')
-            for child in (node.left, node.right):
-                child_id = walk(child)
-                lines.append(f"  n{my_id} -- n{child_id};")
-        return my_id
-
-    walk(tree.root)
+        if parent_id is not None:
+            stack.append(f"  n{parent_id} -- n{my_id};")
+        if not node.is_leaf:
+            stack.extend(((node.right, my_id), (node.left, my_id)))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -106,21 +106,17 @@ def _q_color_nice(graph: Graph, nd: NiceDecomposition, q: int
     if () not in tables[nd.root]:
         return None
     colors = [0] * graph.n
-
-    def descend(idx: int, key):
+    stack = [(nd.root, ())]
+    while stack:
+        idx, key = stack.pop()
         node = nd.nodes[idx]
-        if node.kind == "leaf":
-            return
         if node.kind == "introduce":
             colors[node.vertex] = key[node.bag.index(node.vertex)]
-            descend(node.children[0], tables[idx][key])
+            stack.append((node.children[0], tables[idx][key]))
         elif node.kind == "forget":
-            descend(node.children[0], tables[idx][key])
-        else:
-            descend(node.children[0], key)
-            descend(node.children[1], key)
-
-    descend(nd.root, ())
+            stack.append((node.children[0], tables[idx][key]))
+        elif node.kind == "join":
+            stack.extend(((node.children[1], key), (node.children[0], key)))
     assert is_proper_coloring(graph, colors, q)
     return colors
 
@@ -155,12 +151,20 @@ def combine_colorings(tree: DecompositionTree,
         if any(not 1 <= c <= q for c in coloring.values()):
             raise ValueError(f"atom coloring exceeds {q} colors")
     supply = iter(atom_colorings)
-
-    def walk(node: DecompositionNode) -> dict[int, int]:
+    # Postorder: a node is merged (second visit) once both sides are done.
+    done: list[dict[int, int]] = []
+    todo = [(tree.root, False)]
+    while todo:
+        node, merging = todo.pop()
         if node.is_leaf:
-            return dict(next(supply))
-        left = walk(node.left)
-        right = walk(node.right)
+            done.append(dict(next(supply)))
+            continue
+        if not merging:
+            todo.extend(((node, True), (node.right, False),
+                         (node.left, False)))
+            continue
+        right = done.pop()
+        left = done.pop()
         perm: dict[int, int] = {}
         for v in node.cutset:
             perm[left[v]] = right[v]
@@ -168,11 +172,9 @@ def combine_colorings(tree: DecompositionTree,
         for c in range(1, q + 1):
             if c not in perm:
                 perm[c] = next(free)
-        merged = {v: perm[c] for v, c in left.items()}
-        merged.update(right)
-        return merged
-
-    total = walk(tree.root)
+        right.update((v, perm[c]) for v, c in left.items())
+        done.append(right)
+    total = done.pop()
     colors = [total[v] for v in tree.graph.vertices()]
     assert is_proper_coloring(tree.graph, colors, q)
     return colors
@@ -414,23 +416,19 @@ def _mwss_nice(graph: Graph, nd: NiceDecomposition, weights: Sequence[int]
             tables[idx] = table
     best_value = tables[nd.root][()]
     chosen: set[int] = set()
-
-    def descend(idx: int, key):
+    stack = [(nd.root, ())]
+    while stack:
+        idx, key = stack.pop()
         node = nd.nodes[idx]
-        if node.kind == "leaf":
-            return
         if node.kind == "introduce":
             pos = node.bag.index(node.vertex)
             if key[pos]:
                 chosen.add(node.vertex)
-            descend(node.children[0], key[:pos] + key[pos + 1:])
+            stack.append((node.children[0], key[:pos] + key[pos + 1:]))
         elif node.kind == "forget":
-            descend(node.children[0], forget_choice[idx][key])
-        else:
-            descend(node.children[0], key)
-            descend(node.children[1], key)
-
-    descend(nd.root, ())
+            stack.append((node.children[0], forget_choice[idx][key]))
+        elif node.kind == "join":
+            stack.extend(((node.children[1], key), (node.children[0], key)))
     result = vertex_set(chosen)
     assert graph.is_stable(result)
     assert sum(weights[v] for v in result) == best_value
@@ -555,39 +553,51 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
                                                  brute_guard, exact_budget)
         return solvers[leaf.vertices]
 
-    def solve(node: DecompositionNode, w: list[int]) -> tuple[int, set[int]]:
+    # Explicit stack in place of recursion: ("solve", node, w) pushes the
+    # node's answer onto done, after its left side is solved; "union" and
+    # "lift" combine the answers of the two sides of a node.
+    done: list[tuple[int, set[int]]] = []
+    todo: list[tuple] = [("solve", tree.root, base)]
+    while todo:
+        step = todo.pop()
+        if step[0] == "union":
+            rv, rset = done.pop()
+            lv, lset = done.pop()
+            done.append((lv + rv, lset | rset))
+            continue
+        if step[0] == "lift":
+            # Since w2[v] = w[v] + value_v - base_value, the total is
+            # base_value plus the other side's answer whether or not that
+            # answer takes a cutset vertex v.
+            _, cut, base_value, base_set, sub_sets = step
+            rv, rset = done.pop()
+            inside = rset & set(cut)
+            picked = sub_sets[inside.pop()] if len(inside) == 1 else base_set
+            done.append((base_value + rv, set(picked) | rset))
+            continue
+        _, node, w = step
         if node.is_leaf:
             value, picked = atom_solver(node).solve(set(), w)
-            return value, set(picked)
+            done.append((value, set(picked)))
+            continue
         cut = node.cutset
         if not cut:
-            lv, lset = solve(node.left, w)
-            rv, rset = solve(node.right, w)
-            return lv + rv, lset | rset
+            todo.extend((("union",), ("solve", node.right, w),
+                         ("solve", node.left, w)))
+            continue
         assert node.left.is_leaf, "nonempty cutsets split off an atom"
         solver = atom_solver(node.left)
         base_value, base_set = solver.solve(set(cut), w)
-        sub_solutions = {}
+        sub_sets = {}
         w2 = list(w)
         for v in cut:
             closed = {v} | {u for u in g.adj[v]}
-            value_v, set_v = solver.solve(closed, w)
-            sub_solutions[v] = (value_v, set_v)
+            value_v, sub_sets[v] = solver.solve(closed, w)
             w2[v] = w[v] + value_v - base_value
             assert w2[v] <= w[v], "reweighting must not increase a weight"
-        rv, rset = solve(node.right, w2)
-        inside = rset & set(cut)
-        if len(inside) == 1:
-            v = inside.pop()
-            value_v, set_v = sub_solutions[v]
-            merged = set(set_v) | rset
-            total = value_v + rv - w2[v] + w[v]
-        else:
-            merged = set(base_set) | rset
-            total = base_value + rv
-        return total, merged
-
-    value, picked = solve(tree.root, base)
+        todo.extend((("lift", cut, base_value, base_set, sub_sets),
+                     ("solve", node.right, w2)))
+    value, picked = done.pop()
     result = vertex_set(picked)
     assert g.is_stable(result), "result must be a stable set"
     achieved = sum(base[v] for v in result)

@@ -1,10 +1,12 @@
 """Tree decompositions: width-5 decompositions of skeletons, the ear-based
 triangulation, lifting to atoms, and nice form for dynamic programming.
 
-Strategy for skeletons: min-fill triangulation first; if that exceeds
-width 5, an exact budgeted branch-and-bound either finds a width-5
-elimination order or proves none exists (certifying the graph is not a
-triangle-free odd-signable skeleton).
+Strategy for skeletons: the min-fill decomposition first, whose width is
+its elimination width; if that exceeds 5, an exact budgeted
+branch-and-bound either finds a width-5 elimination order or proves none
+exists (certifying the graph is not a triangle-free odd-signable
+skeleton).  Every triangulation and every search step plays the one
+elimination game in _eliminate.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from typing import Optional, Union
 
 from .graphs import Graph, vertex_set
 from .twins import SkeletonDecomposition
+
+Adjacency = Union[list[set[int]], dict[int, set[int]]]
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -97,13 +101,16 @@ def _min_fill_order(g: Graph) -> list[int]:
     return order
 
 
-def _fill_count(adj: list[set[int]], v: int) -> int:
+def _fill_count(adj: Adjacency, v: int) -> int:
+    """Fill edges that eliminating v would add."""
     nbrs = list(adj[v])
     return sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
                if b not in adj[a])
 
 
-def _eliminate(adj: list[set[int]], v: int) -> None:
+def _eliminate(adj: Adjacency, v: int) -> list[int]:
+    """One move of the elimination game: make v's neighbors a clique and
+    isolate v.  Returns the neighbors v had."""
     nbrs = list(adj[v])
     for i, a in enumerate(nbrs):
         for b in nbrs[i + 1:]:
@@ -112,33 +119,19 @@ def _eliminate(adj: list[set[int]], v: int) -> None:
     for a in nbrs:
         adj[a].discard(v)
     adj[v].clear()
+    return nbrs
 
 
 def _fill_from_order(g: Graph, order: list[int]) -> list[set[int]]:
-    """Triangulation obtained by playing the elimination game."""
+    """Triangulation obtained by playing the elimination game: g plus an
+    edge from each vertex to every neighbor it has when eliminated."""
     adj = [set(g.adj[v]) for v in g.vertices()]
     filled = [set(g.adj[v]) for v in g.vertices()]
     for v in order:
-        nbrs = list(adj[v])
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-                filled[a].add(b)
-                filled[b].add(a)
-        for a in nbrs:
-            adj[a].discard(v)
-        adj[v].clear()
+        for a in _eliminate(adj, v):
+            filled[v].add(a)
+            filled[a].add(v)
     return filled
-
-
-def _order_width(g: Graph, order: list[int]) -> int:
-    adj = [set(g.adj[v]) for v in g.vertices()]
-    width = 0
-    for v in order:
-        width = max(width, len(adj[v]))
-        _eliminate(adj, v)
-    return width
 
 
 def mcs_order(adj: list[set[int]]) -> list[int]:
@@ -220,6 +213,11 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     return td
 
 
+def min_fill_decomposition(g: Graph) -> TreeDecomposition:
+    """Tree decomposition from the greedy min-fill elimination order."""
+    return decomposition_from_order(g, _min_fill_order(g))
+
+
 def _exact_order(g: Graph, k: int, budget: int) -> Optional[list[int]]:
     """Elimination order of width <= k, or None when provably impossible.
 
@@ -240,14 +238,14 @@ def _exact_order(g: Graph, k: int, budget: int) -> Optional[list[int]]:
         if nodes[0] < 0:
             raise SearchBudgetExceeded(f"width-{k} search budget exhausted")
         for v in sorted(adj):
-            if len(adj[v]) <= k and _simplicial(adj, v):
+            if len(adj[v]) <= k and _fill_count(adj, v) == 0:
                 rest = rec(_after(adj, v))
                 if rest is not None:
                     return [v] + rest
                 failed.add(key)
                 return None
         candidates = sorted((v for v in adj if len(adj[v]) <= k),
-                            key=lambda v: (_fill_count_dict(adj, v),
+                            key=lambda v: (_fill_count(adj, v),
                                            len(adj[v]), v))
         for v in candidates:
             rest = rec(_after(adj, v))
@@ -259,26 +257,10 @@ def _exact_order(g: Graph, k: int, budget: int) -> Optional[list[int]]:
     return rec({v: set(g.adj[v]) for v in g.vertices()})
 
 
-def _simplicial(adj: dict[int, set[int]], v: int) -> bool:
-    nbrs = list(adj[v])
-    return all(b in adj[a] for i, a in enumerate(nbrs) for b in nbrs[i + 1:])
-
-
-def _fill_count_dict(adj: dict[int, set[int]], v: int) -> int:
-    nbrs = list(adj[v])
-    return sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
-               if b not in adj[a])
-
-
 def _after(adj: dict[int, set[int]], v: int) -> dict[int, set[int]]:
-    out = {u: set(nb) for u, nb in adj.items() if u != v}
-    nbrs = list(adj[v])
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            out[a].add(b)
-            out[b].add(a)
-    for a in nbrs:
-        out[a].discard(v)
+    out = {u: set(nb) for u, nb in adj.items()}
+    _eliminate(out, v)
+    del out[v]
     return out
 
 
@@ -303,9 +285,9 @@ def skeleton_tree_decomposition(f: Graph,
         raise ValueError("input has a triangle")
     if f.n == 0:
         return TreeDecomposition((), ())
-    order = _min_fill_order(f)
-    if _order_width(f, order) <= 5:
-        return decomposition_from_order(f, order)
+    td = min_fill_decomposition(f)
+    if td.width <= 5:
+        return td
     exact = _exact_order(f, 5, exact_budget)
     if exact is None:
         return TreewidthReject(5)
@@ -485,13 +467,8 @@ def nice_decomposition(td: TreeDecomposition) -> NiceDecomposition:
             idx = emit("introduce", bag, v, (idx,))
         return idx
 
-    def build(b: int, parent: Optional[int]) -> int:
+    def finish(b: int, kid_idx: list[int]) -> int:
         bag = td.bags[b]
-        kid_idx = []
-        for c in nbrs[b]:
-            if c != parent:
-                sub = build(c, b)
-                kid_idx.append(chain_up(sub, td.bags[c], bag))
         if not kid_idx:
             leaf = emit("leaf", ())
             return chain_up(leaf, (), bag)
@@ -501,6 +478,21 @@ def nice_decomposition(td: TreeDecomposition) -> NiceDecomposition:
             kid_idx.insert(0, emit("join", bag, None, (left, right)))
         return kid_idx[0]
 
-    top = build(0, None)
+    # Depth-first from bag 0; a bag's children are finished, in neighbor
+    # order, before its own nodes are emitted.
+    kids: list[list[int]] = [[] for _ in range(k)]
+    stack = [(0, -1, iter(nbrs[0]))]
+    while stack:
+        b, parent, pending = stack[-1]
+        for c in pending:
+            if c != parent:
+                stack.append((c, b, iter(nbrs[c])))
+                break
+        else:
+            stack.pop()
+            top = finish(b, kids[b])
+            if parent >= 0:
+                kids[parent].append(chain_up(top, td.bags[b],
+                                             td.bags[parent]))
     top = chain_up(top, td.bags[0], ())
     return NiceDecomposition(tuple(nodes), top)

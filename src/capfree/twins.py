@@ -3,8 +3,8 @@
 An atom (no clique cutset) of a (cap, 4-hole)-free graph is a blow-up of a
 triangle-free, cutset-free skeleton plus a universal clique.  The skeleton
 is recovered from the twin classes of the atom minus its universal
-vertices; extraction validates the shape and rejects with a triangle or a
-clique cutset of the would-be skeleton otherwise.
+vertices; extraction validates the shape and rejects with a triangle of
+the would-be skeleton otherwise.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .decomposition import find_clique_cutset
 from .graphs import Graph, blow_up, add_universal_clique, induced_subgraph, vertex_set
 from .oracles import find_forbidden_induced
 
@@ -77,10 +76,9 @@ class SkeletonDecomposition:
 
 @dataclass(frozen=True)
 class SkeletonReject:
-    """Certificate that an atom is not a blow-up of a triangle-free,
-    cutset-free skeleton: a triangle among class representatives, or a
-    clique cutset of the candidate skeleton (atom vertex ids)."""
-    kind: str       # "triangle" or "clique-cutset"
+    """Certificate that an atom is not a blow-up of a triangle-free
+    skeleton: a triangle among class representatives (atom vertex ids)."""
+    kind: str       # always "triangle"
     vertices: tuple[int, ...]
 
 
@@ -93,8 +91,12 @@ def extract_skeleton(atom: Graph) -> ExtractResult:
     """Skeleton decomposition of an atom, COMPLETE_ATOM for complete
     graphs, or a SkeletonReject when the shape does not hold.
 
-    The caller guarantees the atom has no clique cutset; rejection then
-    certifies the atom is outside the (cap, 4-hole)-free class.
+    Precondition: the atom has no clique cutset (it is a leaf of
+    clique_cutset_tree, or was checked with find_clique_cutset).  The
+    skeleton of such an atom has none either, since a skeleton clique
+    cutset K would lift to the atom clique cutset classes(K) plus the
+    universal clique; rejection then certifies the atom is outside the
+    (cap, 4-hole)-free class.
     """
     n = atom.n
     if atom.m == n * (n - 1) // 2:
@@ -110,12 +112,6 @@ def extract_skeleton(atom: Graph) -> ExtractResult:
     if tri is not None:
         return SkeletonReject("triangle",
                               tuple(reps[i] for i in tri.vertices))
-    if skeleton.n < 3:
-        return SkeletonReject("clique-cutset", ())
-    cut = find_clique_cutset(skeleton)
-    if cut is not None:
-        return SkeletonReject("clique-cutset",
-                              tuple(reps[i] for i in cut[0]))
     return SkeletonDecomposition(atom, skeleton, classes, universal)
 
 

@@ -1,9 +1,13 @@
 import pytest
 
+from capfree.construct import (TARGET_CLASSES, GeneratorParams,
+                               generate_instance)
+from capfree.decomposition import clique_cutset_tree
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
-                            gnp, hole)
+                            gnp, hole, induced_subgraph)
 from capfree.oracles import brute_solve
-from capfree.twins import (COMPLETE_ATOM, SkeletonReject,
+from capfree.twins import (COMPLETE_ATOM, SkeletonDecomposition,
+                           SkeletonReject,
                            clique_number_via_skeleton, extract_skeleton,
                            reconstruct_atom, twin_classes,
                            twin_classes_quadratic)
@@ -105,3 +109,28 @@ def test_singleton_classes_reconstruct_to_skeleton():
     sd = extract_skeleton(hole(7))
     assert sd.skeleton == hole(7)
     assert reconstruct_atom(sd) == hole(7)
+
+
+def _instances():
+    for seed in range(120):
+        yield gnp(6 + seed % 7, (0.2, 0.3, 0.45, 0.6)[seed % 4], 4000 + seed)
+    for seed in range(16):
+        yield generate_instance(GeneratorParams(
+            seed=seed, ear_count=1 + seed % 2, max_ear_length=6,
+            max_blowup=1 + seed % 3, max_universal=seed % 2,
+            glue_count=seed % 4, target_class=TARGET_CLASSES[seed % 2],
+            base_length=5))[0]
+
+
+def test_skeletons_of_atoms_have_no_clique_cutset():
+    """extract_skeleton has no cutset check of its own: on a leaf of the
+    clique-cutset tree, a skeleton clique cutset K would lift to the atom
+    clique cutset classes(K) plus the universal clique."""
+    checked = 0
+    for g in _instances():
+        for atom_vs in clique_cutset_tree(g).atoms():
+            sd = extract_skeleton(induced_subgraph(g, atom_vs)[0])
+            if isinstance(sd, SkeletonDecomposition):
+                assert brute_solve(sd.skeleton, "clique-cutset").value == 0
+                checked += 1
+    assert checked >= 50
