@@ -16,10 +16,10 @@ from .graphs import (Graph, GraphFormatError, add_universal_clique, blow_up,
                      complete, construct_named, cube, gnp, hajos, hole,
                      induced_subgraph, parse_graph, path, serialize_graph,
                      vertex_set)
-from .oracles import (BruteResult, ForbiddenWitness, InstanceTooLargeError,
-                      brute_solve, enumerate_chordless_cycles,
-                      find_forbidden_induced, holes_of, odd_signable_signing,
-                      verify_witness)
+from .oracles import (BruteResult, CertificateError, ForbiddenWitness,
+                      InstanceTooLargeError, brute_solve, certify,
+                      enumerate_chordless_cycles, find_forbidden_induced,
+                      holes_of, odd_signable_signing, verify_witness)
 from .recognition import (RecognitionVerdict, detect_4hole, detect_cap_fast,
                           recognize)
 from .rng import Xoshiro256StarStar

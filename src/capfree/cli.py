@@ -5,7 +5,7 @@ stdout carries exactly one JSON document per invocation (or DOT under
 summaries go to stderr.  Vertex ids in JSON are 1-based, matching the
 graph file format.  Exit codes: 0 success/accepted, 1 rejected or negative
 answer, 2 usage or input errors, 3 undecided or beyond the configured
-budget.
+budget, 4 internal failure (stdout carries {"error": "internal", ...}).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -33,6 +34,7 @@ from .twins import (COMPLETE_ATOM, SkeletonReject, extract_skeleton)
 
 USAGE_ERROR = 2
 UNDECIDED_EXIT = 3
+INTERNAL_ERROR = 4
 
 FORBIDDEN_KINDS = ("even-hole", "4-hole", "cap", "theta", "prism",
                    "even-wheel", "triangle")
@@ -371,6 +373,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         _info(f"error: {exc}")
         return USAGE_ERROR
+    except Exception as exc:
+        _info(traceback.format_exc().rstrip())
+        _emit({"error": "internal",
+               "detail": f"{type(exc).__name__}: {exc}"})
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -23,6 +23,15 @@ class InstanceTooLargeError(RuntimeError):
         self.cap = cap
 
 
+class CertificateError(RuntimeError):
+    """A returned answer failed its re-check; raised under python -O too."""
+
+
+def certify(ok: bool, message: str) -> None:
+    if not ok:
+        raise CertificateError(message)
+
+
 def _mask_of(vs) -> int:
     mask = 0
     for v in vs:
@@ -125,7 +134,7 @@ def odd_signable_signing(g: Graph) -> Optional[Signing]:
             value ^= signing[edges[low.bit_length() - 1]]
         signing[edges[piv]] = value
     for cyc in cycles:
-        assert cycle_weight(cyc, signing) % 2 == 1, "signing failed re-check"
+        certify(cycle_weight(cyc, signing) % 2 == 1, "signing failed re-check")
     return signing
 
 
@@ -444,7 +453,7 @@ def find_forbidden_induced(g: Graph, kind: str) -> Optional[ForbiddenWitness]:
         raise ValueError(f"unknown forbidden structure kind {kind!r}")
     witness = finder(g)
     if witness is not None:
-        assert verify_witness(g, witness), f"{kind} witness failed re-check"
+        certify(verify_witness(g, witness), f"{kind} witness failed re-check")
     return witness
 
 

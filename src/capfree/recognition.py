@@ -17,7 +17,7 @@ from typing import Optional
 
 from .decomposition import DecompositionTree, clique_cutset_tree
 from .graphs import Graph, induced_subgraph
-from .oracles import (ForbiddenWitness, find_any_forbidden,
+from .oracles import (ForbiddenWitness, certify, find_any_forbidden,
                       find_forbidden_induced, odd_signable_signing,
                       verify_witness)
 from .twins import (COMPLETE_ATOM, SkeletonDecomposition, SkeletonReject,
@@ -51,7 +51,7 @@ def detect_4hole(g: Graph) -> Optional[ForbiddenWitness]:
                     if not g.has_edge(x, y):
                         cyc = _canonical_cycle((u, x, v, y))
                         w = ForbiddenWitness("4-hole", cyc, (cyc,))
-                        assert verify_witness(g, w)
+                        certify(verify_witness(g, w), "4-hole re-check")
                         return w
     return None
 
@@ -81,7 +81,7 @@ def detect_cap_fast(g: Graph) -> Optional[ForbiddenWitness]:
                 continue
             cyc = _canonical_cycle(tuple(path))
             witness = ForbiddenWitness("cap", cyc + (w,), (cyc, (w,)))
-            assert verify_witness(g, witness), "cap witness failed re-check"
+            certify(verify_witness(g, witness), "cap witness failed re-check")
             return witness
     return None
 
@@ -187,7 +187,7 @@ def recognize(g: Graph, target_class: str,
                 assert found is not None, \
                     "non-odd-signable skeleton must contain a witness"
                 witness = found.relabel(to_root)
-                assert verify_witness(g, witness)
+                certify(verify_witness(g, witness), "witness re-check")
                 return RecognitionVerdict(REJECTED, target_class, witness,
                                           tree)
             oracle = "odd-signable"
@@ -212,5 +212,5 @@ def _skeleton_reject_witness(g: Graph, eh: ForbiddenWitness,
         hub = back[sd.universal[0]]
         witness = ForbiddenWitness("even-wheel", hole_in_g + (hub,),
                                    (hole_in_g, (hub,)))
-    assert verify_witness(g, witness)
+    certify(verify_witness(g, witness), "skeleton hole re-check")
     return witness

@@ -1,11 +1,20 @@
 """Coloring and maximum weight stable set over the decomposition stack.
 
-Per-atom answers come from dynamic programming over the lifted width-bounded
-tree decompositions; clique cutsets combine atom answers to the whole graph
-(color permutation for coloring, Tarjan's reweighting for stable sets).
-Atoms without usable structure fall back to the brute-force oracles under a
-size guard; beyond the guard the instance is reported unsupported, never
-answered wrongly.
+Per-atom answers come from one labelling DP, _nice_dp, over a nice tree
+decomposition: each vertex takes a label from its own list, adjacent
+vertices never share a label other than 0 (unlabelled), and the heaviest
+labelling wins, a vertex with a nonzero label adding its weight.
+q-coloring runs it on an atom's lifted decomposition with labels 1..q and
+zero weights.  Stable sets run it with labels {0, 1} on the reduction graph
+F' (the skeleton plus one vertex for the universal clique), whose nice
+decomposition each atom builds once; every query of Tarjan's clique-cutset
+recursion forces the classes it deletes entirely to label 0 and weighs each
+class by its heaviest survivor.  Clique cutsets combine atom answers to the
+whole graph (color permutation for coloring, Tarjan's reweighting for
+stable sets).  Atoms without usable structure fall back to the brute-force
+oracles under a size guard; beyond the guard the instance is reported
+unsupported, never answered wrongly.  Returned answers are re-checked by
+certify, which raises CertificateError under python -O too.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from typing import Optional, Sequence
 from .decomposition import (DecompositionNode, DecompositionTree,
                             clique_cutset_tree)
 from .graphs import Graph, induced_subgraph, vertex_set
-from .oracles import InstanceTooLargeError, brute_solve
+from .oracles import InstanceTooLargeError, brute_solve, certify
 from .treewidth import (NiceDecomposition, SearchBudgetExceeded,
                         TreeDecomposition, TreewidthReject,
                         lift_tree_decomposition, nice_decomposition,
@@ -69,56 +78,80 @@ def is_proper_coloring(g: Graph, colors: Sequence[int],
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
-def _q_color_nice(graph: Graph, nd: NiceDecomposition, q: int
-                  ) -> Optional[list[int]]:
-    """q-coloring DP; states are proper color assignments per bag."""
-    tables: list[dict] = [dict() for _ in nd.nodes]
+def _nice_dp(graph: Graph, nd: NiceDecomposition,
+             labels: Sequence[Sequence[int]], weights: Sequence[int]
+             ) -> Optional[tuple[int, list[int]]]:
+    """The heaviest labelling as (weight, label per vertex), or None.
+
+    Vertex v takes a label from labels[v]; adjacent vertices never share a
+    nonzero label; a vertex with a nonzero label adds weights[v], counted
+    when it is forgotten.  Ties go to the labelling met first in the order
+    of each labels[v].  A node's table is dropped once its parent is built:
+    the traceback reads only the forget nodes' choices.
+    """
+    tables: list[Optional[dict]] = [None] * len(nd.nodes)
+    choice: dict[int, dict] = {}
     for idx, node in enumerate(nd.nodes):
+        kids = node.children
         if node.kind == "leaf":
-            tables[idx] = {(): None}
+            table = {(): 0}
         elif node.kind == "introduce":
-            child = tables[node.children[0]]
-            pos = node.bag.index(node.vertex)
-            nbr = [i for i, u in enumerate(node.bag)
-                   if u != node.vertex and graph.has_edge(u, node.vertex)]
+            v = node.vertex
+            pos = node.bag.index(v)
+            nbr = [i for i, u in enumerate(nd.nodes[kids[0]].bag)
+                   if graph.has_edge(u, v)]
             table = {}
-            for key in child:
-                for c in range(1, q + 1):
-                    new = key[:pos] + (c,) + key[pos:]
-                    if all(new[i] != c for i in nbr):
-                        table[new] = key
-            tables[idx] = table
+            for key, value in tables[kids[0]].items():
+                used = {key[i] for i in nbr}
+                for c in labels[v]:
+                    if not c or c not in used:
+                        table[key[:pos] + (c,) + key[pos:]] = value
         elif node.kind == "forget":
-            child_node = nd.nodes[node.children[0]]
-            pos = child_node.bag.index(node.vertex)
+            pos = nd.nodes[kids[0]].bag.index(node.vertex)
+            w = weights[node.vertex]
             table = {}
-            for key in tables[node.children[0]]:
+            picked = choice[idx] = {}
+            for key, value in tables[kids[0]].items():
+                if key[pos]:
+                    value += w
                 short = key[:pos] + key[pos + 1:]
-                if short not in table:
-                    table[short] = key
-            tables[idx] = table
+                if short not in table or value > table[short]:
+                    table[short] = value
+                    picked[short] = key
         else:  # join
-            left = tables[node.children[0]]
-            right = tables[node.children[1]]
-            tables[idx] = {key: None for key in left if key in right}
-        if not tables[idx]:
+            right = tables[kids[1]]
+            table = {key: value + right[key]
+                     for key, value in tables[kids[0]].items()
+                     if key in right}
+        for kid in kids:
+            tables[kid] = None
+        if not table:
             return None
-    if () not in tables[nd.root]:
-        return None
-    colors = [0] * graph.n
+        tables[idx] = table
+    labelling = [0] * graph.n
     stack = [(nd.root, ())]
     while stack:
         idx, key = stack.pop()
         node = nd.nodes[idx]
         if node.kind == "introduce":
-            colors[node.vertex] = key[node.bag.index(node.vertex)]
-            stack.append((node.children[0], tables[idx][key]))
+            pos = node.bag.index(node.vertex)
+            labelling[node.vertex] = key[pos]
+            stack.append((node.children[0], key[:pos] + key[pos + 1:]))
         elif node.kind == "forget":
-            stack.append((node.children[0], tables[idx][key]))
+            stack.append((node.children[0], choice[idx][key]))
         elif node.kind == "join":
-            stack.extend(((node.children[1], key), (node.children[0], key)))
-    assert is_proper_coloring(graph, colors, q)
-    return colors
+            stack.extend((kid, key) for kid in node.children)
+    return tables[nd.root][()], labelling
+
+
+def _color(graph: Graph, nd: NiceDecomposition, q: int
+           ) -> Optional[list[int]]:
+    """A proper q-coloring by the labelling DP, or None."""
+    found = _nice_dp(graph, nd, [range(1, q + 1)] * graph.n, [0] * graph.n)
+    if found is None:
+        return None
+    certify(is_proper_coloring(graph, found[1], q), "DP coloring not proper")
+    return found[1]
 
 
 def q_color(atom: Graph, td: TreeDecomposition, q: int
@@ -129,7 +162,7 @@ def q_color(atom: Graph, td: TreeDecomposition, q: int
         raise ValueError("q must be at least 1")
     if not td.is_valid(atom):
         raise ValueError("decomposition is not valid for the graph")
-    return _q_color_nice(atom, nice_decomposition(td), q)
+    return _color(atom, nice_decomposition(td), q)
 
 
 def combine_colorings(tree: DecompositionTree,
@@ -176,14 +209,14 @@ def combine_colorings(tree: DecompositionTree,
         done.append(right)
     total = done.pop()
     colors = [total[v] for v in tree.graph.vertices()]
-    assert is_proper_coloring(tree.graph, colors, q)
+    certify(is_proper_coloring(tree.graph, colors, q),
+            "merged coloring not proper")
     return colors
 
 
 @dataclass
 class AtomStructure:
     """Everything the solvers need about one decomposition leaf."""
-    vertices: tuple[int, ...]
     graph: Graph
     back: tuple[int, ...]
     complete: bool
@@ -199,18 +232,18 @@ def atom_structure(root: Graph, leaf_vertices: tuple[int, ...],
     atom, back = induced_subgraph(root, leaf_vertices)
     extracted = extract_skeleton(atom)
     if extracted == COMPLETE_ATOM:
-        return AtomStructure(leaf_vertices, atom, back, True, omega=atom.n)
+        return AtomStructure(atom, back, True, omega=atom.n)
     if isinstance(extracted, SkeletonReject):
-        return AtomStructure(leaf_vertices, atom, back, False)
+        return AtomStructure(atom, back, False)
     sd = extracted
     kwargs = {} if exact_budget is None else {"exact_budget": exact_budget}
     try:
         td = skeleton_tree_decomposition(sd.skeleton, **kwargs)
     except SearchBudgetExceeded:
-        return AtomStructure(leaf_vertices, atom, back, False)
+        return AtomStructure(atom, back, False)
     if isinstance(td, TreewidthReject):
-        return AtomStructure(leaf_vertices, atom, back, False)
-    return AtomStructure(leaf_vertices, atom, back, False, sd, td,
+        return AtomStructure(atom, back, False)
+    return AtomStructure(atom, back, False, sd, td,
                          clique_number_via_skeleton(sd))
 
 
@@ -243,7 +276,7 @@ def chromatic_number(g: Graph, brute_guard: Optional[int] = None,
             assert lifted.is_valid(st.graph)
             nd = nice_decomposition(lifted)
             for q_atom in range(st.omega, ceil_three_halves(st.omega) + 1):
-                colors = _q_color_nice(st.graph, nd, q_atom)
+                colors = _color(st.graph, nd, q_atom)
                 if colors is not None:
                     break
         if colors is None:
@@ -285,7 +318,7 @@ def q_color_graph(g: Graph, q: int, brute_guard: Optional[int] = None,
             colors = list(range(1, st.graph.n + 1))
         elif st.sd is not None:
             lifted = lift_tree_decomposition(st.skeleton_td, st.sd)
-            colors = _q_color_nice(st.graph, nice_decomposition(lifted), q)
+            colors = _color(st.graph, nice_decomposition(lifted), q)
             if colors is None:
                 return None
         else:
@@ -318,7 +351,8 @@ def clique_number(g: Graph, brute_guard: Optional[int] = None,
             result = _brute_or_unsupported(st.graph, "max-clique",
                                            brute_guard)
             value, local = result.value, result.witness
-        assert st.graph.is_clique(local) and len(local) == value
+        certify(st.graph.is_clique(local) and len(local) == value,
+                "clique witness failed re-check")
         if value > best:
             best = value
             witness = vertex_set(st.back[v] for v in local)
@@ -369,78 +403,14 @@ def reduce_to_skeleton_weights(atom: Graph, sd: SkeletonDecomposition,
     return Graph(n, edges, wts), tuple(reps)
 
 
-def _mwss_nice(graph: Graph, nd: NiceDecomposition, weights: Sequence[int]
-               ) -> tuple[int, tuple[int, ...]]:
-    """Max weight stable set DP; handles negative weights (the empty set is
-    always a candidate)."""
-    tables: list[dict] = [dict() for _ in nd.nodes]
-    forget_choice: list[dict] = [dict() for _ in nd.nodes]
-    for idx, node in enumerate(nd.nodes):
-        if node.kind == "leaf":
-            tables[idx] = {(): 0}
-        elif node.kind == "introduce":
-            child = tables[node.children[0]]
-            pos = node.bag.index(node.vertex)
-            nbr = [i for i, u in enumerate(node.bag)
-                   if u != node.vertex and graph.has_edge(u, node.vertex)]
-            table = {}
-            for key, value in child.items():
-                out = key[:pos] + (False,) + key[pos:]
-                if out not in table or value > table[out]:
-                    table[out] = value
-                taken = key[:pos] + (True,) + key[pos:]
-                if not any(taken[i] for i in nbr):
-                    cand = value + weights[node.vertex]
-                    if taken not in table or cand > table[taken]:
-                        table[taken] = cand
-            tables[idx] = table
-        elif node.kind == "forget":
-            child_node = nd.nodes[node.children[0]]
-            pos = child_node.bag.index(node.vertex)
-            table = {}
-            for key, value in tables[node.children[0]].items():
-                short = key[:pos] + key[pos + 1:]
-                if short not in table or value > table[short]:
-                    table[short] = value
-                    forget_choice[idx][short] = key
-            tables[idx] = table
-        else:  # join
-            left = tables[node.children[0]]
-            right = tables[node.children[1]]
-            table = {}
-            for key, value in left.items():
-                if key in right:
-                    overlap = sum(weights[u] for u, chosen
-                                  in zip(node.bag, key) if chosen)
-                    table[key] = value + right[key] - overlap
-            tables[idx] = table
-    best_value = tables[nd.root][()]
-    chosen: set[int] = set()
-    stack = [(nd.root, ())]
-    while stack:
-        idx, key = stack.pop()
-        node = nd.nodes[idx]
-        if node.kind == "introduce":
-            pos = node.bag.index(node.vertex)
-            if key[pos]:
-                chosen.add(node.vertex)
-            stack.append((node.children[0], key[:pos] + key[pos + 1:]))
-        elif node.kind == "forget":
-            stack.append((node.children[0], forget_choice[idx][key]))
-        elif node.kind == "join":
-            stack.extend(((node.children[1], key), (node.children[0], key)))
-    result = vertex_set(chosen)
-    assert graph.is_stable(result)
-    assert sum(weights[v] for v in result) == best_value
-    return best_value, result
-
-
 class _AtomSolver:
     """Stable-set subproblem solver for one atom.
 
-    Structured atoms answer queries by restricting the skeleton's width-5
-    decomposition to the surviving vertices, reducing weights onto F', and
-    running the stable-set DP (width at most 6); unstructured atoms fall
+    A structured atom builds F' and its nice decomposition once: the
+    skeleton's width-5 decomposition with F''s universal vertex in every
+    bag (width at most 6).  Each query runs the labelling DP on it with
+    labels {0, 1}, classes left without a vertex forced to label 0, and
+    each class weighted by its heaviest survivor.  Unstructured atoms fall
     back to brute force under the guard.  Queries delete a vertex set X
     (the cutset, or a closed neighborhood) and take current weights.
     """
@@ -448,9 +418,17 @@ class _AtomSolver:
     def __init__(self, root: Graph, leaf_vertices: tuple[int, ...],
                  brute_guard: Optional[int],
                  exact_budget: Optional[int] = None):
-        self.st = atom_structure(root, leaf_vertices, exact_budget)
+        self.st = st = atom_structure(root, leaf_vertices, exact_budget)
         self.brute_guard = brute_guard
-        self.local_of = {r: i for i, r in enumerate(self.st.back)}
+        self.local_of = {r: i for i, r in enumerate(st.back)}
+        if st.sd is not None:
+            self.reduced = reduce_to_skeleton_weights(
+                st.graph, st.sd, st.graph.weights)[0]
+            bags = st.skeleton_td.bags
+            if st.sd.universal:
+                bags = tuple(bag + (st.sd.skeleton.n,) for bag in bags)
+            self.nice = nice_decomposition(
+                TreeDecomposition(bags, st.skeleton_td.edges))
 
     def solve(self, deleted_roots: set[int], weights: Sequence[int]
               ) -> tuple[int, tuple[int, ...]]:
@@ -479,40 +457,23 @@ class _AtomSolver:
     def _solve_structured(self, deleted: set[int], local_w: dict[int, int]
                           ) -> tuple[int, tuple[int, ...]]:
         sd = self.st.sd
-        surviving_sk = [i for i, cls in enumerate(sd.classes)
-                        if any(v not in deleted for v in cls)]
         universal_left = [v for v in sd.universal if v not in deleted]
         self._assert_restriction(sd, deleted, universal_left)
-        reps: list[int] = []
+        reps: list[Optional[int]] = []
+        labels: list[tuple[int, ...]] = []
         wts: list[int] = []
-        for i in surviving_sk:
-            alive = [v for v in sd.classes[i] if v not in deleted]
-            best = min(alive, key=lambda v: -local_w[v])
+        for cls in sd.classes + ((sd.universal,) if sd.universal else ()):
+            alive = [v for v in cls if v not in deleted]
+            best = min(alive, key=lambda v: -local_w[v]) if alive else None
             reps.append(best)
-            wts.append(local_w[best])
-        new_id = {sk: j for j, sk in enumerate(surviving_sk)}
-        edges = [(new_id[u], new_id[v]) for u, v in sd.skeleton.edges()
-                 if u in new_id and v in new_id]
-        n = len(surviving_sk)
-        bags = [vertex_set(new_id[v] for v in bag if v in new_id)
-                for bag in self.st.skeleton_td.bags]
-        if universal_left:
-            best = min(universal_left, key=lambda v: -local_w[v])
-            edges.extend((j, n) for j in range(n))
-            reps.append(best)
-            wts.append(local_w[best])
-            bags = [bag + (n,) for bag in bags]
-            n += 1
-        reduced = Graph(n, edges, wts)
-        td = TreeDecomposition(tuple(bags), self.st.skeleton_td.edges)
-        assert td.is_valid(reduced), "restricted decomposition must stay valid"
-        if not surviving_sk:
-            best = reps[0]
-            if wts[0] <= 0:
-                return 0, ()
-            return wts[0], (self.st.back[best],)
-        value, picked = _mwss_nice(reduced, nice_decomposition(td), wts)
-        return value, vertex_set(self.st.back[reps[j]] for j in picked)
+            labels.append((0, 1) if alive else (0,))
+            wts.append(local_w[best] if alive else 0)
+        value, labelling = _nice_dp(self.reduced, self.nice, labels, wts)
+        picked = [reps[j] for j, c in enumerate(labelling) if c]
+        certify(None not in picked and self.st.graph.is_stable(picked)
+                and sum(local_w[v] for v in picked) == value,
+                "DP stable set failed re-check")
+        return value, vertex_set(self.st.back[v] for v in picked)
 
     def _assert_restriction(self, sd, deleted, universal_left):
         """Restriction soundness: surviving class members stay true twins
@@ -599,7 +560,7 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
                      ("solve", node.right, w2)))
     value, picked = done.pop()
     result = vertex_set(picked)
-    assert g.is_stable(result), "result must be a stable set"
-    achieved = sum(base[v] for v in result)
-    assert achieved == value, "weight bookkeeping mismatch"
+    certify(g.is_stable(result), "result must be a stable set")
+    certify(sum(base[v] for v in result) == value,
+            "weight bookkeeping mismatch")
     return StableSetResult(result, value)

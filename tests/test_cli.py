@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from capfree import cli
 from capfree.cli import main
 from capfree.graphs import (blow_up, hajos, hole, parse_graph,
                             serialize_graph)
@@ -211,6 +212,16 @@ def test_missing_file_exit_code(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["color", "-q", "not-a-number", "x"]) == 2
+
+
+def test_internal_failure_exit_code(graph_file, capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("this cannot happen")
+    monkeypatch.setattr(cli, "cmd_mwss", boom)
+    code, out = run(capsys, "mwss", graph_file("c5.graph", hole(5)))
+    assert code == 4
+    assert json.loads(out) == {"error": "internal",
+                               "detail": "RuntimeError: this cannot happen"}
 
 
 def test_selftest_command(capsys):

@@ -1,10 +1,15 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from capfree import solvers
 from capfree.construct import GeneratorParams, generate_instance
 from capfree.decomposition import clique_cutset_tree
 from capfree.graphs import (add_universal_clique, blow_up, complete, gnp,
                             hajos, hole, path)
-from capfree.oracles import brute_solve
+from capfree.oracles import CertificateError, brute_solve
 from capfree.rng import Xoshiro256StarStar
 from capfree.solvers import (UnsupportedInstanceError, ceil_three_halves,
                              chromatic_number, clique_number,
@@ -179,19 +184,86 @@ def test_agreement_with_brute_on_random(seed):
         == brute_solve(g.with_weights(w), "mwss").value
 
 
-@pytest.mark.parametrize("seed", [2, 5, 10, 15, 20, 25])
-def test_structured_instances_agree_with_brute(seed):
+# Single glues with weights below 100, then glues of 3 and 4 on a 5-hole
+# base with weights 0..9 (ties): their cutsets delete whole classes and
+# whole universal cliques of atoms, so queries force F' vertices out.
+@pytest.mark.parametrize("seed, glue, base, top", [
+    *(pytest.param(s, 1, None, 100, id=str(s))
+      for s in (2, 5, 10, 15, 20, 25)),
+    *(pytest.param(s, glue, 5, 10, id=f"{s}-glue{glue}")
+      for s, glue in ((11, 3), (19, 3), (30, 3), (35, 3), (19, 4), (32, 4)))])
+def test_structured_instances_agree_with_brute(seed, glue, base, top):
     params = GeneratorParams(seed=seed, ear_count=0, max_blowup=2,
-                             max_universal=1, glue_count=1)
+                             max_universal=1, glue_count=glue,
+                             base_length=base)
     g, prov = generate_instance(params)
-    if g.n <= 16:
-        assert chromatic_number(g)[0] == brute_solve(g, "chromatic").value
+    assert g.n <= 30
+    assert chromatic_number(g)[0] \
+        == brute_solve(g, "chromatic", g.n).value
     rng = Xoshiro256StarStar(seed)
-    w = [rng.below(100) for _ in range(g.n)]
+    w = [rng.below(top) for _ in range(g.n)]
     result = mwss(g, w)
     assert g.is_stable(result.vertices)
-    if g.n <= 24:
-        assert result.weight == brute_solve(g.with_weights(w), "mwss").value
+    assert result.weight == sum(w[v] for v in result.vertices) \
+        == brute_solve(g.with_weights(w), "mwss", g.n).value
+
+
+def test_mwss_builds_one_nice_decomposition_per_structured_atom(
+        monkeypatch):
+    g, _ = generate_instance(GeneratorParams(
+        seed=11, max_blowup=2, max_universal=1, glue_count=3,
+        base_length=5))
+    structured = sum(
+        solvers.atom_structure(g, leaf.vertices).sd is not None
+        for leaf in clique_cutset_tree(g).leaves())
+    calls = {"nice": 0, "dp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(solvers, "nice_decomposition",
+                        counted("nice", solvers.nice_decomposition))
+    monkeypatch.setattr(solvers, "_nice_dp",
+                        counted("dp", solvers._nice_dp))
+    mwss(g)
+    assert structured >= 2
+    assert calls["nice"] == structured < calls["dp"]
+
+
+def _improper(graph, nd, labels, weights):
+    """Label 1 everywhere: neither a proper coloring nor a stable set."""
+    return 0, [1] * graph.n
+
+
+@pytest.mark.parametrize("call", [lambda: q_color_graph(G1, 5),
+                                  lambda: chromatic_number(G1),
+                                  lambda: mwss(G1)],
+                         ids=["q_color_graph", "chromatic", "mwss"])
+def test_improper_dp_labelling_is_caught(monkeypatch, call):
+    monkeypatch.setattr(solvers, "_nice_dp", _improper)
+    with pytest.raises(CertificateError):
+        call()
+
+
+def test_improper_dp_labelling_is_caught_under_python_O():
+    script = (
+        "from capfree import solvers, blow_up, hole\n"
+        "solvers._nice_dp = lambda g, nd, labels, w: (0, [1] * g.n)\n"
+        "g = blow_up(hole(5), [2] * 5)\n"
+        "for call in (lambda: solvers.q_color_graph(g, 5),\n"
+        "             lambda: solvers.mwss(g)):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__)\n")
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert done.stdout.split() == ["CertificateError", "CertificateError"]
 
 
 def test_min_degree_bound_on_generated():
