@@ -164,8 +164,7 @@ def cmd_treewidth(args) -> int:
 def cmd_clique_number(args) -> int:
     g = _read_graph(args.file)
     guards = _budget_guards(args)
-    value, witness = clique_number(g, brute_guard=guards["brute"],
-                                   exact_budget=guards["exact"])
+    value, witness = clique_number(g, brute_guard=guards["brute"])
     _emit({"value": value, "witness": _ids(witness)})
     return 0
 

@@ -6,15 +6,25 @@ graph.  One test serves both find_clique_cutset and the tree: a candidate
 is used when it is a clique and a minimal separator of the current graph.
 Some candidate passes whenever the graph has a clique cutset (Tarjan 1985),
 so if none passes, the graph has none.
+
+Each leaf of the tree is read through one Atom record: the induced atom,
+its skeleton extraction, and on first use the skeleton's width-5 tree
+decomposition.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .graphs import Graph, induced_subgraph, vertex_set
+from .treewidth import (DEFAULT_EXACT_BUDGET, SearchBudgetExceeded,
+                        TreeDecomposition, TreewidthReject,
+                        skeleton_tree_decomposition)
+from .twins import (COMPLETE_ATOM, ExtractResult, SkeletonDecomposition,
+                    extract_skeleton)
 
 
 def _lex_m(g: Graph) -> tuple[list[int], list[set[int]]]:
@@ -193,6 +203,40 @@ class DecompositionTree:
 
     def internal_nodes(self) -> list[DecompositionNode]:
         return [node for node in self._preorder() if not node.is_leaf]
+
+
+class Atom:
+    """One leaf of clique_cutset_tree: the atom root[vertices] (relabelled
+    0..k-1, back mapping to root ids) and what extract_skeleton returned.
+
+    skeleton_td, the skeleton's width-5 tree decomposition, is built on
+    first use; it is None when there is no skeleton, the width exceeds 5,
+    or the exact search runs out of exact_budget.  sd is the skeleton
+    decomposition when skeleton_td exists, None otherwise.
+    """
+
+    def __init__(self, root: Graph, vertices: tuple[int, ...],
+                 exact_budget: int = DEFAULT_EXACT_BUDGET):
+        self.vertices = vertices
+        self.graph, self.back = induced_subgraph(root, vertices)
+        self.extracted: ExtractResult = extract_skeleton(self.graph)
+        self.complete = self.extracted == COMPLETE_ATOM
+        self.exact_budget = exact_budget
+
+    @cached_property
+    def skeleton_td(self) -> Optional[TreeDecomposition]:
+        if not isinstance(self.extracted, SkeletonDecomposition):
+            return None
+        try:
+            td = skeleton_tree_decomposition(self.extracted.skeleton,
+                                             self.exact_budget)
+        except SearchBudgetExceeded:
+            return None
+        return None if isinstance(td, TreewidthReject) else td
+
+    @property
+    def sd(self) -> Optional[SkeletonDecomposition]:
+        return None if self.skeleton_td is None else self.extracted
 
 
 def clique_cutset_tree(g: Graph) -> DecompositionTree:

@@ -301,8 +301,10 @@ def _find_even_wheel(g: Graph) -> Optional[ForbiddenWitness]:
     return None
 
 
-def _induced_paths_between(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
-    """All induced x..y paths with at least one interior vertex.
+def _induced_paths(g: Graph, x: int, y: int, avoid: int = 0
+                   ) -> list[tuple[int, ...]]:
+    """All induced x..y paths with at least one interior vertex, no
+    interior vertex in the mask avoid.
 
     Requires x and y nonadjacent.  A path vertex adjacent to y must be the
     last interior, so such paths close immediately.
@@ -317,7 +319,7 @@ def _induced_paths_between(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
             if not blocked & y_mask:
                 results.append(tuple(p) + (y,))
             return
-        options = nbrs & ~path_mask & ~blocked
+        options = nbrs & ~path_mask & ~blocked & ~avoid
         while options:
             low = options & -options
             options ^= low
@@ -325,7 +327,7 @@ def _induced_paths_between(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
                    path_mask | low)
 
     for a in g.adj[x]:
-        if a != y:
+        if a != y and not avoid >> a & 1:
             extend([x, a], g.mask(x), (1 << x) | (1 << a))
     return results
 
@@ -335,7 +337,7 @@ def _find_theta(g: Graph) -> Optional[ForbiddenWitness]:
         for y in range(x + 1, g.n):
             if g.has_edge(x, y):
                 continue
-            paths = _induced_paths_between(g, x, y)
+            paths = _induced_paths(g, x, y)
             if len(paths) < 3:
                 continue
             inner_masks = [_mask_of(p[1:-1]) for p in paths]
@@ -370,35 +372,6 @@ def _triangles(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-def _corner_paths(g: Graph, a: int, b: int, avoid: set[int]
-                  ) -> list[tuple[int, ...]]:
-    """Induced a..b paths avoiding the other prism corners."""
-    if g.has_edge(a, b):
-        return [(a, b)]
-    results: list[tuple[int, ...]] = []
-    avoid_mask = _mask_of(avoid)
-    b_mask = 1 << b
-
-    def extend(p: list[int], blocked: int, path_mask: int):
-        last = p[-1]
-        nbrs = g.mask(last)
-        if nbrs & b_mask:
-            if not blocked & b_mask:
-                results.append(tuple(p) + (b,))
-            return
-        options = nbrs & ~path_mask & ~blocked & ~avoid_mask
-        while options:
-            low = options & -options
-            options ^= low
-            extend(p + [low.bit_length() - 1], blocked | nbrs,
-                   path_mask | low)
-
-    for w in g.adj[a]:
-        if w != b and w not in avoid:
-            extend([a, w], g.mask(a), (1 << a) | (1 << w))
-    return results
-
-
 def _prism_pair_ok(g: Graph, p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     if set(p) & set(q):
         return False
@@ -417,9 +390,11 @@ def _find_prism(g: Graph) -> Optional[ForbiddenWitness]:
             if set(t1) & set(t2):
                 continue
             for perm in permutations(t2):
-                corners = set(t1) | set(t2)
-                all_paths = [_corner_paths(g, a, b, corners - {a, b})
-                             for a, b in zip(t1, perm)]
+                corners = _mask_of(t1 + t2)
+                all_paths = [
+                    [(a, b)] if g.has_edge(a, b) else
+                    _induced_paths(g, a, b, corners & ~(1 << a | 1 << b))
+                    for a, b in zip(t1, perm)]
                 if any(not paths for paths in all_paths):
                     continue
                 for p1 in all_paths[0]:

@@ -15,13 +15,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .decomposition import DecompositionTree, clique_cutset_tree
-from .graphs import Graph, induced_subgraph
+from .decomposition import Atom, DecompositionTree, clique_cutset_tree
+from .graphs import Graph
 from .oracles import (ForbiddenWitness, certify, find_any_forbidden,
                       find_forbidden_induced, odd_signable_signing,
                       verify_witness)
-from .twins import (COMPLETE_ATOM, SkeletonDecomposition, SkeletonReject,
-                    extract_skeleton)
+from .twins import SkeletonDecomposition, SkeletonReject
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -155,17 +154,17 @@ def recognize(g: Graph, target_class: str,
         return RecognitionVerdict(REJECTED, target_class, witness)
     tree = clique_cutset_tree(g)
     reports: list[AtomReport] = []
-    for atom_vs in tree.atoms():
-        atom, back = induced_subgraph(g, atom_vs)
-        extracted = extract_skeleton(atom)
-        if extracted == COMPLETE_ATOM:
-            reports.append(AtomReport(atom_vs, True))
+    for leaf in tree.leaves():
+        atom = Atom(g, leaf.vertices)
+        if atom.complete:
+            reports.append(AtomReport(atom.vertices, True))
             continue
-        if isinstance(extracted, SkeletonReject):
+        if isinstance(atom.extracted, SkeletonReject):
             raise RuntimeError(
                 "skeleton shape violation on a cap- and 4-hole-free atom "
-                f"without clique cutsets; this cannot happen: {extracted}")
-        sd = extracted
+                "without clique cutsets; this cannot happen: "
+                f"{atom.extracted}")
+        sd, back = atom.extracted, atom.back
         if sd.skeleton.n > oracle_guard:
             return RecognitionVerdict(
                 UNDECIDED, target_class, tree=tree,
@@ -191,7 +190,7 @@ def recognize(g: Graph, target_class: str,
                 return RecognitionVerdict(REJECTED, target_class, witness,
                                           tree)
             oracle = "odd-signable"
-        reports.append(AtomReport(atom_vs, False, sd, oracle))
+        reports.append(AtomReport(atom.vertices, False, sd, oracle))
     return RecognitionVerdict(ACCEPTED, target_class, tree=tree,
                               atoms=tuple(reports))
 

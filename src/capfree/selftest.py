@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .construct import (TARGET_CLASSES, GeneratorParams, generate_instance,
                         random_skeleton)
-from .decomposition import clique_cutset_tree
+from .decomposition import Atom, clique_cutset_tree
 from .graphs import (Graph, add_universal_clique, blow_up, complete, cube,
                      gnp, hajos, hole, path)
 from .oracles import (brute_solve, find_any_forbidden,
@@ -23,8 +23,8 @@ from .oracles import (brute_solve, find_any_forbidden,
                       verify_witness)
 from .recognition import detect_cap_fast, recognize
 from .rng import Xoshiro256StarStar
-from .solvers import (atom_structure, ceil_three_halves, chromatic_number,
-                      greedy_color, is_proper_coloring, mwss)
+from .solvers import (ceil_three_halves, chromatic_number, greedy_color,
+                      is_proper_coloring, mwss)
 from .treewidth import (TreeDecomposition, chordal_clique_number,
                         lift_tree_decomposition, skeleton_from_ears,
                         skeleton_tree_decomposition, triangulation_from_ears)
@@ -232,19 +232,19 @@ def criterion_6_atom_treewidth() -> CriterionResult:
             tree = clique_cutset_tree(g)
             for leaf in tree.leaves():
                 atoms += 1
-                st = atom_structure(g, leaf.vertices)
-                if st.complete:
+                atom = Atom(g, leaf.vertices)
+                if atom.complete:
                     td = TreeDecomposition(
-                        (tuple(st.graph.vertices()),) if st.graph.n else (),
-                        ())
-                    omega = st.omega
+                        (tuple(atom.graph.vertices()),) if atom.graph.n
+                        else (), ())
+                    omega = atom.graph.n
                 else:
-                    if st.sd is None:
+                    if atom.sd is None:
                         violations += 1
                         continue
-                    td = lift_tree_decomposition(st.skeleton_td, st.sd)
-                    omega = st.omega
-                if not td.is_valid(st.graph) or td.width > 6 * omega - 1:
+                    td = lift_tree_decomposition(atom.skeleton_td, atom.sd)
+                    omega = clique_number_via_skeleton(atom.sd)
+                if not td.is_valid(atom.graph) or td.width > 6 * omega - 1:
                     violations += 1
         return violations == 0, \
             f"{atoms} atoms: lifted width <= 6*omega-1, {violations} violations"

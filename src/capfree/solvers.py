@@ -1,4 +1,11 @@
-"""Coloring and maximum weight stable set over the decomposition stack.
+"""Coloring, clique number and maximum weight stable set over the
+decomposition stack.
+
+Every call reads each leaf of clique_cutset_tree through one Atom record
+(decomposition.py), built once per call: the skeleton extraction, and the
+skeleton's width-5 tree decomposition only when a DP needs it.  One
+per-atom step, _color_atom, serves chromatic_number and q_color_graph;
+clique_number reads the skeleton alone.
 
 Per-atom answers come from one labelling DP, _nice_dp, over a nice tree
 decomposition: each vertex takes a label from its own list, adjacent
@@ -22,16 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .decomposition import (DecompositionNode, DecompositionTree,
-                            clique_cutset_tree)
+from .decomposition import Atom, DecompositionTree, clique_cutset_tree
 from .graphs import Graph, induced_subgraph, vertex_set
 from .oracles import InstanceTooLargeError, brute_solve, certify
-from .treewidth import (NiceDecomposition, SearchBudgetExceeded,
-                        TreeDecomposition, TreewidthReject,
-                        lift_tree_decomposition, nice_decomposition,
-                        skeleton_tree_decomposition)
-from .twins import (COMPLETE_ATOM, SkeletonDecomposition, SkeletonReject,
-                    clique_number_via_skeleton, extract_skeleton)
+from .treewidth import (DEFAULT_EXACT_BUDGET, NiceDecomposition,
+                        TreeDecomposition, lift_tree_decomposition,
+                        nice_decomposition)
+from .twins import (SkeletonDecomposition, clique_number_via_skeleton,
+                    max_clique_via_skeleton)
 
 
 class UnsupportedInstanceError(RuntimeError):
@@ -214,41 +219,38 @@ def combine_colorings(tree: DecompositionTree,
     return colors
 
 
-@dataclass
-class AtomStructure:
-    """Everything the solvers need about one decomposition leaf."""
-    graph: Graph
-    back: tuple[int, ...]
-    complete: bool
-    sd: Optional[SkeletonDecomposition] = None
-    skeleton_td: Optional[TreeDecomposition] = None
-    omega: int = 0
+def _color_atom(atom: Atom, qs: range, brute_guard: Optional[int]
+                ) -> Optional[tuple[int, list[int]]]:
+    """(q, coloring) for the least q in qs at which the labelling DP over
+    the lifted decomposition colors a structured atom, None when qs is
+    used up.  Complete atoms and atoms without structure get their
+    chromatic number, the latter by brute force under the guard."""
+    if atom.complete:
+        return atom.graph.n, list(range(1, atom.graph.n + 1))
+    if atom.sd is None:
+        result = _brute_or_unsupported(atom.graph, "chromatic", brute_guard)
+        return result.value, list(result.witness)
+    lifted = lift_tree_decomposition(atom.skeleton_td, atom.sd)
+    assert lifted.is_valid(atom.graph)
+    nd = nice_decomposition(lifted)
+    for q in qs:
+        colors = _color(atom.graph, nd, q)
+        if colors is not None:
+            return q, colors
+    return None
 
 
-def atom_structure(root: Graph, leaf_vertices: tuple[int, ...],
-                   exact_budget: Optional[int] = None) -> AtomStructure:
-    """Extract the skeleton plus its width-5 decomposition; falls back to
-    an unstructured record when the atom lacks the class shape."""
-    atom, back = induced_subgraph(root, leaf_vertices)
-    extracted = extract_skeleton(atom)
-    if extracted == COMPLETE_ATOM:
-        return AtomStructure(atom, back, True, omega=atom.n)
-    if isinstance(extracted, SkeletonReject):
-        return AtomStructure(atom, back, False)
-    sd = extracted
-    kwargs = {} if exact_budget is None else {"exact_budget": exact_budget}
+def _brute_or_unsupported(g: Graph, problem: str, guard: Optional[int]):
     try:
-        td = skeleton_tree_decomposition(sd.skeleton, **kwargs)
-    except SearchBudgetExceeded:
-        return AtomStructure(atom, back, False)
-    if isinstance(td, TreewidthReject):
-        return AtomStructure(atom, back, False)
-    return AtomStructure(atom, back, False, sd, td,
-                         clique_number_via_skeleton(sd))
+        return brute_solve(g, problem, guard)
+    except InstanceTooLargeError as exc:
+        raise UnsupportedInstanceError(
+            f"atom is outside the class and beyond the {problem} "
+            f"brute-force guard ({exc})") from exc
 
 
 def chromatic_number(g: Graph, brute_guard: Optional[int] = None,
-                     exact_budget: Optional[int] = None
+                     exact_budget: int = DEFAULT_EXACT_BUDGET
                      ) -> tuple[int, list[int]]:
     """Exact chromatic number with a proper coloring.
 
@@ -265,40 +267,23 @@ def chromatic_number(g: Graph, brute_guard: Optional[int] = None,
     per_leaf: list[dict[int, int]] = []
     chi = 1
     for leaf in tree.leaves():
-        st = atom_structure(g, leaf.vertices, exact_budget)
-        colors = None
-        q_atom = 0
-        if st.complete:
-            colors = list(range(1, st.graph.n + 1))
-            q_atom = max(st.graph.n, 1)
-        elif st.sd is not None:
-            lifted = lift_tree_decomposition(st.skeleton_td, st.sd)
-            assert lifted.is_valid(st.graph)
-            nd = nice_decomposition(lifted)
-            for q_atom in range(st.omega, ceil_three_halves(st.omega) + 1):
-                colors = _color(st.graph, nd, q_atom)
-                if colors is not None:
-                    break
-        if colors is None:
-            result = _brute_or_unsupported(st.graph, "chromatic", brute_guard)
-            q_atom, colors = result.value, list(result.witness)
-        chi = max(chi, q_atom)
-        per_leaf.append({st.back[v]: colors[v] for v in st.graph.vertices()})
+        atom = Atom(g, leaf.vertices, exact_budget)
+        omega = (0 if atom.sd is None
+                 else clique_number_via_skeleton(atom.sd))
+        found = _color_atom(atom, range(omega, ceil_three_halves(omega) + 1),
+                            brute_guard)
+        if found is None:
+            result = _brute_or_unsupported(atom.graph, "chromatic",
+                                           brute_guard)
+            found = result.value, list(result.witness)
+        chi = max(chi, found[0])
+        per_leaf.append(dict(zip(atom.back, found[1])))
     coloring = combine_colorings(tree, per_leaf, chi)
     return chi, coloring
 
 
-def _brute_or_unsupported(g: Graph, problem: str, guard: Optional[int]):
-    try:
-        return brute_solve(g, problem, guard)
-    except InstanceTooLargeError as exc:
-        raise UnsupportedInstanceError(
-            f"atom is outside the class and beyond the {problem} "
-            f"brute-force guard ({exc})") from exc
-
-
 def q_color_graph(g: Graph, q: int, brute_guard: Optional[int] = None,
-                  exact_budget: Optional[int] = None
+                  exact_budget: int = DEFAULT_EXACT_BUDGET
                   ) -> Optional[list[int]]:
     """A proper q-coloring of the whole graph, or None.
 
@@ -311,61 +296,42 @@ def q_color_graph(g: Graph, q: int, brute_guard: Optional[int] = None,
     tree = clique_cutset_tree(g)
     per_leaf = []
     for leaf in tree.leaves():
-        st = atom_structure(g, leaf.vertices, exact_budget)
-        if st.complete:
-            if st.graph.n > q:
-                return None
-            colors = list(range(1, st.graph.n + 1))
-        elif st.sd is not None:
-            lifted = lift_tree_decomposition(st.skeleton_td, st.sd)
-            colors = _color(st.graph, nice_decomposition(lifted), q)
-            if colors is None:
-                return None
-        else:
-            result = _brute_or_unsupported(st.graph, "chromatic", brute_guard)
-            if result.value > q:
-                return None
-            colors = list(result.witness)
-        per_leaf.append({st.back[v]: colors[v] for v in st.graph.vertices()})
+        atom = Atom(g, leaf.vertices, exact_budget)
+        found = _color_atom(atom, range(q, q + 1), brute_guard)
+        if found is None or found[0] > q:
+            return None
+        per_leaf.append(dict(zip(atom.back, found[1])))
     return combine_colorings(tree, per_leaf, q)
 
 
-def clique_number(g: Graph, brute_guard: Optional[int] = None,
-                  exact_budget: Optional[int] = None
+def clique_number(g: Graph, brute_guard: Optional[int] = None
                   ) -> tuple[int, tuple[int, ...]]:
     """omega with a witness clique, through the skeleton structure.
 
-    Complete atoms contribute themselves; structured atoms contribute the
-    universal clique plus the heaviest class or adjacent class pair; atoms
-    without structure fall back to the brute oracle under the guard."""
+    Complete atoms contribute themselves; atoms with a skeleton contribute
+    the universal clique plus the heaviest class or adjacent class pair
+    (exact for any blow-up of a triangle-free skeleton, so no tree
+    decomposition is built); other atoms fall back to the brute oracle
+    under the guard."""
     best = 0
     witness: tuple[int, ...] = ()
     for leaf in clique_cutset_tree(g).leaves():
-        st = atom_structure(g, leaf.vertices, exact_budget)
-        if st.complete:
-            value, local = st.graph.n, tuple(st.graph.vertices())
-        elif st.sd is not None:
-            value = st.omega
-            local = _skeleton_clique_witness(st.sd)
+        atom = Atom(g, leaf.vertices)
+        if atom.complete:
+            value, local = atom.graph.n, tuple(atom.graph.vertices())
+        elif isinstance(atom.extracted, SkeletonDecomposition):
+            local = max_clique_via_skeleton(atom.extracted)
+            value = len(local)
         else:
-            result = _brute_or_unsupported(st.graph, "max-clique",
+            result = _brute_or_unsupported(atom.graph, "max-clique",
                                            brute_guard)
             value, local = result.value, result.witness
-        certify(st.graph.is_clique(local) and len(local) == value,
+        certify(atom.graph.is_clique(local) and len(local) == value,
                 "clique witness failed re-check")
         if value > best:
             best = value
-            witness = vertex_set(st.back[v] for v in local)
+            witness = vertex_set(atom.back[v] for v in local)
     return best, witness
-
-
-def _skeleton_clique_witness(sd: SkeletonDecomposition) -> tuple[int, ...]:
-    top: tuple[int, ...] = max(sd.classes, key=len)
-    for u, v in sd.skeleton.edges():
-        pair = sd.classes[u] + sd.classes[v]
-        if len(pair) > len(top):
-            top = pair
-    return vertex_set(sd.universal + top)
 
 
 @dataclass(frozen=True)
@@ -415,48 +381,46 @@ class _AtomSolver:
     (the cutset, or a closed neighborhood) and take current weights.
     """
 
-    def __init__(self, root: Graph, leaf_vertices: tuple[int, ...],
-                 brute_guard: Optional[int],
-                 exact_budget: Optional[int] = None):
-        self.st = st = atom_structure(root, leaf_vertices, exact_budget)
+    def __init__(self, atom: Atom, brute_guard: Optional[int]):
+        self.atom = atom
         self.brute_guard = brute_guard
-        self.local_of = {r: i for i, r in enumerate(st.back)}
-        if st.sd is not None:
+        self.local_of = {r: i for i, r in enumerate(atom.back)}
+        if atom.sd is not None:
             self.reduced = reduce_to_skeleton_weights(
-                st.graph, st.sd, st.graph.weights)[0]
-            bags = st.skeleton_td.bags
-            if st.sd.universal:
-                bags = tuple(bag + (st.sd.skeleton.n,) for bag in bags)
+                atom.graph, atom.sd, atom.graph.weights)[0]
+            bags = atom.skeleton_td.bags
+            if atom.sd.universal:
+                bags = tuple(bag + (atom.sd.skeleton.n,) for bag in bags)
             self.nice = nice_decomposition(
-                TreeDecomposition(bags, st.skeleton_td.edges))
+                TreeDecomposition(bags, atom.skeleton_td.edges))
 
     def solve(self, deleted_roots: set[int], weights: Sequence[int]
               ) -> tuple[int, tuple[int, ...]]:
         """Best stable set of atom minus the deleted vertices; returns
         (weight, root-id vertex tuple)."""
-        st = self.st
+        atom = self.atom
         deleted = {self.local_of[r] for r in deleted_roots
                    if r in self.local_of}
-        survivors = [v for v in st.graph.vertices() if v not in deleted]
+        survivors = [v for v in atom.graph.vertices() if v not in deleted]
         if not survivors:
             return 0, ()
-        local_w = {v: weights[st.back[v]] for v in survivors}
-        if st.complete:
+        local_w = {v: weights[atom.back[v]] for v in survivors}
+        if atom.complete:
             best = max(survivors, key=lambda v: (local_w[v], -v))
             if local_w[best] <= 0:
                 return 0, ()
-            return local_w[best], (st.back[best],)
-        if st.sd is None:
-            sub, sub_back = induced_subgraph(st.graph, survivors)
+            return local_w[best], (atom.back[best],)
+        if atom.sd is None:
+            sub, sub_back = induced_subgraph(atom.graph, survivors)
             weighted = sub.with_weights([local_w[v] for v in survivors])
             res = _brute_or_unsupported(weighted, "mwss", self.brute_guard)
-            return res.value, vertex_set(st.back[sub_back[v]]
+            return res.value, vertex_set(atom.back[sub_back[v]]
                                          for v in res.witness)
         return self._solve_structured(deleted, local_w)
 
     def _solve_structured(self, deleted: set[int], local_w: dict[int, int]
                           ) -> tuple[int, tuple[int, ...]]:
-        sd = self.st.sd
+        sd = self.atom.sd
         universal_left = [v for v in sd.universal if v not in deleted]
         self._assert_restriction(sd, deleted, universal_left)
         reps: list[Optional[int]] = []
@@ -470,30 +434,30 @@ class _AtomSolver:
             wts.append(local_w[best] if alive else 0)
         value, labelling = _nice_dp(self.reduced, self.nice, labels, wts)
         picked = [reps[j] for j, c in enumerate(labelling) if c]
-        certify(None not in picked and self.st.graph.is_stable(picked)
+        certify(None not in picked and self.atom.graph.is_stable(picked)
                 and sum(local_w[v] for v in picked) == value,
                 "DP stable set failed re-check")
-        return value, vertex_set(self.st.back[v] for v in picked)
+        return value, vertex_set(self.atom.back[v] for v in picked)
 
     def _assert_restriction(self, sd, deleted, universal_left):
         """Restriction soundness: surviving class members stay true twins
         and surviving universal vertices stay universal."""
-        atom = self.st.graph
+        graph = self.atom.graph
         alive_mask = 0
-        for v in atom.vertices():
+        for v in graph.vertices():
             if v not in deleted:
                 alive_mask |= 1 << v
         for v in universal_left:
-            assert (atom.mask(v) | 1 << v) & alive_mask == alive_mask
+            assert (graph.mask(v) | 1 << v) & alive_mask == alive_mask
         for cls in sd.classes:
             alive = [v for v in cls if v not in deleted]
-            masks = {(atom.mask(v) | 1 << v) & alive_mask for v in alive}
+            masks = {(graph.mask(v) | 1 << v) & alive_mask for v in alive}
             assert len(masks) <= 1, "restricted class is not a twin class"
 
 
 def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
          brute_guard: Optional[int] = None,
-         exact_budget: Optional[int] = None) -> StableSetResult:
+         exact_budget: int = DEFAULT_EXACT_BUDGET) -> StableSetResult:
     """Maximum weight stable set via top-down clique-cutset recursion.
 
     At each internal node with cutset S and atom side A: solve A minus S
@@ -506,13 +470,6 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
     if len(base) != g.n:
         raise ValueError("weights length must equal vertex count")
     tree = clique_cutset_tree(g)
-    solvers: dict[tuple[int, ...], _AtomSolver] = {}
-
-    def atom_solver(leaf: DecompositionNode) -> _AtomSolver:
-        if leaf.vertices not in solvers:
-            solvers[leaf.vertices] = _AtomSolver(g, leaf.vertices,
-                                                 brute_guard, exact_budget)
-        return solvers[leaf.vertices]
 
     # Explicit stack in place of recursion: ("solve", node, w) pushes the
     # node's answer onto done, after its left side is solved; "union" and
@@ -538,7 +495,8 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
             continue
         _, node, w = step
         if node.is_leaf:
-            value, picked = atom_solver(node).solve(set(), w)
+            atom = Atom(g, node.vertices, exact_budget)
+            value, picked = _AtomSolver(atom, brute_guard).solve(set(), w)
             done.append((value, set(picked)))
             continue
         cut = node.cutset
@@ -547,7 +505,8 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
                          ("solve", node.left, w)))
             continue
         assert node.left.is_leaf, "nonempty cutsets split off an atom"
-        solver = atom_solver(node.left)
+        solver = _AtomSolver(Atom(g, node.left.vertices, exact_budget),
+                             brute_guard)
         base_value, base_set = solver.solve(set(cut), w)
         sub_sets = {}
         w2 = list(w)

@@ -108,18 +108,22 @@ def _fill_count(adj: Adjacency, v: int) -> int:
                if b not in adj[a])
 
 
-def _eliminate(adj: Adjacency, v: int) -> list[int]:
+def _eliminate(adj: Adjacency, v: int
+               ) -> tuple[list[int], list[tuple[int, int]]]:
     """One move of the elimination game: make v's neighbors a clique and
-    isolate v.  Returns the neighbors v had."""
+    isolate v.  Returns the neighbors v had and the fill edges added."""
     nbrs = list(adj[v])
+    added = []
     for i, a in enumerate(nbrs):
         for b in nbrs[i + 1:]:
-            adj[a].add(b)
-            adj[b].add(a)
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+                added.append((a, b))
     for a in nbrs:
         adj[a].discard(v)
     adj[v].clear()
-    return nbrs
+    return nbrs, added
 
 
 def _fill_from_order(g: Graph, order: list[int]) -> list[set[int]]:
@@ -128,7 +132,7 @@ def _fill_from_order(g: Graph, order: list[int]) -> list[set[int]]:
     adj = [set(g.adj[v]) for v in g.vertices()]
     filled = [set(g.adj[v]) for v in g.vertices()]
     for v in order:
-        for a in _eliminate(adj, v):
+        for a in _eliminate(adj, v)[0]:
             filled[v].add(a)
             filled[a].add(v)
     return filled
@@ -221,47 +225,58 @@ def min_fill_decomposition(g: Graph) -> TreeDecomposition:
 def _exact_order(g: Graph, k: int, budget: int) -> Optional[list[int]]:
     """Elimination order of width <= k, or None when provably impossible.
 
-    Memoizes failed remaining-vertex sets (the filled graph only depends on
-    the eliminated set).  Simplicial vertices of degree <= k are eliminated
-    without branching.  Raises SearchBudgetExceeded past the node budget.
+    Depth-first search over elimination prefixes on an explicit stack; the
+    elimination game is played on one adjacency and each move is taken
+    back on backtracking.  Memoizes failed remaining-vertex sets (the
+    filled graph only depends on the eliminated set).  The least
+    simplicial vertex of degree <= k is eliminated without branching.
+    Raises SearchBudgetExceeded past the node budget.
     """
+    adj = {v: set(g.adj[v]) for v in g.vertices()}
     failed: set[frozenset[int]] = set()
-    nodes = [budget]
-
-    def rec(adj: dict[int, set[int]]) -> Optional[list[int]]:
+    # One frame per open search node: [remaining vertex set, branches not
+    # yet tried, (vertex, neighbors, fill edges) of the move in progress].
+    frames: list[list] = []
+    while True:
         if len(adj) <= k + 1:
-            return sorted(adj)
+            return [frame[2][0] for frame in frames] + sorted(adj)
         key = frozenset(adj)
-        if key in failed:
+        if key not in failed:
+            budget -= 1
+            if budget < 0:
+                raise SearchBudgetExceeded(
+                    f"width-{k} search budget exhausted")
+            frames.append([key, iter(_branches(adj, k)), None])
+        while frames:
+            frame = frames[-1]
+            if frame[2] is not None:
+                v, nbrs, added = frame[2]
+                for a, b in added:
+                    adj[a].discard(b)
+                    adj[b].discard(a)
+                adj[v] = set(nbrs)
+                for a in nbrs:
+                    adj[a].add(v)
+            v = next(frame[1], None)
+            if v is not None:
+                frame[2] = (v, *_eliminate(adj, v))
+                del adj[v]
+                break
+            failed.add(frame[0])
+            frames.pop()
+        else:
             return None
-        nodes[0] -= 1
-        if nodes[0] < 0:
-            raise SearchBudgetExceeded(f"width-{k} search budget exhausted")
-        for v in sorted(adj):
-            if len(adj[v]) <= k and _fill_count(adj, v) == 0:
-                rest = rec(_after(adj, v))
-                if rest is not None:
-                    return [v] + rest
-                failed.add(key)
-                return None
-        candidates = sorted((v for v in adj if len(adj[v]) <= k),
-                            key=lambda v: (_fill_count(adj, v),
-                                           len(adj[v]), v))
-        for v in candidates:
-            rest = rec(_after(adj, v))
-            if rest is not None:
-                return [v] + rest
-        failed.add(key)
-        return None
-
-    return rec({v: set(g.adj[v]) for v in g.vertices()})
 
 
-def _after(adj: dict[int, set[int]], v: int) -> dict[int, set[int]]:
-    out = {u: set(nb) for u, nb in adj.items()}
-    _eliminate(out, v)
-    del out[v]
-    return out
+def _branches(adj: dict[int, set[int]], k: int) -> list[int]:
+    """The vertices a search node tries: the least simplicial vertex of
+    degree <= k alone, else every vertex of degree <= k by fill, degree
+    and id."""
+    for v in sorted(adj):
+        if len(adj[v]) <= k and _fill_count(adj, v) == 0:
+            return [v]
+    return sorted((v for v in adj if len(adj[v]) <= k),
+                  key=lambda v: (_fill_count(adj, v), len(adj[v]), v))
 
 
 DEFAULT_EXACT_BUDGET = 200_000

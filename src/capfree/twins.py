@@ -115,14 +115,22 @@ def extract_skeleton(atom: Graph) -> ExtractResult:
     return SkeletonDecomposition(atom, skeleton, classes, universal)
 
 
-def clique_number_via_skeleton(sd: SkeletonDecomposition) -> int:
-    """omega of the atom: |U| plus the heaviest class or adjacent class
-    pair.  Valid because the skeleton is triangle-free, so maximal cliques
-    are U with one or two (adjacent) blown-up classes."""
-    best = max(len(cls) for cls in sd.classes)
+def max_clique_via_skeleton(sd: SkeletonDecomposition) -> tuple[int, ...]:
+    """A maximum clique of the atom: U plus the heaviest class or adjacent
+    class pair (the first met).  Valid because the skeleton is
+    triangle-free, so maximal cliques are U with one or two (adjacent)
+    blown-up classes."""
+    top: tuple[int, ...] = max(sd.classes, key=len)
     for u, v in sd.skeleton.edges():
-        best = max(best, len(sd.classes[u]) + len(sd.classes[v]))
-    return len(sd.universal) + best
+        pair = sd.classes[u] + sd.classes[v]
+        if len(pair) > len(top):
+            top = pair
+    return vertex_set(sd.universal + top)
+
+
+def clique_number_via_skeleton(sd: SkeletonDecomposition) -> int:
+    """omega of the atom, the size of max_clique_via_skeleton."""
+    return len(max_clique_via_skeleton(sd))
 
 
 def reconstruct_atom(sd: SkeletonDecomposition) -> Graph:

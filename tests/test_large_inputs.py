@@ -7,7 +7,9 @@ from capfree.decomposition import clique_cutset_tree, tree_to_dot
 from capfree.graphs import Graph, hole, path
 from capfree.solvers import (chromatic_number, is_proper_coloring, mwss,
                              q_color_graph)
-from capfree.treewidth import TreeDecomposition, nice_decomposition
+from capfree.treewidth import (SearchBudgetExceeded, TreeDecomposition,
+                               TreewidthReject, nice_decomposition,
+                               skeleton_tree_decomposition)
 
 # (graph, atom count, chi, maximum stable set size with unit weights)
 CASES = {
@@ -45,3 +47,30 @@ def test_long_path_decomposition_goes_nice():
     assert nd.width == 1
     assert nd.nodes[nd.root].bag == ()
     assert nd.as_tree_decomposition().is_valid(path(1101))
+
+
+def subdivided_grid(side, k):
+    """The side x side grid with every edge subdivided k times."""
+    edges, n = [], side * side
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            for u in ((v + 1,) if c + 1 < side else ()) + \
+                    ((v + side,) if r + 1 < side else ()):
+                chain = [v, *range(n, n + k), u]
+                n += k
+                edges += [(min(a, b), max(a, b))
+                          for a, b in zip(chain, chain[1:])]
+    return Graph(n, edges)
+
+
+def test_exact_width_search_does_not_recurse():
+    # Triangle-free, no clique cutset, treewidth 7: min-fill exceeds 5 and
+    # the exact search descends about a thousand eliminations deep.
+    g = subdivided_grid(7, 12)
+    assert (g.n, g.m) == (1057, 1092)
+    try:
+        result = skeleton_tree_decomposition(g, exact_budget=1500)
+    except SearchBudgetExceeded:
+        return
+    assert result == TreewidthReject(5)

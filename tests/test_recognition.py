@@ -178,3 +178,29 @@ def test_planted_structures_are_rejected(seed):
     verdict = recognize(planted_4hole, "cap-even-hole-free")
     assert verdict.status == "rejected"
     assert verify_witness(planted_4hole, verdict.witness)
+
+
+@pytest.mark.parametrize("glue", [0, 3], ids=["G1", "glued"])
+def test_recognize_and_clique_number_build_no_tree_decomposition(
+        monkeypatch, glue):
+    from capfree import decomposition
+    from capfree.construct import GeneratorParams, generate_instance
+    from capfree.solvers import clique_number, mwss
+    g = G1 if not glue else generate_instance(GeneratorParams(
+        seed=11, ear_count=1, max_blowup=2, max_universal=1,
+        glue_count=glue))[0]
+    expected = [recognize(g, cls) for cls in ("cap-even-hole-free",
+                                              "cap-4hole-odd-signable")]
+    omega = clique_number(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("skeleton tree decomposition built")
+
+    monkeypatch.setattr(decomposition, "skeleton_tree_decomposition", refuse)
+    verdicts = [recognize(g, cls) for cls in ("cap-even-hole-free",
+                                              "cap-4hole-odd-signable")]
+    assert verdicts == expected and all(v.accepted for v in verdicts)
+    assert len(verdicts[0].atoms) == len(verdicts[0].tree.atoms()) > glue
+    assert clique_number(g) == omega
+    with pytest.raises(AssertionError, match="tree decomposition built"):
+        mwss(g)

@@ -6,9 +6,9 @@ import pytest
 
 from capfree import solvers
 from capfree.construct import GeneratorParams, generate_instance
-from capfree.decomposition import clique_cutset_tree
-from capfree.graphs import (add_universal_clique, blow_up, complete, gnp,
-                            hajos, hole, path)
+from capfree.decomposition import Atom, clique_cutset_tree
+from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
+                            gnp, hajos, hole, path)
 from capfree.oracles import CertificateError, brute_solve
 from capfree.rng import Xoshiro256StarStar
 from capfree.solvers import (UnsupportedInstanceError, ceil_three_halves,
@@ -18,7 +18,7 @@ from capfree.solvers import (UnsupportedInstanceError, ceil_three_halves,
                              q_color_graph, reduce_to_skeleton_weights)
 from capfree.treewidth import (lift_tree_decomposition,
                                skeleton_tree_decomposition)
-from capfree.twins import extract_skeleton
+from capfree.twins import clique_number_via_skeleton, extract_skeleton
 
 G1 = blow_up(hole(5), [2] * 5)
 
@@ -83,7 +83,6 @@ def test_combine_p4_with_two_colors():
 
 
 def test_combine_two_triangles():
-    from capfree.graphs import Graph
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     tree = clique_cutset_tree(g)
     colorings = []
@@ -213,9 +212,8 @@ def test_mwss_builds_one_nice_decomposition_per_structured_atom(
     g, _ = generate_instance(GeneratorParams(
         seed=11, max_blowup=2, max_universal=1, glue_count=3,
         base_length=5))
-    structured = sum(
-        solvers.atom_structure(g, leaf.vertices).sd is not None
-        for leaf in clique_cutset_tree(g).leaves())
+    structured = sum(Atom(g, leaf.vertices).sd is not None
+                     for leaf in clique_cutset_tree(g).leaves())
     calls = {"nice": 0, "dp": 0}
 
     def counted(name, fn):
@@ -294,7 +292,6 @@ def grotzsch():
     """Triangle-free, cutset-free, chromatic number 4: its skeleton
     structure extracts fine but chi exceeds ceil(3/2 omega), so the
     q-search range exhausts and proves it outside the class."""
-    from capfree.graphs import Graph
     edges = hole(5).edges()
     for i in range(5):
         for j in ((i - 1) % 5, (i + 1) % 5):
@@ -305,12 +302,13 @@ def grotzsch():
 
 def test_chromatic_range_exhaustion_falls_back():
     g = grotzsch()
-    from capfree.solvers import atom_structure
-    st = atom_structure(g, tuple(g.vertices()))
-    assert st.sd is not None and st.omega == 2
+    atom = Atom(g, tuple(g.vertices()))
+    assert atom.sd is not None
+    omega = clique_number_via_skeleton(atom.sd)
+    assert omega == 2
     chi, colors = chromatic_number(g)
     assert chi == 4 == brute_solve(g, "chromatic").value
-    assert chi > ceil_three_halves(st.omega)
+    assert chi > ceil_three_halves(omega)
     assert is_proper_coloring(g, colors, chi)
 
 
@@ -318,6 +316,16 @@ def test_mwss_structured_path_is_exact_outside_class():
     # The stable-set DP only needs the blow-up structure, not membership.
     g = grotzsch()
     assert mwss(g).weight == 5 == brute_solve(g, "mwss").value
+
+
+def test_clique_number_reads_only_the_skeleton():
+    # The 6x6 grid is its own triangle-free skeleton of treewidth 6: the
+    # omega formula needs no tree decomposition and no brute force.
+    grid6 = Graph(36, [(r * 6 + c, r * 6 + c + 1)
+                       for r in range(6) for c in range(5)]
+                  + [(r * 6 + c, (r + 1) * 6 + c)
+                     for r in range(5) for c in range(6)])
+    assert clique_number(grid6) == (2, (0, 1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
