@@ -1,11 +1,10 @@
 """Clique-cutset decomposition into a binary tree with atom leaves.
 
-The cutset search follows Tarjan's scheme: compute a minimal elimination
-ordering (LEX-M), then test each vertex's later-neighborhood in the fill
-graph.  One test serves both find_clique_cutset and the tree: a candidate
-is used when it is a clique and a minimal separator of the current graph.
-Some candidate passes whenever the graph has a clique cutset (Tarjan 1985),
-so if none passes, the graph has none.
+The cutset search is the Atoms algorithm (Berry, Pogorelcnik & Simonet
+2010): one MCS-M pass gives a minimal triangulation and its generators,
+whose later fill-neighbourhoods are its minimal separators; scanned in
+elimination order, each one that is a clique of the graph splits off an
+atom.  find_clique_cutset returns the first split of the same scan.
 
 Each leaf of the tree is read through one Atom record: the induced atom,
 its skeleton extraction, and on first use the skeleton's width-5 tree
@@ -14,68 +13,16 @@ decomposition.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import Graph, induced_subgraph, vertex_set
 from .treewidth import (DEFAULT_EXACT_BUDGET, SearchBudgetExceeded,
-                        TreeDecomposition, TreewidthReject,
+                        TreeDecomposition, TreewidthReject, mcs_m,
                         skeleton_tree_decomposition)
 from .twins import (COMPLETE_ATOM, ExtractResult, SkeletonDecomposition,
                     extract_skeleton)
-
-
-def _lex_m(g: Graph) -> tuple[list[int], list[set[int]]]:
-    """Minimal elimination ordering and its fill graph.
-
-    Returns (order, fill_adj) where order lists vertices in elimination
-    order and fill_adj is the adjacency of the minimal triangulation.
-    """
-    n = g.n
-    label: list[tuple[int, ...]] = [()] * n
-    numbered = [False] * n
-    order = [0] * n
-    fill = [set(g.adj[v]) for v in range(n)]
-    for i in range(n, 0, -1):
-        v = max((u for u in range(n) if not numbered[u]),
-                key=lambda u: (label[u], -u))
-        numbered[v] = True
-        order[i - 1] = v
-        for u in _lexm_reach(g, v, numbered, label):
-            fill[u].add(v)
-            fill[v].add(u)
-            label[u] = label[u] + (i,)
-    return order, fill
-
-
-def _lexm_reach(g: Graph, v: int, numbered: list[bool],
-                label: list[tuple[int, ...]]) -> list[int]:
-    """Unnumbered u reachable from v through strictly smaller-labelled,
-    unnumbered interior vertices (minimax search over label ranks)."""
-    ranks: dict[int, int] = {}
-    distinct = sorted({label[u] for u in range(g.n) if not numbered[u]})
-    rank_of = {lab: r for r, lab in enumerate(distinct)}
-    for u in range(g.n):
-        if not numbered[u]:
-            ranks[u] = rank_of[label[u]]
-    bottleneck: dict[int, int] = {}
-    heap: list[tuple[int, int]] = []
-    for u in g.adj[v]:
-        if u in ranks:
-            bottleneck[u] = -1
-            heapq.heappush(heap, (-1, u))
-    while heap:
-        b, u = heapq.heappop(heap)
-        if b != bottleneck.get(u):
-            continue
-        through = max(b, ranks[u])
-        for z in g.adj[u]:
-            if z in ranks and through < bottleneck.get(z, len(distinct) + 1):
-                bottleneck[z] = through
-                heapq.heappush(heap, (through, z))
-    return [u for u, b in sorted(bottleneck.items()) if b < ranks[u]]
 
 
 def _component_of(g: Graph, start: int, excluded: set[int],
@@ -104,37 +51,6 @@ def _components(g: Graph) -> list[list[int]]:
     return out
 
 
-def _clique_separator(g: Graph, v: int, fill: list[set[int]],
-                      position: dict[int, int], alive: set[int]
-                      ) -> Optional[tuple[tuple[int, ...], set[int]]]:
-    """(K, side) when v's later fill-neighborhood K is a clique minimal
-    separator of g[alive] (at least two components of g[alive] minus K see
-    all of K), side being v's component; None otherwise.
-
-    By Tarjan (1985) some candidate K of a minimal elimination ordering is
-    a clique minimal separator whenever g[alive] has a clique cutset.
-    """
-    cand = vertex_set(u for u in fill[v] if position[u] > position[v])
-    if any(u not in alive for u in cand) or not g.is_clique(cand):
-        return None
-    sep = set(cand)
-    side = _component_of(g, v, sep, alive)
-    if len(side) + len(sep) == len(alive):
-        return None
-    full = 0
-    seen: set[int] = set()
-    for u in alive - sep:
-        if u in seen:
-            continue
-        comp = _component_of(g, u, sep, alive)
-        seen |= comp
-        if sep == {w for x in comp for w in g.adj[x] if w in sep}:
-            full += 1
-            if full == 2:
-                return cand, side
-    return None
-
-
 def find_clique_cutset(g: Graph
                        ) -> Optional[tuple[tuple[int, ...],
                                            tuple[tuple[int, ...],
@@ -143,26 +59,19 @@ def find_clique_cutset(g: Graph
 
     Returns (K, (H1, H2)) with H1, H2 the nonempty sides of G minus K.
     Disconnected graphs yield K = () and the component split.  Otherwise K
-    is always a clique minimal separator: the first, in ascending vertex
-    order, of the candidates (later fill-neighborhoods under a minimal
-    elimination ordering) that is one.
+    is the first clique minimal separator the atom scan of clique_cutset_tree
+    splits along, and H1 is the side it splits off.
     """
     comps = _components(g)
     if len(comps) > 1:
         return (), (tuple(comps[0]),
                     vertex_set(v for c in comps[1:] for v in c))
-    if g.n <= 2:
+    cutset, atom = next(_tarjan_pieces(g))
+    if not cutset:
         return None
-    order, fill = _lex_m(g)
-    position = {v: i for i, v in enumerate(order)}
-    everything = set(g.vertices())
-    for v in range(g.n):
-        found = _clique_separator(g, v, fill, position, everything)
-        if found is not None:
-            cand, side = found
-            rest = vertex_set(everything - side - set(cand))
-            return cand, (vertex_set(side), rest)
-    return None
+    side = set(atom) - set(cutset)
+    return cutset, (vertex_set(side),
+                    vertex_set(set(g.vertices()) - set(atom)))
 
 
 @dataclass(frozen=True)
@@ -258,7 +167,7 @@ def clique_cutset_tree(g: Graph) -> DecompositionTree:
 def _component_tree(root: Graph, vs: list[int]) -> DecompositionNode:
     """The caterpillar of the connected subgraph root[vs]."""
     sub, back = induced_subgraph(root, vs)
-    pieces = _tarjan_pieces(sub)
+    pieces = list(_tarjan_pieces(sub))
     node = DecompositionNode(vertex_set(back[v] for v in pieces[-1][1]))
     for cutset, atom in reversed(pieces[:-1]):
         atom_vs = vertex_set(back[v] for v in atom)
@@ -269,30 +178,26 @@ def _component_tree(root: Graph, vs: list[int]) -> DecompositionNode:
     return node
 
 
-def _tarjan_pieces(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Scan a connected graph in minimal elimination order, splitting off an
-    atom at every step; the final piece is the last atom.
+def _tarjan_pieces(g: Graph) -> Iterator[tuple[tuple[int, ...],
+                                             tuple[int, ...]]]:
+    """The Atoms algorithm of Berry, Pogorelcnik & Simonet (2010) on a
+    connected graph: yields (cutset, atom) for every split, then
+    ((), last atom).
 
-    A candidate later-fill-neighborhood is used only when it is a clique
-    and a minimal separator of the current graph (two full components);
-    this keeps the leaves exactly the maximal cutset-free subgraphs.
-    Returns [(cutset, atom), ..., ((), final_atom)].
+    The MCS-M generators are scanned in elimination order; a generator x
+    whose madj(x), a minimal separator of the minimal triangulation H, is
+    a clique of g splits off x's component of the rest.  In H, that
+    component lies below x in elimination order, and every later
+    generator, with its madj, lies above x, so neither was split off yet.
     """
-    order, fill = _lex_m(g)
-    position = {v: i for i, v in enumerate(order)}
+    _, madj, generators = mcs_m(g.adj)
     alive = set(g.vertices())
-    pieces: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for v in order:
-        if v not in alive:
-            continue
-        found = _clique_separator(g, v, fill, position, alive)
-        if found is None:
-            continue
-        cand, side = found
-        pieces.append((cand, vertex_set(side | set(cand))))
-        alive -= side
-    pieces.append(((), vertex_set(alive)))
-    return pieces
+    for x in generators:
+        if g.is_clique(madj[x]):
+            side = _component_of(g, x, madj[x], alive)
+            yield vertex_set(madj[x]), vertex_set(side | madj[x])
+            alive -= side
+    yield (), vertex_set(alive)
 
 
 def tree_to_dot(tree: DecompositionTree) -> str:

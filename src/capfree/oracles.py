@@ -2,7 +2,9 @@
 
 Everything here is exhaustive by definition and serves as ground truth for
 the structural algorithms.  Witnesses are returned in a canonical order and
-re-check against their definitional predicate via verify_witness.
+re-check against their definitional predicate via verify_witness.  The
+brute-force solvers recurse at most once per vertex, so brute_solve's size
+guard also bounds their depth.
 """
 
 from __future__ import annotations
@@ -45,16 +47,24 @@ def enumerate_chordless_cycles(g: Graph, max_len: Optional[int] = None
 
     Canonical form: the cycle starts at its minimum vertex and continues
     toward the smaller of that vertex's two cycle neighbors.  Enumeration
-    is DFS path extension keeping the path induced; exponential in the
-    worst case, fine at oracle scale.
+    is DFS path extension keeping the path induced, on an explicit stack
+    so long holes do not recurse; exponential in the worst case, fine at
+    oracle scale.
     """
     cycles: list[tuple[int, ...]] = []
     for s in range(g.n):
         s_mask = g.mask(s)
         high = ~((1 << (s + 1)) - 1)
-
-        def extend(p: list[int], blocked_mid: int, path_mask: int):
-            last = p[-1]
+        p = [s]
+        # An entry (w, blocked_mid, path_mask, depth) extends p[:depth] by
+        # w; extensions are pushed in descending order, so the least is
+        # tried first.
+        stack = [(a, 0, (1 << s) | (1 << a), 1)
+                 for a in reversed(g.adj[s]) if a > s]
+        while stack:
+            last, blocked_mid, path_mask, depth = stack.pop()
+            del p[depth:]
+            p.append(last)
             allowed = g.mask(last) & high & ~path_mask & ~blocked_mid
             if max_len is None or len(p) + 1 <= max_len:
                 closing = allowed & s_mask
@@ -66,17 +76,13 @@ def enumerate_chordless_cycles(g: Graph, max_len: Optional[int] = None
                     if second < w:
                         cycles.append(tuple(p) + (w,))
             if max_len is not None and len(p) + 2 > max_len:
-                return
+                continue
             extendable = allowed & ~s_mask
+            blocked = blocked_mid | g.mask(last)
             while extendable:
-                low = extendable & -extendable
-                extendable ^= low
-                w = low.bit_length() - 1
-                extend(p + [w], blocked_mid | g.mask(last), path_mask | low)
-
-        for a in g.adj[s]:
-            if a > s:
-                extend([s, a], 0, (1 << s) | (1 << a))
+                w = extendable.bit_length() - 1
+                extendable ^= 1 << w
+                stack.append((w, blocked, path_mask | 1 << w, depth + 1))
     return cycles
 
 

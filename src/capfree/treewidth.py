@@ -6,13 +6,16 @@ its elimination width; if that exceeds 5, an exact budgeted
 branch-and-bound either finds a width-5 elimination order or proves none
 exists (certifying the graph is not a triangle-free odd-signable
 skeleton).  Every triangulation and every search step plays the one
-elimination game in _eliminate.
-"""
+elimination game in _eliminate, and decomposition_from_order reads its
+bags and tree edges off that game.  One MCS-M pass (mcs_m) gives the
+minimal triangulation behind the clique-cutset scan and decides
+chordality and the clique number of chordal graphs."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import Graph, vertex_set
 from .twins import SkeletonDecomposition
@@ -126,93 +129,101 @@ def _eliminate(adj: Adjacency, v: int
     return nbrs, added
 
 
-def _fill_from_order(g: Graph, order: list[int]) -> list[set[int]]:
-    """Triangulation obtained by playing the elimination game: g plus an
-    edge from each vertex to every neighbor it has when eliminated."""
-    adj = [set(g.adj[v]) for v in g.vertices()]
-    filled = [set(g.adj[v]) for v in g.vertices()]
-    for v in order:
-        for a in _eliminate(adj, v)[0]:
-            filled[v].add(a)
-            filled[a].add(v)
-    return filled
+def mcs_m(adj: Sequence[Iterable[int]]
+          ) -> tuple[list[int], list[set[int]], list[int]]:
+    """MCS-M (Berry, Blair, Heggernes & Peyton, Algorithmica 39, 2004): a
+    minimal elimination ordering of the graph with adjacency adj.
 
-
-def mcs_order(adj: list[set[int]]) -> list[int]:
-    """Maximum cardinality search; reversed result is a perfect elimination
-    order iff the graph is chordal."""
+    Returns (order, madj, generators).  madj[v] is v's later neighbourhood
+    in the minimal triangulation H; generators lists, in elimination
+    order, the vertices whose madj is a minimal separator of H (Berry,
+    Pogorelcnik & Simonet, Algorithms 3, 2010).  Vertices are numbered
+    from n down to 1, each time the unnumbered vertex of largest weight
+    (least id on ties); its weight at that moment is len(madj[v]).
+    """
     n = len(adj)
     weight = [0] * n
     numbered = [False] * n
-    out = []
-    for _ in range(n):
-        v = max((u for u in range(n) if not numbered[u]),
-                key=lambda u: (weight[u], -u))
+    order = [0] * n
+    madj: list[set[int]] = [set() for _ in range(n)]
+    generators = []
+    # (-weight, vertex) entries; an unnumbered vertex's newest entry sorts
+    # before its stale ones, so only numbered vertices are skipped.
+    queue = [(0, v) for v in range(n)]
+    last = -1
+    for i in range(n - 1, -1, -1):
+        _, v = heapq.heappop(queue)
         numbered[v] = True
-        out.append(v)
-        for u in adj[v]:
-            if not numbered[u]:
-                weight[u] += 1
-    return out[::-1]
+        order[i] = v
+        if weight[v] <= last:
+            generators.append(v)
+        last = weight[v]
+        while queue and numbered[queue[0][1]]:
+            heapq.heappop(queue)
+        heaviest = -queue[0][0] if queue else 0
+        for u in _mcs_m_reach(adj, v, numbered, weight, heaviest):
+            madj[u].add(v)
+            weight[u] += 1
+            heapq.heappush(queue, (-weight[u], u))
+    return order, madj, generators[::-1]
+
+
+def _mcs_m_reach(adj: Sequence[Iterable[int]], v: int, numbered: list[bool],
+                 weight: list[int], heaviest: int) -> list[int]:
+    """Unnumbered u joined to v by a path whose interior is unnumbered and
+    lighter than u: a search that minimizes the heaviest interior weight,
+    cut off at heaviest, the largest weight left unnumbered."""
+    bottleneck = {u: -1 for u in adj[v] if not numbered[u]}
+    heap = [(-1, u) for u in bottleneck]
+    while heap:
+        b, u = heapq.heappop(heap)
+        through = max(b, weight[u])
+        if b != bottleneck[u] or through >= heaviest:
+            continue
+        for z in adj[u]:
+            if not numbered[z] and through < bottleneck.get(z, heaviest):
+                bottleneck[z] = through
+                heapq.heappush(heap, (through, z))
+    return [u for u, b in bottleneck.items() if b < weight[u]]
 
 
 def is_chordal(adj: list[set[int]]) -> bool:
-    """Zero fill-in under a maximum cardinality search ordering."""
-    order = mcs_order(adj)
-    position = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [u for u in adj[v] if position[u] > position[v]]
-        for i, a in enumerate(later):
-            for b in later[i + 1:]:
-                if b not in adj[a]:
-                    return False
-    return True
-
-
-def clique_tree(adj: list[set[int]]) -> TreeDecomposition:
-    """Clique tree of a chordal graph: maximal cliques as bags, tree by
-    maximum-weight running intersection (Kruskal, deterministic ties)."""
-    n = len(adj)
-    if n == 0:
-        return TreeDecomposition((), ())
-    order = mcs_order(adj)
-    position = {v: i for i, v in enumerate(order)}
-    cliques = []
-    for v in order:
-        cliques.append(frozenset([v] + [u for u in adj[v]
-                                        if position[u] > position[v]]))
-    maximal = [c for c in set(cliques)
-               if not any(c < d for d in cliques)]
-    bags = sorted(vertex_set(c) for c in maximal)
-    k = len(bags)
-    weighted = sorted(
-        ((-len(set(bags[i]) & set(bags[j])), i, j)
-         for i in range(k) for j in range(i + 1, k)
-         if set(bags[i]) & set(bags[j])),
-    )
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for _, i, j in weighted:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
-    roots = sorted({find(i) for i in range(k)})
-    for extra in roots[1:]:
-        edges.append((roots[0], extra))
-        parent[find(extra)] = find(roots[0])
-    return TreeDecomposition(tuple(bags), tuple(edges))
+    """MCS-M adds no fill edge."""
+    madj = mcs_m(adj)[1]
+    return sum(map(len, madj)) * 2 == sum(map(len, adj))
 
 
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
-    td = clique_tree(_fill_from_order(g, order))
+    """Clique tree of the triangulation that the elimination game on order
+    builds.  Eliminating v makes its neighbours at that moment, madj(v), a
+    clique; in reverse order, v joins the bag of p, the first-eliminated
+    vertex of madj(v), when that bag is exactly madj(v), and otherwise
+    opens the bag madj(v) + v joined to p's bag (to bag 0 when madj(v) is
+    empty).  Bags and edges are listed in sorted order."""
+    adj = [set(g.adj[v]) for v in g.vertices()]
+    madj = [_eliminate(adj, v)[0] for v in order]
+    position = {v: i for i, v in enumerate(order)}
+    bag_of = {}
+    bags: list[list[int]] = []
+    edges = []
+    for v, later in zip(reversed(order), reversed(madj)):
+        if later:
+            b = bag_of[min(later, key=position.__getitem__)]
+            # madj(v) lies inside p's bag, so equal sizes mean equal sets.
+            if len(bags[b]) == len(later):
+                bags[b].append(v)
+                bag_of[v] = b
+                continue
+            edges.append((b, len(bags)))
+        elif bags:
+            edges.append((0, len(bags)))
+        bag_of[v] = len(bags)
+        bags.append(later + [v])
+    ranked = sorted(range(len(bags)), key=lambda b: sorted(bags[b]))
+    rank = {b: r for r, b in enumerate(ranked)}
+    td = TreeDecomposition(
+        tuple(vertex_set(bags[b]) for b in ranked),
+        tuple(sorted(tuple(sorted((rank[a], rank[b]))) for a, b in edges)))
     assert td.is_valid(g)
     return td
 
@@ -404,15 +415,8 @@ def triangulation_from_ears(es: EarSequence) -> Graph:
 
 
 def chordal_clique_number(g: Graph) -> int:
-    """omega of a chordal graph via a perfect elimination order."""
-    adj = [set(g.adj[v]) for v in g.vertices()]
-    order = mcs_order(adj)
-    position = {v: i for i, v in enumerate(order)}
-    best = 1 if g.n else 0
-    for v in order:
-        later = [u for u in adj[v] if position[u] > position[v]]
-        best = max(best, len(later) + 1)
-    return best
+    """omega of a chordal graph: 1 + the largest weight MCS-M picks."""
+    return max((len(later) + 1 for later in mcs_m(g.adj)[1]), default=0)
 
 
 def lift_tree_decomposition(td: TreeDecomposition,

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +225,24 @@ def test_internal_failure_exit_code(graph_file, capsys, monkeypatch):
     assert code == 4
     assert json.loads(out) == {"error": "internal",
                                "detail": "RuntimeError: this cannot happen"}
+
+
+def test_failed_recheck_exit_code_under_python_O(graph_file):
+    script = (
+        "import sys\n"
+        "from capfree import cli, solvers\n"
+        "solvers._nice_dp = lambda g, nd, labels, w: (0, [1] * g.n)\n"
+        "sys.exit(cli.main(['mwss', sys.argv[1]]))\n")
+    f = graph_file("g1.graph", blow_up(hole(5), [2] * 5))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", script, f],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 4
+    doc = json.loads(done.stdout)
+    assert sorted(doc) == ["detail", "error"]
+    assert doc["error"] == "internal"
+    assert doc["detail"].startswith("CertificateError: ")
 
 
 def test_selftest_command(capsys):

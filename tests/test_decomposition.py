@@ -96,6 +96,8 @@ def test_tree_invariants_random(seed):
         sub, _ = induced_subgraph(g, a)
         assert brute_solve(sub, "clique-cutset").value == 0, \
             "every leaf must be an atom"
+    for a, b in combinations(map(set, atoms), 2):
+        assert not a <= b and not b <= a, "no leaf lies inside another"
     for node in tree.internal_nodes():
         assert g.is_clique(node.cutset)
         left = set(node.left.vertices) - set(node.cutset)

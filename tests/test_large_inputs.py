@@ -5,6 +5,7 @@ import pytest
 
 from capfree.decomposition import clique_cutset_tree, tree_to_dot
 from capfree.graphs import Graph, hole, path
+from capfree.recognition import recognize
 from capfree.solvers import (chromatic_number, is_proper_coloring, mwss,
                              q_color_graph)
 from capfree.treewidth import (SearchBudgetExceeded, TreeDecomposition,
@@ -74,3 +75,13 @@ def test_exact_width_search_does_not_recurse():
     except SearchBudgetExceeded:
         return
     assert result == TreewidthReject(5)
+
+
+def test_long_hole_recognition_does_not_recurse():
+    # The even-hole oracle extends one path around the whole 996-vertex
+    # skeleton, more steps than the default recursion limit of 1000 frames
+    # leaves room for.
+    verdict = recognize(hole(996), "cap-even-hole-free", oracle_guard=996)
+    assert verdict.status == "rejected"
+    assert verdict.witness.kind == "even-hole"
+    assert sorted(verdict.witness.vertices) == list(range(996))

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from capfree.construct import GeneratorParams, random_skeleton
@@ -5,8 +8,10 @@ from capfree.graphs import Graph, blow_up, complete, cube, gnp, hole, path
 from capfree.oracles import brute_solve
 from capfree.treewidth import (Ear, EarSequence, SearchBudgetExceeded,
                                TreeDecomposition, TreewidthReject,
-                               chordal_clique_number, is_chordal,
-                               lift_tree_decomposition, nice_decomposition,
+                               chordal_clique_number,
+                               decomposition_from_order, is_chordal,
+                               lift_tree_decomposition, mcs_m,
+                               min_fill_decomposition, nice_decomposition,
                                skeleton_from_ears, skeleton_tree_decomposition,
                                triangulation_from_ears)
 from capfree.twins import extract_skeleton
@@ -155,8 +160,7 @@ def test_nice_join_only_at_branches():
 @pytest.mark.parametrize("seed", range(10))
 def test_nice_preserves_validity_random(seed):
     g = gnp(9, 0.4, 34 + seed)
-    from capfree.treewidth import _min_fill_order, decomposition_from_order
-    td = decomposition_from_order(g, _min_fill_order(g))
+    td = min_fill_decomposition(g)
     nd = nice_decomposition(td)
     assert nd.width == td.width
     assert nd.as_tree_decomposition().is_valid(g)
@@ -165,6 +169,59 @@ def test_nice_preserves_validity_random(seed):
         if node.kind == "join":
             left, right = node.children
             assert nd.nodes[left].bag == nd.nodes[right].bag == node.bag
+
+
+def spanned_graph(td, n):
+    """The graph in which every bag of td is a clique."""
+    return Graph(n, sorted({pair for bag in td.bags
+                            for pair in combinations(bag, 2)}))
+
+
+def maximal_cliques(g):
+    cliques = [set(c) for k in range(1, g.n + 1)
+               for c in combinations(g.vertices(), k) if g.is_clique(c)]
+    return sorted(tuple(sorted(c)) for c in cliques
+                  if not any(c < d for d in cliques))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mcs_m_adds_no_fill_to_chordal_graphs(seed):
+    g = gnp(6 + seed % 7, (0.2, 0.35, 0.5)[seed % 3], 500 + seed)
+    h = spanned_graph(min_fill_decomposition(g), g.n)
+    order, madj, _ = mcs_m(h.adj)
+    position = {v: i for i, v in enumerate(order)}
+    for v in h.vertices():
+        assert madj[v] == {u for u in h.adj[v] if position[u] > position[v]}
+    assert is_chordal([set(h.adj[v]) for v in h.vertices()])
+    assert is_chordal([set(g.adj[v]) for v in g.vertices()]) == (g == h)
+    assert chordal_clique_number(h) == brute_solve(h, "max-clique").value
+
+
+def filled_graph(g, order):
+    """g plus, for each vertex in turn, every edge among its neighbours at
+    the moment it is eliminated."""
+    adj = [set(g.adj[v]) for v in g.vertices()]
+    edges = set(g.edges())
+    for v in order:
+        for a, b in combinations(sorted(adj[v]), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+            edges.add((a, b))
+        for a in adj[v]:
+            adj[a].discard(v)
+    return Graph(g.n, sorted(edges))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bags_are_the_maximal_cliques_of_the_filled_graph(seed):
+    g = gnp(5 + seed % 6, (0.25, 0.4, 0.6)[seed % 3], 700 + seed)
+    order = list(g.vertices())
+    random.Random(seed).shuffle(order)
+    td = decomposition_from_order(g, order)
+    assert list(td.bags) == maximal_cliques(filled_graph(g, order))
+    td = min_fill_decomposition(g)
+    assert td.is_valid(g)
+    assert list(td.bags) == maximal_cliques(spanned_graph(td, g.n))
 
 
 def test_validity_checker_catches_violations():
