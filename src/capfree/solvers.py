@@ -12,11 +12,13 @@ decomposition: each vertex takes a label from its own list, adjacent
 vertices never share a label other than 0 (unlabelled), and the heaviest
 labelling wins, a vertex with a nonzero label adding its weight.
 q-coloring runs it on an atom's lifted decomposition with labels 1..q and
-zero weights.  Stable sets run it with labels {0, 1} on the reduction graph
-F' (the skeleton plus one vertex for the universal clique), whose nice
-decomposition each atom builds once; every query of Tarjan's clique-cutset
-recursion forces the classes it deletes entirely to label 0 and weighs each
-class by its heaviest survivor.  Clique cutsets combine atom answers to the
+zero weights; those labels are interchangeable, so the DP keys each bag by
+its partition into color classes, not by a tuple of colors.  Stable sets
+run it with labels {0, 1} on the reduction graph F' (the skeleton plus one
+vertex for the universal clique), whose nice decomposition each atom
+builds once; every query of Tarjan's clique-cutset recursion forces the
+classes it deletes entirely to label 0 and weighs each class by its
+heaviest survivor.  Clique cutsets combine atom answers to the
 whole graph (color permutation for coloring, Tarjan's reweighting for
 stable sets).  Atoms without usable structure fall back to the brute-force
 oracles under a size guard; beyond the guard the instance is reported
@@ -26,6 +28,7 @@ certify, which raises CertificateError under python -O too.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,17 +56,27 @@ def greedy_color(g: Graph) -> list[int]:
     The order is built backward by repeatedly taking a minimum-degree
     vertex of the remaining graph (ties to the smaller id); coloring then
     assigns each vertex the smallest color unused by its earlier neighbors.
+    The minimum comes from a heap of (degree, vertex) entries: a degree
+    drop pushes a new entry, and an entry whose degree is no longer current
+    is skipped when popped (a vertex's entries carry distinct degrees, and
+    a peeled vertex's degree stops changing), so the peel takes
+    O((n + m) log n).
     """
     degree = [g.degree(v) for v in g.vertices()]
-    alive = set(g.vertices())
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
+    alive = [True] * g.n
     peel = []
-    while alive:
-        v = min(alive, key=lambda u: (degree[u], u))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != degree[v]:
+            continue
         peel.append(v)
-        alive.discard(v)
+        alive[v] = False
         for u in g.adj[v]:
-            if u in alive:
+            if alive[u]:
                 degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
     colors = [0] * g.n
     for v in reversed(peel):
         taken = {colors[u] for u in g.adj[v] if colors[u]}
@@ -83,6 +96,19 @@ def is_proper_coloring(g: Graph, colors: Sequence[int],
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
+def _canonical(key: tuple[int, ...]) -> tuple[int, ...]:
+    """The key with its blocks renumbered 1, 2, ... in order of first
+    appearance: one key per partition of the bag into color classes."""
+    names: dict[int, int] = {}
+    for c in key:
+        if c not in names:
+            names[c] = len(names) + 1
+    # From a list: tuple() over an iterator of unknown length allocates room
+    # for ten items and then shrinks, which can leave kept keys in larger
+    # memory blocks.
+    return tuple([names[c] for c in key])
+
+
 def _nice_dp(graph: Graph, nd: NiceDecomposition,
              labels: Sequence[Sequence[int]], weights: Sequence[int]
              ) -> Optional[tuple[int, list[int]]]:
@@ -93,7 +119,26 @@ def _nice_dp(graph: Graph, nd: NiceDecomposition,
     when it is forgotten.  Ties go to the labelling met first in the order
     of each labels[v].  A node's table is dropped once its parent is built:
     the traceback reads only the forget nodes' choices.
+
+    When every labels[v] is the same list 1..q (q-coloring), labels are
+    interchangeable and a key is kept only up to renaming them: the
+    partition of the bag into color blocks, numbered 1, 2, ... in order of
+    first appearance (_canonical).  Introduce puts v into each block with
+    no neighbour of v, or into a fresh block while there are fewer than q;
+    forget renumbers the shortened key; join matches equal partitions.  A
+    table then holds at most the Bell number of the bag size in place of
+    q to that power.  This is exact because the colors of forgotten
+    vertices never meet a vertex introduced later: any coloring of the
+    bag's blocks by distinct colors extends each side of the decomposition
+    independently.  The traceback runs top-down and colors each vertex
+    where it enters, at its forget node: v takes the color of a bag mate
+    in its block, or, alone in its block, the least color that no other
+    vertex of the child bag has.  One is free, since the child bag has at
+    most q blocks, and every bag's blocks keep distinct colors.
     """
+    q = len(labels[0]) if labels else 0
+    colors_1_to_q = tuple(range(1, q + 1))
+    interchangeable = all(tuple(lab) == colors_1_to_q for lab in labels)
     tables: list[Optional[dict]] = [None] * len(nd.nodes)
     choice: dict[int, dict] = {}
     for idx, node in enumerate(nd.nodes):
@@ -108,9 +153,16 @@ def _nice_dp(graph: Graph, nd: NiceDecomposition,
             table = {}
             for key, value in tables[kids[0]].items():
                 used = {key[i] for i in nbr}
-                for c in labels[v]:
-                    if not c or c not in used:
-                        table[key[:pos] + (c,) + key[pos:]] = value
+                if interchangeable:
+                    blocks = max(key, default=0)
+                    for c in range(1, min(blocks + 1, q) + 1):
+                        if c not in used:
+                            table[_canonical(key[:pos] + (c,) + key[pos:])] \
+                                = value
+                else:
+                    for c in labels[v]:
+                        if not c or c not in used:
+                            table[key[:pos] + (c,) + key[pos:]] = value
         elif node.kind == "forget":
             pos = nd.nodes[kids[0]].bag.index(node.vertex)
             w = weights[node.vertex]
@@ -120,6 +172,8 @@ def _nice_dp(graph: Graph, nd: NiceDecomposition,
                 if key[pos]:
                     value += w
                 short = key[:pos] + key[pos + 1:]
+                if interchangeable:
+                    short = _canonical(short)
                 if short not in table or value > table[short]:
                     table[short] = value
                     picked[short] = key
@@ -140,10 +194,21 @@ def _nice_dp(graph: Graph, nd: NiceDecomposition,
         node = nd.nodes[idx]
         if node.kind == "introduce":
             pos = node.bag.index(node.vertex)
-            labelling[node.vertex] = key[pos]
-            stack.append((node.children[0], key[:pos] + key[pos + 1:]))
+            short = key[:pos] + key[pos + 1:]
+            stack.append((node.children[0],
+                          _canonical(short) if interchangeable else short))
         elif node.kind == "forget":
-            stack.append((node.children[0], choice[idx][key]))
+            key = choice[idx][key]
+            bag = nd.nodes[node.children[0]].bag
+            pos = bag.index(node.vertex)
+            label = key[pos]
+            if interchangeable:
+                colors = {key[i]: labelling[u]
+                          for i, u in enumerate(bag) if i != pos}
+                label = colors.get(label) or min(
+                    set(colors_1_to_q) - set(colors.values()))
+            labelling[node.vertex] = label
+            stack.append((node.children[0], key))
         elif node.kind == "join":
             stack.extend((kid, key) for kid in node.children)
     return tables[nd.root][()], labelling
@@ -258,8 +323,10 @@ def chromatic_number(g: Graph, brute_guard: Optional[int] = None,
     q-coloring DP over the lifted decomposition succeeds.  Atoms without
     class structure, or whose search range is exhausted (which proves the
     atom is outside the class), use the brute oracle under the guard.
-    DP state counts grow exponentially with the clique number; intended
-    for desk-scale instances.
+    The DP keys each bag by its partition into at most q color classes,
+    not by a color per vertex.  Lifted bags hold whole twin classes, so
+    the key counts still grow quickly with the class sizes: C5 blown up
+    by 3 takes milliseconds, by 5 seconds and by 6 tens of seconds.
     """
     if g.n == 0:
         return 0, []

@@ -1,4 +1,6 @@
-"""No module of the package imports another module's private names."""
+"""Static checks on the package source: no module imports another
+module's private names, and every module parses as the oldest Python that
+pyproject.toml declares."""
 
 import ast
 from pathlib import Path
@@ -26,3 +28,11 @@ def test_no_module_imports_private_names():
     assert modules
     offenders = [hit for path in modules for hit in _private_imports(path)]
     assert offenders == []
+
+
+def test_every_module_parses_as_python_3_10():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
