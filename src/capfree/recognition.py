@@ -38,20 +38,37 @@ def _canonical_cycle(cyc: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def detect_4hole(g: Graph) -> Optional[ForbiddenWitness]:
-    """An induced 4-cycle, or None; exhaustive over nonadjacent pairs and
-    their common neighborhoods."""
+    """An induced 4-cycle, or None.
+
+    For each u, only the vertices v > u at distance two can close a 4-hole
+    with u: the union of its neighbors' masks, minus N[u] and the ids up to
+    u.  The common neighbors of u and v hold a nonadjacent pair x < y
+    exactly when some x misses a later common neighbor, so walking x upward
+    and taking the lowest such y returns the same first (u, v, x, y) in
+    lexicographic order as a scan over all nonadjacent pairs would.
+    """
+    masks = [g.mask(v) for v in g.vertices()]
     for u in g.vertices():
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            common = [w for w in g.adj[u] if g.has_edge(v, w)]
-            for i, x in enumerate(common):
-                for y in common[i + 1:]:
-                    if not g.has_edge(x, y):
-                        cyc = _canonical_cycle((u, x, v, y))
-                        w = ForbiddenWitness("4-hole", cyc, (cyc,))
-                        certify(verify_witness(g, w), "4-hole re-check")
-                        return w
+        reach = 0
+        for x in g.adj[u]:
+            reach |= masks[x]
+        candidates = reach & ~masks[u] & ~((2 << u) - 1)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            common = masks[u] & masks[v]
+            while common:
+                bit = common & -common
+                common ^= bit
+                x = bit.bit_length() - 1
+                miss = common & ~masks[x]
+                if miss:
+                    y = (miss & -miss).bit_length() - 1
+                    cyc = _canonical_cycle((u, x, v, y))
+                    w = ForbiddenWitness("4-hole", cyc, (cyc,))
+                    certify(verify_witness(g, w), "4-hole re-check")
+                    return w
     return None
 
 
@@ -62,11 +79,14 @@ def detect_cap_fast(g: Graph) -> Optional[ForbiddenWitness]:
     after deleting w's other neighbors, all common neighbors of u and v,
     and the edge uv itself.  A shortest such path is induced and closes
     with uv into a hole in which w has exactly the two adjacent neighbors
-    u and v.  Breadth-first search with ascending-id tie-breaking makes the
-    witness deterministic.
+    u and v.  Each search first decides reachability alone, on frontier
+    masks; on cap-free graphs every search ends there.  Only the first
+    search that reaches v builds its path, by breadth-first search with
+    ascending-id tie-breaking, which makes the witness deterministic.
     """
+    masks = [g.mask(v) for v in g.vertices()]
     for u, v in g.edges():
-        common = g.mask(u) & g.mask(v)
+        common = masks[u] & masks[v]
         if not common:
             continue
         candidates = common
@@ -74,15 +94,33 @@ def detect_cap_fast(g: Graph) -> Optional[ForbiddenWitness]:
             low = candidates & -candidates
             candidates ^= low
             w = low.bit_length() - 1
-            removed = (g.mask(w) | common) & ~(1 << u) & ~(1 << v)
-            path = _bfs_path_avoiding(g, u, v, removed)
-            if path is None:
+            removed = (masks[w] | common) & ~(1 << u) & ~(1 << v)
+            if not _reaches(masks, u, v, removed):
                 continue
+            path = _bfs_path_avoiding(g, u, v, removed)
             cyc = _canonical_cycle(tuple(path))
             witness = ForbiddenWitness("cap", cyc + (w,), (cyc, (w,)))
             certify(verify_witness(g, witness), "cap witness failed re-check")
             return witness
     return None
+
+
+def _reaches(masks: list[int], u: int, v: int, removed: int) -> bool:
+    """Whether some u..v path avoids `removed` vertices and the edge uv.
+    Each round ORs the masks of the whole frontier."""
+    frontier = masks[u] & ~removed & ~(1 << v)
+    seen = removed | (1 << u) | frontier
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown |= masks[low.bit_length() - 1]
+        if grown >> v & 1:
+            return True
+        frontier = grown & ~seen
+        seen |= frontier
+    return False
 
 
 def _bfs_path_avoiding(g: Graph, u: int, v: int, removed: int

@@ -5,7 +5,7 @@ import pytest
 
 from capfree.decomposition import clique_cutset_tree, tree_to_dot
 from capfree.graphs import Graph, hole, path
-from capfree.recognition import recognize
+from capfree.recognition import detect_4hole, detect_cap_fast, recognize
 from capfree.solvers import (chromatic_number, is_proper_coloring, mwss,
                              q_color_graph)
 from capfree.treewidth import (SearchBudgetExceeded, TreeDecomposition,
@@ -85,3 +85,18 @@ def test_long_hole_recognition_does_not_recurse():
     assert verdict.status == "rejected"
     assert verdict.witness.kind == "even-hole"
     assert sorted(verdict.witness.vertices) == list(range(996))
+
+
+@pytest.mark.parametrize("g,atoms", [(path(5000), 4999),
+                                     (Graph(5000, []), 5000)],
+                         ids=["path5000", "isolated5000"])
+def test_recognize_long_sparse_inputs(g, atoms):
+    verdict = recognize(g, "cap-even-hole-free")
+    assert verdict.accepted
+    assert len(verdict.atoms) == atoms
+
+
+def test_detectors_pass_a_long_hole():
+    g = hole(3001)
+    assert detect_4hole(g) is None
+    assert detect_cap_fast(g) is None

@@ -1,8 +1,11 @@
+from collections import deque
+
 import pytest
 
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
                             cube, gnp, hajos, hole, induced_subgraph, path)
-from capfree.oracles import find_forbidden_induced, verify_witness
+from capfree.oracles import (ForbiddenWitness, find_forbidden_induced,
+                             verify_witness)
 from capfree.recognition import (detect_4hole, detect_cap_fast, recognize)
 from capfree.twins import reconstruct_atom
 
@@ -33,6 +36,76 @@ def test_cap_detector_matches_naive(seed):
     assert (fast is None) == (naive is None)
     if fast is not None:
         assert verify_witness(g, fast)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_4hole_detector_matches_naive(seed):
+    g = gnp(6 + seed % 7, (0.2, 0.4, 0.6)[seed % 3], 4048 + seed)
+    fast = detect_4hole(g)
+    naive = find_forbidden_induced(g, "4-hole")
+    assert (fast is None) == (naive is None)
+    if fast is not None:
+        assert verify_witness(g, fast)
+
+
+def _canonical(cyc):
+    i = cyc.index(min(cyc))
+    cyc = cyc[i:] + cyc[:i]
+    return cyc[:1] + cyc[:0:-1] if cyc[1] > cyc[-1] else cyc
+
+
+def _pair_scan_4hole(g):
+    """Reference 4-hole test: every nonadjacent pair u < v, then every pair
+    x < y of their common neighbors, in ascending order."""
+    for u in g.vertices():
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                continue
+            common = [w for w in g.adj[u] if g.has_edge(v, w)]
+            for i, x in enumerate(common):
+                for y in common[i + 1:]:
+                    if not g.has_edge(x, y):
+                        cyc = _canonical((u, x, v, y))
+                        return ForbiddenWitness("4-hole", cyc, (cyc,))
+    return None
+
+
+def _bfs_scan_cap(g):
+    """Reference cap test: one dict-and-deque breadth-first search per edge
+    uv and common neighbor w, each building its shortest path."""
+    for u, v in g.edges():
+        common = g.mask(u) & g.mask(v)
+        for w in (x for x in g.vertices() if common >> x & 1):
+            removed = (g.mask(w) | common) & ~(1 << u) & ~(1 << v)
+            parent, queue = {u: -1}, deque([u])
+            while queue and v not in parent:
+                x = queue.popleft()
+                for y in g.adj[x]:
+                    if (removed >> y & 1 or (x, y) == (u, v)
+                            or y in parent):
+                        continue
+                    parent[y] = x
+                    queue.append(y)
+            if v not in parent:
+                continue
+            walk = [v]
+            while parent[walk[-1]] != -1:
+                walk.append(parent[walk[-1]])
+            cyc = _canonical(tuple(walk[::-1]))
+            return ForbiddenWitness("cap", cyc + (w,), (cyc, (w,)))
+    return None
+
+
+PINNED = [HOUSE, hole(4), cube(), G1] + [
+    gnp(6 + seed % 25, (0.1, 0.2, 0.3, 0.45, 0.6)[seed % 5], 9090 + seed)
+    for seed in range(120)]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED)))
+def test_detectors_return_the_reference_witnesses(index):
+    g = PINNED[index]
+    assert detect_4hole(g) == _pair_scan_4hole(g)
+    assert detect_cap_fast(g) == _bfs_scan_cap(g)
 
 
 def test_detect_4hole():
