@@ -39,7 +39,9 @@ class TreeDecomposition:
 
     def is_valid(self, g: Graph) -> bool:
         """Coverage, edge coverage, and connected-subtree checks, plus the
-        bag graph being a tree."""
+        bag graph being a tree.  The bags holding each vertex are indexed
+        once: an edge uv is looked for only in u's bags, and v's subtree
+        is walked from its first bag through bags that hold v."""
         k = len(self.bags)
         if k == 0:
             return g.n == 0
@@ -61,27 +63,28 @@ class TreeDecomposition:
                     stack.append(y)
         if len(seen) != k:
             return False
-        covered = set()
-        for b in self.bags:
-            covered.update(b)
-        if covered != set(g.vertices()):
-            return False
         bag_sets = [set(b) for b in self.bags]
+        holding: list[list[int]] = [[] for _ in g.vertices()]
+        for i, bag in enumerate(bag_sets):
+            for v in bag:
+                if not 0 <= v < g.n:
+                    return False
+                holding[v].append(i)
+        if not all(holding):
+            return False
         for u, v in g.edges():
-            if not any(u in b and v in b for b in bag_sets):
+            if not any(v in bag_sets[i] for i in holding[u]):
                 return False
-        for v in g.vertices():
-            holding = [i for i in range(k) if v in bag_sets[i]]
-            reached = {holding[0]}
-            stack = [holding[0]]
-            hold_set = set(holding)
+        for v, hold in enumerate(holding):
+            reached = {hold[0]}
+            stack = [hold[0]]
             while stack:
                 x = stack.pop()
                 for y in nbrs[x]:
-                    if y in hold_set and y not in reached:
+                    if v in bag_sets[y] and y not in reached:
                         reached.add(y)
                         stack.append(y)
-            if reached != hold_set:
+            if len(reached) != len(hold):
                 return False
         return True
 
@@ -93,14 +96,31 @@ class TreewidthReject:
 
 
 def _min_fill_order(g: Graph) -> list[int]:
+    """Greedy min-fill: eliminate the live vertex least by (fill count,
+    degree, id).  Keys wait in a heap and stale entries are skipped; the
+    ids make the key a total order, so the least live key is the one a
+    scan of every live vertex would pick.  Eliminating v changes edges
+    only among its former neighbours, so only they and their neighbours
+    get a fresh key."""
     adj = [set(g.adj[v]) for v in g.vertices()]
-    alive = set(g.vertices())
+    key: list[Optional[tuple[int, int, int]]] = [
+        (_fill_count(adj, v), len(adj[v]), v) for v in g.vertices()]
+    heap = key[:]
+    heapq.heapify(heap)
     order = []
-    while alive:
-        best = min(alive, key=lambda v: (_fill_count(adj, v), len(adj[v]), v))
-        order.append(best)
-        _eliminate(adj, best)
-        alive.discard(best)
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[2]
+        if entry != key[v]:
+            continue
+        order.append(v)
+        key[v] = None
+        touched = set(_eliminate(adj, v)[0])
+        for a in list(touched):
+            touched.update(adj[a])
+        for u in touched:
+            key[u] = (_fill_count(adj, u), len(adj[u]), u)
+            heapq.heappush(heap, key[u])
     return order
 
 

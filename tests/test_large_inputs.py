@@ -3,19 +3,21 @@ every answer still re-checks."""
 
 import pytest
 
+from capfree import treewidth
 from capfree.decomposition import clique_cutset_tree, tree_to_dot
 from capfree.graphs import Graph, hole, path
 from capfree.recognition import detect_4hole, detect_cap_fast, recognize
 from capfree.solvers import (chromatic_number, is_proper_coloring, mwss,
                              q_color_graph)
 from capfree.treewidth import (SearchBudgetExceeded, TreeDecomposition,
-                               TreewidthReject, nice_decomposition,
-                               skeleton_tree_decomposition)
+                               TreewidthReject, min_fill_decomposition,
+                               nice_decomposition, skeleton_tree_decomposition)
 
 # (graph, atom count, chi, maximum stable set size with unit weights)
 CASES = {
     "path1200": (path(1200), 1199, 2, 600),
     "hole601": (hole(601), 1, 3, 300),
+    "hole1001": (hole(1001), 1, 3, 500),
     "isolated1500": (Graph(1500, []), 1500, 1, 1500),
 }
 
@@ -48,6 +50,22 @@ def test_long_path_decomposition_goes_nice():
     assert nd.width == 1
     assert nd.nodes[nd.root].bag == ()
     assert nd.as_tree_decomposition().is_valid(path(1101))
+
+
+def test_min_fill_refreshes_only_near_the_eliminated_vertex(monkeypatch):
+    # A full rescan per elimination would take n*(n+1)/2 fill counts.
+    calls = 0
+    fill_count = treewidth._fill_count
+
+    def counted(adj, v):
+        nonlocal calls
+        calls += 1
+        return fill_count(adj, v)
+
+    monkeypatch.setattr(treewidth, "_fill_count", counted)
+    g = hole(2001)
+    assert min_fill_decomposition(g).width == 2
+    assert calls <= 10 * g.n
 
 
 def subdivided_grid(side, k):

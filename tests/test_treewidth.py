@@ -8,6 +8,7 @@ from capfree.graphs import Graph, blow_up, complete, cube, gnp, hole, path
 from capfree.oracles import brute_solve
 from capfree.treewidth import (Ear, EarSequence, SearchBudgetExceeded,
                                TreeDecomposition, TreewidthReject,
+                               _eliminate, _fill_count, _min_fill_order,
                                chordal_clique_number,
                                decomposition_from_order, is_chordal,
                                lift_tree_decomposition, mcs_m,
@@ -15,6 +16,7 @@ from capfree.treewidth import (Ear, EarSequence, SearchBudgetExceeded,
                                skeleton_from_ears, skeleton_tree_decomposition,
                                triangulation_from_ears)
 from capfree.twins import extract_skeleton
+from test_large_inputs import subdivided_grid
 
 K66 = Graph(12, [(i, 6 + j) for i in range(6) for j in range(6)])
 GRID6 = Graph(36, [(r * 6 + c, r * 6 + c + 1)
@@ -238,3 +240,130 @@ def test_validity_checker_catches_violations():
     assert not disconnected_subtree.is_valid(g)
     not_a_tree = TreeDecomposition(((0, 1), (1, 2)), ((0, 1), (1, 0)))
     assert not not_a_tree.is_valid(g)
+
+
+def scanned_min_fill_order(g):
+    """Min-fill by a scan of every live vertex's key at every step: the
+    reference the heap-driven _min_fill_order must reproduce."""
+    adj = [set(g.adj[v]) for v in g.vertices()]
+    alive = set(g.vertices())
+    order = []
+    while alive:
+        best = min(alive, key=lambda v: (_fill_count(adj, v), len(adj[v]), v))
+        order.append(best)
+        _eliminate(adj, best)
+        alive.discard(best)
+    return order
+
+
+def min_fill_corpus(seed):
+    """30 G(n, p) graphs, n from 1 to 40 and p from 0.05 to 0.7."""
+    rng = random.Random(seed)
+    return [gnp(rng.randint(1, 40), rng.uniform(0.05, 0.7),
+                seed * 100 + i) for i in range(30)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_min_fill_order_matches_the_full_scan(seed):
+    named = [hole(5), hole(8), hole(31), path(1), path(12), cube(),
+             subdivided_grid(4, 2)]
+    for g in min_fill_corpus(seed) + (named if seed == 0 else []):
+        order = scanned_min_fill_order(g)
+        assert _min_fill_order(g) == order
+        td = min_fill_decomposition(g)
+        assert td == decomposition_from_order(g, order)
+        assert td.is_valid(g)
+
+
+def listed_is_valid(td, g):
+    """The validity check that scans every bag for each edge and each
+    vertex: the reference for TreeDecomposition.is_valid's verdicts."""
+    k = len(td.bags)
+    if k == 0:
+        return g.n == 0
+    if len(td.edges) != k - 1:
+        return False
+    nbrs = [[] for _ in range(k)]
+    for a, b in td.edges:
+        if not (0 <= a < k and 0 <= b < k):
+            return False
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    if len(reachable(nbrs, 0, range(k))) != k:
+        return False
+    bag_sets = [set(b) for b in td.bags]
+    if set().union(*bag_sets) != set(g.vertices()):
+        return False
+    if not all(any(u in b and v in b for b in bag_sets)
+               for u, v in g.edges()):
+        return False
+    for v in g.vertices():
+        holding = {i for i in range(k) if v in bag_sets[i]}
+        if reachable(nbrs, min(holding), holding) != holding:
+            return False
+    return True
+
+
+def reachable(nbrs, start, allowed):
+    allowed = set(allowed)
+    seen, stack = {start}, [start]
+    while stack:
+        for y in nbrs[stack.pop()]:
+            if y in allowed and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def broken_decompositions(td, g, rng):
+    """(failure mode, td with that one fault) for each mode td admits."""
+    k = len(td.bags)
+
+    def rebag(f):
+        return TreeDecomposition(tuple(tuple(f(i, b)) for i, b in
+                                       enumerate(td.bags)), td.edges)
+
+    v = rng.randrange(g.n)
+    yield "dropped vertex", rebag(lambda i, b: [x for x in b if x != v])
+    if g.m:
+        u, w = rng.choice(g.edges())
+        yield "uncovered edge", rebag(
+            lambda i, b: [x for x in b if x != w or u not in b])
+    nbrs = [set() for _ in range(k)]
+    for a, b in td.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    holding = {i for i, b in enumerate(td.bags) if v in b}
+    apart = [i for i in range(k) if i not in holding and not nbrs[i] & holding]
+    if apart:
+        far = rng.choice(apart)
+        yield "disconnected subtree", rebag(
+            lambda i, b: sorted({*b, v}) if i == far else b)
+    yield "out-of-range vertex", rebag(
+        lambda i, b: [*b, g.n] if i == k - 1 else b)
+    a, b = rng.randrange(k), rng.randrange(k)
+    yield "extra tree edge", TreeDecomposition(td.bags, td.edges + ((a, b),))
+    if td.edges:
+        cut = rng.randrange(len(td.edges))
+        rest = td.edges[:cut] + td.edges[cut + 1:]
+        yield "missing tree edge", TreeDecomposition(td.bags, rest)
+        yield "cycle in place of a tree edge", TreeDecomposition(
+            td.bags, rest + ((a, b),))
+        yield "out-of-range edge endpoint", TreeDecomposition(
+            td.bags, rest + ((td.edges[cut][0], k),))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_validity_verdicts_match_the_bag_scan(seed):
+    rng = random.Random(seed)
+    modes = set()
+    for i in range(40):
+        g = gnp(rng.randint(1, 14), rng.uniform(0.1, 0.6), 900 + 40 * seed + i)
+        td = min_fill_decomposition(g)
+        assert listed_is_valid(td, g) and td.is_valid(g)
+        for mode, broken in broken_decompositions(td, g, rng):
+            modes.add(mode)
+            assert broken.is_valid(g) == listed_is_valid(broken, g), mode
+            if mode != "cycle in place of a tree edge":
+                assert not broken.is_valid(g), mode
+    assert len(modes) == 8
