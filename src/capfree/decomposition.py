@@ -1,10 +1,13 @@
-"""Clique-cutset decomposition into a binary tree with atom leaves.
+"""Clique-cutset decomposition into a caterpillar: each internal node
+splits off one atom.
 
 The cutset search is the Atoms algorithm (Berry, Pogorelcnik & Simonet
-2010): one MCS-M pass gives a minimal triangulation and its generators,
-whose later fill-neighbourhoods are its minimal separators; scanned in
-elimination order, each one that is a clique of the graph splits off an
-atom.  find_clique_cutset returns the first split of the same scan.
+2010): one MCS-M pass over the whole graph gives a minimal triangulation
+and its generators, whose later fill-neighbourhoods are its minimal
+separators; scanned in elimination order, each one that is a clique of
+the graph splits off an atom.  The empty set is a clique, so the same scan
+splits a disconnected graph into its components.  find_clique_cutset
+returns the first split of the scan on a connected graph.
 
 Each leaf of the tree is read through one Atom record: the induced atom,
 its skeleton extraction, and on first use the skeleton's width-5 tree
@@ -39,18 +42,6 @@ def _component_of(g: Graph, start: int, excluded: set[int],
     return comp
 
 
-def _components(g: Graph) -> list[list[int]]:
-    everything = set(g.vertices())
-    seen: set[int] = set()
-    out = []
-    for v in g.vertices():
-        if v not in seen:
-            comp = sorted(_component_of(g, v, set(), everything))
-            seen.update(comp)
-            out.append(comp)
-    return out
-
-
 def find_clique_cutset(g: Graph
                        ) -> Optional[tuple[tuple[int, ...],
                                            tuple[tuple[int, ...],
@@ -58,14 +49,16 @@ def find_clique_cutset(g: Graph
     """A clique cutset with the two-sided split, or None if no cutset exists.
 
     Returns (K, (H1, H2)) with H1, H2 the nonempty sides of G minus K.
-    Disconnected graphs yield K = () and the component split.  Otherwise K
-    is the first clique minimal separator the atom scan of clique_cutset_tree
-    splits along, and H1 is the side it splits off.
+    Disconnected graphs yield K = (), H1 the component of vertex 0 and H2
+    the rest.  Otherwise K is the first clique minimal separator the atom
+    scan of clique_cutset_tree splits along, and H1 is the side it splits
+    off.
     """
-    comps = _components(g)
-    if len(comps) > 1:
-        return (), (tuple(comps[0]),
-                    vertex_set(v for c in comps[1:] for v in c))
+    if g.n:
+        everything = set(g.vertices())
+        first = _component_of(g, 0, set(), everything)
+        if len(first) < g.n:
+            return (), (vertex_set(first), vertex_set(everything - first))
     cutset, atom = next(_tarjan_pieces(g))
     if not cutset:
         return None
@@ -89,29 +82,35 @@ class DecompositionNode:
 
 @dataclass(frozen=True)
 class DecompositionTree:
+    """A caterpillar: every internal node's left child is a leaf, the atom
+    it splits off, and its right child is the rest of its graph.  The
+    internal nodes form a spine from the root down the right children,
+    which ends at the last atom."""
     graph: Graph
     root: DecompositionNode
 
-    def _preorder(self) -> list[DecompositionNode]:
-        """All nodes, each before its left and then its right subtree."""
-        out: list[DecompositionNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not node.is_leaf:
-                stack.extend((node.right, node.left))
-        return out
-
     def leaves(self) -> list[DecompositionNode]:
-        """Leaves in left-to-right order."""
-        return [node for node in self._preorder() if node.is_leaf]
+        """Leaves in left-to-right order: each spine node's atom from the
+        root down, then the last atom."""
+        out = []
+        node = self.root
+        while not node.is_leaf:
+            out.append(node.left)
+            node = node.right
+        out.append(node)
+        return out
 
     def atoms(self) -> list[tuple[int, ...]]:
         return [leaf.vertices for leaf in self.leaves()]
 
     def internal_nodes(self) -> list[DecompositionNode]:
-        return [node for node in self._preorder() if not node.is_leaf]
+        """The spine from the root down."""
+        out = []
+        node = self.root
+        while not node.is_leaf:
+            out.append(node)
+            node = node.right
+        return out
 
 
 class Atom:
@@ -149,40 +148,26 @@ class Atom:
 
 
 def clique_cutset_tree(g: Graph) -> DecompositionTree:
-    """Decompose g; every internal node splits off one atom as its left
-    child, so the tree is a caterpillar with at most n-1 leaves on
-    connected inputs.  A disconnected graph first splits off its
-    components in order of their least vertex, each along an empty
-    cutset."""
-    comps = _components(g) or [[]]
-    node = _component_tree(g, comps[-1])
-    covered = set(comps[-1])
-    for comp in reversed(comps[:-1]):
-        covered.update(comp)
-        node = DecompositionNode(vertex_set(covered), (),
-                                 _component_tree(g, comp), node)
-    return DecompositionTree(g, node)
-
-
-def _component_tree(root: Graph, vs: list[int]) -> DecompositionNode:
-    """The caterpillar of the connected subgraph root[vs]."""
-    sub, back = induced_subgraph(root, vs)
-    pieces = list(_tarjan_pieces(sub))
-    node = DecompositionNode(vertex_set(back[v] for v in pieces[-1][1]))
+    """Decompose g with one atom scan: the i-th spine node splits off the
+    i-th atom of _tarjan_pieces along its cutset, so a connected graph has
+    at most n-1 leaves.  On a disconnected graph the components split along
+    empty cutsets, the last component by least vertex first."""
+    pieces = list(_tarjan_pieces(g))
+    node = DecompositionNode(pieces[-1][1])
+    covered = set(node.vertices)
     for cutset, atom in reversed(pieces[:-1]):
-        atom_vs = vertex_set(back[v] for v in atom)
-        node = DecompositionNode(
-            vertex_set(set(atom_vs) | set(node.vertices)),
-            vertex_set(back[v] for v in cutset),
-            DecompositionNode(atom_vs), node)
-    return node
+        covered.update(atom)
+        node = DecompositionNode(tuple(sorted(covered)), cutset,
+                                 DecompositionNode(atom), node)
+    return DecompositionTree(g, node)
 
 
 def _tarjan_pieces(g: Graph) -> Iterator[tuple[tuple[int, ...],
                                              tuple[int, ...]]]:
-    """The Atoms algorithm of Berry, Pogorelcnik & Simonet (2010) on a
-    connected graph: yields (cutset, atom) for every split, then
-    ((), last atom).
+    """The Atoms algorithm of Berry, Pogorelcnik & Simonet (2010): yields
+    (cutset, atom) for every split, then ((), last atom).  The last atom
+    lies in vertex 0's component; every other component ends with a split
+    along the empty cutset.
 
     The MCS-M generators are scanned in elimination order; a generator x
     whose madj(x), a minimal separator of the minimal triangulation H, is
@@ -203,28 +188,22 @@ def _tarjan_pieces(g: Graph) -> Iterator[tuple[tuple[int, ...],
 def tree_to_dot(tree: DecompositionTree) -> str:
     """DOT rendering: internal nodes show the cutset, leaves the atom size.
 
-    Nodes are numbered in preorder; each tree edge is written after the
-    child's whole subtree."""
+    Nodes are numbered in preorder: spine node i is n(2i), its atom
+    n(2i+1), and the last atom n(2s) for a spine of s nodes.  Each tree
+    edge is written after the child's whole subtree, so the spine edges
+    come last, from the bottom up."""
+    def atom_line(i: int, leaf: DecompositionNode) -> str:
+        return f'  n{i} [label="atom |{len(leaf.vertices)}|", shape=box];'
+
     lines = ["graph decomposition {"]
-    next_id = 0
-    stack: list = [(tree.root, None)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            lines.append(item)
-            continue
-        node, parent_id = item
-        my_id = next_id
-        next_id += 1
-        if node.is_leaf:
-            lines.append(f'  n{my_id} [label="atom |{len(node.vertices)}|"'
-                         f", shape=box];")
-        else:
-            cut = ",".join(str(v + 1) for v in node.cutset) or "empty"
-            lines.append(f'  n{my_id} [label="cutset {{{cut}}}"];')
-        if parent_id is not None:
-            stack.append(f"  n{parent_id} -- n{my_id};")
-        if not node.is_leaf:
-            stack.extend(((node.right, my_id), (node.left, my_id)))
+    spine = tree.internal_nodes()
+    for i, node in enumerate(spine):
+        cut = ",".join(str(v + 1) for v in node.cutset) or "empty"
+        lines += [f'  n{2 * i} [label="cutset {{{cut}}}"];',
+                  atom_line(2 * i + 1, node.left),
+                  f"  n{2 * i} -- n{2 * i + 1};"]
+    lines.append(atom_line(2 * len(spine), tree.leaves()[-1]))
+    lines += [f"  n{2 * i} -- n{2 * i + 2};"
+              for i in reversed(range(len(spine)))]
     lines.append("}")
     return "\n".join(lines) + "\n"

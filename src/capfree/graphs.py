@@ -103,9 +103,12 @@ class Graph:
                    for v in vs[i + 1:])
 
     def is_stable(self, vs: Iterable[int]) -> bool:
+        """No member's neighbour mask meets the members' mask."""
         vs = list(vs)
-        return not any(self.has_edge(u, v) for i, u in enumerate(vs)
-                       for v in vs[i + 1:])
+        members = 0
+        for v in vs:
+            members |= 1 << v
+        return not any(self._masks[v] & members for v in vs)
 
     def with_weights(self, weights: Sequence[int]) -> "Graph":
         return Graph(self.n, self.edges(), weights)

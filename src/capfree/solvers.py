@@ -241,9 +241,9 @@ def combine_colorings(tree: DecompositionTree,
     """Merge per-atom colorings into a proper coloring of the whole graph.
 
     atom_colorings aligns with tree.leaves().  At every internal node the
-    left side's colors are permuted to agree with the right side on the
-    cutset clique (whose colors are pairwise distinct, so a permutation
-    always exists).
+    split-off atom's colors are permuted to agree with the rest of the
+    graph on the cutset clique (whose colors are pairwise distinct, so a
+    permutation always exists).
     """
     leaves = tree.leaves()
     if len(atom_colorings) != len(leaves):
@@ -253,31 +253,17 @@ def combine_colorings(tree: DecompositionTree,
             raise ValueError("coloring does not match its atom")
         if any(not 1 <= c <= q for c in coloring.values()):
             raise ValueError(f"atom coloring exceeds {q} colors")
-    supply = iter(atom_colorings)
-    # Postorder: a node is merged (second visit) once both sides are done.
-    done: list[dict[int, int]] = []
-    todo = [(tree.root, False)]
-    while todo:
-        node, merging = todo.pop()
-        if node.is_leaf:
-            done.append(dict(next(supply)))
-            continue
-        if not merging:
-            todo.extend(((node, True), (node.right, False),
-                         (node.left, False)))
-            continue
-        right = done.pop()
-        left = done.pop()
-        perm: dict[int, int] = {}
-        for v in node.cutset:
-            perm[left[v]] = right[v]
+    # Bottom-up along the spine: each split-off atom's colors are permuted
+    # to agree with the graph below it.
+    total = dict(atom_colorings[-1])
+    for node, coloring in zip(reversed(tree.internal_nodes()),
+                              reversed(atom_colorings[:-1])):
+        perm = {coloring[v]: total[v] for v in node.cutset}
         free = iter(c for c in range(1, q + 1) if c not in perm.values())
         for c in range(1, q + 1):
             if c not in perm:
                 perm[c] = next(free)
-        right.update((v, perm[c]) for v, c in left.items())
-        done.append(right)
-    total = done.pop()
+        total.update((v, perm[c]) for v, c in coloring.items())
     colors = [total[v] for v in tree.graph.vertices()]
     certify(is_proper_coloring(tree.graph, colors, q),
             "merged coloring not proper")
@@ -530,48 +516,18 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
     At each internal node with cutset S and atom side A: solve A minus S
     and A minus each closed neighborhood N[v] (v in S), reweight S by
     w'(v) = w(v) + w(I_v) - w(I'), recurse on the other side, and combine.
-    The reweighting never increases a weight (asserted).  Empty cutsets
-    (disconnected splits) just take the union of both sides.
+    The reweighting never increases a weight (asserted).
     """
     base = list(weights) if weights is not None else list(g.weights)
     if len(base) != g.n:
         raise ValueError("weights length must equal vertex count")
-    tree = clique_cutset_tree(g)
-
-    # Explicit stack in place of recursion: ("solve", node, w) pushes the
-    # node's answer onto done, after its left side is solved; "union" and
-    # "lift" combine the answers of the two sides of a node.
-    done: list[tuple[int, set[int]]] = []
-    todo: list[tuple] = [("solve", tree.root, base)]
-    while todo:
-        step = todo.pop()
-        if step[0] == "union":
-            rv, rset = done.pop()
-            lv, lset = done.pop()
-            done.append((lv + rv, lset | rset))
-            continue
-        if step[0] == "lift":
-            # Since w2[v] = w[v] + value_v - base_value, the total is
-            # base_value plus the other side's answer whether or not that
-            # answer takes a cutset vertex v.
-            _, cut, base_value, base_set, sub_sets = step
-            rv, rset = done.pop()
-            inside = rset & set(cut)
-            picked = sub_sets[inside.pop()] if len(inside) == 1 else base_set
-            done.append((base_value + rv, set(picked) | rset))
-            continue
-        _, node, w = step
-        if node.is_leaf:
-            atom = Atom(g, node.vertices, exact_budget)
-            value, picked = _AtomSolver(atom, brute_guard).solve(set(), w)
-            done.append((value, set(picked)))
-            continue
+    # Top-down along the spine: solve each split-off atom, reweight its
+    # cutset for the graph below and record how to lift that graph's answer.
+    node = clique_cutset_tree(g).root
+    w = base
+    lifts = []
+    while not node.is_leaf:
         cut = node.cutset
-        if not cut:
-            todo.extend((("union",), ("solve", node.right, w),
-                         ("solve", node.left, w)))
-            continue
-        assert node.left.is_leaf, "nonempty cutsets split off an atom"
         solver = _AtomSolver(Atom(g, node.left.vertices, exact_budget),
                              brute_guard)
         base_value, base_set = solver.solve(set(cut), w)
@@ -582,9 +538,19 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
             value_v, sub_sets[v] = solver.solve(closed, w)
             w2[v] = w[v] + value_v - base_value
             assert w2[v] <= w[v], "reweighting must not increase a weight"
-        todo.extend((("lift", cut, base_value, base_set, sub_sets),
-                     ("solve", node.right, w2)))
-    value, picked = done.pop()
+        lifts.append((cut, base_value, base_set, sub_sets))
+        node, w = node.right, w2
+    atom = Atom(g, node.vertices, exact_budget)
+    value, picked = _AtomSolver(atom, brute_guard).solve(set(), w)
+    picked = set(picked)
+    # Bottom-up: since w2[v] = w[v] + value_v - base_value, the total is
+    # base_value plus the answer below whether or not that answer takes a
+    # cutset vertex v.
+    for cut, base_value, base_set, sub_sets in reversed(lifts):
+        inside = picked & set(cut)
+        picked |= set(sub_sets[inside.pop()] if len(inside) == 1
+                      else base_set)
+        value += base_value
     result = vertex_set(picked)
     certify(g.is_stable(result), "result must be a stable set")
     certify(sum(base[v] for v in result) == value,

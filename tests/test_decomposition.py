@@ -99,6 +99,7 @@ def test_tree_invariants_random(seed):
     for a, b in combinations(map(set, atoms), 2):
         assert not a <= b and not b <= a, "no leaf lies inside another"
     for node in tree.internal_nodes():
+        assert node.left.is_leaf, "the tree is a caterpillar"
         assert g.is_clique(node.cutset)
         left = set(node.left.vertices) - set(node.cutset)
         right = set(node.right.vertices) - set(node.cutset)

@@ -4,6 +4,7 @@ from capfree.graphs import (Graph, GraphFormatError, add_universal_clique,
                             blow_up, complete, construct_named, cube, gnp,
                             hajos, hole, induced_subgraph, parse_graph, path,
                             serialize_graph)
+from capfree.rng import Xoshiro256StarStar
 
 C5_TEXT = "p 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
 
@@ -183,3 +184,31 @@ def test_graph_is_immutable():
     g = hole(4)
     with pytest.raises(AttributeError):
         g.n = 7
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_is_stable_matches_pairwise_definition(seed):
+    g = gnp(12, (0.1, 0.3, 0.6)[seed % 3], 300 + seed)
+    rng = Xoshiro256StarStar(seed)
+    for _ in range(50):
+        vs = [rng.below(g.n) for _ in range(rng.below(7))]
+        pairwise = not any(g.has_edge(u, v) for i, u in enumerate(vs)
+                           for v in vs[i + 1:])
+        assert g.is_stable(vs) == pairwise
+        assert g.is_stable(iter(vs)) == pairwise
+
+
+def test_is_stable_reads_masks_not_edges(monkeypatch):
+    calls = 0
+    has_edge = Graph.has_edge
+
+    def counted(self, u, v):
+        nonlocal calls
+        calls += 1
+        return has_edge(self, u, v)
+
+    monkeypatch.setattr(Graph, "has_edge", counted)
+    g = hole(2000)
+    assert g.is_stable(range(0, 2000, 2))
+    assert not g.is_stable([*range(0, 2000, 2), 1])
+    assert calls == 0

@@ -105,13 +105,14 @@ def test_long_hole_recognition_does_not_recurse():
     assert sorted(verdict.witness.vertices) == list(range(996))
 
 
-@pytest.mark.parametrize("g,atoms", [(path(5000), 4999),
-                                     (Graph(5000, []), 5000)],
+@pytest.mark.parametrize("g,atoms,alpha", [(path(5000), 4999, 2500),
+                                           (Graph(5000, []), 5000, 5000)],
                          ids=["path5000", "isolated5000"])
-def test_recognize_long_sparse_inputs(g, atoms):
+def test_recognize_long_sparse_inputs(g, atoms, alpha):
     verdict = recognize(g, "cap-even-hole-free")
     assert verdict.accepted
     assert len(verdict.atoms) == atoms
+    assert mwss(g).weight == alpha
 
 
 def test_detectors_pass_a_long_hole():
