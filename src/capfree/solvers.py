@@ -7,23 +7,23 @@ skeleton's width-5 tree decomposition only when a DP needs it.  One
 per-atom step, _color_atom, serves chromatic_number and q_color_graph;
 clique_number reads the skeleton alone.
 
-Per-atom answers come from one labelling DP, _nice_dp, over a nice tree
-decomposition: each vertex takes a label from its own list, adjacent
-vertices never share a label other than 0 (unlabelled), and the heaviest
-labelling wins, a vertex with a nonzero label adding its weight.
-q-coloring runs it on an atom's lifted decomposition with labels 1..q and
-zero weights; those labels are interchangeable, so the DP keys each bag by
-its partition into color classes, not by a tuple of colors.  Stable sets
-run it with labels {0, 1} on the reduction graph F' (the skeleton plus one
-vertex for the universal clique), whose nice decomposition each atom
-builds once; every query of Tarjan's clique-cutset recursion forces the
-classes it deletes entirely to label 0 and weighs each class by its
-heaviest survivor.  Clique cutsets combine atom answers to the
-whole graph (color permutation for coloring, Tarjan's reweighting for
-stable sets).  Atoms without usable structure fall back to the brute-force
-oracles under a size guard; beyond the guard the instance is reported
-unsupported, never answered wrongly.  Returned answers are re-checked by
-certify, which raises CertificateError under python -O too.
+Coloring runs one count DP, _multicolor_dp, over a nice tree
+decomposition: vertex v needs demand[v] colors, adjacent vertices get
+disjoint ones, and one pass finds the fewest colors up to a cap.  An atom
+is a blow-up of its skeleton plus a universal clique U, so its twin
+classes become demands on the skeleton's width-5 decomposition and U takes
+|U| colors of its own; q_color runs the same DP with every demand 1 on any
+decomposition.  Stable sets run the labelling DP _nice_dp with labels
+{0, 1} on the reduction graph F' (the skeleton plus one vertex for the
+universal clique), whose nice decomposition each atom builds once; every
+query of Tarjan's clique-cutset recursion forces the classes it deletes
+entirely to label 0 and weighs each class by its heaviest survivor.
+Clique cutsets combine atom answers to the whole graph (color permutation
+for coloring, Tarjan's reweighting for stable sets).  Atoms without usable
+structure fall back to the brute-force oracles under a size guard; beyond
+the guard the instance is reported unsupported, never answered wrongly.
+Returned answers are re-checked by certify, which raises CertificateError
+under python -O too.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from .decomposition import Atom, DecompositionTree, clique_cutset_tree
 from .graphs import Graph, induced_subgraph, vertex_set
 from .oracles import InstanceTooLargeError, brute_solve, certify
 from .treewidth import (DEFAULT_EXACT_BUDGET, NiceDecomposition,
-                        TreeDecomposition, lift_tree_decomposition,
-                        nice_decomposition)
+                        TreeDecomposition, nice_decomposition)
 from .twins import (SkeletonDecomposition, clique_number_via_skeleton,
                     max_clique_via_skeleton)
 
@@ -96,19 +95,6 @@ def is_proper_coloring(g: Graph, colors: Sequence[int],
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
-def _canonical(key: tuple[int, ...]) -> tuple[int, ...]:
-    """The key with its blocks renumbered 1, 2, ... in order of first
-    appearance: one key per partition of the bag into color classes."""
-    names: dict[int, int] = {}
-    for c in key:
-        if c not in names:
-            names[c] = len(names) + 1
-    # From a list: tuple() over an iterator of unknown length allocates room
-    # for ten items and then shrinks, which can leave kept keys in larger
-    # memory blocks.
-    return tuple([names[c] for c in key])
-
-
 def _nice_dp(graph: Graph, nd: NiceDecomposition,
              labels: Sequence[Sequence[int]], weights: Sequence[int]
              ) -> Optional[tuple[int, list[int]]]:
@@ -116,29 +102,11 @@ def _nice_dp(graph: Graph, nd: NiceDecomposition,
 
     Vertex v takes a label from labels[v]; adjacent vertices never share a
     nonzero label; a vertex with a nonzero label adds weights[v], counted
-    when it is forgotten.  Ties go to the labelling met first in the order
-    of each labels[v].  A node's table is dropped once its parent is built:
-    the traceback reads only the forget nodes' choices.
-
-    When every labels[v] is the same list 1..q (q-coloring), labels are
-    interchangeable and a key is kept only up to renaming them: the
-    partition of the bag into color blocks, numbered 1, 2, ... in order of
-    first appearance (_canonical).  Introduce puts v into each block with
-    no neighbour of v, or into a fresh block while there are fewer than q;
-    forget renumbers the shortened key; join matches equal partitions.  A
-    table then holds at most the Bell number of the bag size in place of
-    q to that power.  This is exact because the colors of forgotten
-    vertices never meet a vertex introduced later: any coloring of the
-    bag's blocks by distinct colors extends each side of the decomposition
-    independently.  The traceback runs top-down and colors each vertex
-    where it enters, at its forget node: v takes the color of a bag mate
-    in its block, or, alone in its block, the least color that no other
-    vertex of the child bag has.  One is free, since the child bag has at
-    most q blocks, and every bag's blocks keep distinct colors.
+    when it is forgotten.  A key is the tuple of the bag's labels.  Ties go
+    to the labelling met first in the order of each labels[v].  A node's
+    table is dropped once its parent is built: the traceback reads only
+    the forget nodes' choices.
     """
-    q = len(labels[0]) if labels else 0
-    colors_1_to_q = tuple(range(1, q + 1))
-    interchangeable = all(tuple(lab) == colors_1_to_q for lab in labels)
     tables: list[Optional[dict]] = [None] * len(nd.nodes)
     choice: dict[int, dict] = {}
     for idx, node in enumerate(nd.nodes):
@@ -153,16 +121,9 @@ def _nice_dp(graph: Graph, nd: NiceDecomposition,
             table = {}
             for key, value in tables[kids[0]].items():
                 used = {key[i] for i in nbr}
-                if interchangeable:
-                    blocks = max(key, default=0)
-                    for c in range(1, min(blocks + 1, q) + 1):
-                        if c not in used:
-                            table[_canonical(key[:pos] + (c,) + key[pos:])] \
-                                = value
-                else:
-                    for c in labels[v]:
-                        if not c or c not in used:
-                            table[key[:pos] + (c,) + key[pos:]] = value
+                for c in labels[v]:
+                    if not c or c not in used:
+                        table[key[:pos] + (c,) + key[pos:]] = value
         elif node.kind == "forget":
             pos = nd.nodes[kids[0]].bag.index(node.vertex)
             w = weights[node.vertex]
@@ -172,8 +133,6 @@ def _nice_dp(graph: Graph, nd: NiceDecomposition,
                 if key[pos]:
                     value += w
                 short = key[:pos] + key[pos + 1:]
-                if interchangeable:
-                    short = _canonical(short)
                 if short not in table or value > table[short]:
                     table[short] = value
                     picked[short] = key
@@ -194,45 +153,146 @@ def _nice_dp(graph: Graph, nd: NiceDecomposition,
         node = nd.nodes[idx]
         if node.kind == "introduce":
             pos = node.bag.index(node.vertex)
-            short = key[:pos] + key[pos + 1:]
-            stack.append((node.children[0],
-                          _canonical(short) if interchangeable else short))
+            stack.append((node.children[0], key[:pos] + key[pos + 1:]))
         elif node.kind == "forget":
             key = choice[idx][key]
-            bag = nd.nodes[node.children[0]].bag
-            pos = bag.index(node.vertex)
-            label = key[pos]
-            if interchangeable:
-                colors = {key[i]: labelling[u]
-                          for i, u in enumerate(bag) if i != pos}
-                label = colors.get(label) or min(
-                    set(colors_1_to_q) - set(colors.values()))
-            labelling[node.vertex] = label
+            pos = nd.nodes[node.children[0]].bag.index(node.vertex)
+            labelling[node.vertex] = key[pos]
             stack.append((node.children[0], key))
         elif node.kind == "join":
             stack.extend((kid, key) for kid in node.children)
     return tables[nd.root][()], labelling
 
 
-def _color(graph: Graph, nd: NiceDecomposition, q: int
-           ) -> Optional[list[int]]:
-    """A proper q-coloring by the labelling DP, or None."""
-    found = _nice_dp(graph, nd, [range(1, q + 1)] * graph.n, [0] * graph.n)
-    if found is None:
-        return None
-    certify(is_proper_coloring(graph, found[1], q), "DP coloring not proper")
-    return found[1]
+def _without(key: tuple[int, ...], bit: int) -> tuple[int, ...]:
+    """The key with one vertex's bit cleared and the emptied entries
+    dropped."""
+    return tuple(sorted([e & ~bit for e in key if e != bit]))
+
+
+def _multicolor_dp(graph: Graph, nd: NiceDecomposition,
+                   demand: Sequence[int], cap: int
+                   ) -> Optional[tuple[int, list[list[int]]]]:
+    """The fewest colors, at most cap, that give every vertex v demand[v]
+    colors with adjacent vertices' colors disjoint, and a sorted color
+    list per vertex; None when cap colors do not suffice.
+
+    A key holds one entry per color held in the bag: the bitmask of the
+    bag vertices that hold it, an independent set; entries are sorted, so
+    colors are kept only up to renaming.  Its value is the fewest colors a
+    coloring of the subtree with that key uses.  Introduce adds v to any j
+    <= demand[v] entries that hold no neighbour of v (a multiset of them)
+    and adds demand[v] - j entries {v}: these may reuse colors of
+    forgotten vertices, which never meet v, so the value becomes the
+    larger of the old value and the new number of entries.  Forget clears
+    v's bit and keeps the least value.  Join keeps the keys of both sides
+    with the larger value, since forgotten vertices of the two sides are
+    never adjacent and may share colors.  With every demand 1 a key is the
+    bag's partition into color classes (Zhou, Kanari & Nishizeki,
+    "Generalized vertex-colorings of partial k-trees", 2000).
+
+    The traceback runs top-down and colors v at its forget node: for each
+    entry S + {v} of the chosen child key, v takes a color that exactly
+    the bag vertices S hold, and for an entry {v} alone, a color no bag
+    vertex holds.  One is free, since a key never has more entries than
+    its value, which is at most the total.
+    """
+    tables: list[Optional[dict]] = [None] * len(nd.nodes)
+    choice: dict[int, dict] = {}
+    for idx, node in enumerate(nd.nodes):
+        kids = node.children
+        if node.kind == "leaf":
+            table = {(): 0}
+        elif node.kind == "introduce":
+            v = node.vertex
+            bit, nbrs, d = 1 << v, graph.mask(v), demand[v]
+            table = {}
+            for key, value in tables[kids[0]].items():
+                # Entries that may take v, grouped by mask (equal masks
+                # sit together in the sorted key).
+                fixed = []
+                groups: list[list[int]] = []
+                for e in key:
+                    if e & nbrs:
+                        fixed.append(e)
+                    elif groups and groups[-1][0] == e:
+                        groups[-1][1] += 1
+                    else:
+                        groups.append([e, 1])
+                options = [(fixed, 0)]
+                for e, m in groups:
+                    options = [(entries + [e | bit] * c + [e] * (m - c),
+                                j + c)
+                               for entries, j in options
+                               for c in range(min(m, d - j) + 1)]
+                for entries, j in options:
+                    size = len(key) + d - j
+                    if size <= cap:
+                        table[tuple(sorted(entries + [bit] * (d - j)))] = \
+                            max(value, size)
+        elif node.kind == "forget":
+            bit = 1 << node.vertex
+            table = {}
+            picked = choice[idx] = {}
+            for key, value in tables[kids[0]].items():
+                short = _without(key, bit)
+                if short not in table or value < table[short]:
+                    table[short] = value
+                    picked[short] = key
+        else:  # join
+            right = tables[kids[1]]
+            table = {key: max(value, right[key])
+                     for key, value in tables[kids[0]].items()
+                     if key in right}
+        for kid in kids:
+            tables[kid] = None
+        if not table:
+            return None
+        tables[idx] = table
+    total = tables[nd.root][()]
+    colors: list[list[int]] = [[] for _ in range(graph.n)]
+    stack = [(nd.root, ())]
+    while stack:
+        idx, key = stack.pop()
+        node = nd.nodes[idx]
+        if node.kind == "introduce":
+            stack.append((node.children[0], _without(key, 1 << node.vertex)))
+        elif node.kind == "forget":
+            key = choice[idx][key]
+            v = node.vertex
+            bit = 1 << v
+            holders: dict[int, int] = {}
+            for u in node.bag:
+                for c in colors[u]:
+                    holders[c] = holders.get(c, 0) | 1 << u
+            # Each list runs downward, so pop() takes its least color.
+            held_by: dict[int, list[int]] = {}
+            for c in sorted(holders, reverse=True):
+                held_by.setdefault(holders[c], []).append(c)
+            held_by[0] = [c for c in range(total, 0, -1) if c not in holders]
+            colors[v] = sorted(held_by[e ^ bit].pop()
+                               for e in key if e & bit)
+            stack.append((node.children[0], key))
+        elif node.kind == "join":
+            stack.extend((kid, key) for kid in node.children)
+    return total, colors
 
 
 def q_color(atom: Graph, td: TreeDecomposition, q: int
             ) -> Optional[list[int]]:
-    """A proper q-coloring of the atom via DP over the decomposition's nice
-    form, or None when no q-coloring exists."""
+    """A proper q-coloring of the atom via the count DP over the
+    decomposition's nice form (every demand 1), or None when no
+    q-coloring exists."""
     if q < 1:
         raise ValueError("q must be at least 1")
     if not td.is_valid(atom):
         raise ValueError("decomposition is not valid for the graph")
-    return _color(atom, nice_decomposition(td), q)
+    found = _multicolor_dp(atom, nice_decomposition(td), [1] * atom.n, q)
+    if found is None:
+        return None
+    colors = [c for c, in found[1]]
+    certify(is_proper_coloring(atom, colors, q), "DP coloring not proper")
+    return colors
 
 
 def combine_colorings(tree: DecompositionTree,
@@ -270,25 +330,40 @@ def combine_colorings(tree: DecompositionTree,
     return colors
 
 
-def _color_atom(atom: Atom, qs: range, brute_guard: Optional[int]
+def _color_atom(atom: Atom, cap: int, brute_guard: Optional[int]
                 ) -> Optional[tuple[int, list[int]]]:
-    """(q, coloring) for the least q in qs at which the labelling DP over
-    the lifted decomposition colors a structured atom, None when qs is
-    used up.  Complete atoms and atoms without structure get their
-    chromatic number, the latter by brute force under the guard."""
+    """(chi, coloring) of the atom, or None for a structured atom that
+    needs more than cap colors.  Complete atoms and atoms without
+    structure get their chromatic number whatever the cap, the latter by
+    brute force under the guard.
+
+    A structured atom is colored by one pass of the count DP over its
+    skeleton's width-5 decomposition: skeleton vertex v needs |class v|
+    colors, its class members take one each, and the universal clique
+    takes the |U| colors after the DP's total.
+    """
     if atom.complete:
         return atom.graph.n, list(range(1, atom.graph.n + 1))
-    if atom.sd is None:
+    sd = atom.sd
+    if sd is None:
         result = _brute_or_unsupported(atom.graph, "chromatic", brute_guard)
         return result.value, list(result.witness)
-    lifted = lift_tree_decomposition(atom.skeleton_td, atom.sd)
-    assert lifted.is_valid(atom.graph)
-    nd = nice_decomposition(lifted)
-    for q in qs:
-        colors = _color(atom.graph, nd, q)
-        if colors is not None:
-            return q, colors
-    return None
+    found = _multicolor_dp(sd.skeleton, nice_decomposition(atom.skeleton_td),
+                           [len(cls) for cls in sd.classes],
+                           cap - len(sd.universal))
+    if found is None:
+        return None
+    total, lists = found
+    colors = [0] * atom.graph.n
+    for cls, colors_of_class in zip(sd.classes, lists):
+        for v, c in zip(cls, colors_of_class):
+            colors[v] = c
+    for i, v in enumerate(sd.universal, total + 1):
+        colors[v] = i
+    chi = total + len(sd.universal)
+    certify(is_proper_coloring(atom.graph, colors, chi),
+            "DP coloring not proper")
+    return chi, colors
 
 
 def _brute_or_unsupported(g: Graph, problem: str, guard: Optional[int]):
@@ -305,14 +380,12 @@ def chromatic_number(g: Graph, brute_guard: Optional[int] = None,
                      ) -> tuple[int, list[int]]:
     """Exact chromatic number with a proper coloring.
 
-    Per atom: the minimum q in [omega, ceil(3/2 omega)] for which the
-    q-coloring DP over the lifted decomposition succeeds.  Atoms without
-    class structure, or whose search range is exhausted (which proves the
+    Per atom: one pass of the count DP over the skeleton's decomposition
+    (_color_atom), capped at ceil(3/2 omega) colors.  Atoms without class
+    structure, or that need more colors than the cap (which proves the
     atom is outside the class), use the brute oracle under the guard.
-    The DP keys each bag by its partition into at most q color classes,
-    not by a color per vertex.  Lifted bags hold whole twin classes, so
-    the key counts still grow quickly with the class sizes: C5 blown up
-    by 3 takes milliseconds, by 5 seconds and by 6 tens of seconds.
+    The DP's tables grow with the skeleton's width (at most 5) and the
+    cap, not with the twin classes' members.
     """
     if g.n == 0:
         return 0, []
@@ -323,8 +396,7 @@ def chromatic_number(g: Graph, brute_guard: Optional[int] = None,
         atom = Atom(g, leaf.vertices, exact_budget)
         omega = (0 if atom.sd is None
                  else clique_number_via_skeleton(atom.sd))
-        found = _color_atom(atom, range(omega, ceil_three_halves(omega) + 1),
-                            brute_guard)
+        found = _color_atom(atom, ceil_three_halves(omega), brute_guard)
         if found is None:
             result = _brute_or_unsupported(atom.graph, "chromatic",
                                            brute_guard)
@@ -350,7 +422,7 @@ def q_color_graph(g: Graph, q: int, brute_guard: Optional[int] = None,
     per_leaf = []
     for leaf in tree.leaves():
         atom = Atom(g, leaf.vertices, exact_budget)
-        found = _color_atom(atom, range(q, q + 1), brute_guard)
+        found = _color_atom(atom, q, brute_guard)
         if found is None or found[0] > q:
             return None
         per_leaf.append(dict(zip(atom.back, found[1])))
@@ -523,8 +595,10 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
         raise ValueError("weights length must equal vertex count")
     # Top-down along the spine: solve each split-off atom, reweight its
     # cutset for the graph below and record how to lift that graph's answer.
+    # The cutset's new weights are written into w only after the node's
+    # last solve call, which reads the old ones.
     node = clique_cutset_tree(g).root
-    w = base
+    w = list(base)
     lifts = []
     while not node.is_leaf:
         cut = node.cutset
@@ -532,18 +606,21 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
                              brute_guard)
         base_value, base_set = solver.solve(set(cut), w)
         sub_sets = {}
-        w2 = list(w)
+        reweighted = []
         for v in cut:
             closed = {v} | {u for u in g.adj[v]}
             value_v, sub_sets[v] = solver.solve(closed, w)
-            w2[v] = w[v] + value_v - base_value
-            assert w2[v] <= w[v], "reweighting must not increase a weight"
+            reweighted.append(w[v] + value_v - base_value)
+            assert reweighted[-1] <= w[v], \
+                "reweighting must not increase a weight"
+        for v, wv in zip(cut, reweighted):
+            w[v] = wv
         lifts.append((cut, base_value, base_set, sub_sets))
-        node, w = node.right, w2
+        node = node.right
     atom = Atom(g, node.vertices, exact_budget)
     value, picked = _AtomSolver(atom, brute_guard).solve(set(), w)
     picked = set(picked)
-    # Bottom-up: since w2[v] = w[v] + value_v - base_value, the total is
+    # Bottom-up: since w'(v) = w(v) + value_v - base_value, the total is
     # base_value plus the answer below whether or not that answer takes a
     # cutset vertex v.
     for cut, base_value, base_set, sub_sets in reversed(lifts):

@@ -5,7 +5,8 @@ import pytest
 
 from capfree import treewidth
 from capfree.decomposition import clique_cutset_tree, tree_to_dot
-from capfree.graphs import Graph, hole, path
+from capfree.graphs import (Graph, add_universal_clique, blow_up, hole,
+                            path)
 from capfree.recognition import detect_4hole, detect_cap_fast, recognize
 from capfree.solvers import (chromatic_number, is_proper_coloring, mwss,
                              q_color_graph)
@@ -41,6 +42,21 @@ def test_long_inputs_do_not_recurse(name):
 
     colors = q_color_graph(g, 3)
     assert colors is not None and is_proper_coloring(g, colors, 3)
+
+
+# Wide blow-ups: the count DP over the skeleton's decomposition keeps one
+# color count per independent set of a bag, whatever the class sizes.
+@pytest.mark.parametrize("g, chi", [
+    pytest.param(blow_up(hole(5), [6] * 5), 15, id="C5x6"),
+    pytest.param(blow_up(hole(7), [6] * 7), 14, id="C7x6"),
+    pytest.param(add_universal_clique(blow_up(hole(9), [4] * 9), 2), 11,
+                 id="C9x4+U2"),
+    pytest.param(add_universal_clique(blow_up(hole(5), [10] * 5), 3), 28,
+                 id="C5x10+U3")])
+def test_wide_blowups_are_colored_exactly(g, chi):
+    value, colors = chromatic_number(g)
+    assert value == chi and is_proper_coloring(g, colors, chi)
+    assert q_color_graph(g, chi - 1) is None
 
 
 def test_long_path_decomposition_goes_nice():

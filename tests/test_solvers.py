@@ -108,6 +108,28 @@ def test_blowups_colored_exactly(g, chi):
     assert q_color_graph(g, chi - 1) is None
 
 
+def _uneven_blowup(seed):
+    """C5, C7 or C9 with classes of 1 to 4 vertices and a universal clique
+    of 0 to 2, redrawn until n <= 16."""
+    rng = Xoshiro256StarStar(7700 + seed)
+    k = (5, 7, 9)[seed % 3]
+    while True:
+        sizes = [1 + rng.below(4) for _ in range(k)]
+        universal = rng.below(3)
+        if sum(sizes) + universal <= 16:
+            return add_universal_clique(blow_up(hole(k), sizes), universal)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_count_dp_on_uneven_blowups(seed):
+    g = _uneven_blowup(seed)
+    chi = brute_solve(g, "chromatic", g.n).value
+    value, colors = chromatic_number(g)
+    assert value == chi and is_proper_coloring(g, colors, chi)
+    assert is_proper_coloring(g, q_color_graph(g, chi), chi)
+    assert q_color_graph(g, chi - 1) is None
+
+
 def test_q_color_triangle():
     from capfree.treewidth import TreeDecomposition
     td = TreeDecomposition(((0, 1, 2),), ())
@@ -281,16 +303,29 @@ def test_mwss_builds_one_nice_decomposition_per_structured_atom(
 
 
 def _improper(graph, nd, labels, weights):
-    """Label 1 everywhere: neither a proper coloring nor a stable set."""
+    """Label 1 everywhere: not a stable set."""
     return 0, [1] * graph.n
 
 
-@pytest.mark.parametrize("call", [lambda: q_color_graph(G1, 5),
-                                  lambda: chromatic_number(G1),
-                                  lambda: mwss(G1)],
-                         ids=["q_color_graph", "chromatic", "mwss"])
-def test_improper_dp_labelling_is_caught(monkeypatch, call):
-    monkeypatch.setattr(solvers, "_nice_dp", _improper)
+def _all_color_one(graph, nd, demand, cap):
+    """Color 1 for every vertex, as often as it needs colors."""
+    return 1, [[1] * d for d in demand]
+
+
+def _overlapping_lists(graph, nd, demand, cap):
+    """Colors 1..d for every vertex: adjacent vertices' lists overlap."""
+    return max(demand), [list(range(1, d + 1)) for d in demand]
+
+
+@pytest.mark.parametrize("call, dp, fake", [
+    (lambda: q_color_graph(G1, 5), "_multicolor_dp", _all_color_one),
+    (lambda: chromatic_number(G1), "_multicolor_dp", _overlapping_lists),
+    (lambda: q_color(G1, lifted_decomposition(G1), 5), "_multicolor_dp",
+     _all_color_one),
+    (lambda: mwss(G1), "_nice_dp", _improper)],
+    ids=["q_color_graph", "chromatic", "q_color", "mwss"])
+def test_improper_dp_labelling_is_caught(monkeypatch, call, dp, fake):
+    monkeypatch.setattr(solvers, dp, fake)
     with pytest.raises(CertificateError):
         call()
 
@@ -298,9 +333,12 @@ def test_improper_dp_labelling_is_caught(monkeypatch, call):
 def test_improper_dp_labelling_is_caught_under_python_O():
     script = (
         "from capfree import solvers, blow_up, hole\n"
+        "solvers._multicolor_dp = lambda g, nd, demand, cap: (\n"
+        "    1, [[1] * d for d in demand])\n"
         "solvers._nice_dp = lambda g, nd, labels, w: (0, [1] * g.n)\n"
         "g = blow_up(hole(5), [2] * 5)\n"
         "for call in (lambda: solvers.q_color_graph(g, 5),\n"
+        "             lambda: solvers.chromatic_number(g),\n"
         "             lambda: solvers.mwss(g)):\n"
         "    try:\n"
         "        print(call())\n"
@@ -310,7 +348,7 @@ def test_improper_dp_labelling_is_caught_under_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", script],
                           env={"PYTHONPATH": src}, capture_output=True,
                           text=True, timeout=60)
-    assert done.stdout.split() == ["CertificateError", "CertificateError"]
+    assert done.stdout.split() == ["CertificateError"] * 3
 
 
 def test_min_degree_bound_on_generated():
