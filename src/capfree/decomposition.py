@@ -1,13 +1,16 @@
 """Clique-cutset decomposition into a caterpillar: each internal node
 splits off one atom.
 
-The cutset search is the Atoms algorithm (Berry, Pogorelcnik & Simonet
-2010): one MCS-M pass over the whole graph gives a minimal triangulation
-and its generators, whose later fill-neighbourhoods are its minimal
-separators; scanned in elimination order, each one that is a clique of
-the graph splits off an atom.  The empty set is a clique, so the same scan
-splits a disconnected graph into its components.  find_clique_cutset
-returns the first split of the scan on a connected graph.
+A cut vertex is a clique cutset, so the atoms of a graph are those of its
+blocks, which one depth-first search finds (Hopcroft & Tarjan 1973).  A
+block that is K1, K2, a clique or a cycle is one atom.  Any other block
+goes through the Atoms algorithm (Berry, Pogorelcnik & Simonet 2010): one
+MCS-M pass gives a minimal triangulation, whose minimal separators are its
+generators' later fill-neighbourhoods; scanned in elimination order, each
+that is a clique splits off an atom.  A thread, a maximal run of degree-2
+vertices, lies in no clique minimal separator of a block, so the scan sees
+it shrunk to one vertex.  The blocks come leaf-first along the block-cut
+tree, each split off along its parent cut vertex.
 
 Each leaf of the tree is read through one Atom record: the induced atom,
 its skeleton extraction, and on first use the skeleton's width-5 tree
@@ -69,8 +72,10 @@ def find_clique_cutset(g: Graph
 
 @dataclass(frozen=True)
 class DecompositionNode:
-    """Node of the decomposition tree over root-graph vertex ids."""
-    vertices: tuple[int, ...]
+    """Node of the decomposition tree over root-graph vertex ids.  A leaf
+    holds its atom; an internal node gathers its vertices, the union of
+    the atoms below it, by a walk down the spine on first read."""
+    atom: Optional[tuple[int, ...]]
     cutset: Optional[tuple[int, ...]] = None
     left: Optional["DecompositionNode"] = None
     right: Optional["DecompositionNode"] = None
@@ -78,6 +83,14 @@ class DecompositionNode:
     @property
     def is_leaf(self) -> bool:
         return self.cutset is None
+
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        below, node = set(), self
+        while not node.is_leaf:
+            below.update(node.left.atom)
+            node = node.right
+        return vertex_set(below.union(node.atom))
 
 
 @dataclass(frozen=True)
@@ -101,7 +114,7 @@ class DecompositionTree:
         return out
 
     def atoms(self) -> list[tuple[int, ...]]:
-        return [leaf.vertices for leaf in self.leaves()]
+        return [leaf.atom for leaf in self.leaves()]
 
     def internal_nodes(self) -> list[DecompositionNode]:
         """The spine from the root down."""
@@ -115,7 +128,8 @@ class DecompositionTree:
 
 class Atom:
     """One leaf of clique_cutset_tree: the atom root[vertices] (relabelled
-    0..k-1, back mapping to root ids) and what extract_skeleton returned.
+    0..k-1, back mapping to root ids; root itself when the atom spans it)
+    and what extract_skeleton returned.
 
     skeleton_td, the skeleton's width-5 tree decomposition, is built on
     first use; it is None when there is no skeleton, the width exceeds 5,
@@ -126,7 +140,9 @@ class Atom:
     def __init__(self, root: Graph, vertices: tuple[int, ...],
                  exact_budget: int = DEFAULT_EXACT_BUDGET):
         self.vertices = vertices
-        self.graph, self.back = induced_subgraph(root, vertices)
+        self.graph, self.back = ((root, tuple(range(root.n)))
+                                 if len(vertices) == root.n
+                                 else induced_subgraph(root, vertices))
         self.extracted: ExtractResult = extract_skeleton(self.graph)
         self.complete = self.extracted == COMPLETE_ATOM
         self.exact_budget = exact_budget
@@ -148,41 +164,113 @@ class Atom:
 
 
 def clique_cutset_tree(g: Graph) -> DecompositionTree:
-    """Decompose g with one atom scan: the i-th spine node splits off the
-    i-th atom of _tarjan_pieces along its cutset, so a connected graph has
-    at most n-1 leaves.  On a disconnected graph the components split along
-    empty cutsets, the last component by least vertex first."""
+    """Decompose g: the i-th spine node splits off the i-th atom of
+    _tarjan_pieces along its cutset, so a connected graph has at most n-1
+    leaves.  Components come by least vertex; the last atom lies in the
+    last one."""
     pieces = list(_tarjan_pieces(g))
     node = DecompositionNode(pieces[-1][1])
-    covered = set(node.vertices)
     for cutset, atom in reversed(pieces[:-1]):
-        covered.update(atom)
-        node = DecompositionNode(tuple(sorted(covered)), cutset,
-                                 DecompositionNode(atom), node)
+        node = DecompositionNode(None, cutset, DecompositionNode(atom), node)
     return DecompositionTree(g, node)
 
 
 def _tarjan_pieces(g: Graph) -> Iterator[tuple[tuple[int, ...],
                                              tuple[int, ...]]]:
-    """The Atoms algorithm of Berry, Pogorelcnik & Simonet (2010): yields
-    (cutset, atom) for every split, then ((), last atom).  The last atom
-    lies in vertex 0's component; every other component ends with a split
-    along the empty cutset.
+    """(cutset, atom) for every split, then ((), last atom): each block's
+    pieces in scan order, the last of them split off along the block's
+    parent cut vertex, or along () for a component's last block."""
+    if not g.n:
+        yield (), ()
+    for blocks in _blocks(g):
+        # i is 0 for the component's last block.
+        for i, (top, block) in enumerate(blocks, 1 - len(blocks)):
+            for cutset, atom in _block_pieces(g, top, block):
+                yield cutset or ((top,) if i else ()), atom
 
-    The MCS-M generators are scanned in elimination order; a generator x
-    whose madj(x), a minimal separator of the minimal triangulation H, is
-    a clique of g splits off x's component of the rest.  In H, that
-    component lies below x in elimination order, and every later
-    generator, with its madj, lies above x, so neither was split off yet.
-    """
-    _, madj, generators = mcs_m(g.adj)
-    alive = set(g.vertices())
+
+def _blocks(g: Graph) -> Iterator[list[tuple[int, list[int]]]]:
+    """Per component, by least vertex: its blocks as (top, vertices),
+    leaf-first along the block-cut tree.  top is the block's parent cut
+    vertex, or the component's least vertex for the blocks holding it."""
+    disc, low, count = [0] * g.n, [0] * g.n, 0
+    for root in g.vertices():
+        if disc[root]:
+            continue
+        disc[root] = count = count + 1
+        blocks, stack, work = [], [root], [(root, iter(g.adj[root]))]
+        while work:
+            v, nbrs = work[-1]
+            least = low[v]
+            for u in nbrs:
+                if not disc[u]:
+                    disc[u] = low[u] = count = count + 1
+                    stack.append(u)
+                    work.append((u, iter(g.adj[u])))
+                    break
+                if disc[u] < least:
+                    least = low[v] = disc[u]
+            else:
+                work.pop()
+                if work:
+                    p = work[-1][0]
+                    low[p] = min(low[p], least)
+                    if least >= disc[p]:
+                        block = [p]
+                        while block[-1] != v:
+                            block.append(stack.pop())
+                        blocks.append((p, block))
+        yield blocks or [(root, [root])]
+
+
+def _block_pieces(g: Graph, top: int, block: list[int]
+                  ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pieces of one block, ending with ((), the piece holding top).
+
+    The Atoms scan runs on h, the block with each thread shrunk to one
+    vertex and top as vertex 0, which MCS-M eliminates last.  A generator
+    x whose madj(x), a minimal separator of the minimal triangulation, is
+    a clique splits off x's component of the rest: that component lies
+    below x in elimination order, every later generator above it."""
+    if len(block) <= 2:
+        yield (), vertex_set(block)
+        return
+    thread = {v for v in block if len(g.adj[v]) == 2}
+    if not thread and len(block) == g.n:
+        h, members = g, [[v] for v in g.vertices()]
+    else:
+        group: dict[int, int] = {}
+        members = []
+        for v in [top, *sorted(block)]:
+            if v not in group:
+                group[v] = len(members)
+                members.append([v])
+                for x in members[-1]:
+                    for u in g.adj[x] if x in thread else ():
+                        if u in thread and u not in group:
+                            group[u] = group[v]
+                            members[-1].append(u)
+        # A set: both ends of a thread may be the same cut vertex.  A cut
+        # vertex of high degree is looked up against the block instead.
+        h = Graph(len(members), {
+            (group[v], group[u]) for v in block
+            for u in (g.adj[v] if len(g.adj[v]) <= len(block)
+                      else [w for w in block if g.has_edge(v, w)])
+            if group.get(u, -1) > group[v]})
+    # One atom if h is a clique or a cycle: h is 2-connected, so with
+    # three or more vertices it is a cycle when it has as many edges.
+    if h.m in (h.n, h.n * (h.n - 1) // 2):
+        yield (), vertex_set(block)
+        return
+    _, madj, generators = mcs_m(h.adj)
+    alive = set(h.vertices())
     for x in generators:
-        if g.is_clique(madj[x]):
-            side = _component_of(g, x, madj[x], alive)
-            yield vertex_set(madj[x]), vertex_set(side | madj[x])
+        if h.is_clique(madj[x]):
+            side = _component_of(h, x, madj[x], alive)
             alive -= side
-    yield (), vertex_set(alive)
+            yield (vertex_set(u for i in madj[x] for u in members[i]),
+                   vertex_set(u for i in side | madj[x] for u in members[i]))
+    yield (), vertex_set(u for i in alive for u in members[i])
 
 
 def tree_to_dot(tree: DecompositionTree) -> str:

@@ -98,9 +98,14 @@ class Graph:
         return bool(self._masks[u] >> v & 1)
 
     def is_clique(self, vs: Iterable[int]) -> bool:
+        """Distinct members, each of whose closed neighbour mask holds the
+        members' mask."""
         vs = list(vs)
-        return all(self.has_edge(u, v) for i, u in enumerate(vs)
-                   for v in vs[i + 1:])
+        members = 0
+        for v in vs:
+            members |= 1 << v
+        return members.bit_count() == len(vs) and all(
+            (self._masks[v] | 1 << v) & members == members for v in vs)
 
     def is_stable(self, vs: Iterable[int]) -> bool:
         """No member's neighbour mask meets the members' mask."""

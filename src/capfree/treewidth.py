@@ -170,41 +170,43 @@ def mcs_m(adj: Sequence[Iterable[int]]
     # (-weight, vertex) entries; an unnumbered vertex's newest entry sorts
     # before its stale ones, so only numbered vertices are skipped.
     queue = [(0, v) for v in range(n)]
+    pop, push = heapq.heappop, heapq.heappush
     last = -1
     for i in range(n - 1, -1, -1):
-        _, v = heapq.heappop(queue)
+        _, v = pop(queue)
         numbered[v] = True
         order[i] = v
         if weight[v] <= last:
             generators.append(v)
         last = weight[v]
         while queue and numbered[queue[0][1]]:
-            heapq.heappop(queue)
+            pop(queue)
         heaviest = -queue[0][0] if queue else 0
-        for u in _mcs_m_reach(adj, v, numbered, weight, heaviest):
-            madj[u].add(v)
-            weight[u] += 1
-            heapq.heappush(queue, (-weight[u], u))
+        # The unnumbered u joined to v by a path whose interior is
+        # unnumbered and lighter than u: a search that minimizes the
+        # heaviest interior weight, cut off at heaviest.  v's neighbours,
+        # at -1, go before anything the search pushes.
+        bottleneck = {u: -1 for u in adj[v] if not numbered[u]}
+        best = bottleneck.get
+        first = [(-1, u) for u in bottleneck]
+        heap: list[tuple[int, int]] = []
+        while first or heap:
+            b, u = first.pop() if first else pop(heap)
+            if b != bottleneck[u]:
+                continue
+            through = weight[u] if weight[u] > b else b
+            if through >= heaviest:
+                continue
+            for z in adj[u]:
+                if not numbered[z] and through < best(z, heaviest):
+                    bottleneck[z] = through
+                    push(heap, (through, z))
+        for u, b in bottleneck.items():
+            if b < weight[u]:
+                madj[u].add(v)
+                weight[u] += 1
+                push(queue, (-weight[u], u))
     return order, madj, generators[::-1]
-
-
-def _mcs_m_reach(adj: Sequence[Iterable[int]], v: int, numbered: list[bool],
-                 weight: list[int], heaviest: int) -> list[int]:
-    """Unnumbered u joined to v by a path whose interior is unnumbered and
-    lighter than u: a search that minimizes the heaviest interior weight,
-    cut off at heaviest, the largest weight left unnumbered."""
-    bottleneck = {u: -1 for u in adj[v] if not numbered[u]}
-    heap = [(-1, u) for u in bottleneck]
-    while heap:
-        b, u = heapq.heappop(heap)
-        through = max(b, weight[u])
-        if b != bottleneck[u] or through >= heaviest:
-            continue
-        for z in adj[u]:
-            if not numbered[z] and through < bottleneck.get(z, heaviest):
-                bottleneck[z] = through
-                heapq.heappush(heap, (through, z))
-    return [u for u, b in bottleneck.items() if b < weight[u]]
 
 
 def is_chordal(adj: list[set[int]]) -> bool:

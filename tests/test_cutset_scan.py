@@ -1,0 +1,202 @@
+"""The block-wise cutset scan against a copy of the whole-graph scan it
+replaced: one MCS-M pass over all of g, no blocks, no shortened threads.
+Atoms as sets and find_clique_cutset's verdict must agree."""
+
+import pytest
+
+from capfree import construct, decomposition
+from capfree.construct import GeneratorParams, generate_instance
+from capfree.decomposition import clique_cutset_tree, find_clique_cutset
+from capfree.graphs import Graph, blow_up, gnp, hole, path, vertex_set
+from capfree.rng import Xoshiro256StarStar
+from capfree.treewidth import mcs_m
+from test_large_inputs import subdivided_grid
+
+
+def whole_graph_pieces(g):
+    """The Atoms scan over all of g: (cutset, atom) per split, then
+    ((), last atom)."""
+    _, madj, generators = mcs_m(g.adj)
+    alive = set(g.vertices())
+    for x in generators:
+        if g.is_clique(madj[x]):
+            side, stack = {x}, [x]
+            while stack:
+                for u in g.adj[stack.pop()]:
+                    if u in alive and u not in side and u not in madj[x]:
+                        side.add(u)
+                        stack.append(u)
+            yield vertex_set(madj[x]), vertex_set(side | madj[x])
+            alive -= side
+    yield (), vertex_set(alive)
+
+
+def whole_graph_has_cutset(g):
+    if g.n and len(component_of_0(g)) < g.n:
+        return True
+    return bool(next(whole_graph_pieces(g))[0])
+
+
+def component_of_0(g):
+    seen, stack = {0}, [0]
+    while stack:
+        for u in g.adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+def subdivide(g, rng, share):
+    """g with about share of its edges each replaced by a path of 1 to 3
+    new vertices."""
+    n, edges = g.n, []
+    for u, v in g.edges():
+        if rng.below(100) < share:
+            k = 1 + rng.below(3)
+            chain = [u, *range(n, n + k), v]
+            n += k
+            edges += zip(chain, chain[1:])
+        else:
+            edges.append((u, v))
+    return Graph(n, edges)
+
+
+def disjoint_union(parts):
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.n
+    return Graph(offset, edges)
+
+
+def random_graphs():
+    rng = Xoshiro256StarStar(2024)
+    for seed in range(240):
+        g = gnp(4 + seed % 11, (0.15, 0.25, 0.35, 0.5, 0.65)[seed % 5],
+                700 + seed)
+        yield f"gnp{seed}", subdivide(g, rng, (0, 30, 60, 100)[seed % 4])
+
+
+def instances():
+    for glue in (0, 3, 10):
+        for seed in range(4):
+            g, _ = generate_instance(GeneratorParams(
+                seed=31 * glue + seed, ear_count=2, max_blowup=1 + seed % 2,
+                max_universal=seed % 2, glue_count=glue,
+                target_class=("cap-even-hole-free",
+                              "cap-4hole-odd-signable")[seed % 2]))
+            yield f"glue{glue}_seed{seed}", g
+
+
+def flower(petals, length):
+    """petals cycles of the given length through vertex 0: a cut vertex
+    of higher degree than any of its blocks."""
+    edges = []
+    for i in range(petals):
+        ring = [0, *range(1 + i * (length - 1), (i + 1) * (length - 1) + 1)]
+        edges += zip(ring, ring[1:] + ring[:1])
+    return Graph(1 + petals * (length - 1), edges)
+
+
+C5X2 = blow_up(hole(5), [2] * 5)
+FAMILIES = dict(random_graphs())
+FAMILIES.update(instances())
+FAMILIES.update({
+    "union": disjoint_union([path(4), hole(6), C5X2, path(1), hole(5),
+                             blow_up(hole(7), [1, 2, 1, 2, 1, 2, 1]),
+                             path(2), hole(9)]),
+    "grid4_2": subdivided_grid(4, 2),
+    "friendship": flower(8, 3),
+    "flower": flower(6, 5),
+    "flower_chorded": Graph(flower(6, 5).n,
+                            flower(6, 5).edges() + [(1, 3), (5, 7)]),
+    "empty": Graph(0, []),
+})
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_atoms_match_the_whole_graph_scan(name):
+    g = FAMILIES[name]
+    expected = sorted(atom for _, atom in whole_graph_pieces(g))
+    tree = clique_cutset_tree(g)
+    assert sorted(tree.atoms()) == expected
+    for node in tree.internal_nodes():
+        cut = set(node.cutset)
+        left = set(node.left.vertices) - cut
+        right = set(node.right.vertices) - cut
+        assert g.is_clique(cut) and left and right
+        assert set(node.left.vertices) & set(node.right.vertices) == cut
+        assert not any(g.has_edge(a, b) for a in left for b in right)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_cutset_verdict_matches_the_whole_graph_scan(name):
+    g = FAMILIES[name]
+    found = find_clique_cutset(g)
+    assert (found is not None) == whole_graph_has_cutset(g)
+    if found is None:
+        return
+    cutset, (h1, h2) = found
+    assert g.is_clique(cutset) and h1 and h2
+    assert set(cutset) | set(h1) | set(h2) == set(g.vertices())
+    assert not set(cutset) & (set(h1) | set(h2)) and not set(h1) & set(h2)
+    assert not any(g.has_edge(a, b) for a in h1 for b in h2)
+    if cutset == ():
+        assert set(h1) == component_of_0(g)
+
+
+def test_generated_instances_do_not_depend_on_the_scan(monkeypatch):
+    # generate_instance reads only whether a candidate has a clique cutset.
+    params = [GeneratorParams(seed=seed, ear_count=2, max_blowup=2,
+                              max_universal=1, glue_count=glue)
+              for seed, glue in ((5, 0), (6, 3), (7, 10))]
+    mine = [generate_instance(p) for p in params]
+    monkeypatch.setattr(construct, "find_clique_cutset",
+                        lambda g: True if whole_graph_has_cutset(g) else None)
+    assert [generate_instance(p) for p in params] == mine
+
+
+def scan_sizes(monkeypatch):
+    sizes = []
+
+    def counted(adj):
+        sizes.append(len(adj))
+        return mcs_m(adj)
+
+    monkeypatch.setattr(decomposition, "mcs_m", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("g", [hole(5000), path(5000), Graph(5000, []),
+                               hole(4), path(2)],
+                         ids=["hole5000", "path5000", "isolated5000",
+                              "hole4", "path2"])
+def test_cheap_blocks_need_no_scan(monkeypatch, g):
+    sizes = scan_sizes(monkeypatch)
+    clique_cutset_tree(g)
+    find_clique_cutset(g)
+    assert sizes == []
+
+
+def shortened_size(g, atom):
+    """|atom| once each run of its degree-2 vertices with nonadjacent
+    neighbours is cut to one vertex."""
+    thread = {v for v in atom
+              if len(g.adj[v]) == 2 and not g.has_edge(*g.adj[v])}
+    # A run of k thread vertices has k - 1 edges inside the thread set.
+    inner = sum(u in thread for v in thread for u in g.adj[v]) // 2
+    return len(atom) - inner
+
+
+def test_glued_scans_see_only_shortened_blocks(monkeypatch):
+    g, _ = generate_instance(GeneratorParams(
+        seed=11, ear_count=2, glue_count=10))
+    atoms = [atom for _, atom in whole_graph_pieces(g)]
+    # Every glued cutset here is a single vertex, so the atoms are blocks.
+    assert all(len(cut) == 1 for cut, _ in list(whole_graph_pieces(g))[:-1])
+    sizes = scan_sizes(monkeypatch)
+    clique_cutset_tree(g)
+    # One scan per atom, each on the atom with its threads shortened.
+    assert sorted(sizes) == sorted(shortened_size(g, a) for a in atoms)
+    assert max(sizes) < min(map(len, atoms))

@@ -90,7 +90,11 @@ def test_one_atom_scan_per_tree(monkeypatch):
         return mcs_m(adj)
 
     monkeypatch.setattr(decomposition, "mcs_m", counted)
+    # Every block of this union is an edge or a hole, so none is scanned.
     clique_cutset_tree(CASES["holes_and_paths"])
+    assert calls == 0
+    # Each blow-up is one block that needs a scan; the rest need none.
+    clique_cutset_tree(CASES["path_hole_blowup"])
     assert calls == 1
 
 

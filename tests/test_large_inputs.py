@@ -19,6 +19,7 @@ CASES = {
     "path1200": (path(1200), 1199, 2, 600),
     "hole601": (hole(601), 1, 3, 300),
     "hole1001": (hole(1001), 1, 3, 500),
+    "hole5000": (hole(5000), 1, 2, 2500),
     "isolated1500": (Graph(1500, []), 1500, 1, 1500),
 }
 
@@ -129,6 +130,13 @@ def test_recognize_long_sparse_inputs(g, atoms, alpha):
     assert verdict.accepted
     assert len(verdict.atoms) == atoms
     assert mwss(g).weight == alpha
+
+
+@pytest.mark.parametrize("g,chi", [(path(5000), 2), (Graph(5000, []), 1)],
+                         ids=["path5000", "isolated5000"])
+def test_color_long_sparse_inputs(g, chi):
+    value, colors = chromatic_number(g)
+    assert value == chi and is_proper_coloring(g, colors, chi)
 
 
 def test_detectors_pass_a_long_hole():
