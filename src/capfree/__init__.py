@@ -26,7 +26,7 @@ from .rng import Xoshiro256StarStar
 from .solvers import (StableSetResult, UnsupportedInstanceError,
                       chromatic_number, clique_number, combine_colorings,
                       greedy_color, is_proper_coloring, mwss, q_color,
-                      q_color_graph, reduce_to_skeleton_weights)
+                      q_color_graph)
 from .treewidth import (Ear, EarSequence, NiceDecomposition,
                         SearchBudgetExceeded, TreeDecomposition,
                         TreewidthReject, lift_tree_decomposition,

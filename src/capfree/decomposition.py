@@ -14,7 +14,7 @@ tree, each split off along its parent cut vertex.
 
 Each leaf of the tree is read through one Atom record: the induced atom,
 its skeleton extraction, and on first use the skeleton's width-5 tree
-decomposition.
+decomposition and its nice form.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .graphs import Graph, induced_subgraph, vertex_set
-from .treewidth import (DEFAULT_EXACT_BUDGET, SearchBudgetExceeded,
-                        TreeDecomposition, TreewidthReject, mcs_m,
+from .treewidth import (DEFAULT_EXACT_BUDGET, NiceDecomposition,
+                        SearchBudgetExceeded, TreeDecomposition,
+                        TreewidthReject, mcs_m, nice_decomposition,
                         skeleton_tree_decomposition)
 from .twins import (COMPLETE_ATOM, ExtractResult, SkeletonDecomposition,
-                    extract_skeleton)
+                    SkeletonReject, extract_skeleton)
 
 
 def _component_of(g: Graph, start: int, excluded: set[int],
@@ -133,8 +134,11 @@ class Atom:
 
     skeleton_td, the skeleton's width-5 tree decomposition, is built on
     first use; it is None when there is no skeleton, the width exceeds 5,
-    or the exact search runs out of exact_budget.  sd is the skeleton
-    decomposition when skeleton_td exists, None otherwise.
+    or the exact search runs out of exact_budget, and reason then says
+    which (for a shape reject it is set at once).  nice is the nice form
+    of skeleton_td, built once and read by both the coloring and the
+    stable-set DP.  sd is the skeleton decomposition when skeleton_td
+    exists, None otherwise.
     """
 
     def __init__(self, root: Graph, vertices: tuple[int, ...],
@@ -146,6 +150,10 @@ class Atom:
         self.extracted: ExtractResult = extract_skeleton(self.graph)
         self.complete = self.extracted == COMPLETE_ATOM
         self.exact_budget = exact_budget
+        self.reason: Optional[str] = None
+        if isinstance(self.extracted, SkeletonReject):
+            self.reason = ("is outside the class: its would-be skeleton "
+                           "has a triangle")
 
     @cached_property
     def skeleton_td(self) -> Optional[TreeDecomposition]:
@@ -155,8 +163,19 @@ class Atom:
             td = skeleton_tree_decomposition(self.extracted.skeleton,
                                              self.exact_budget)
         except SearchBudgetExceeded:
+            self.reason = (f"is undecided: the width-5 search ran out of "
+                           f"its budget of {self.exact_budget} nodes")
             return None
-        return None if isinstance(td, TreewidthReject) else td
+        if isinstance(td, TreewidthReject):
+            self.reason = ("is outside the class: its skeleton has "
+                           "treewidth above 5")
+            return None
+        return td
+
+    @cached_property
+    def nice(self) -> Optional[NiceDecomposition]:
+        td = self.skeleton_td
+        return None if td is None else nice_decomposition(td)
 
     @property
     def sd(self) -> Optional[SkeletonDecomposition]:

@@ -330,13 +330,16 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...
     """Induced subgraph on vs, relabelled 0..|vs|-1 preserving order.
 
     Returns the subgraph and the tuple mapping new ids to old ids.
-    Weights are carried over.
+    Weights are carried over.  A vertex of degree above |vs| is looked up
+    against vs, so a high-degree vertex costs |vs|, not its degree.
     """
     keep = vertex_set(vs)
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise ValueError("vertex id out of range")
     index = {old: new for new, old in enumerate(keep)}
-    edges = [(index[u], index[v]) for u in keep for v in g.adj[u]
+    edges = [(index[u], index[v]) for u in keep
+             for v in (g.adj[u] if len(g.adj[u]) <= len(keep)
+                       else [x for x in keep if g.has_edge(u, x)])
              if v in index and u < v]
     weights = [g.weight(v) for v in keep] if g.has_weights() else None
     return Graph(len(keep), edges, weights), keep

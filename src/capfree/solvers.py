@@ -3,9 +3,10 @@ decomposition stack.
 
 Every call reads each leaf of clique_cutset_tree through one Atom record
 (decomposition.py), built once per call: the skeleton extraction, and the
-skeleton's width-5 tree decomposition only when a DP needs it.  One
-per-atom step, _color_atom, serves chromatic_number and q_color_graph;
-clique_number reads the skeleton alone.
+skeleton's width-5 tree decomposition and its nice form only when a DP
+needs them.  Both DPs below run on that one nice form.  One per-atom step,
+_color_atom, serves chromatic_number and q_color_graph; clique_number
+reads the skeleton alone.
 
 Coloring runs one count DP, _multicolor_dp, over a nice tree
 decomposition: vertex v needs demand[v] colors, adjacent vertices get
@@ -13,17 +14,16 @@ disjoint ones, and one pass finds the fewest colors up to a cap.  An atom
 is a blow-up of its skeleton plus a universal clique U, so its twin
 classes become demands on the skeleton's width-5 decomposition and U takes
 |U| colors of its own; q_color runs the same DP with every demand 1 on any
-decomposition.  Stable sets run the labelling DP _nice_dp with labels
-{0, 1} on the reduction graph F' (the skeleton plus one vertex for the
-universal clique), whose nice decomposition each atom builds once; every
-query of Tarjan's clique-cutset recursion forces the classes it deletes
-entirely to label 0 and weighs each class by its heaviest survivor.
-Clique cutsets combine atom answers to the whole graph (color permutation
-for coloring, Tarjan's reweighting for stable sets).  Atoms without usable
-structure fall back to the brute-force oracles under a size guard; beyond
-the guard the instance is reported unsupported, never answered wrongly.
-Returned answers are re-checked by certify, which raises CertificateError
-under python -O too.
+decomposition.  Stable sets run the DP _stable_dp on the skeleton alone:
+every query of Tarjan's clique-cutset recursion weighs each class by its
+heaviest survivor and bars the classes it deletes entirely, and the
+heaviest survivor of U, complete to the atom, stands alone against the
+skeleton's answer.  Clique cutsets combine atom answers to the whole
+graph (color permutation for coloring, Tarjan's reweighting for stable
+sets).  Atoms without usable structure fall back to the brute-force
+oracles under a size guard; beyond the guard the instance is reported
+unsupported, never answered wrongly.  Returned answers are re-checked by
+certify, which raises CertificateError under python -O too.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ from .twins import (SkeletonDecomposition, clique_number_via_skeleton,
 
 
 class UnsupportedInstanceError(RuntimeError):
-    """The instance is outside the class and too large for brute force."""
+    """An atom has no usable structure and is too large for brute force;
+    the message says why there is no structure: the atom is outside the
+    class, or the width-5 search ran out of its budget."""
 
 
 def ceil_three_halves(omega: int) -> int:
@@ -95,73 +97,66 @@ def is_proper_coloring(g: Graph, colors: Sequence[int],
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
-def _nice_dp(graph: Graph, nd: NiceDecomposition,
-             labels: Sequence[Sequence[int]], weights: Sequence[int]
-             ) -> Optional[tuple[int, list[int]]]:
-    """The heaviest labelling as (weight, label per vertex), or None.
+def _stable_dp(graph: Graph, nd: NiceDecomposition, allowed: int,
+               weights: Sequence[int]) -> tuple[int, list[int]]:
+    """The heaviest stable set of graph within the vertex mask allowed, as
+    (weight, its vertices); vertex v adds weights[v], counted when it is
+    forgotten.
 
-    Vertex v takes a label from labels[v]; adjacent vertices never share a
-    nonzero label; a vertex with a nonzero label adds weights[v], counted
-    when it is forgotten.  A key is the tuple of the bag's labels.  Ties go
-    to the labelling met first in the order of each labels[v].  A node's
-    table is dropped once its parent is built: the traceback reads only
-    the forget nodes' choices.
+    A key is the bitmask of the bag vertices taken.  Introduce keeps every
+    key with v left out and, when v is allowed and has no taken neighbour,
+    adds it with v taken; leaving v out is always possible, so no table is
+    ever empty.  Ties go to the set met first, v left out before v taken.
+    A node's table is dropped once its parent is built: the traceback
+    reads only the forget nodes' choices.
     """
     tables: list[Optional[dict]] = [None] * len(nd.nodes)
     choice: dict[int, dict] = {}
     for idx, node in enumerate(nd.nodes):
         kids = node.children
         if node.kind == "leaf":
-            table = {(): 0}
+            table = {0: 0}
         elif node.kind == "introduce":
             v = node.vertex
-            pos = node.bag.index(v)
-            nbr = [i for i, u in enumerate(nd.nodes[kids[0]].bag)
-                   if graph.has_edge(u, v)]
+            bit, nbrs = 1 << v, graph.mask(v)
             table = {}
             for key, value in tables[kids[0]].items():
-                used = {key[i] for i in nbr}
-                for c in labels[v]:
-                    if not c or c not in used:
-                        table[key[:pos] + (c,) + key[pos:]] = value
+                table[key] = value
+                if allowed & bit and not key & nbrs:
+                    table[key | bit] = value
         elif node.kind == "forget":
-            pos = nd.nodes[kids[0]].bag.index(node.vertex)
-            w = weights[node.vertex]
+            bit, w = 1 << node.vertex, weights[node.vertex]
             table = {}
             picked = choice[idx] = {}
             for key, value in tables[kids[0]].items():
-                if key[pos]:
+                if key & bit:
                     value += w
-                short = key[:pos] + key[pos + 1:]
+                short = key & ~bit
                 if short not in table or value > table[short]:
                     table[short] = value
                     picked[short] = key
-        else:  # join
+        else:  # join: each side holds every allowed stable subset of the bag
             right = tables[kids[1]]
             table = {key: value + right[key]
-                     for key, value in tables[kids[0]].items()
-                     if key in right}
+                     for key, value in tables[kids[0]].items()}
         for kid in kids:
             tables[kid] = None
-        if not table:
-            return None
         tables[idx] = table
-    labelling = [0] * graph.n
-    stack = [(nd.root, ())]
+    taken = []
+    stack = [(nd.root, 0)]
     while stack:
         idx, key = stack.pop()
         node = nd.nodes[idx]
         if node.kind == "introduce":
-            pos = node.bag.index(node.vertex)
-            stack.append((node.children[0], key[:pos] + key[pos + 1:]))
+            stack.append((node.children[0], key & ~(1 << node.vertex)))
         elif node.kind == "forget":
             key = choice[idx][key]
-            pos = nd.nodes[node.children[0]].bag.index(node.vertex)
-            labelling[node.vertex] = key[pos]
+            if key >> node.vertex & 1:
+                taken.append(node.vertex)
             stack.append((node.children[0], key))
         elif node.kind == "join":
             stack.extend((kid, key) for kid in node.children)
-    return tables[nd.root][()], labelling
+    return tables[nd.root][0], taken
 
 
 def _without(key: tuple[int, ...], bit: int) -> tuple[int, ...]:
@@ -346,9 +341,10 @@ def _color_atom(atom: Atom, cap: int, brute_guard: Optional[int]
         return atom.graph.n, list(range(1, atom.graph.n + 1))
     sd = atom.sd
     if sd is None:
-        result = _brute_or_unsupported(atom.graph, "chromatic", brute_guard)
+        result = _brute_or_unsupported(atom.graph, "chromatic", brute_guard,
+                                       atom.reason)
         return result.value, list(result.witness)
-    found = _multicolor_dp(sd.skeleton, nice_decomposition(atom.skeleton_td),
+    found = _multicolor_dp(sd.skeleton, atom.nice,
                            [len(cls) for cls in sd.classes],
                            cap - len(sd.universal))
     if found is None:
@@ -366,13 +362,16 @@ def _color_atom(atom: Atom, cap: int, brute_guard: Optional[int]
     return chi, colors
 
 
-def _brute_or_unsupported(g: Graph, problem: str, guard: Optional[int]):
+def _brute_or_unsupported(g: Graph, problem: str, guard: Optional[int],
+                          reason: str):
+    """brute_solve on an atom without usable structure; reason says why
+    it has none ("is outside the class: ..." or "is undecided: ...")."""
     try:
         return brute_solve(g, problem, guard)
     except InstanceTooLargeError as exc:
         raise UnsupportedInstanceError(
-            f"atom is outside the class and beyond the {problem} "
-            f"brute-force guard ({exc})") from exc
+            f"atom {reason}; it is beyond the {problem} brute-force guard "
+            f"({exc})") from exc
 
 
 def chromatic_number(g: Graph, brute_guard: Optional[int] = None,
@@ -396,10 +395,12 @@ def chromatic_number(g: Graph, brute_guard: Optional[int] = None,
         atom = Atom(g, leaf.vertices, exact_budget)
         omega = (0 if atom.sd is None
                  else clique_number_via_skeleton(atom.sd))
-        found = _color_atom(atom, ceil_three_halves(omega), brute_guard)
+        cap = ceil_three_halves(omega)
+        found = _color_atom(atom, cap, brute_guard)
         if found is None:
-            result = _brute_or_unsupported(atom.graph, "chromatic",
-                                           brute_guard)
+            result = _brute_or_unsupported(
+                atom.graph, "chromatic", brute_guard,
+                f"is outside the class: it needs more than {cap} colors")
             found = result.value, list(result.witness)
         chi = max(chi, found[0])
         per_leaf.append(dict(zip(atom.back, found[1])))
@@ -449,7 +450,7 @@ def clique_number(g: Graph, brute_guard: Optional[int] = None
             value = len(local)
         else:
             result = _brute_or_unsupported(atom.graph, "max-clique",
-                                           brute_guard)
+                                           brute_guard, atom.reason)
             value, local = result.value, result.witness
         certify(atom.graph.is_clique(local) and len(local) == value,
                 "clique witness failed re-check")
@@ -465,67 +466,29 @@ class StableSetResult:
     weight: int
 
 
-def reduce_to_skeleton_weights(atom: Graph, sd: SkeletonDecomposition,
-                               weights: Sequence[int]
-                               ) -> tuple[Graph, tuple[int, ...]]:
-    """The weighted reduction graph F' and its representative map.
-
-    F' is the skeleton plus one universal vertex when the universal clique
-    is nonempty.  Each F' vertex carries the maximum weight of its class
-    (ties to the minimum vertex id); the maximum stable-set weight of F'
-    equals the atom's.
-    """
-    if atom != sd.atom:
-        raise ValueError("skeleton decomposition does not describe the atom")
-    reps: list[int] = []
-    wts: list[int] = []
-    for cls in sd.classes:
-        best = min(cls, key=lambda v: -weights[v])
-        reps.append(best)
-        wts.append(weights[best])
-    edges = sd.skeleton.edges()
-    n = sd.skeleton.n
-    if sd.universal:
-        best = min(sd.universal, key=lambda v: -weights[v])
-        edges.extend((v, n) for v in range(n))
-        reps.append(best)
-        wts.append(weights[best])
-        n += 1
-    return Graph(n, edges, wts), tuple(reps)
-
-
 class _AtomSolver:
     """Stable-set subproblem solver for one atom.
 
-    A structured atom builds F' and its nice decomposition once: the
-    skeleton's width-5 decomposition with F''s universal vertex in every
-    bag (width at most 6).  Each query runs the labelling DP on it with
-    labels {0, 1}, classes left without a vertex forced to label 0, and
-    each class weighted by its heaviest survivor.  Unstructured atoms fall
-    back to brute force under the guard.  Queries delete a vertex set X
-    (the cutset, or a closed neighborhood) and take current weights.
+    A structured atom runs the stable-set DP on its skeleton alone, over
+    the atom's shared nice decomposition: each class is weighted by its
+    heaviest survivor, and classes left without a vertex may not be taken.
+    The universal clique U needs no DP: U is complete to the atom, so a
+    stable set that takes a vertex of U is that vertex alone, and the
+    heaviest survivor of U replaces the skeleton's set when it is heavier.
+    Unstructured atoms fall back to brute force under the guard.  Queries
+    delete a vertex set X of atom ids (the cutset, or a closed
+    neighborhood) and take current weights.
     """
 
     def __init__(self, atom: Atom, brute_guard: Optional[int]):
         self.atom = atom
         self.brute_guard = brute_guard
-        self.local_of = {r: i for i, r in enumerate(atom.back)}
-        if atom.sd is not None:
-            self.reduced = reduce_to_skeleton_weights(
-                atom.graph, atom.sd, atom.graph.weights)[0]
-            bags = atom.skeleton_td.bags
-            if atom.sd.universal:
-                bags = tuple(bag + (atom.sd.skeleton.n,) for bag in bags)
-            self.nice = nice_decomposition(
-                TreeDecomposition(bags, atom.skeleton_td.edges))
 
-    def solve(self, deleted_roots: set[int], weights: Sequence[int]
+    def solve(self, deleted: set[int], weights: Sequence[int]
               ) -> tuple[int, tuple[int, ...]]:
-        """Best stable set of atom minus the deleted vertices; returns
+        """Best stable set of atom minus the deleted atom vertices; returns
         (weight, root-id vertex tuple)."""
         atom = self.atom
-        deleted = {self.local_of[r] for r in deleted_roots
-                   if r in self.local_of}
         survivors = [v for v in atom.graph.vertices() if v not in deleted]
         if not survivors:
             return 0, ()
@@ -538,7 +501,8 @@ class _AtomSolver:
         if atom.sd is None:
             sub, sub_back = induced_subgraph(atom.graph, survivors)
             weighted = sub.with_weights([local_w[v] for v in survivors])
-            res = _brute_or_unsupported(weighted, "mwss", self.brute_guard)
+            res = _brute_or_unsupported(weighted, "mwss", self.brute_guard,
+                                        atom.reason)
             return res.value, vertex_set(atom.back[sub_back[v]]
                                          for v in res.witness)
         return self._solve_structured(deleted, local_w)
@@ -549,16 +513,20 @@ class _AtomSolver:
         universal_left = [v for v in sd.universal if v not in deleted]
         self._assert_restriction(sd, deleted, universal_left)
         reps: list[Optional[int]] = []
-        labels: list[tuple[int, ...]] = []
-        wts: list[int] = []
-        for cls in sd.classes + ((sd.universal,) if sd.universal else ()):
+        allowed = 0
+        for i, cls in enumerate(sd.classes):
             alive = [v for v in cls if v not in deleted]
-            best = min(alive, key=lambda v: -local_w[v]) if alive else None
-            reps.append(best)
-            labels.append((0, 1) if alive else (0,))
-            wts.append(local_w[best] if alive else 0)
-        value, labelling = _nice_dp(self.reduced, self.nice, labels, wts)
-        picked = [reps[j] for j, c in enumerate(labelling) if c]
+            reps.append(min(alive, key=lambda v: -local_w[v])
+                        if alive else None)
+            allowed |= bool(alive) << i
+        value, taken = _stable_dp(
+            sd.skeleton, self.atom.nice, allowed,
+            [0 if r is None else local_w[r] for r in reps])
+        picked = [reps[i] for i in taken]
+        if universal_left:
+            top = min(universal_left, key=lambda v: -local_w[v])
+            if local_w[top] > value:
+                value, picked = local_w[top], [top]
         certify(None not in picked and self.atom.graph.is_stable(picked)
                 and sum(local_w[v] for v in picked) == value,
                 "DP stable set failed re-check")
@@ -602,13 +570,16 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
     lifts = []
     while not node.is_leaf:
         cut = node.cutset
-        solver = _AtomSolver(Atom(g, node.left.vertices, exact_budget),
-                             brute_guard)
-        base_value, base_set = solver.solve(set(cut), w)
+        atom = Atom(g, node.left.vertices, exact_budget)
+        solver = _AtomSolver(atom, brute_guard)
+        local = {r: i for i, r in enumerate(atom.back)}
+        base_value, base_set = solver.solve({local[v] for v in cut}, w)
         sub_sets = {}
         reweighted = []
         for v in cut:
-            closed = {v} | {u for u in g.adj[v]}
+            # The cutset lies in the atom, which is induced, so N[v] meets
+            # the atom in v's closed neighbourhood there.
+            closed = {local[v], *atom.graph.adj[local[v]]}
             value_v, sub_sets[v] = solver.solve(closed, w)
             reweighted.append(w[v] + value_v - base_value)
             assert reweighted[-1] <= w[v], \

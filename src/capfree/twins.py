@@ -27,8 +27,7 @@ def twin_classes(g: Graph) -> list[tuple[int, ...]]:
     if g.n == 0:
         return []
     class_of = [0] * g.n
-    members: dict[int, list[int]] = {0: list(g.vertices())}
-    next_id = 1
+    members = [set(g.vertices())]
     for v in g.vertices():
         touched: dict[int, list[int]] = {}
         for u in list(g.adj[v]) + [v]:
@@ -36,15 +35,12 @@ def twin_classes(g: Graph) -> list[tuple[int, ...]]:
         for cid, inside in touched.items():
             if len(inside) == len(members[cid]):
                 continue
-            new_id = next_id
-            next_id += 1
-            inside_set = set(inside)
-            members[cid] = [u for u in members[cid] if u not in inside_set]
-            members[new_id] = inside
+            # A split costs the vertices that move, not the class size.
+            members[cid].difference_update(inside)
             for u in inside:
-                class_of[u] = new_id
-    classes = [vertex_set(vs) for vs in members.values() if vs]
-    return sorted(classes)
+                class_of[u] = len(members)
+            members.append(set(inside))
+    return sorted(vertex_set(vs) for vs in members)
 
 
 def twin_classes_quadratic(g: Graph) -> list[tuple[int, ...]]:

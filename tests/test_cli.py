@@ -231,7 +231,8 @@ def test_failed_recheck_exit_code_under_python_O(graph_file):
     script = (
         "import sys\n"
         "from capfree import cli, solvers\n"
-        "solvers._nice_dp = lambda g, nd, labels, w: (0, [1] * g.n)\n"
+        "solvers._stable_dp = lambda g, nd, allowed, w: (\n"
+        "    0, list(g.vertices()))\n"
         "sys.exit(cli.main(['mwss', sys.argv[1]]))\n")
     f = graph_file("g1.graph", blow_up(hole(5), [2] * 5))
     src = str(Path(cli.__file__).resolve().parents[1])

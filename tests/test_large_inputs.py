@@ -14,8 +14,17 @@ from capfree.treewidth import (SearchBudgetExceeded, TreeDecomposition,
                                TreewidthReject, min_fill_decomposition,
                                nice_decomposition, skeleton_tree_decomposition)
 
+
+def friendship(k):
+    """k triangles sharing vertex 0: every atom holds that vertex, whose
+    degree is 2k."""
+    return Graph(2 * k + 1, [e for i in range(1, 2 * k, 2)
+                             for e in ((0, i), (0, i + 1), (i, i + 1))])
+
+
 # (graph, atom count, chi, maximum stable set size with unit weights)
 CASES = {
+    "friendship2000": (friendship(2000), 2000, 3, 2000),
     "path1200": (path(1200), 1199, 2, 600),
     "hole601": (hole(601), 1, 3, 300),
     "hole1001": (hole(1001), 1, 3, 500),

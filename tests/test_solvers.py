@@ -4,18 +4,18 @@ from pathlib import Path
 
 import pytest
 
-from capfree import solvers
+from capfree import decomposition, solvers
 from capfree.construct import GeneratorParams, generate_instance
 from capfree.decomposition import Atom, clique_cutset_tree
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
                             gnp, hajos, hole, path)
 from capfree.oracles import CertificateError, brute_solve
 from capfree.rng import Xoshiro256StarStar
-from capfree.solvers import (UnsupportedInstanceError, ceil_three_halves,
-                             chromatic_number, clique_number,
-                             combine_colorings, greedy_color,
-                             is_proper_coloring, mwss, q_color,
-                             q_color_graph, reduce_to_skeleton_weights)
+from capfree.solvers import (StableSetResult, UnsupportedInstanceError,
+                             ceil_three_halves, chromatic_number,
+                             clique_number, combine_colorings,
+                             greedy_color, is_proper_coloring, mwss,
+                             q_color, q_color_graph)
 from capfree.treewidth import (lift_tree_decomposition,
                                min_fill_decomposition,
                                skeleton_tree_decomposition)
@@ -201,29 +201,21 @@ def test_clique_number_structured():
     assert clique_number(complete(9))[0] == 9
 
 
-def test_reduce_weights_blown_c5():
-    sd = extract_skeleton(G1)
-    reduced, reps = reduce_to_skeleton_weights(G1, sd, [1] * 10)
-    assert reduced.n == 5 and reduced.m == 5
-    assert reduced.weights == (1, 1, 1, 1, 1)
-    assert brute_solve(reduced, "mwss").value == 2
+# The wheel's hub is its universal clique: it stands alone against the
+# skeleton's set and replaces it only when strictly heavier.  A class
+# counts its heaviest member.
+WHEEL = add_universal_clique(hole(5), 1)
 
 
-def test_reduce_weights_wheel_adds_universal():
-    wheel = add_universal_clique(hole(5), 1)
-    sd = extract_skeleton(wheel)
-    reduced, reps = reduce_to_skeleton_weights(wheel, sd, [1] * 6)
-    assert reduced.n == 6
-    assert reduced.degree(5) == 5
-    assert brute_solve(reduced, "mwss").value == 2
-
-
-def test_reduce_weights_takes_class_maximum():
-    g = blow_up(hole(5), [2, 1, 1, 1, 1])
-    sd = extract_skeleton(g)
-    reduced, reps = reduce_to_skeleton_weights(g, sd, [1, 5, 1, 1, 1, 1])
-    assert reduced.weight(0) == 5
-    assert reps[0] == 1
+@pytest.mark.parametrize("g, w, vertices, weight", [
+    (WHEEL, [1] * 6, (2, 4), 2),
+    (WHEEL, [1] * 5 + [2], (2, 4), 2),
+    (WHEEL, [1] * 5 + [3], (5,), 3),
+    (blow_up(hole(5), [2, 1, 1, 1, 1]), [1, 5, 1, 1, 1, 1], (1, 4), 6)],
+    ids=["wheel", "wheel-tie", "wheel-hub", "class-maximum"])
+def test_mwss_universal_clique_and_class_maxima(g, w, vertices, weight):
+    assert mwss(g, w) == StableSetResult(vertices, weight)
+    assert brute_solve(g.with_weights(w), "mwss").value == weight
 
 
 def test_mwss_paths():
@@ -278,13 +270,16 @@ def test_structured_instances_agree_with_brute(seed, glue, base, top):
         == brute_solve(g.with_weights(w), "mwss", g.n).value
 
 
-def test_mwss_builds_one_nice_decomposition_per_structured_atom(
-        monkeypatch):
-    g, _ = generate_instance(GeneratorParams(
-        seed=11, max_blowup=2, max_universal=1, glue_count=3,
-        base_length=5))
-    structured = sum(Atom(g, leaf.vertices).sd is not None
-                     for leaf in clique_cutset_tree(g).leaves())
+GLUED3 = generate_instance(GeneratorParams(
+    seed=11, max_blowup=2, max_universal=1, glue_count=3,
+    base_length=5))[0]
+
+
+def _count_calls(monkeypatch, call, dp):
+    """Run call, counting nice_decomposition calls and DP passes; also
+    returns the number of structured atoms of GLUED3."""
+    structured = sum(Atom(GLUED3, leaf.vertices).sd is not None
+                     for leaf in clique_cutset_tree(GLUED3).leaves())
     calls = {"nice": 0, "dp": 0}
 
     def counted(name, fn):
@@ -293,18 +288,34 @@ def test_mwss_builds_one_nice_decomposition_per_structured_atom(
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(solvers, "nice_decomposition",
-                        counted("nice", solvers.nice_decomposition))
-    monkeypatch.setattr(solvers, "_nice_dp",
-                        counted("dp", solvers._nice_dp))
-    mwss(g)
+    monkeypatch.setattr(decomposition, "nice_decomposition",
+                        counted("nice", decomposition.nice_decomposition))
+    monkeypatch.setattr(solvers, dp, counted("dp", getattr(solvers, dp)))
+    call()
     assert structured >= 2
+    return structured, calls
+
+
+def test_mwss_builds_one_nice_decomposition_per_structured_atom(
+        monkeypatch):
+    structured, calls = _count_calls(monkeypatch, lambda: mwss(GLUED3),
+                                     "_stable_dp")
     assert calls["nice"] == structured < calls["dp"]
 
 
-def _improper(graph, nd, labels, weights):
-    """Label 1 everywhere: not a stable set."""
-    return 0, [1] * graph.n
+@pytest.mark.parametrize("call", [
+    lambda: chromatic_number(GLUED3),
+    lambda: q_color_graph(GLUED3, 5)],      # chi(GLUED3) = 5
+    ids=["chromatic", "q_color_graph"])
+def test_coloring_builds_one_nice_decomposition_per_structured_atom(
+        monkeypatch, call):
+    structured, calls = _count_calls(monkeypatch, call, "_multicolor_dp")
+    assert calls["nice"] == calls["dp"] == structured
+
+
+def _improper(graph, nd, allowed, weights):
+    """Every vertex taken: not a stable set."""
+    return 0, list(graph.vertices())
 
 
 def _all_color_one(graph, nd, demand, cap):
@@ -322,7 +333,7 @@ def _overlapping_lists(graph, nd, demand, cap):
     (lambda: chromatic_number(G1), "_multicolor_dp", _overlapping_lists),
     (lambda: q_color(G1, lifted_decomposition(G1), 5), "_multicolor_dp",
      _all_color_one),
-    (lambda: mwss(G1), "_nice_dp", _improper)],
+    (lambda: mwss(G1), "_stable_dp", _improper)],
     ids=["q_color_graph", "chromatic", "q_color", "mwss"])
 def test_improper_dp_labelling_is_caught(monkeypatch, call, dp, fake):
     monkeypatch.setattr(solvers, dp, fake)
@@ -335,7 +346,8 @@ def test_improper_dp_labelling_is_caught_under_python_O():
         "from capfree import solvers, blow_up, hole\n"
         "solvers._multicolor_dp = lambda g, nd, demand, cap: (\n"
         "    1, [[1] * d for d in demand])\n"
-        "solvers._nice_dp = lambda g, nd, labels, w: (0, [1] * g.n)\n"
+        "solvers._stable_dp = lambda g, nd, allowed, w: (\n"
+        "    0, list(g.vertices()))\n"
         "g = blow_up(hole(5), [2] * 5)\n"
         "for call in (lambda: solvers.q_color_graph(g, 5),\n"
         "             lambda: solvers.chromatic_number(g),\n"
@@ -405,14 +417,38 @@ def test_mwss_structured_path_is_exact_outside_class():
     assert mwss(g).weight == 5 == brute_solve(g, "mwss").value
 
 
+# The 6x6 grid is its own triangle-free skeleton of treewidth 6.
+GRID6 = Graph(36, [(r * 6 + c, r * 6 + c + 1)
+                   for r in range(6) for c in range(5)]
+              + [(r * 6 + c, (r + 1) * 6 + c)
+                 for r in range(5) for c in range(6)])
+
+
 def test_clique_number_reads_only_the_skeleton():
-    # The 6x6 grid is its own triangle-free skeleton of treewidth 6: the
-    # omega formula needs no tree decomposition and no brute force.
-    grid6 = Graph(36, [(r * 6 + c, r * 6 + c + 1)
-                       for r in range(6) for c in range(5)]
-                  + [(r * 6 + c, (r + 1) * 6 + c)
-                     for r in range(5) for c in range(6)])
-    assert clique_number(grid6) == (2, (0, 1))
+    # The omega formula needs no tree decomposition and no brute force.
+    assert clique_number(GRID6) == (2, (0, 1))
+
+
+# An atom without structure beyond the brute-force guard names why it has
+# none: a shape reject, a proof of width above 5, a chromatic number above
+# ceil(3/2 omega), or an exhausted width-5 search, which is undecided.
+@pytest.mark.parametrize("call, reason", [
+    (lambda: mwss(GRID6, exact_budget=50),
+     "is undecided: the width-5 search ran out of its budget of 50 nodes"),
+    (lambda: chromatic_number(GRID6, exact_budget=50),
+     "is undecided: the width-5 search ran out of its budget of 50 nodes"),
+    (lambda: mwss(Graph(14, [(i, 7 + j) for i in range(7)
+                             for j in range(7)]), brute_guard=10),
+     "is outside the class: its skeleton has treewidth above 5"),
+    (lambda: clique_number(gnp(30, 0.5, 1), brute_guard=10),
+     "is outside the class: its would-be skeleton has a triangle"),
+    (lambda: chromatic_number(grotzsch(), brute_guard=5),
+     "is outside the class: it needs more than 3 colors")],
+    ids=["grid6-mwss", "grid6-chromatic", "K77", "gnp", "grotzsch"])
+def test_unsupported_names_its_reason(call, reason):
+    with pytest.raises(UnsupportedInstanceError) as info:
+        call()
+    assert str(info.value).startswith(f"atom {reason}; ")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
