@@ -6,21 +6,23 @@ its elimination width; if that exceeds 5, an exact budgeted
 branch-and-bound either finds a width-5 elimination order or proves none
 exists (certifying the graph is not a triangle-free odd-signable
 skeleton).  Every triangulation and every search step plays the one
-elimination game in _eliminate, and decomposition_from_order reads its
-bags and tree edges off that game.  One MCS-M pass (mcs_m) gives the
+elimination game in _eliminate, on integer neighbour masks: min-fill
+records each move's neighbourhood while it picks the order and reads the
+bags and tree edges off that record, decomposition_from_order plays the
+game for a given order, and the exact search takes moves back by
+restoring the masks they saved.  One MCS-M pass (mcs_m) gives the
 minimal triangulation behind the clique-cutset scan and decides
 chordality and the clique number of chordal graphs."""
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .graphs import Graph, vertex_set
 from .twins import SkeletonDecomposition
-
-Adjacency = Union[list[set[int]], dict[int, set[int]]]
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -95,19 +97,22 @@ class TreewidthReject:
     bound: int
 
 
-def _min_fill_order(g: Graph) -> list[int]:
+def _min_fill_order(g: Graph) -> tuple[list[int], list[int]]:
     """Greedy min-fill: eliminate the live vertex least by (fill count,
-    degree, id).  Keys wait in a heap and stale entries are skipped; the
-    ids make the key a total order, so the least live key is the one a
-    scan of every live vertex would pick.  Eliminating v changes edges
-    only among its former neighbours, so only they and their neighbours
+    degree, id), and record each move's madj(v), the mask of v's
+    neighbours when it goes.  Keys wait in a heap and stale entries are
+    skipped; the ids make the key a total order, so the least live key is
+    the one a scan of every live vertex would pick.  A move changes the
+    degree of v's former neighbours only, and the fill count of a vertex
+    only when a fill edge joins two of its neighbours, so those two sets
     get a fresh key."""
-    adj = [set(g.adj[v]) for v in g.vertices()]
+    adj = [g.mask(v) for v in g.vertices()]
     key: list[Optional[tuple[int, int, int]]] = [
-        (_fill_count(adj, v), len(adj[v]), v) for v in g.vertices()]
+        (_fill_count(adj, v), adj[v].bit_count(), v) for v in g.vertices()]
     heap = key[:]
     heapq.heapify(heap)
     order = []
+    madj = []
     while heap:
         entry = heapq.heappop(heap)
         v = entry[2]
@@ -115,38 +120,54 @@ def _min_fill_order(g: Graph) -> list[int]:
             continue
         order.append(v)
         key[v] = None
-        touched = set(_eliminate(adj, v)[0])
-        for a in list(touched):
-            touched.update(adj[a])
-        for u in touched:
-            key[u] = (_fill_count(adj, u), len(adj[u]), u)
+        nbrs = adj[v]
+        madj.append(nbrs)
+        touched = nbrs
+        for a, old in _eliminate(adj, v):
+            for b in _members(nbrs & ~old ^ 1 << a):
+                touched |= adj[a] & adj[b]
+        for u in _members(touched):
+            key[u] = (_fill_count(adj, u), adj[u].bit_count(), u)
             heapq.heappush(heap, key[u])
-    return order
+    return order, madj
 
 
-def _fill_count(adj: Adjacency, v: int) -> int:
-    """Fill edges that eliminating v would add."""
-    nbrs = list(adj[v])
-    return sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
-               if b not in adj[a])
+def _fill_count(adj: list[int], v: int) -> int:
+    """Fill edges that eliminating v would add: each neighbour a misses
+    the neighbours of v outside a's closed neighbourhood, and every
+    missing pair is seen from both ends."""
+    nbrs = m = adj[v]
+    missing = 0
+    while m:
+        low = m & -m
+        missing += (nbrs & ~adj[low.bit_length() - 1]).bit_count()
+        m ^= low
+    return (missing - nbrs.bit_count()) // 2
 
 
-def _eliminate(adj: Adjacency, v: int
-               ) -> tuple[list[int], list[tuple[int, int]]]:
-    """One move of the elimination game: make v's neighbors a clique and
-    isolate v.  Returns the neighbors v had and the fill edges added."""
-    nbrs = list(adj[v])
-    added = []
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if b not in adj[a]:
-                adj[a].add(b)
-                adj[b].add(a)
-                added.append((a, b))
-    for a in nbrs:
-        adj[a].discard(v)
-    adj[v].clear()
-    return nbrs, added
+def _eliminate(adj: list[int], v: int) -> list[tuple[int, int]]:
+    """One move of the elimination game on neighbour masks: make v's
+    neighbours a clique and isolate v.  Returns each former neighbour,
+    in increasing order, with the mask it had before the move."""
+    nbrs = adj[v]
+    saved = []
+    for a in _members(nbrs):
+        old = adj[a]
+        saved.append((a, old))
+        # old holds v but not a, nbrs holds a but not v.
+        adj[a] = (old | nbrs) ^ (1 << a | 1 << v)
+    adj[v] = 0
+    return saved
+
+
+def _members(mask: int) -> list[int]:
+    """The vertices of a mask, in increasing order."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
 
 
 def mcs_m(adj: Sequence[Iterable[int]]
@@ -217,99 +238,117 @@ def is_chordal(adj: list[set[int]]) -> bool:
 
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     """Clique tree of the triangulation that the elimination game on order
-    builds.  Eliminating v makes its neighbours at that moment, madj(v), a
-    clique; in reverse order, v joins the bag of p, the first-eliminated
-    vertex of madj(v), when that bag is exactly madj(v), and otherwise
-    opens the bag madj(v) + v joined to p's bag (to bag 0 when madj(v) is
-    empty).  Bags and edges are listed in sorted order."""
-    adj = [set(g.adj[v]) for v in g.vertices()]
-    madj = [_eliminate(adj, v)[0] for v in order]
+    builds; order must be a permutation of g's vertices."""
+    if sorted(order) != list(g.vertices()):
+        raise ValueError("order is not a permutation of the vertices")
+    adj = [g.mask(v) for v in g.vertices()]
+    madj = []
+    for v in order:
+        madj.append(adj[v])
+        _eliminate(adj, v)
+    return _clique_tree(g, order, madj)
+
+
+def _clique_tree(g: Graph, order: list[int], madj: list[int]
+                 ) -> TreeDecomposition:
+    """Clique tree read off an elimination game: eliminating v made
+    madj(v), its neighbours at that moment, a clique.  In reverse order, v
+    joins the bag of p, the first-eliminated vertex of madj(v), when that
+    bag is exactly madj(v), and otherwise opens the bag madj(v) + v joined
+    to p's bag (to bag 0 when madj(v) is empty).  Bags and edges are
+    listed in sorted order."""
     position = {v: i for i, v in enumerate(order)}
     bag_of = {}
-    bags: list[list[int]] = []
+    bags: list[int] = []
     edges = []
     for v, later in zip(reversed(order), reversed(madj)):
         if later:
-            b = bag_of[min(later, key=position.__getitem__)]
+            b = bag_of[min(_members(later), key=position.__getitem__)]
             # madj(v) lies inside p's bag, so equal sizes mean equal sets.
-            if len(bags[b]) == len(later):
-                bags[b].append(v)
+            if bags[b].bit_count() == later.bit_count():
+                bags[b] |= 1 << v
                 bag_of[v] = b
                 continue
             edges.append((b, len(bags)))
         elif bags:
             edges.append((0, len(bags)))
         bag_of[v] = len(bags)
-        bags.append(later + [v])
-    ranked = sorted(range(len(bags)), key=lambda b: sorted(bags[b]))
+        bags.append(later | 1 << v)
+    listed = [tuple(_members(bag)) for bag in bags]
+    ranked = sorted(range(len(bags)), key=listed.__getitem__)
     rank = {b: r for r, b in enumerate(ranked)}
     td = TreeDecomposition(
-        tuple(vertex_set(bags[b]) for b in ranked),
+        tuple(listed[b] for b in ranked),
         tuple(sorted(tuple(sorted((rank[a], rank[b]))) for a, b in edges)))
     assert td.is_valid(g)
     return td
 
 
 def min_fill_decomposition(g: Graph) -> TreeDecomposition:
-    """Tree decomposition from the greedy min-fill elimination order."""
-    return decomposition_from_order(g, _min_fill_order(g))
+    """Tree decomposition from the greedy min-fill elimination order, its
+    bags read off the one game that picked the order."""
+    return _clique_tree(g, *_min_fill_order(g))
 
 
 def _exact_order(g: Graph, k: int, budget: int) -> Optional[list[int]]:
     """Elimination order of width <= k, or None when provably impossible.
 
     Depth-first search over elimination prefixes on an explicit stack; the
-    elimination game is played on one adjacency and each move is taken
-    back on backtracking.  Memoizes failed remaining-vertex sets (the
-    filled graph only depends on the eliminated set).  The least
-    simplicial vertex of degree <= k is eliminated without branching.
-    Raises SearchBudgetExceeded past the node budget.
+    elimination game is played on one list of neighbour masks and each
+    move is taken back on backtracking by restoring the masks it saved.
+    Memoizes failed masks of live vertices (the filled graph only depends
+    on the eliminated set).  The least simplicial vertex of degree <= k is
+    eliminated without branching.  Raises SearchBudgetExceeded past the
+    node budget.
     """
-    adj = {v: set(g.adj[v]) for v in g.vertices()}
-    failed: set[frozenset[int]] = set()
-    # One frame per open search node: [remaining vertex set, branches not
-    # yet tried, (vertex, neighbors, fill edges) of the move in progress].
+    adj = [g.mask(v) for v in g.vertices()]
+    live = (1 << g.n) - 1
+    failed: set[int] = set()
+    # One frame per open search node: [live mask, branches not yet tried,
+    # (vertex, its neighbour mask, saved masks) of the move in progress].
     frames: list[list] = []
     while True:
-        if len(adj) <= k + 1:
-            return [frame[2][0] for frame in frames] + sorted(adj)
-        key = frozenset(adj)
-        if key not in failed:
+        if live.bit_count() <= k + 1:
+            return [frame[2][0] for frame in frames] + _members(live)
+        if live not in failed:
             budget -= 1
             if budget < 0:
                 raise SearchBudgetExceeded(
                     f"width-{k} search budget exhausted")
-            frames.append([key, iter(_branches(adj, k)), None])
+            frames.append([live, iter(_branches(adj, live, k)), None])
         while frames:
             frame = frames[-1]
+            live = frame[0]
             if frame[2] is not None:
-                v, nbrs, added = frame[2]
-                for a, b in added:
-                    adj[a].discard(b)
-                    adj[b].discard(a)
-                adj[v] = set(nbrs)
-                for a in nbrs:
-                    adj[a].add(v)
+                v, nbrs, saved = frame[2]
+                for a, old in saved:
+                    adj[a] = old
+                adj[v] = nbrs
             v = next(frame[1], None)
             if v is not None:
-                frame[2] = (v, *_eliminate(adj, v))
-                del adj[v]
+                frame[2] = (v, adj[v], _eliminate(adj, v))
+                live ^= 1 << v
                 break
-            failed.add(frame[0])
+            failed.add(live)
             frames.pop()
         else:
             return None
 
 
-def _branches(adj: dict[int, set[int]], k: int) -> list[int]:
+def _branches(adj: list[int], live: int, k: int) -> list[int]:
     """The vertices a search node tries: the least simplicial vertex of
     degree <= k alone, else every vertex of degree <= k by fill, degree
     and id."""
-    for v in sorted(adj):
-        if len(adj[v]) <= k and _fill_count(adj, v) == 0:
-            return [v]
-    return sorted((v for v in adj if len(adj[v]) <= k),
-                  key=lambda v: (_fill_count(adj, v), len(adj[v]), v))
+    keyed = []
+    for v in _members(live):
+        degree = adj[v].bit_count()
+        if degree <= k:
+            fill = _fill_count(adj, v)
+            if fill == 0:
+                return [v]
+            keyed.append((fill, degree, v))
+    keyed.sort()
+    return [v for _, _, v in keyed]
 
 
 DEFAULT_EXACT_BUDGET = 200_000
@@ -457,8 +496,7 @@ def lift_tree_decomposition(td: TreeDecomposition,
     return TreeDecomposition(tuple(bags), td.edges)
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
     kind: str                     # leaf | introduce | forget | join
     bag: tuple[int, ...]
     vertex: Optional[int]         # introduced/forgotten vertex
@@ -483,40 +521,43 @@ class NiceDecomposition:
 
 def nice_decomposition(td: TreeDecomposition) -> NiceDecomposition:
     """Rooted nice form: every node is a leaf, introduce, forget or join;
-    width is preserved and the root bag is empty."""
+    width is preserved and the root bag is empty.  Between a bag and its
+    parent's, the vertices only in the bag are forgotten largest first,
+    then those only in the parent's are introduced smallest first, on one
+    sorted list that each node copies."""
     if not td.bags:
         return NiceDecomposition((NiceNode("leaf", (), None, ()),), 0)
     k = len(td.bags)
+    bags = [vertex_set(bag) for bag in td.bags]
     nbrs: list[list[int]] = [[] for _ in range(k)]
     for a, b in td.edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
     nodes: list[NiceNode] = []
 
-    def emit(kind: str, bag, vertex=None, children=()) -> int:
-        nodes.append(NiceNode(kind, vertex_set(bag), vertex,
-                              tuple(children)))
+    def emit(kind: str, bag: tuple[int, ...], vertex=None, children=()) -> int:
+        nodes.append(NiceNode(kind, bag, vertex, children))
         return len(nodes) - 1
 
     def chain_up(idx: int, have: tuple[int, ...], want: tuple[int, ...]) -> int:
-        bag = set(have)
-        for v in sorted(set(have) - set(want), reverse=True):
-            bag.discard(v)
-            idx = emit("forget", bag, v, (idx,))
-        for v in sorted(set(want) - set(have)):
-            bag.add(v)
-            idx = emit("introduce", bag, v, (idx,))
+        bag = list(have)
+        for v in reversed(have):
+            if v not in want:
+                bag.remove(v)
+                idx = emit("forget", tuple(bag), v, (idx,))
+        for v in want:
+            if v not in have:
+                insort(bag, v)
+                idx = emit("introduce", tuple(bag), v, (idx,))
         return idx
 
     def finish(b: int, kid_idx: list[int]) -> int:
-        bag = td.bags[b]
         if not kid_idx:
-            leaf = emit("leaf", ())
-            return chain_up(leaf, (), bag)
+            return chain_up(emit("leaf", ()), (), bags[b])
         while len(kid_idx) > 1:
             left = kid_idx.pop(0)
             right = kid_idx.pop(0)
-            kid_idx.insert(0, emit("join", bag, None, (left, right)))
+            kid_idx.insert(0, emit("join", bags[b], None, (left, right)))
         return kid_idx[0]
 
     # Depth-first from bag 0; a bag's children are finished, in neighbor
@@ -533,7 +574,6 @@ def nice_decomposition(td: TreeDecomposition) -> NiceDecomposition:
             stack.pop()
             top = finish(b, kids[b])
             if parent >= 0:
-                kids[parent].append(chain_up(top, td.bags[b],
-                                             td.bags[parent]))
-    top = chain_up(top, td.bags[0], ())
+                kids[parent].append(chain_up(top, bags[b], bags[parent]))
+    top = chain_up(top, bags[0], ())
     return NiceDecomposition(tuple(nodes), top)

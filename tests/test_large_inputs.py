@@ -4,11 +4,13 @@ every answer still re-checks."""
 import pytest
 
 from capfree import treewidth
+from capfree.construct import GeneratorParams, generate_instance
 from capfree.decomposition import clique_cutset_tree, tree_to_dot
 from capfree.graphs import (Graph, add_universal_clique, blow_up, hole,
                             path)
 from capfree.recognition import detect_4hole, detect_cap_fast, recognize
-from capfree.solvers import (chromatic_number, is_proper_coloring, mwss,
+from capfree.solvers import (ceil_three_halves, chromatic_number,
+                             clique_number, is_proper_coloring, mwss,
                              q_color_graph)
 from capfree.treewidth import (SearchBudgetExceeded, TreeDecomposition,
                                TreewidthReject, min_fill_decomposition,
@@ -69,10 +71,14 @@ def test_wide_blowups_are_colored_exactly(g, chi):
     assert q_color_graph(g, chi - 1) is None
 
 
-def test_long_path_decomposition_goes_nice():
+def long_path_decomposition():
+    """1100 bags {i, i + 1} of path(1101), in a path."""
     bags = tuple((i, i + 1) for i in range(1100))
-    td = TreeDecomposition(bags, tuple((i, i + 1) for i in range(1099)))
-    nd = nice_decomposition(td)
+    return TreeDecomposition(bags, tuple((i, i + 1) for i in range(1099)))
+
+
+def test_long_path_decomposition_goes_nice():
+    nd = nice_decomposition(long_path_decomposition())
     assert nd.width == 1
     assert nd.nodes[nd.root].bag == ()
     assert nd.as_tree_decomposition().is_valid(path(1101))
@@ -92,6 +98,22 @@ def test_min_fill_refreshes_only_near_the_eliminated_vertex(monkeypatch):
     g = hole(2001)
     assert min_fill_decomposition(g).width == 2
     assert calls <= 10 * g.n
+
+
+def test_min_fill_plays_the_elimination_game_once(monkeypatch):
+    # The bags come from the moves that picked the order, not a replay.
+    moves = 0
+    eliminate = treewidth._eliminate
+
+    def counted(adj, v):
+        nonlocal moves
+        moves += 1
+        return eliminate(adj, v)
+
+    monkeypatch.setattr(treewidth, "_eliminate", counted)
+    g = hole(2001)
+    assert min_fill_decomposition(g).width == 2
+    assert moves == g.n
 
 
 def subdivided_grid(side, k):
@@ -152,3 +174,29 @@ def test_detectors_pass_a_long_hole():
     g = hole(3001)
     assert detect_4hole(g) is None
     assert detect_cap_fast(g) is None
+
+
+@pytest.fixture(scope="module")
+def glue60():
+    """61 atoms glued on clique cutsets, n = 1396, omega = 5."""
+    return generate_instance(GeneratorParams(
+        seed=5, ear_count=2, max_blowup=2, max_universal=1, glue_count=60))
+
+
+def test_glue60_is_recognized_and_solved(glue60):
+    g, provenance = glue60
+    assert g.n == 1396
+    assert recognize(g, "cap-even-hole-free").accepted
+
+    result = mwss(g)
+    assert g.is_stable(result.vertices)
+    assert result.weight == sum(g.weight(v) for v in result.vertices)
+
+    omega, witness = clique_number(g)
+    assert omega == provenance["clique_number"] == 5
+    assert len(witness) == omega and g.is_clique(witness)
+
+    chi, colors = chromatic_number(g)
+    assert omega <= chi <= ceil_three_halves(omega)
+    assert is_proper_coloring(g, colors, chi)
+    assert q_color_graph(g, chi - 1) is None

@@ -8,7 +8,7 @@ from capfree.graphs import Graph, blow_up, complete, cube, gnp, hole, path
 from capfree.oracles import brute_solve
 from capfree.treewidth import (Ear, EarSequence, SearchBudgetExceeded,
                                TreeDecomposition, TreewidthReject,
-                               _eliminate, _fill_count, _min_fill_order,
+                               _exact_order, _min_fill_order,
                                chordal_clique_number,
                                decomposition_from_order, is_chordal,
                                lift_tree_decomposition, mcs_m,
@@ -16,7 +16,7 @@ from capfree.treewidth import (Ear, EarSequence, SearchBudgetExceeded,
                                skeleton_from_ears, skeleton_tree_decomposition,
                                triangulation_from_ears)
 from capfree.twins import extract_skeleton
-from test_large_inputs import subdivided_grid
+from test_large_inputs import long_path_decomposition, subdivided_grid
 
 K66 = Graph(12, [(i, 6 + j) for i in range(6) for j in range(6)])
 GRID6 = Graph(36, [(r * 6 + c, r * 6 + c + 1)
@@ -205,12 +205,8 @@ def filled_graph(g, order):
     adj = [set(g.adj[v]) for v in g.vertices()]
     edges = set(g.edges())
     for v in order:
-        for a, b in combinations(sorted(adj[v]), 2):
-            adj[a].add(b)
-            adj[b].add(a)
-            edges.add((a, b))
-        for a in adj[v]:
-            adj[a].discard(v)
+        edges.update(combinations(sorted(adj[v]), 2))
+        set_eliminate(adj, v)
     return Graph(g.n, sorted(edges))
 
 
@@ -242,16 +238,33 @@ def test_validity_checker_catches_violations():
     assert not not_a_tree.is_valid(g)
 
 
+def set_fill_count(adj, v):
+    """Pairs of v's neighbours that are not adjacent, on adjacency sets."""
+    return sum(1 for a, b in combinations(adj[v], 2) if b not in adj[a])
+
+
+def set_eliminate(adj, v):
+    """Make v's neighbours a clique and isolate v, on adjacency sets."""
+    for a, b in combinations(adj[v], 2):
+        adj[a].add(b)
+        adj[b].add(a)
+    for a in adj[v]:
+        adj[a].discard(v)
+    adj[v].clear()
+
+
 def scanned_min_fill_order(g):
-    """Min-fill by a scan of every live vertex's key at every step: the
-    reference the heap-driven _min_fill_order must reproduce."""
+    """Min-fill by a scan of every live vertex's key at every step, on
+    adjacency sets: the reference the heap-driven _min_fill_order, which
+    plays on masks, must reproduce."""
     adj = [set(g.adj[v]) for v in g.vertices()]
     alive = set(g.vertices())
     order = []
     while alive:
-        best = min(alive, key=lambda v: (_fill_count(adj, v), len(adj[v]), v))
+        best = min(alive,
+                   key=lambda v: (set_fill_count(adj, v), len(adj[v]), v))
         order.append(best)
-        _eliminate(adj, best)
+        set_eliminate(adj, best)
         alive.discard(best)
     return order
 
@@ -269,10 +282,94 @@ def test_min_fill_order_matches_the_full_scan(seed):
              subdivided_grid(4, 2)]
     for g in min_fill_corpus(seed) + (named if seed == 0 else []):
         order = scanned_min_fill_order(g)
-        assert _min_fill_order(g) == order
+        assert _min_fill_order(g)[0] == order
         td = min_fill_decomposition(g)
         assert td == decomposition_from_order(g, order)
         assert td.is_valid(g)
+
+
+def sorted_nice_nodes(td):
+    """(nodes, root) of the nice form built with a set per node and a sort
+    per bag: the reference for nice_decomposition's sorted-list bags."""
+    if not td.bags:
+        return [("leaf", (), None, ())], 0
+    nbrs = [[] for _ in td.bags]
+    for a, b in td.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    nodes = []
+
+    def emit(kind, bag, vertex=None, children=()):
+        nodes.append((kind, tuple(sorted(set(bag))), vertex, tuple(children)))
+        return len(nodes) - 1
+
+    def chain_up(idx, have, want):
+        bag = set(have)
+        for v in sorted(set(have) - set(want), reverse=True):
+            bag.discard(v)
+            idx = emit("forget", bag, v, (idx,))
+        for v in sorted(set(want) - set(have)):
+            bag.add(v)
+            idx = emit("introduce", bag, v, (idx,))
+        return idx
+
+    def finish(b, kid_idx):
+        if not kid_idx:
+            return chain_up(emit("leaf", ()), (), td.bags[b])
+        while len(kid_idx) > 1:
+            left, right = kid_idx.pop(0), kid_idx.pop(0)
+            kid_idx.insert(0, emit("join", td.bags[b], None, (left, right)))
+        return kid_idx[0]
+
+    kids = [[] for _ in td.bags]
+    stack = [(0, -1, iter(nbrs[0]))]
+    while stack:
+        b, parent, pending = stack[-1]
+        for c in pending:
+            if c != parent:
+                stack.append((c, b, iter(nbrs[c])))
+                break
+        else:
+            stack.pop()
+            top = finish(b, kids[b])
+            if parent >= 0:
+                kids[parent].append(chain_up(top, td.bags[b],
+                                             td.bags[parent]))
+    return nodes, chain_up(top, td.bags[0], ())
+
+
+def nice_fields(nd):
+    return [(n.kind, n.bag, n.vertex, n.children) for n in nd.nodes], nd.root
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_nice_form_matches_the_sorting_builder(seed):
+    for g in min_fill_corpus(seed):
+        td = min_fill_decomposition(g)
+        nd = nice_decomposition(td)
+        assert nice_fields(nd) == sorted_nice_nodes(td)
+
+
+def test_long_nice_form_matches_the_sorting_builder():
+    td = long_path_decomposition()
+    nd = nice_decomposition(td)
+    assert nice_fields(nd) == sorted_nice_nodes(td)
+
+
+def test_bad_elimination_orders_are_rejected():
+    for order in ([0, 1], [0, 1, 5], [0, 1, 2, 2]):
+        with pytest.raises(ValueError):
+            decomposition_from_order(path(3), order)
+
+
+def test_exact_search_spends_a_pinned_number_of_nodes():
+    # 58 search nodes settle the subdivided 4x4 grid at width 5; a change
+    # to the branch order or the memo moves that count.
+    g = subdivided_grid(4, 2)
+    td = decomposition_from_order(g, _exact_order(g, 5, 58))
+    assert td.width <= 5
+    with pytest.raises(SearchBudgetExceeded):
+        _exact_order(g, 5, 57)
 
 
 def listed_is_valid(td, g):
