@@ -3,14 +3,19 @@ splits off one atom.
 
 A cut vertex is a clique cutset, so the atoms of a graph are those of its
 blocks, which one depth-first search finds (Hopcroft & Tarjan 1973).  A
-block that is K1, K2, a clique or a cycle is one atom.  Any other block
-goes through the Atoms algorithm (Berry, Pogorelcnik & Simonet 2010): one
-MCS-M pass gives a minimal triangulation, whose minimal separators are its
-generators' later fill-neighbourhoods; scanned in elimination order, each
-that is a clique splits off an atom.  A thread, a maximal run of degree-2
-vertices, lies in no clique minimal separator of a block, so the scan sees
-it shrunk to one vertex.  The blocks come leaf-first along the block-cut
-tree, each split off along its parent cut vertex.
+block that is K1, K2 or a cycle is one atom.  Any other block goes through
+the Atoms algorithm (Berry, Pogorelcnik & Simonet 2010) on its quotient,
+on integer neighbour masks: one MCS-M pass gives a minimal triangulation,
+whose minimal separators are its generators' later fill-neighbourhoods;
+scanned in elimination order, each that is a clique splits off an atom.
+The quotient merges what no clique minimal separator of the block splits:
+a thread, a maximal run of degree-2 vertices, becomes one vertex, and so
+does each class of true twins of the block.  An in-class atom is a clique
+blow-up of a skeleton plus a universal clique, so its quotient is the
+skeleton plus one vertex: a blown-up hole is answered as a cycle with no
+scan.  A quotient that is a clique or a cycle is one atom.  The blocks
+come leaf-first along the block-cut tree, each split off along its parent
+cut vertex.
 
 Each leaf of the tree is read through one Atom record: the induced atom,
 its skeleton extraction, and on first use the skeleton's width-5 tree
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .graphs import Graph, induced_subgraph, vertex_set
+from .graphs import Graph, induced_subgraph, mask_members, vertex_set
 from .treewidth import (DEFAULT_EXACT_BUDGET, NiceDecomposition,
                         SearchBudgetExceeded, TreeDecomposition,
                         TreewidthReject, mcs_m, nice_decomposition,
@@ -32,18 +37,17 @@ from .twins import (COMPLETE_ATOM, ExtractResult, SkeletonDecomposition,
                     SkeletonReject, extract_skeleton)
 
 
-def _component_of(g: Graph, start: int, excluded: set[int],
-                  alive: set[int]) -> set[int]:
-    """Vertices of g[alive] minus excluded reachable from start."""
-    comp = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in g.adj[v]:
-            if u in alive and u not in comp and u not in excluded:
-                comp.add(u)
-                stack.append(u)
-    return comp
+def _component(adj: list[int], start: int, allowed: int) -> int:
+    """The mask of start's component among the allowed vertices, for
+    neighbour masks adj."""
+    side = spread = 1 << start
+    while spread:
+        step = 0
+        for u in mask_members(spread):
+            step |= adj[u]
+        spread = step & allowed & ~side
+        side |= spread
+    return side
 
 
 def find_clique_cutset(g: Graph
@@ -59,10 +63,11 @@ def find_clique_cutset(g: Graph
     off.
     """
     if g.n:
-        everything = set(g.vertices())
-        first = _component_of(g, 0, set(), everything)
-        if len(first) < g.n:
-            return (), (vertex_set(first), vertex_set(everything - first))
+        everything = (1 << g.n) - 1
+        first = _component([g.mask(v) for v in g.vertices()], 0, everything)
+        if first != everything:
+            return (), (tuple(mask_members(first)),
+                        tuple(mask_members(everything ^ first)))
     cutset, atom = next(_tarjan_pieces(g))
     if not cutset:
         return None
@@ -246,50 +251,78 @@ def _block_pieces(g: Graph, top: int, block: list[int]
                   ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The pieces of one block, ending with ((), the piece holding top).
 
-    The Atoms scan runs on h, the block with each thread shrunk to one
-    vertex and top as vertex 0, which MCS-M eliminates last.  A generator
-    x whose madj(x), a minimal separator of the minimal triangulation, is
-    a clique splits off x's component of the rest: that component lies
-    below x in elimination order, every later generator above it."""
+    The Atoms scan runs on the block's quotient h: each thread shrunk to
+    one vertex, each class of true twins of the block merged into one, and
+    top's group as vertex 0, which MCS-M eliminates last.  A generator x
+    whose madj(x), a minimal separator of the minimal triangulation, is a
+    clique splits off x's component of the rest: that component lies below
+    x in elimination order, every later generator above it.
+
+    The quotient is exact.  A vertex u of a minimal separator S sees both
+    full sides of S, and so does every true twin of u, so no separator
+    splits a twin class; twin classes are clique modules, so the block's
+    clique minimal separators and their components are the lifts of h's.
+    A thread vertex (degree 2, in a block of four or more vertices) has no
+    twin, so each vertex is grouped by its thread or by its closed mask in
+    the block.  h need not be 2-connected (twins may merge into a cut
+    vertex of h), so h is one atom when it is a clique or when every
+    degree is 2, a cycle; a block of thread vertices alone is a cycle and
+    is not grouped at all."""
     if len(block) <= 2:
         yield (), vertex_set(block)
         return
     thread = {v for v in block if len(g.adj[v]) == 2}
-    if not thread and len(block) == g.n:
-        h, members = g, [[v] for v in g.vertices()]
-    else:
-        group: dict[int, int] = {}
-        members = []
-        for v in [top, *sorted(block)]:
-            if v not in group:
-                group[v] = len(members)
-                members.append([v])
-                for x in members[-1]:
-                    for u in g.adj[x] if x in thread else ():
-                        if u in thread and u not in group:
-                            group[u] = group[v]
-                            members[-1].append(u)
-        # A set: both ends of a thread may be the same cut vertex.  A cut
-        # vertex of high degree is looked up against the block instead.
-        h = Graph(len(members), {
-            (group[v], group[u]) for v in block
-            for u in (g.adj[v] if len(g.adj[v]) <= len(block)
-                      else [w for w in block if g.has_edge(v, w)])
-            if group.get(u, -1) > group[v]})
-    # One atom if h is a clique or a cycle: h is 2-connected, so with
-    # three or more vertices it is a cycle when it has as many edges.
-    if h.m in (h.n, h.n * (h.n - 1) // 2):
+    if len(thread) == len(block):
         yield (), vertex_set(block)
         return
-    _, madj, generators = mcs_m(h.adj)
-    alive = set(h.vertices())
+    inside = 0
+    for v in block:
+        inside |= 1 << v
+    group: dict[int, int] = {}
+    members: list[list[int]] = []
+    twins: dict[int, int] = {}
+    for v in [top, *sorted(block)]:
+        if v in group:
+            continue
+        if v in thread:
+            group[v] = len(members)
+            members.append([v])
+            for x in members[-1]:
+                for u in g.adj[x]:
+                    if u in thread and u not in group:
+                        group[u] = group[v]
+                        members[-1].append(u)
+        else:
+            i = group[v] = twins.setdefault((g.mask(v) | 1 << v) & inside,
+                                            len(members))
+            if i == len(members):
+                members.append([])
+            members[i].append(v)
+    # Twins share their neighbours, so one of them stands for its class.
+    adj = [0] * len(members)
+    for i, vs in enumerate(members):
+        for x in vs if vs[0] in thread else vs[:1]:
+            for u in mask_members(g.mask(x) & inside):
+                adj[i] |= 1 << group[u]
+        adj[i] &= ~(1 << i)
+    degrees = [mask.bit_count() for mask in adj]
+    if (sum(degrees) == len(adj) * (len(adj) - 1)
+            or all(d == 2 for d in degrees)):
+        yield (), vertex_set(block)
+        return
+
+    def lift(mask: int) -> tuple[int, ...]:
+        return vertex_set(u for i in mask_members(mask) for u in members[i])
+
+    _, madj, generators = mcs_m(adj)
+    alive = (1 << len(adj)) - 1
     for x in generators:
-        if h.is_clique(madj[x]):
-            side = _component_of(h, x, madj[x], alive)
-            alive -= side
-            yield (vertex_set(u for i in madj[x] for u in members[i]),
-                   vertex_set(u for i in side | madj[x] for u in members[i]))
-    yield (), vertex_set(u for i in alive for u in members[i])
+        cut = madj[x]
+        if all((adj[u] | 1 << u) & cut == cut for u in mask_members(cut)):
+            side = _component(adj, x, alive & ~cut)
+            alive ^= side
+            yield lift(cut), lift(side | cut)
+    yield (), lift(alive)
 
 
 def tree_to_dot(tree: DecompositionTree) -> str:

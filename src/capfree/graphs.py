@@ -47,15 +47,28 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
             m += 1
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_masks", tuple(masks))
-        object.__setattr__(self, "adj", tuple(
-            tuple(_bits(mask)) for mask in masks))
-        object.__setattr__(self, "_m", m)
         if weights is not None:
             weights = tuple(int(w) for w in weights)
             if len(weights) != n:
                 raise ValueError("weights length must equal vertex count")
+        self._fill(masks, m, weights)
+
+    @classmethod
+    def _from_masks(cls, masks: list[int],
+                    weights: Optional[tuple[int, ...]]) -> "Graph":
+        """The graph with these neighbour masks, trusted as they are: for
+        masks cut out of a valid graph, with weights already checked."""
+        g = cls.__new__(cls)
+        g._fill(masks, sum(mask.bit_count() for mask in masks) // 2, weights)
+        return g
+
+    def _fill(self, masks: list[int], m: int,
+              weights: Optional[tuple[int, ...]]) -> None:
+        object.__setattr__(self, "n", len(masks))
+        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "adj", tuple(
+            tuple(mask_members(mask)) for mask in masks))
+        object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_weights", weights)
 
     def __setattr__(self, name, value):
@@ -131,11 +144,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _bits(mask: int):
+def mask_members(mask: int) -> list[int]:
+    """The vertices of a bitmask, in increasing order."""
+    found = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        found.append(low.bit_length() - 1)
         mask ^= low
+    return found
 
 
 def vertex_set(vs: Iterable[int]) -> tuple[int, ...]:
@@ -330,16 +346,21 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...
     """Induced subgraph on vs, relabelled 0..|vs|-1 preserving order.
 
     Returns the subgraph and the tuple mapping new ids to old ids.
-    Weights are carried over.  A vertex of degree above |vs| is looked up
-    against vs, so a high-degree vertex costs |vs|, not its degree.
+    Weights are carried over.  Each kept vertex's mask is cut down to vs
+    and renumbered, so a vertex costs its degree inside vs, not in g.
     """
     keep = vertex_set(vs)
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise ValueError("vertex id out of range")
+    inside = 0
+    for v in keep:
+        inside |= 1 << v
     index = {old: new for new, old in enumerate(keep)}
-    edges = [(index[u], index[v]) for u in keep
-             for v in (g.adj[u] if len(g.adj[u]) <= len(keep)
-                       else [x for x in keep if g.has_edge(u, x)])
-             if v in index and u < v]
-    weights = [g.weight(v) for v in keep] if g.has_weights() else None
-    return Graph(len(keep), edges, weights), keep
+    masks = []
+    for u in keep:
+        mask = 0
+        for v in mask_members(g.mask(u) & inside):
+            mask |= 1 << index[v]
+        masks.append(mask)
+    weights = tuple(g.weight(v) for v in keep) if g.has_weights() else None
+    return Graph._from_masks(masks, weights), keep

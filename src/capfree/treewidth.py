@@ -10,18 +10,20 @@ elimination game in _eliminate, on integer neighbour masks: min-fill
 records each move's neighbourhood while it picks the order and reads the
 bags and tree edges off that record, decomposition_from_order plays the
 game for a given order, and the exact search takes moves back by
-restoring the masks they saved.  One MCS-M pass (mcs_m) gives the
-minimal triangulation behind the clique-cutset scan and decides
-chordality and the clique number of chordal graphs."""
+restoring the masks they saved.  One MCS-M pass (mcs_m), also on
+neighbour masks, gives the minimal triangulation behind the clique-cutset
+scan and decides chordality and the clique number of chordal graphs; each
+step grows one reach mask level by level in ascending weight.  Validity
+checks of tree decompositions run on bag masks."""
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .graphs import Graph, vertex_set
+from .graphs import Graph, mask_members, vertex_set
 from .twins import SkeletonDecomposition
 
 
@@ -40,10 +42,10 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
     def is_valid(self, g: Graph) -> bool:
-        """Coverage, edge coverage, and connected-subtree checks, plus the
-        bag graph being a tree.  The bags holding each vertex are indexed
-        once: an edge uv is looked for only in u's bags, and v's subtree
-        is walked from its first bag through bags that hold v."""
+        """The bag graph is a tree, and on bag masks: the bags cover every
+        vertex, every neighbour of v lies in a bag holding v, and the bags
+        holding v are connected, that is, as a forest in the tree they have
+        one more bag than tree edges."""
         k = len(self.bags)
         if k == 0:
             return g.n == 0
@@ -65,30 +67,31 @@ class TreeDecomposition:
                     stack.append(y)
         if len(seen) != k:
             return False
-        bag_sets = [set(b) for b in self.bags]
-        holding: list[list[int]] = [[] for _ in g.vertices()]
-        for i, bag in enumerate(bag_sets):
+        masks = []
+        for bag in self.bags:
+            mask = 0
             for v in bag:
                 if not 0 <= v < g.n:
                     return False
-                holding[v].append(i)
-        if not all(holding):
+                mask |= 1 << v
+            masks.append(mask)
+        # around[v]: the union of the bags holding v; pieces[v]: the bags
+        # holding v minus the tree edges inside them.
+        around = [0] * g.n
+        pieces = [0] * g.n
+        covered = 0
+        for mask in masks:
+            covered |= mask
+            for v in mask_members(mask):
+                around[v] |= mask
+                pieces[v] += 1
+        if covered != (1 << g.n) - 1:
             return False
-        for u, v in g.edges():
-            if not any(v in bag_sets[i] for i in holding[u]):
-                return False
-        for v, hold in enumerate(holding):
-            reached = {hold[0]}
-            stack = [hold[0]]
-            while stack:
-                x = stack.pop()
-                for y in nbrs[x]:
-                    if v in bag_sets[y] and y not in reached:
-                        reached.add(y)
-                        stack.append(y)
-            if len(reached) != len(hold):
-                return False
-        return True
+        for a, b in self.edges:
+            for v in mask_members(masks[a] & masks[b]):
+                pieces[v] -= 1
+        return all(pieces[v] == 1 and not g.mask(v) & ~around[v]
+                   for v in g.vertices())
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,9 @@ def _min_fill_order(g: Graph) -> tuple[list[int], list[int]]:
         madj.append(nbrs)
         touched = nbrs
         for a, old in _eliminate(adj, v):
-            for b in _members(nbrs & ~old ^ 1 << a):
+            for b in mask_members(nbrs & ~old ^ 1 << a):
                 touched |= adj[a] & adj[b]
-        for u in _members(touched):
+        for u in mask_members(touched):
             key[u] = (_fill_count(adj, u), adj[u].bit_count(), u)
             heapq.heappush(heap, key[u])
     return order, madj
@@ -151,7 +154,7 @@ def _eliminate(adj: list[int], v: int) -> list[tuple[int, int]]:
     in increasing order, with the mask it had before the move."""
     nbrs = adj[v]
     saved = []
-    for a in _members(nbrs):
+    for a in mask_members(nbrs):
         old = adj[a]
         saved.append((a, old))
         # old holds v but not a, nbrs holds a but not v.
@@ -160,80 +163,73 @@ def _eliminate(adj: list[int], v: int) -> list[tuple[int, int]]:
     return saved
 
 
-def _members(mask: int) -> list[int]:
-    """The vertices of a mask, in increasing order."""
-    found = []
-    while mask:
-        low = mask & -mask
-        found.append(low.bit_length() - 1)
-        mask ^= low
-    return found
-
-
-def mcs_m(adj: Sequence[Iterable[int]]
-          ) -> tuple[list[int], list[set[int]], list[int]]:
+def mcs_m(adj: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     """MCS-M (Berry, Blair, Heggernes & Peyton, Algorithmica 39, 2004): a
-    minimal elimination ordering of the graph with adjacency adj.
+    minimal elimination ordering of the graph with neighbour masks adj.
 
-    Returns (order, madj, generators).  madj[v] is v's later neighbourhood
-    in the minimal triangulation H; generators lists, in elimination
-    order, the vertices whose madj is a minimal separator of H (Berry,
-    Pogorelcnik & Simonet, Algorithms 3, 2010).  Vertices are numbered
-    from n down to 1, each time the unnumbered vertex of largest weight
-    (least id on ties); its weight at that moment is len(madj[v]).
-    """
+    Returns (order, madj, generators).  madj[v] is the mask of v's later
+    neighbourhood in the minimal triangulation H; generators lists, in
+    elimination order, the vertices whose madj is a minimal separator of H
+    (Berry, Pogorelcnik & Simonet, Algorithms 3, 2010).  Vertices are
+    numbered from n down to 1, each time the unnumbered vertex of largest
+    weight (least id on ties); its weight at that moment is the size of
+    madj[v].
+
+    After numbering v, an unnumbered u of weight w gains 1 when a path
+    joins it to v through unnumbered vertices lighter than w.  One reach
+    mask grows from v's unnumbered neighbours, level by level in ascending
+    weight: at level w it holds every vertex joined to v through vertices
+    lighter than w, so its members of weight w gain, and then it spreads
+    through them and every vertex of weight at most w that it meets."""
     n = len(adj)
-    weight = [0] * n
-    numbered = [False] * n
+    madj = [0] * n
     order = [0] * n
-    madj: list[set[int]] = [set() for _ in range(n)]
     generators = []
-    # (-weight, vertex) entries; an unnumbered vertex's newest entry sorts
-    # before its stale ones, so only numbered vertices are skipped.
-    queue = [(0, v) for v in range(n)]
-    pop, push = heapq.heappop, heapq.heappush
+    unnumbered = (1 << n) - 1
+    # level[w]: the mask of the unnumbered vertices of weight w.
+    level = {0: unnumbered}
     last = -1
     for i in range(n - 1, -1, -1):
-        _, v = pop(queue)
-        numbered[v] = True
+        weight = max(level)
+        bit = level[weight] & -level[weight]
+        v = bit.bit_length() - 1
+        level[weight] ^= bit
+        unnumbered ^= bit
         order[i] = v
-        if weight[v] <= last:
+        if weight <= last:
             generators.append(v)
-        last = weight[v]
-        while queue and numbered[queue[0][1]]:
-            pop(queue)
-        heaviest = -queue[0][0] if queue else 0
-        # The unnumbered u joined to v by a path whose interior is
-        # unnumbered and lighter than u: a search that minimizes the
-        # heaviest interior weight, cut off at heaviest.  v's neighbours,
-        # at -1, go before anything the search pushes.
-        bottleneck = {u: -1 for u in adj[v] if not numbered[u]}
-        best = bottleneck.get
-        first = [(-1, u) for u in bottleneck]
-        heap: list[tuple[int, int]] = []
-        while first or heap:
-            b, u = first.pop() if first else pop(heap)
-            if b != bottleneck[u]:
-                continue
-            through = weight[u] if weight[u] > b else b
-            if through >= heaviest:
-                continue
-            for z in adj[u]:
-                if not numbered[z] and through < best(z, heaviest):
-                    bottleneck[z] = through
-                    push(heap, (through, z))
-        for u, b in bottleneck.items():
-            if b < weight[u]:
-                madj[u].add(v)
-                weight[u] += 1
-                push(queue, (-weight[u], u))
+        last = weight
+        reach = adj[v] & unnumbered
+        lighter = 0
+        gains = []
+        for w in sorted(level):
+            gain = reach & level[w]
+            gains.append((w, gain))
+            lighter |= level[w]
+            spread = gain
+            while spread:
+                step = 0
+                for u in mask_members(spread):
+                    step |= adj[u]
+                spread = step & unnumbered & ~reach
+                reach |= spread
+                spread &= lighter
+        for w, gain in gains:
+            if gain:
+                level[w] ^= gain
+                level[w + 1] = level.get(w + 1, 0) | gain
+                for u in mask_members(gain):
+                    madj[u] |= bit
+        for w in [w for w, mask in level.items() if not mask]:
+            del level[w]
     return order, madj, generators[::-1]
 
 
-def is_chordal(adj: list[set[int]]) -> bool:
-    """MCS-M adds no fill edge."""
+def is_chordal(adj: Sequence[int]) -> bool:
+    """MCS-M on the neighbour masks adj adds no fill edge."""
     madj = mcs_m(adj)[1]
-    return sum(map(len, madj)) * 2 == sum(map(len, adj))
+    return (sum(later.bit_count() for later in madj) * 2
+            == sum(mask.bit_count() for mask in adj))
 
 
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
@@ -263,7 +259,7 @@ def _clique_tree(g: Graph, order: list[int], madj: list[int]
     edges = []
     for v, later in zip(reversed(order), reversed(madj)):
         if later:
-            b = bag_of[min(_members(later), key=position.__getitem__)]
+            b = bag_of[min(mask_members(later), key=position.__getitem__)]
             # madj(v) lies inside p's bag, so equal sizes mean equal sets.
             if bags[b].bit_count() == later.bit_count():
                 bags[b] |= 1 << v
@@ -274,7 +270,7 @@ def _clique_tree(g: Graph, order: list[int], madj: list[int]
             edges.append((0, len(bags)))
         bag_of[v] = len(bags)
         bags.append(later | 1 << v)
-    listed = [tuple(_members(bag)) for bag in bags]
+    listed = [tuple(mask_members(bag)) for bag in bags]
     ranked = sorted(range(len(bags)), key=listed.__getitem__)
     rank = {b: r for r, b in enumerate(ranked)}
     td = TreeDecomposition(
@@ -309,7 +305,7 @@ def _exact_order(g: Graph, k: int, budget: int) -> Optional[list[int]]:
     frames: list[list] = []
     while True:
         if live.bit_count() <= k + 1:
-            return [frame[2][0] for frame in frames] + _members(live)
+            return [frame[2][0] for frame in frames] + mask_members(live)
         if live not in failed:
             budget -= 1
             if budget < 0:
@@ -340,7 +336,7 @@ def _branches(adj: list[int], live: int, k: int) -> list[int]:
     degree <= k alone, else every vertex of degree <= k by fill, degree
     and id."""
     keyed = []
-    for v in _members(live):
+    for v in mask_members(live):
         degree = adj[v].bit_count()
         if degree <= k:
             fill = _fill_count(adj, v)
@@ -470,14 +466,15 @@ def triangulation_from_ears(es: EarSequence) -> Graph:
         add(u, w)
         add(v, w)
     tri = Graph(current.n, current.edges() + sorted(extra))
-    adj = [set(tri.adj[w]) for w in tri.vertices()]
-    assert is_chordal(adj), "ear triangulation must be chordal"
+    assert is_chordal([tri.mask(w) for w in tri.vertices()]), \
+        "ear triangulation must be chordal"
     return tri
 
 
 def chordal_clique_number(g: Graph) -> int:
     """omega of a chordal graph: 1 + the largest weight MCS-M picks."""
-    return max((len(later) + 1 for later in mcs_m(g.adj)[1]), default=0)
+    madj = mcs_m([g.mask(v) for v in g.vertices()])[1]
+    return max((later.bit_count() + 1 for later in madj), default=0)
 
 
 def lift_tree_decomposition(td: TreeDecomposition,

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .graphs import Graph, blow_up, add_universal_clique, induced_subgraph, vertex_set
+from .graphs import (Graph, add_universal_clique, blow_up, induced_subgraph,
+                     mask_members, vertex_set)
 from .oracles import find_forbidden_induced
 
 
@@ -93,15 +94,22 @@ def extract_skeleton(atom: Graph) -> ExtractResult:
     cutset K would lift to the atom clique cutset classes(K) plus the
     universal clique; rejection then certifies the atom is outside the
     (cap, 4-hole)-free class.
+
+    The classes are the true-twin classes of the atom minus its universal
+    vertices, found as in twin_classes_quadratic: the rest grouped by
+    closed neighbour mask cut down to the rest.
     """
     n = atom.n
     if atom.m == n * (n - 1) // 2:
         return COMPLETE_ATOM
-    universal = vertex_set(v for v in atom.vertices()
-                           if atom.degree(v) == n - 1)
-    rest = [v for v in atom.vertices() if v not in set(universal)]
-    core, back = induced_subgraph(atom, rest)
-    classes = tuple(tuple(back[u] for u in cls) for cls in twin_classes(core))
+    universal = tuple(v for v in atom.vertices() if atom.degree(v) == n - 1)
+    rest = (1 << n) - 1
+    for v in universal:
+        rest ^= 1 << v
+    seen: dict[int, list[int]] = {}
+    for v in mask_members(rest):
+        seen.setdefault((atom.mask(v) | 1 << v) & rest, []).append(v)
+    classes = tuple(map(tuple, seen.values()))
     reps = [cls[0] for cls in classes]
     skeleton, _ = induced_subgraph(atom, reps)
     tri = find_forbidden_induced(skeleton, "triangle")

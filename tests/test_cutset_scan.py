@@ -7,7 +7,8 @@ import pytest
 from capfree import construct, decomposition
 from capfree.construct import GeneratorParams, generate_instance
 from capfree.decomposition import clique_cutset_tree, find_clique_cutset
-from capfree.graphs import Graph, blow_up, gnp, hole, path, vertex_set
+from capfree.graphs import (Graph, add_universal_clique, blow_up, gnp, hole,
+                            mask_members, path, vertex_set)
 from capfree.rng import Xoshiro256StarStar
 from capfree.treewidth import mcs_m
 from test_large_inputs import subdivided_grid
@@ -16,17 +17,18 @@ from test_large_inputs import subdivided_grid
 def whole_graph_pieces(g):
     """The Atoms scan over all of g: (cutset, atom) per split, then
     ((), last atom)."""
-    _, madj, generators = mcs_m(g.adj)
+    _, madj, generators = mcs_m([g.mask(v) for v in g.vertices()])
     alive = set(g.vertices())
     for x in generators:
-        if g.is_clique(madj[x]):
+        cut = set(mask_members(madj[x]))
+        if g.is_clique(cut):
             side, stack = {x}, [x]
             while stack:
                 for u in g.adj[stack.pop()]:
-                    if u in alive and u not in side and u not in madj[x]:
+                    if u in alive and u not in side and u not in cut:
                         side.add(u)
                         stack.append(u)
-            yield vertex_set(madj[x]), vertex_set(side | madj[x])
+            yield vertex_set(cut), vertex_set(side | cut)
             alive -= side
     yield (), vertex_set(alive)
 
@@ -89,6 +91,27 @@ def instances():
             yield f"glue{glue}_seed{seed}", g
 
 
+def blown_up_graphs():
+    """Random graphs with every vertex blown up by 1 to 3 and a universal
+    clique of 0 to 2 vertices: blocks full of true twins."""
+    rng = Xoshiro256StarStar(2025)
+    for seed in range(120):
+        g = gnp(3 + seed % 9, (0.2, 0.3, 0.45, 0.6)[seed % 4], 1300 + seed)
+        g = blow_up(g, [1 + rng.below(3) for _ in g.vertices()])
+        yield f"blown{seed}", add_universal_clique(g, rng.below(3))
+
+
+def blown_up_instances():
+    for glue in (0, 3, 10):
+        for seed in range(4):
+            g, _ = generate_instance(GeneratorParams(
+                seed=57 * glue + seed, ear_count=2, max_blowup=3,
+                max_universal=2, glue_count=glue,
+                target_class=("cap-even-hole-free",
+                              "cap-4hole-odd-signable")[seed % 2]))
+            yield f"blown_glue{glue}_seed{seed}", g
+
+
 def flower(petals, length):
     """petals cycles of the given length through vertex 0: a cut vertex
     of higher degree than any of its blocks."""
@@ -102,6 +125,8 @@ def flower(petals, length):
 C5X2 = blow_up(hole(5), [2] * 5)
 FAMILIES = dict(random_graphs())
 FAMILIES.update(instances())
+FAMILIES.update(blown_up_graphs())
+FAMILIES.update(blown_up_instances())
 FAMILIES.update({
     "union": disjoint_union([path(4), hole(6), C5X2, path(1), hole(5),
                              blow_up(hole(7), [1, 2, 1, 2, 1, 2, 1]),
@@ -200,3 +225,46 @@ def test_glued_scans_see_only_shortened_blocks(monkeypatch):
     # One scan per atom, each on the atom with its threads shortened.
     assert sorted(sizes) == sorted(shortened_size(g, a) for a in atoms)
     assert max(sizes) < min(map(len, atoms))
+
+
+def test_twins_can_merge_into_a_cut_vertex_of_the_quotient():
+    # 1 and 2 are true twins; merged, they cut 0 off the rest, so the
+    # quotient has as many edges as vertices and is still no cycle.
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 5), (2, 5),
+                  (3, 4), (4, 5)])
+    tree = clique_cutset_tree(g)
+    assert sorted(tree.atoms()) == [(0, 1, 2), (1, 2, 3, 4, 5)]
+    assert [node.cutset for node in tree.internal_nodes()] == [(1, 2)]
+    assert find_clique_cutset(g) is not None
+
+
+@pytest.mark.parametrize("k", [5, 7, 9])
+def test_blown_up_holes_quotient_to_a_hole(monkeypatch, k):
+    # The blowup workload's graphs: a hole blown up by 2 is one block whose
+    # twin quotient is the hole, so it needs no scan; with a universal
+    # vertex the quotient is a wheel, scanned once on its k + 1 vertices.
+    sizes = scan_sizes(monkeypatch)
+    blown = blow_up(hole(k), [2] * k)
+    assert clique_cutset_tree(blown).atoms() == [tuple(blown.vertices())]
+    assert sizes == []
+    wheel = add_universal_clique(blown, 1)
+    assert clique_cutset_tree(wheel).atoms() == [tuple(wheel.vertices())]
+    assert sizes == [k + 1]
+
+
+def test_twins_are_read_inside_the_block(monkeypatch):
+    # 0 and 1 are twins in the blown-up C5 but not in g, where a pendant
+    # path hangs off 0; the block still quotients to the C5.
+    sizes = scan_sizes(monkeypatch)
+    blown = blow_up(hole(5), [2] * 5)
+    g = Graph(12, blown.edges() + [(0, 10), (10, 11)])
+    assert sorted(clique_cutset_tree(g).atoms()) == [
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (0, 10), (10, 11)]
+    assert sizes == []
+
+
+def test_a_large_blown_up_wheel_is_one_atom(monkeypatch):
+    sizes = scan_sizes(monkeypatch)
+    g = add_universal_clique(blow_up(hole(9), [40] * 9), 2)
+    assert clique_cutset_tree(g).atoms() == [tuple(g.vertices())]
+    assert sizes == [10]

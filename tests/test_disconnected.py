@@ -6,7 +6,8 @@ import pytest
 
 from capfree import decomposition
 from capfree.decomposition import clique_cutset_tree
-from capfree.graphs import Graph, blow_up, gnp, hole, induced_subgraph, path
+from capfree.graphs import (Graph, add_universal_clique, blow_up, gnp, hole,
+                            induced_subgraph, path)
 from capfree.rng import Xoshiro256StarStar
 from capfree.solvers import chromatic_number, mwss, q_color_graph
 
@@ -93,8 +94,14 @@ def test_one_atom_scan_per_tree(monkeypatch):
     # Every block of this union is an edge or a hole, so none is scanned.
     clique_cutset_tree(CASES["holes_and_paths"])
     assert calls == 0
-    # Each blow-up is one block that needs a scan; the rest need none.
+    # A blow-up of a hole is one block whose twin quotient is a hole, so it
+    # needs no scan either.
     clique_cutset_tree(CASES["path_hole_blowup"])
+    assert calls == 0
+    # With a universal vertex the quotient is a wheel, which needs one scan;
+    # the rest need none.
+    clique_cutset_tree(disjoint_union(
+        [path(4), hole(5), add_universal_clique(C5X2, 1)], 1))
     assert calls == 1
 
 

@@ -155,6 +155,36 @@ def test_induced_subgraph_keeps_weights():
     assert sub.weights == (5, 7)
 
 
+def edge_built_subgraph(g, keep):
+    """The induced subgraph built from an edge list through Graph."""
+    index = {old: new for new, old in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in g.edges()
+             if u in index and v in index]
+    weights = [g.weight(v) for v in keep] if g.has_weights() else None
+    return Graph(len(keep), edges, weights)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_induced_subgraph_matches_an_edge_built_copy(seed):
+    rng = Xoshiro256StarStar(seed)
+    for i in range(60):
+        g = gnp(rng.below(16), (0.1, 0.3, 0.6)[i % 3], 100 * seed + i)
+        if i % 2:
+            g = g.with_weights([rng.below(50) for _ in g.vertices()])
+        # Empty, one-vertex, whole and random selections in turn.
+        keep = [[], [v for v in g.vertices() if v == g.n // 2],
+                list(g.vertices()),
+                [v for v in g.vertices() if rng.below(2)]][i % 4]
+        sub, back = induced_subgraph(g, reversed(keep))
+        ref = edge_built_subgraph(g, keep)
+        assert back == tuple(keep)
+        assert (sub.n, sub.adj, sub.m, sub.weights, sub.has_weights()) == (
+            ref.n, ref.adj, ref.m, ref.weights, ref.has_weights())
+        assert [sub.mask(v) for v in sub.vertices()] == [
+            ref.mask(v) for v in ref.vertices()]
+        assert sub == ref and hash(sub) == hash(ref)
+
+
 def test_induced_subgraph_range_check():
     with pytest.raises(ValueError):
         induced_subgraph(hole(4), [0, 9])

@@ -1,3 +1,4 @@
+import heapq
 import random
 from itertools import combinations
 
@@ -65,7 +66,7 @@ def test_generated_skeletons_have_width_5(seed):
 
 def test_triangulation_base_c5():
     tri = triangulation_from_ears(EarSequence((0, 1, 2, 3, 4), ()))
-    assert is_chordal([set(tri.adj[v]) for v in tri.vertices()])
+    assert is_chordal(masks(tri))
     # Fan triangulation of a 5-hole: largest clique has 4 vertices.
     assert chordal_clique_number(tri) == 4
     assert brute_solve(tri, "max-clique").value == 4
@@ -73,14 +74,14 @@ def test_triangulation_base_c5():
 
 def test_triangulation_base_c7():
     tri = triangulation_from_ears(EarSequence(tuple(range(7)), ()))
-    assert is_chordal([set(tri.adj[v]) for v in tri.vertices()])
+    assert is_chordal(masks(tri))
     assert chordal_clique_number(tri) <= 5
 
 
 def test_triangulation_with_one_ear():
     es = EarSequence((0, 1, 2, 3, 4), (GOOD_EAR_ON_C5,))
     tri = triangulation_from_ears(es)
-    assert is_chordal([set(tri.adj[v]) for v in tri.vertices()])
+    assert is_chordal(masks(tri))
     assert chordal_clique_number(tri) <= 6
     skeleton = skeleton_from_ears(es)
     for u, v in skeleton.edges():
@@ -179,6 +180,10 @@ def spanned_graph(td, n):
                             for pair in combinations(bag, 2)}))
 
 
+def masks(g):
+    return [g.mask(v) for v in g.vertices()]
+
+
 def maximal_cliques(g):
     cliques = [set(c) for k in range(1, g.n + 1)
                for c in combinations(g.vertices(), k) if g.is_clique(c)]
@@ -190,13 +195,79 @@ def maximal_cliques(g):
 def test_mcs_m_adds_no_fill_to_chordal_graphs(seed):
     g = gnp(6 + seed % 7, (0.2, 0.35, 0.5)[seed % 3], 500 + seed)
     h = spanned_graph(min_fill_decomposition(g), g.n)
-    order, madj, _ = mcs_m(h.adj)
+    order, madj, _ = mcs_m(masks(h))
     position = {v: i for i, v in enumerate(order)}
     for v in h.vertices():
-        assert madj[v] == {u for u in h.adj[v] if position[u] > position[v]}
-    assert is_chordal([set(h.adj[v]) for v in h.vertices()])
-    assert is_chordal([set(g.adj[v]) for v in g.vertices()]) == (g == h)
+        assert madj[v] == sum(1 << u for u in h.adj[v]
+                              if position[u] > position[v])
+    assert is_chordal(masks(h))
+    assert is_chordal(masks(g)) == (g == h)
     assert chordal_clique_number(h) == brute_solve(h, "max-clique").value
+
+
+def heap_mcs_m(adj):
+    """The heap-driven MCS-M that mcs_m replaced, on neighbour sets: the
+    reference for mcs_m's order, madj and generators."""
+    n = len(adj)
+    weight = [0] * n
+    numbered = [False] * n
+    order = [0] * n
+    madj = [set() for _ in range(n)]
+    generators = []
+    queue = [(0, v) for v in range(n)]
+    pop, push = heapq.heappop, heapq.heappush
+    last = -1
+    for i in range(n - 1, -1, -1):
+        _, v = pop(queue)
+        numbered[v] = True
+        order[i] = v
+        if weight[v] <= last:
+            generators.append(v)
+        last = weight[v]
+        while queue and numbered[queue[0][1]]:
+            pop(queue)
+        heaviest = -queue[0][0] if queue else 0
+        bottleneck = {u: -1 for u in adj[v] if not numbered[u]}
+        best = bottleneck.get
+        first = [(-1, u) for u in bottleneck]
+        heap = []
+        while first or heap:
+            b, u = first.pop() if first else pop(heap)
+            if b != bottleneck[u]:
+                continue
+            through = weight[u] if weight[u] > b else b
+            if through >= heaviest:
+                continue
+            for z in adj[u]:
+                if not numbered[z] and through < best(z, heaviest):
+                    bottleneck[z] = through
+                    push(heap, (through, z))
+        for u, b in bottleneck.items():
+            if b < weight[u]:
+                madj[u].add(v)
+                weight[u] += 1
+                push(queue, (-weight[u], u))
+    return order, madj, generators[::-1]
+
+
+def assert_mcs_m_matches_the_heap_version(g):
+    order, madj, generators = mcs_m(masks(g))
+    expected = heap_mcs_m(g.adj)
+    assert order == expected[0]
+    assert madj == [sum(1 << v for v in later) for later in expected[1]]
+    assert generators == expected[2]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mcs_m_matches_the_heap_version(seed):
+    rng = random.Random(seed)
+    for i in range(300):
+        g = gnp(rng.randint(0, 22), rng.uniform(0.05, 0.7),
+                10_000 + 300 * seed + i)
+        assert_mcs_m_matches_the_heap_version(g)
+        if i % 10 == 0:
+            chordal = spanned_graph(min_fill_decomposition(g), g.n)
+            assert_mcs_m_matches_the_heap_version(chordal)
 
 
 def filled_graph(g, order):
@@ -401,6 +472,39 @@ def listed_is_valid(td, g):
     return True
 
 
+def set_is_valid(td, g):
+    """The set-based validity check that the mask version replaced: bag
+    sets, each edge looked for in its first end's bags, each vertex's
+    subtree walked through the bags that hold it."""
+    k = len(td.bags)
+    if k == 0:
+        return g.n == 0
+    if len(td.edges) != k - 1:
+        return False
+    nbrs = [[] for _ in range(k)]
+    for a, b in td.edges:
+        if not (0 <= a < k and 0 <= b < k):
+            return False
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    if len(reachable(nbrs, 0, range(k))) != k:
+        return False
+    bag_sets = [set(b) for b in td.bags]
+    holding = [[] for _ in g.vertices()]
+    for i, bag in enumerate(bag_sets):
+        for v in bag:
+            if not 0 <= v < g.n:
+                return False
+            holding[v].append(i)
+    if not all(holding):
+        return False
+    for u, v in g.edges():
+        if not any(v in bag_sets[i] for i in holding[u]):
+            return False
+    return all(reachable(nbrs, hold[0], hold) == set(hold)
+               for hold in holding)
+
+
 def reachable(nbrs, start, allowed):
     allowed = set(allowed)
     seen, stack = {start}, [start]
@@ -458,9 +562,35 @@ def test_validity_verdicts_match_the_bag_scan(seed):
         g = gnp(rng.randint(1, 14), rng.uniform(0.1, 0.6), 900 + 40 * seed + i)
         td = min_fill_decomposition(g)
         assert listed_is_valid(td, g) and td.is_valid(g)
+        assert set_is_valid(td, g)
         for mode, broken in broken_decompositions(td, g, rng):
             modes.add(mode)
             assert broken.is_valid(g) == listed_is_valid(broken, g), mode
+            assert broken.is_valid(g) == set_is_valid(broken, g), mode
             if mode != "cycle in place of a tree edge":
                 assert not broken.is_valid(g), mode
     assert len(modes) == 8
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validity_verdicts_match_the_set_checker_on_random_bags(seed):
+    # Random trees (some with an edge too many or too few) over random
+    # bags, some holding a repeated or an out-of-range vertex.
+    rng = random.Random(seed)
+    verdicts = set()
+    for i in range(500):
+        g = gnp(rng.randint(0, 7), rng.uniform(0.1, 0.6), 5000 + 500 * seed + i)
+        k = rng.randint(0, 6)
+        bags = tuple(tuple(rng.sample(range(-1, g.n + 1), rng.randint(0, g.n))
+                           if rng.random() < 0.1 else
+                           sorted(rng.sample(range(g.n),
+                                             rng.randint(0, g.n))) * (
+                               1 + (rng.random() < 0.05)))
+                     for _ in range(k))
+        edges = tuple((rng.randrange(j), j) for j in range(1, k))
+        if k and rng.random() < 0.1:
+            edges += ((rng.randrange(k), rng.randrange(k)),)
+        td = TreeDecomposition(bags, edges)
+        verdicts.add(td.is_valid(g))
+        assert td.is_valid(g) == set_is_valid(td, g)
+    assert verdicts == {True, False}

@@ -37,6 +37,27 @@ def test_refinement_matches_quadratic(seed):
     assert twin_classes(g) == twin_classes_quadratic(g)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_extracted_classes_are_the_twin_classes_of_the_rest(seed):
+    # A bipartite, so triangle-free, base; shuffled ids, so universal
+    # vertices and classes interleave.
+    g = gnp(4 + seed % 6, (0.3, 0.5, 0.8)[seed % 3], 1808 + seed)
+    g = Graph(g.n, [(u, v) for u, v in g.edges() if (u + v) % 2])
+    g = add_universal_clique(blow_up(g, [1 + (v + seed) % 3
+                                         for v in g.vertices()]), seed % 3)
+    ids = sorted(g.vertices(), key=lambda v: (v * 7 + seed) % g.n)
+    g = Graph(g.n, [(min(ids[u], ids[v]), max(ids[u], ids[v]))
+                    for u, v in g.edges()])
+    sd = extract_skeleton(g)
+    assert isinstance(sd, SkeletonDecomposition)
+    assert sd.universal == tuple(v for v in g.vertices()
+                                 if g.degree(v) == g.n - 1)
+    rest = [v for v in g.vertices() if v not in sd.universal]
+    core, back = induced_subgraph(g, rest)
+    assert list(sd.classes) == [tuple(back[u] for u in cls)
+                                for cls in twin_classes(core)]
+
+
 def test_extract_wheel():
     wheel = add_universal_clique(hole(5), 1)
     sd = extract_skeleton(wheel)
