@@ -4,11 +4,12 @@ decomposition stack.
 Every call reads each leaf of clique_cutset_tree through one Atom record
 (decomposition.py), built once per call: the skeleton extraction, and the
 skeleton's width-5 tree decomposition and its nice form only when a DP
-needs them.  Both DPs below run on that one nice form.  One per-atom step,
-_color_atom, serves chromatic_number and q_color_graph; clique_number
-reads the skeleton alone.
+needs them.  Both DPs below run on that one nice form through one
+driver, _nice_dp; each gives only its table rules and what it reads off
+the traceback.  One per-atom step, _color_atom, serves chromatic_number
+and q_color_graph; clique_number reads the skeleton alone.
 
-Coloring runs one count DP, _multicolor_dp, over a nice tree
+Coloring runs the count DP, _multicolor_dp, over a nice tree
 decomposition: vertex v needs demand[v] colors, adjacent vertices get
 disjoint ones, and one pass finds the fewest colors up to a cap.  An atom
 is a blow-up of its skeleton plus a universal clique U, so its twin
@@ -97,6 +98,55 @@ def is_proper_coloring(g: Graph, colors: Sequence[int],
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
+def _nice_dp(nd: NiceDecomposition, empty, introduce, forget, join, drop):
+    """The post-order pass both DPs run, and its traceback.
+
+    A table maps keys (bag states) to values; a leaf's is {empty: 0}, and
+    the rules build whole tables: introduce(table, v), join(left, right),
+    and forget(table, v), which also returns the child key kept for each
+    key.  A child's table is dropped once its parent is built.  None when
+    a table is empty; else the root's value and a generator of (forget
+    node, chosen child key), parents first.  drop(key, bit) clears an
+    introduced vertex from a key on the way down.
+    """
+    nodes = nd.nodes
+    tables: list[Optional[dict]] = [None] * len(nodes)
+    choice: dict[int, dict] = {}
+    for idx, node in enumerate(nodes):
+        kind, kids = node.kind, node.children
+        if kind == "leaf":
+            table = {empty: 0}
+        elif kind == "introduce":
+            table = introduce(tables[kids[0]], node.vertex)
+        elif kind == "forget":
+            table, choice[idx] = forget(tables[kids[0]], node.vertex)
+        else:
+            table = join(tables[kids[0]], tables[kids[1]])
+        for kid in kids:
+            tables[kid] = None
+        if not table:
+            return None
+        tables[idx] = table
+
+    def traceback():
+        stack = [(nd.root, empty)]
+        while stack:
+            idx, key = stack.pop()
+            node = nodes[idx]
+            if node.kind == "introduce":
+                stack.append((node.children[0], drop(key, 1 << node.vertex)))
+            elif node.kind == "forget":
+                key = choice[idx][key]
+                yield node, key
+                stack.append((node.children[0], key))
+            elif node.kind == "join":
+                left, right = node.children
+                stack.append((left, key))
+                stack.append((right, key))
+
+    return tables[nd.root][empty], traceback()
+
+
 def _stable_dp(graph: Graph, nd: NiceDecomposition, allowed: int,
                weights: Sequence[int]) -> tuple[int, list[int]]:
     """The heaviest stable set of graph within the vertex mask allowed, as
@@ -107,56 +157,40 @@ def _stable_dp(graph: Graph, nd: NiceDecomposition, allowed: int,
     key with v left out and, when v is allowed and has no taken neighbour,
     adds it with v taken; leaving v out is always possible, so no table is
     ever empty.  Ties go to the set met first, v left out before v taken.
-    A node's table is dropped once its parent is built: the traceback
-    reads only the forget nodes' choices.
+    Join adds the two sides' values: each side holds every allowed stable
+    subset of the bag.
     """
-    tables: list[Optional[dict]] = [None] * len(nd.nodes)
-    choice: dict[int, dict] = {}
-    for idx, node in enumerate(nd.nodes):
-        kids = node.children
-        if node.kind == "leaf":
-            table = {0: 0}
-        elif node.kind == "introduce":
-            v = node.vertex
-            bit, nbrs = 1 << v, graph.mask(v)
-            table = {}
-            for key, value in tables[kids[0]].items():
-                table[key] = value
-                if allowed & bit and not key & nbrs:
-                    table[key | bit] = value
-        elif node.kind == "forget":
-            bit, w = 1 << node.vertex, weights[node.vertex]
-            table = {}
-            picked = choice[idx] = {}
-            for key, value in tables[kids[0]].items():
-                if key & bit:
-                    value += w
-                short = key & ~bit
-                if short not in table or value > table[short]:
-                    table[short] = value
-                    picked[short] = key
-        else:  # join: each side holds every allowed stable subset of the bag
-            right = tables[kids[1]]
-            table = {key: value + right[key]
-                     for key, value in tables[kids[0]].items()}
-        for kid in kids:
-            tables[kid] = None
-        tables[idx] = table
-    taken = []
-    stack = [(nd.root, 0)]
-    while stack:
-        idx, key = stack.pop()
-        node = nd.nodes[idx]
-        if node.kind == "introduce":
-            stack.append((node.children[0], key & ~(1 << node.vertex)))
-        elif node.kind == "forget":
-            key = choice[idx][key]
-            if key >> node.vertex & 1:
-                taken.append(node.vertex)
-            stack.append((node.children[0], key))
-        elif node.kind == "join":
-            stack.extend((kid, key) for kid in node.children)
-    return tables[nd.root][0], taken
+    def introduce(table, v):
+        bit, nbrs = 1 << v, graph.mask(v)
+        if not allowed & bit:
+            return table
+        out = {}
+        for key, value in table.items():
+            out[key] = value
+            if not key & nbrs:
+                out[key | bit] = value
+        return out
+
+    def forget(table, v):
+        bit, w = 1 << v, weights[v]
+        out: dict[int, int] = {}
+        picked = {}
+        for key, value in table.items():
+            if key & bit:
+                value += w
+            short = key & ~bit
+            if short not in out or value > out[short]:
+                out[short] = value
+                picked[short] = key
+        return out, picked
+
+    def join(left, right):
+        return {key: value + right[key] for key, value in left.items()}
+
+    value, steps = _nice_dp(nd, 0, introduce, forget, join,
+                            lambda key, bit: key & ~bit)
+    return value, [node.vertex for node, key in steps
+                   if key >> node.vertex & 1]
 
 
 def _without(key: tuple[int, ...], bit: int) -> tuple[int, ...]:
@@ -186,90 +220,72 @@ def _multicolor_dp(graph: Graph, nd: NiceDecomposition,
     bag's partition into color classes (Zhou, Kanari & Nishizeki,
     "Generalized vertex-colorings of partial k-trees", 2000).
 
-    The traceback runs top-down and colors v at its forget node: for each
-    entry S + {v} of the chosen child key, v takes a color that exactly
-    the bag vertices S hold, and for an entry {v} alone, a color no bag
-    vertex holds.  One is free, since a key never has more entries than
-    its value, which is at most the total.
+    The traceback colors v at its forget node: for each entry S + {v} of
+    the chosen child key, v takes a color that exactly the bag vertices S
+    hold, and for an entry {v} alone, a color no bag vertex holds.  One is
+    free, since a key never has more entries than its value, which is at
+    most the total.
     """
-    tables: list[Optional[dict]] = [None] * len(nd.nodes)
-    choice: dict[int, dict] = {}
-    for idx, node in enumerate(nd.nodes):
-        kids = node.children
-        if node.kind == "leaf":
-            table = {(): 0}
-        elif node.kind == "introduce":
-            v = node.vertex
-            bit, nbrs, d = 1 << v, graph.mask(v), demand[v]
-            table = {}
-            for key, value in tables[kids[0]].items():
-                # Entries that may take v, grouped by mask (equal masks
-                # sit together in the sorted key).
-                fixed = []
-                groups: list[list[int]] = []
-                for e in key:
-                    if e & nbrs:
-                        fixed.append(e)
-                    elif groups and groups[-1][0] == e:
-                        groups[-1][1] += 1
-                    else:
-                        groups.append([e, 1])
-                options = [(fixed, 0)]
-                for e, m in groups:
-                    options = [(entries + [e | bit] * c + [e] * (m - c),
-                                j + c)
-                               for entries, j in options
-                               for c in range(min(m, d - j) + 1)]
-                for entries, j in options:
-                    size = len(key) + d - j
-                    if size <= cap:
-                        table[tuple(sorted(entries + [bit] * (d - j)))] = \
-                            max(value, size)
-        elif node.kind == "forget":
-            bit = 1 << node.vertex
-            table = {}
-            picked = choice[idx] = {}
-            for key, value in tables[kids[0]].items():
-                short = _without(key, bit)
-                if short not in table or value < table[short]:
-                    table[short] = value
-                    picked[short] = key
-        else:  # join
-            right = tables[kids[1]]
-            table = {key: max(value, right[key])
-                     for key, value in tables[kids[0]].items()
-                     if key in right}
-        for kid in kids:
-            tables[kid] = None
-        if not table:
-            return None
-        tables[idx] = table
-    total = tables[nd.root][()]
+    def introduce(table, v):
+        bit, nbrs, d = 1 << v, graph.mask(v), demand[v]
+        out = {}
+        for key, value in table.items():
+            # Entries that may take v, grouped by mask (equal masks sit
+            # together in the sorted key).
+            fixed = []
+            groups: list[list[int]] = []
+            for e in key:
+                if e & nbrs:
+                    fixed.append(e)
+                elif groups and groups[-1][0] == e:
+                    groups[-1][1] += 1
+                else:
+                    groups.append([e, 1])
+            options = [(fixed, 0)]
+            for e, m in groups:
+                options = [(entries + [e | bit] * c + [e] * (m - c), j + c)
+                           for entries, j in options
+                           for c in range(min(m, d - j) + 1)]
+            for entries, j in options:
+                size = len(key) + d - j
+                if size <= cap:
+                    out[tuple(sorted(entries + [bit] * (d - j)))] = \
+                        max(value, size)
+        return out
+
+    def forget(table, v):
+        bit = 1 << v
+        out: dict[tuple[int, ...], int] = {}
+        picked = {}
+        for key, value in table.items():
+            short = _without(key, bit)
+            if short not in out or value < out[short]:
+                out[short] = value
+                picked[short] = key
+        return out, picked
+
+    def join(left, right):
+        return {key: max(value, right[key])
+                for key, value in left.items() if key in right}
+
+    found = _nice_dp(nd, (), introduce, forget, join, _without)
+    if found is None:
+        return None
+    total, steps = found
     colors: list[list[int]] = [[] for _ in range(graph.n)]
-    stack = [(nd.root, ())]
-    while stack:
-        idx, key = stack.pop()
-        node = nd.nodes[idx]
-        if node.kind == "introduce":
-            stack.append((node.children[0], _without(key, 1 << node.vertex)))
-        elif node.kind == "forget":
-            key = choice[idx][key]
-            v = node.vertex
-            bit = 1 << v
-            holders: dict[int, int] = {}
-            for u in node.bag:
-                for c in colors[u]:
-                    holders[c] = holders.get(c, 0) | 1 << u
-            # Each list runs downward, so pop() takes its least color.
-            held_by: dict[int, list[int]] = {}
-            for c in sorted(holders, reverse=True):
-                held_by.setdefault(holders[c], []).append(c)
-            held_by[0] = [c for c in range(total, 0, -1) if c not in holders]
-            colors[v] = sorted(held_by[e ^ bit].pop()
-                               for e in key if e & bit)
-            stack.append((node.children[0], key))
-        elif node.kind == "join":
-            stack.extend((kid, key) for kid in node.children)
+    for node, key in steps:
+        v = node.vertex
+        bit = 1 << v
+        holders: dict[int, int] = {}
+        for u in node.bag:
+            for c in colors[u]:
+                holders[c] = holders.get(c, 0) | 1 << u
+        # Each list runs downward, so pop() takes its least color.
+        held_by: dict[int, list[int]] = {}
+        for c in sorted(holders, reverse=True):
+            held_by.setdefault(holders[c], []).append(c)
+        held_by[0] = [c for c in range(total, 0, -1) if c not in holders]
+        colors[v] = sorted(held_by[e ^ bit].pop() for e in key if e & bit)
     return total, colors
 
 
@@ -466,8 +482,12 @@ class StableSetResult:
     weight: int
 
 
-class _AtomSolver:
-    """Stable-set subproblem solver for one atom.
+def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int],
+                brute_guard: Optional[int]) -> tuple[int, tuple[int, ...]]:
+    """The heaviest stable set of the atom minus the deleted atom
+    vertices, as (weight, root-id vertex tuple); weights are indexed by
+    root id.  mwss asks this of an atom minus its cutset, or minus a
+    closed neighborhood, under the current weights.
 
     A structured atom runs the stable-set DP on its skeleton alone, over
     the atom's shared nice decomposition: each class is weighted by its
@@ -475,77 +495,54 @@ class _AtomSolver:
     The universal clique U needs no DP: U is complete to the atom, so a
     stable set that takes a vertex of U is that vertex alone, and the
     heaviest survivor of U replaces the skeleton's set when it is heavier.
-    Unstructured atoms fall back to brute force under the guard.  Queries
-    delete a vertex set X of atom ids (the cutset, or a closed
-    neighborhood) and take current weights.
+    Unstructured atoms fall back to brute force under the guard.
     """
-
-    def __init__(self, atom: Atom, brute_guard: Optional[int]):
-        self.atom = atom
-        self.brute_guard = brute_guard
-
-    def solve(self, deleted: set[int], weights: Sequence[int]
-              ) -> tuple[int, tuple[int, ...]]:
-        """Best stable set of atom minus the deleted atom vertices; returns
-        (weight, root-id vertex tuple)."""
-        atom = self.atom
-        survivors = [v for v in atom.graph.vertices() if v not in deleted]
-        if not survivors:
+    survivors = [v for v in atom.graph.vertices() if v not in deleted]
+    if not survivors:
+        return 0, ()
+    local_w = {v: weights[atom.back[v]] for v in survivors}
+    if atom.complete:
+        best = max(survivors, key=lambda v: (local_w[v], -v))
+        if local_w[best] <= 0:
             return 0, ()
-        local_w = {v: weights[atom.back[v]] for v in survivors}
-        if atom.complete:
-            best = max(survivors, key=lambda v: (local_w[v], -v))
-            if local_w[best] <= 0:
-                return 0, ()
-            return local_w[best], (atom.back[best],)
-        if atom.sd is None:
-            sub, sub_back = induced_subgraph(atom.graph, survivors)
-            weighted = sub.with_weights([local_w[v] for v in survivors])
-            res = _brute_or_unsupported(weighted, "mwss", self.brute_guard,
-                                        atom.reason)
-            return res.value, vertex_set(atom.back[sub_back[v]]
-                                         for v in res.witness)
-        return self._solve_structured(deleted, local_w)
-
-    def _solve_structured(self, deleted: set[int], local_w: dict[int, int]
-                          ) -> tuple[int, tuple[int, ...]]:
-        sd = self.atom.sd
-        universal_left = [v for v in sd.universal if v not in deleted]
-        self._assert_restriction(sd, deleted, universal_left)
-        reps: list[Optional[int]] = []
-        allowed = 0
-        for i, cls in enumerate(sd.classes):
-            alive = [v for v in cls if v not in deleted]
-            reps.append(min(alive, key=lambda v: -local_w[v])
-                        if alive else None)
-            allowed |= bool(alive) << i
-        value, taken = _stable_dp(
-            sd.skeleton, self.atom.nice, allowed,
-            [0 if r is None else local_w[r] for r in reps])
-        picked = [reps[i] for i in taken]
-        if universal_left:
-            top = min(universal_left, key=lambda v: -local_w[v])
-            if local_w[top] > value:
-                value, picked = local_w[top], [top]
-        certify(None not in picked and self.atom.graph.is_stable(picked)
-                and sum(local_w[v] for v in picked) == value,
-                "DP stable set failed re-check")
-        return value, vertex_set(self.atom.back[v] for v in picked)
-
-    def _assert_restriction(self, sd, deleted, universal_left):
-        """Restriction soundness: surviving class members stay true twins
-        and surviving universal vertices stay universal."""
-        graph = self.atom.graph
-        alive_mask = 0
-        for v in graph.vertices():
-            if v not in deleted:
-                alive_mask |= 1 << v
-        for v in universal_left:
-            assert (graph.mask(v) | 1 << v) & alive_mask == alive_mask
-        for cls in sd.classes:
-            alive = [v for v in cls if v not in deleted]
-            masks = {(graph.mask(v) | 1 << v) & alive_mask for v in alive}
-            assert len(masks) <= 1, "restricted class is not a twin class"
+        return local_w[best], (atom.back[best],)
+    sd = atom.sd
+    if sd is None:
+        sub, sub_back = induced_subgraph(atom.graph, survivors)
+        weighted = sub.with_weights([local_w[v] for v in survivors])
+        res = _brute_or_unsupported(weighted, "mwss", brute_guard,
+                                    atom.reason)
+        return res.value, vertex_set(atom.back[sub_back[v]]
+                                     for v in res.witness)
+    # Restriction soundness: surviving universal vertices stay universal
+    # and surviving class members stay true twins.
+    graph = atom.graph
+    alive_mask = 0
+    for v in survivors:
+        alive_mask |= 1 << v
+    universal_left = [v for v in sd.universal if v not in deleted]
+    for v in universal_left:
+        assert (graph.mask(v) | 1 << v) & alive_mask == alive_mask
+    reps: list[Optional[int]] = []
+    allowed = 0
+    for i, cls in enumerate(sd.classes):
+        alive = [v for v in cls if v not in deleted]
+        masks = {(graph.mask(v) | 1 << v) & alive_mask for v in alive}
+        assert len(masks) <= 1, "restricted class is not a twin class"
+        reps.append(min(alive, key=lambda v: -local_w[v]) if alive else None)
+        allowed |= bool(alive) << i
+    value, taken = _stable_dp(
+        sd.skeleton, atom.nice, allowed,
+        [0 if r is None else local_w[r] for r in reps])
+    picked = [reps[i] for i in taken]
+    if universal_left:
+        top = min(universal_left, key=lambda v: -local_w[v])
+        if local_w[top] > value:
+            value, picked = local_w[top], [top]
+    certify(None not in picked and graph.is_stable(picked)
+            and sum(local_w[v] for v in picked) == value,
+            "DP stable set failed re-check")
+    return value, vertex_set(atom.back[v] for v in picked)
 
 
 def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
@@ -571,16 +568,16 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
     while not node.is_leaf:
         cut = node.cutset
         atom = Atom(g, node.left.vertices, exact_budget)
-        solver = _AtomSolver(atom, brute_guard)
         local = {r: i for i, r in enumerate(atom.back)}
-        base_value, base_set = solver.solve({local[v] for v in cut}, w)
+        base_value, base_set = _solve_atom(atom, {local[v] for v in cut}, w,
+                                           brute_guard)
         sub_sets = {}
         reweighted = []
         for v in cut:
             # The cutset lies in the atom, which is induced, so N[v] meets
             # the atom in v's closed neighbourhood there.
             closed = {local[v], *atom.graph.adj[local[v]]}
-            value_v, sub_sets[v] = solver.solve(closed, w)
+            value_v, sub_sets[v] = _solve_atom(atom, closed, w, brute_guard)
             reweighted.append(w[v] + value_v - base_value)
             assert reweighted[-1] <= w[v], \
                 "reweighting must not increase a weight"
@@ -589,7 +586,7 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
         lifts.append((cut, base_value, base_set, sub_sets))
         node = node.right
     atom = Atom(g, node.vertices, exact_budget)
-    value, picked = _AtomSolver(atom, brute_guard).solve(set(), w)
+    value, picked = _solve_atom(atom, set(), w, brute_guard)
     picked = set(picked)
     # Bottom-up: since w'(v) = w(v) + value_v - base_value, the total is
     # base_value plus the answer below whether or not that answer takes a

@@ -1,5 +1,6 @@
 """Static checks on the package source: no module imports another
-module's private names, every import names the standard library or the
+module's private names, every top-level private name is used somewhere
+else in the package, every import names the standard library or the
 package itself (pyproject.toml declares dependencies = []), and every
 module parses as the oldest Python that pyproject.toml declares."""
 
@@ -30,6 +31,42 @@ def test_no_module_imports_private_names():
     assert modules
     offenders = [hit for path in modules for hit in _private_imports(path)]
     assert offenders == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of each top-level private function, class or
+    constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    references = [
+        (node.id if isinstance(node, ast.Name) else node.attr, node)
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)]
+    dead = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(ref == name and id(node) not in inside
+                       for ref, node in references):
+                dead.append(f"{module}:{definition.lineno} {name}")
+    assert dead == []
 
 
 def _outside_imports(path: Path) -> list[str]:

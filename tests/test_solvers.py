@@ -17,7 +17,7 @@ from capfree.solvers import (StableSetResult, UnsupportedInstanceError,
                              greedy_color, is_proper_coloring, mwss,
                              q_color, q_color_graph)
 from capfree.treewidth import (lift_tree_decomposition,
-                               min_fill_decomposition,
+                               min_fill_decomposition, nice_decomposition,
                                skeleton_tree_decomposition)
 from capfree.twins import clique_number_via_skeleton, extract_skeleton
 
@@ -462,3 +462,199 @@ def test_extremal_family_clique_and_stability(k):
     assert mwss(gk).weight == 2
     if k <= 2:
         assert chromatic_number(gk)[0] == 5 * k
+
+
+# Test-only copies of the two DPs as they were before they shared one
+# driver: each has its own walk over the nodes and its own traceback.  The
+# shared driver must give equal values, vertex lists and color lists.
+
+def _separate_stable_dp(graph, nd, allowed, weights):
+    tables = [None] * len(nd.nodes)
+    choice = {}
+    for idx, node in enumerate(nd.nodes):
+        kids = node.children
+        if node.kind == "leaf":
+            table = {0: 0}
+        elif node.kind == "introduce":
+            v = node.vertex
+            bit, nbrs = 1 << v, graph.mask(v)
+            table = {}
+            for key, value in tables[kids[0]].items():
+                table[key] = value
+                if allowed & bit and not key & nbrs:
+                    table[key | bit] = value
+        elif node.kind == "forget":
+            bit, w = 1 << node.vertex, weights[node.vertex]
+            table = {}
+            picked = choice[idx] = {}
+            for key, value in tables[kids[0]].items():
+                if key & bit:
+                    value += w
+                short = key & ~bit
+                if short not in table or value > table[short]:
+                    table[short] = value
+                    picked[short] = key
+        else:
+            right = tables[kids[1]]
+            table = {key: value + right[key]
+                     for key, value in tables[kids[0]].items()}
+        for kid in kids:
+            tables[kid] = None
+        tables[idx] = table
+    taken = []
+    stack = [(nd.root, 0)]
+    while stack:
+        idx, key = stack.pop()
+        node = nd.nodes[idx]
+        if node.kind == "introduce":
+            stack.append((node.children[0], key & ~(1 << node.vertex)))
+        elif node.kind == "forget":
+            key = choice[idx][key]
+            if key >> node.vertex & 1:
+                taken.append(node.vertex)
+            stack.append((node.children[0], key))
+        elif node.kind == "join":
+            stack.extend((kid, key) for kid in node.children)
+    return tables[nd.root][0], taken
+
+
+def _separate_without(key, bit):
+    return tuple(sorted([e & ~bit for e in key if e != bit]))
+
+
+def _separate_multicolor_dp(graph, nd, demand, cap):
+    tables = [None] * len(nd.nodes)
+    choice = {}
+    for idx, node in enumerate(nd.nodes):
+        kids = node.children
+        if node.kind == "leaf":
+            table = {(): 0}
+        elif node.kind == "introduce":
+            v = node.vertex
+            bit, nbrs, d = 1 << v, graph.mask(v), demand[v]
+            table = {}
+            for key, value in tables[kids[0]].items():
+                fixed = []
+                groups = []
+                for e in key:
+                    if e & nbrs:
+                        fixed.append(e)
+                    elif groups and groups[-1][0] == e:
+                        groups[-1][1] += 1
+                    else:
+                        groups.append([e, 1])
+                options = [(fixed, 0)]
+                for e, m in groups:
+                    options = [(entries + [e | bit] * c + [e] * (m - c),
+                                j + c)
+                               for entries, j in options
+                               for c in range(min(m, d - j) + 1)]
+                for entries, j in options:
+                    size = len(key) + d - j
+                    if size <= cap:
+                        table[tuple(sorted(entries + [bit] * (d - j)))] = \
+                            max(value, size)
+        elif node.kind == "forget":
+            bit = 1 << node.vertex
+            table = {}
+            picked = choice[idx] = {}
+            for key, value in tables[kids[0]].items():
+                short = _separate_without(key, bit)
+                if short not in table or value < table[short]:
+                    table[short] = value
+                    picked[short] = key
+        else:
+            right = tables[kids[1]]
+            table = {key: max(value, right[key])
+                     for key, value in tables[kids[0]].items()
+                     if key in right}
+        for kid in kids:
+            tables[kid] = None
+        if not table:
+            return None
+        tables[idx] = table
+    total = tables[nd.root][()]
+    colors = [[] for _ in range(graph.n)]
+    stack = [(nd.root, ())]
+    while stack:
+        idx, key = stack.pop()
+        node = nd.nodes[idx]
+        if node.kind == "introduce":
+            stack.append((node.children[0],
+                          _separate_without(key, 1 << node.vertex)))
+        elif node.kind == "forget":
+            key = choice[idx][key]
+            v = node.vertex
+            bit = 1 << v
+            holders = {}
+            for u in node.bag:
+                for c in colors[u]:
+                    holders[c] = holders.get(c, 0) | 1 << u
+            held_by = {}
+            for c in sorted(holders, reverse=True):
+                held_by.setdefault(holders[c], []).append(c)
+            held_by[0] = [c for c in range(total, 0, -1) if c not in holders]
+            colors[v] = sorted(held_by[e ^ bit].pop()
+                               for e in key if e & bit)
+            stack.append((node.children[0], key))
+        elif node.kind == "join":
+            stack.extend((kid, key) for kid in node.children)
+    return total, colors
+
+
+def _random_triangle_free(rng):
+    n = rng.below(15)
+    p = 0.2 + rng.unit() * 0.4
+    adj = [set() for _ in range(n)]
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.unit() < p and not adj[u] & adj[v]:
+                adj[u].add(v)
+                adj[v].add(u)
+                edges.append((u, v))
+    return Graph(n, edges)
+
+
+def _dp_inputs():
+    """Nice forms of min-fill decompositions of 240 random triangle-free
+    graphs, and the skeletons of generated instances with their atoms'
+    nice forms."""
+    rng = Xoshiro256StarStar(1616)
+    for _ in range(240):
+        g = _random_triangle_free(rng)
+        yield g, nice_decomposition(min_fill_decomposition(g))
+    for seed in range(1, 31):
+        g, _ = generate_instance(GeneratorParams(
+            seed=seed, ear_count=seed % 4, max_blowup=1 + seed % 3,
+            max_universal=seed % 3, glue_count=seed % 5,
+            target_class=("cap-even-hole-free",
+                          "cap-4hole-odd-signable")[seed % 2]))
+        for leaf in clique_cutset_tree(g).leaves():
+            atom = Atom(g, leaf.vertices)
+            if atom.sd is not None:
+                yield atom.sd.skeleton, atom.nice
+
+
+def test_shared_dp_driver_matches_the_separate_dps():
+    rng = Xoshiro256StarStar(2016)
+    inputs = stable_runs = color_runs = refusals = 0
+    for g, nd in _dp_inputs():
+        inputs += 1
+        for _ in range(2):
+            allowed = sum(1 << v for v in g.vertices() if rng.unit() < 0.8)
+            weights = [rng.below(15) - 5 for _ in g.vertices()]
+            assert (solvers._stable_dp(g, nd, allowed, weights)
+                    == _separate_stable_dp(g, nd, allowed, weights))
+            stable_runs += 1
+        demand = [1 + rng.below(3) for _ in g.vertices()]
+        chi = 0
+        while _separate_multicolor_dp(g, nd, demand, chi) is None:
+            chi += 1
+        for cap in range(chi - 2, chi + 2):
+            expected = _separate_multicolor_dp(g, nd, demand, cap)
+            assert solvers._multicolor_dp(g, nd, demand, cap) == expected
+            color_runs += 1
+            refusals += expected is None
+    assert inputs >= 300
+    assert refusals and color_runs - refusals and stable_runs >= 600
