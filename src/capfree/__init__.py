@@ -7,8 +7,9 @@ odd-signable graphs, together with brute-force oracles and a certified
 instance generator.
 """
 
-from .construct import (GeneratorParams, generate_instance, glue_atoms,
-                        random_skeleton, validate_good_ear)
+from .construct import (Ear, EarSequence, GeneratorParams, generate_instance,
+                        glue_atoms, random_skeleton, skeleton_from_ears,
+                        triangulation_from_ears, validate_good_ear)
 from .decomposition import (DecompositionNode, DecompositionTree,
                             clique_cutset_tree, find_clique_cutset,
                             tree_to_dot)
@@ -27,14 +28,12 @@ from .solvers import (StableSetResult, UnsupportedInstanceError,
                       chromatic_number, clique_number, combine_colorings,
                       greedy_color, is_proper_coloring, mwss, q_color,
                       q_color_graph)
-from .treewidth import (Ear, EarSequence, NiceDecomposition,
-                        SearchBudgetExceeded, TreeDecomposition,
-                        TreewidthReject, lift_tree_decomposition,
+from .treewidth import (NiceDecomposition, SearchBudgetExceeded,
+                        TreeDecomposition, TreewidthReject,
                         min_fill_decomposition, nice_decomposition,
-                        skeleton_from_ears, skeleton_tree_decomposition,
-                        triangulation_from_ears)
+                        skeleton_tree_decomposition)
 from .twins import (SkeletonDecomposition, SkeletonReject,
                     clique_number_via_skeleton, extract_skeleton,
-                    reconstruct_atom, twin_classes)
+                    lift_tree_decomposition, reconstruct_atom, twin_classes)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

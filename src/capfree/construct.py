@@ -1,5 +1,8 @@
-"""Certified instance generation: good-ear skeletons, blow-ups with
-universal cliques, and clique-cutset gluing.
+"""Good ears and certified instance generation: ear sequences, the
+good-ear check, the skeleton an ear sequence builds and its chordal
+triangulation (clique number at most 6, so the skeleton has treewidth at
+most 5), good-ear skeletons, blow-ups with universal cliques, and
+clique-cutset gluing.
 
 Every emitted instance carries a provenance record (skeletons, ear data,
 blow-up sizes, expected clique number) so tests know the right answers
@@ -17,7 +20,7 @@ from .graphs import (Graph, add_universal_clique, blow_up, hole,
 from .oracles import (find_forbidden_induced, holes_of, odd_signable_signing)
 from .recognition import detect_4hole, detect_cap_fast
 from .rng import Xoshiro256StarStar
-from .treewidth import Ear, EarSequence
+from .treewidth import is_chordal
 
 TARGET_CLASSES = ("cap-even-hole-free", "cap-4hole-odd-signable")
 
@@ -100,6 +103,91 @@ def _check_ear_shape(g_prime, host, path, apex, apex_links, holes):
         raise ValueError("ear interior must use fresh vertex ids")
     if not set(apex_links) <= set(interior):
         raise ValueError("apex links must be interior vertices of the ear")
+
+
+@dataclass(frozen=True)
+class Ear:
+    """One ear addition: path runs x, interiors..., z; apex is the common
+    neighbor y; apex_links are the interiors adjacent to the apex; host is
+    the hole the ear was attached to, in cycle order."""
+    path: tuple[int, ...]
+    apex: int
+    apex_links: tuple[int, ...]
+    host: tuple[int, ...]
+
+    @property
+    def attachments(self) -> tuple[int, int]:
+        return self.path[0], self.path[-1]
+
+    @property
+    def interior(self) -> tuple[int, ...]:
+        return self.path[1:-1]
+
+
+@dataclass(frozen=True)
+class EarSequence:
+    """A base hole plus good ear additions; determines the skeleton."""
+    base: tuple[int, ...]
+    ears: tuple[Ear, ...]
+
+    def vertex_count(self) -> int:
+        count = len(self.base)
+        for ear in self.ears:
+            count += len(ear.interior)
+        return count
+
+
+def skeleton_from_ears(es: EarSequence) -> Graph:
+    """The graph built by the base hole and the recorded ear additions."""
+    k = len(es.base)
+    edges = [(es.base[i], es.base[(i + 1) % k]) for i in range(k)]
+    for ear in es.ears:
+        edges.extend(zip(ear.path, ear.path[1:]))
+        edges.extend((ear.apex, u) for u in ear.apex_links)
+    return Graph(es.vertex_count(), edges)
+
+
+def triangulation_from_ears(es: EarSequence) -> Graph:
+    """The explicit chordal supergraph of the skeleton with clique number
+    at most 6.
+
+    Per ear, the attachments and apex are made complete to the ear's
+    interior and the attachment chord is added; the first edge of the base
+    hole is joined to the rest of the base hole.  Ears must validate as
+    good (checked against the intermediate graphs); others are rejected.
+    """
+    current = Graph(len(es.base),
+                    [(es.base[i], es.base[(i + 1) % len(es.base)])
+                     for i in range(len(es.base))])
+    for ear in es.ears:
+        ok, reason = validate_good_ear(current, ear.host, ear.path,
+                                       ear.apex, ear.apex_links)
+        if not ok:
+            raise ValueError(f"ear {ear.path} is not good: {reason}")
+        edges = current.edges()
+        edges.extend(zip(ear.path, ear.path[1:]))
+        edges.extend((ear.apex, u) for u in ear.apex_links)
+        current = Graph(max(current.n, max(ear.path) + 1), edges)
+    extra: set[tuple[int, int]] = set()
+
+    def add(u: int, v: int):
+        if u != v and not current.has_edge(u, v):
+            extra.add((min(u, v), max(u, v)))
+
+    for ear in es.ears:
+        x, z = ear.attachments
+        add(x, z)
+        for w in ear.interior:
+            for s in (x, ear.apex, z):
+                add(s, w)
+    u, v = es.base[0], es.base[1]
+    for w in es.base[2:]:
+        add(u, w)
+        add(v, w)
+    tri = Graph(current.n, current.edges() + sorted(extra))
+    assert is_chordal([tri.mask(w) for w in tri.vertices()]), \
+        "ear triangulation must be chordal"
+    return tri
 
 
 def _ear_menu(max_ear_length: int, even_hole_free: bool

@@ -28,26 +28,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .graphs import Graph, induced_subgraph, mask_members, vertex_set
+from .graphs import (Graph, induced_subgraph, mask_members, mask_of, reach,
+                     vertex_set)
 from .treewidth import (DEFAULT_EXACT_BUDGET, NiceDecomposition,
                         SearchBudgetExceeded, TreeDecomposition,
                         TreewidthReject, mcs_m, nice_decomposition,
                         skeleton_tree_decomposition)
 from .twins import (COMPLETE_ATOM, ExtractResult, SkeletonDecomposition,
                     SkeletonReject, extract_skeleton)
-
-
-def _component(adj: list[int], start: int, allowed: int) -> int:
-    """The mask of start's component among the allowed vertices, for
-    neighbour masks adj."""
-    side = spread = 1 << start
-    while spread:
-        step = 0
-        for u in mask_members(spread):
-            step |= adj[u]
-        spread = step & allowed & ~side
-        side |= spread
-    return side
 
 
 def find_clique_cutset(g: Graph
@@ -64,7 +52,7 @@ def find_clique_cutset(g: Graph
     """
     if g.n:
         everything = (1 << g.n) - 1
-        first = _component([g.mask(v) for v in g.vertices()], 0, everything)
+        first = reach([g.mask(v) for v in g.vertices()], 1, everything)
         if first != everything:
             return (), (tuple(mask_members(first)),
                         tuple(mask_members(everything ^ first)))
@@ -275,9 +263,7 @@ def _block_pieces(g: Graph, top: int, block: list[int]
     if len(thread) == len(block):
         yield (), vertex_set(block)
         return
-    inside = 0
-    for v in block:
-        inside |= 1 << v
+    inside = mask_of(block)
     group: dict[int, int] = {}
     members: list[list[int]] = []
     twins: dict[int, int] = {}
@@ -319,7 +305,7 @@ def _block_pieces(g: Graph, top: int, block: list[int]
     for x in generators:
         cut = madj[x]
         if all((adj[u] | 1 << u) & cut == cut for u in mask_members(cut)):
-            side = _component(adj, x, alive & ~cut)
+            side = reach(adj, 1 << x, alive & ~cut)
             alive ^= side
             yield lift(cut), lift(side | cut)
     yield (), lift(alive)

@@ -100,9 +100,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def mask(self, v: int) -> int:
         """Neighbor set of v as a bitmask."""
         return self._masks[v]
@@ -114,18 +111,14 @@ class Graph:
         """Distinct members, each of whose closed neighbour mask holds the
         members' mask."""
         vs = list(vs)
-        members = 0
-        for v in vs:
-            members |= 1 << v
+        members = mask_of(vs)
         return members.bit_count() == len(vs) and all(
             (self._masks[v] | 1 << v) & members == members for v in vs)
 
     def is_stable(self, vs: Iterable[int]) -> bool:
         """No member's neighbour mask meets the members' mask."""
         vs = list(vs)
-        members = 0
-        for v in vs:
-            members |= 1 << v
+        members = mask_of(vs)
         return not any(self._masks[v] & members for v in vs)
 
     def with_weights(self, weights: Sequence[int]) -> "Graph":
@@ -152,6 +145,32 @@ def mask_members(mask: int) -> list[int]:
         found.append(low.bit_length() - 1)
         mask ^= low
     return found
+
+
+def mask_of(vs: Iterable[int]) -> int:
+    """The bitmask of the vertices vs."""
+    mask = 0
+    for v in vs:
+        mask |= 1 << v
+    return mask
+
+
+def reach(adj: Sequence[int], start: int, allowed: int) -> int:
+    """The mask of the vertices joined to the start mask through allowed
+    vertices, start included, for neighbour masks adj.  Each round ORs
+    the masks of the whole frontier, bit by bit."""
+    side = spread = start
+    allowed &= ~start
+    while spread:
+        step = 0
+        while spread:
+            low = spread & -spread
+            step |= adj[low.bit_length() - 1]
+            spread ^= low
+        spread = step & allowed
+        allowed ^= spread
+        side |= spread
+    return side
 
 
 def vertex_set(vs: Iterable[int]) -> tuple[int, ...]:
@@ -352,9 +371,7 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...
     keep = vertex_set(vs)
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise ValueError("vertex id out of range")
-    inside = 0
-    for v in keep:
-        inside |= 1 << v
+    inside = mask_of(keep)
     index = {old: new for new, old in enumerate(keep)}
     masks = []
     for u in keep:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, induced_subgraph, mask_of
 
 
 class InstanceTooLargeError(RuntimeError):
@@ -32,13 +32,6 @@ class CertificateError(RuntimeError):
 def certify(ok: bool, message: str) -> None:
     if not ok:
         raise CertificateError(message)
-
-
-def _mask_of(vs) -> int:
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
-    return mask
 
 
 def enumerate_chordless_cycles(g: Graph, max_len: Optional[int] = None
@@ -346,7 +339,7 @@ def _find_theta(g: Graph) -> Optional[ForbiddenWitness]:
             paths = _induced_paths(g, x, y)
             if len(paths) < 3:
                 continue
-            inner_masks = [_mask_of(p[1:-1]) for p in paths]
+            inner_masks = [mask_of(p[1:-1]) for p in paths]
             reach_masks = []
             for p in paths:
                 reach = 0
@@ -396,7 +389,7 @@ def _find_prism(g: Graph) -> Optional[ForbiddenWitness]:
             if set(t1) & set(t2):
                 continue
             for perm in permutations(t2):
-                corners = _mask_of(t1 + t2)
+                corners = mask_of(t1 + t2)
                 all_paths = [
                     [(a, b)] if g.has_edge(a, b) else
                     _induced_paths(g, a, b, corners & ~(1 << a | 1 << b))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .decomposition import Atom, DecompositionTree, clique_cutset_tree
-from .graphs import Graph
+from .graphs import Graph, reach
 from .oracles import (ForbiddenWitness, certify, find_any_forbidden,
                       find_forbidden_induced, odd_signable_signing,
                       verify_witness)
@@ -79,23 +79,28 @@ def detect_cap_fast(g: Graph) -> Optional[ForbiddenWitness]:
     after deleting w's other neighbors, all common neighbors of u and v,
     and the edge uv itself.  A shortest such path is induced and closes
     with uv into a hole in which w has exactly the two adjacent neighbors
-    u and v.  Each search first decides reachability alone, on frontier
-    masks; on cap-free graphs every search ends there.  Only the first
-    search that reaches v builds its path, by breadth-first search with
-    ascending-id tie-breaking, which makes the witness deterministic.
+    u and v.  Each search first decides reachability alone, with one
+    reach over neighbour masks: some path exists when a vertex that u's
+    other neighbours reach through the rest sees v.  On cap-free graphs
+    every search ends there.  Only the first search that reaches v builds
+    its path, by breadth-first search with ascending-id tie-breaking,
+    which makes the witness deterministic.
     """
     masks = [g.mask(v) for v in g.vertices()]
+    everything = (1 << g.n) - 1
     for u, v in g.edges():
         common = masks[u] & masks[v]
         if not common:
             continue
+        ends = 1 << u | 1 << v
         candidates = common
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             w = low.bit_length() - 1
-            removed = (masks[w] | common) & ~(1 << u) & ~(1 << v)
-            if not _reaches(masks, u, v, removed):
+            removed = (masks[w] | common) & ~ends
+            rest = everything & ~(removed | ends)
+            if not reach(masks, masks[u] & rest, rest) & masks[v]:
                 continue
             path = _bfs_path_avoiding(g, u, v, removed)
             cyc = _canonical_cycle(tuple(path))
@@ -103,24 +108,6 @@ def detect_cap_fast(g: Graph) -> Optional[ForbiddenWitness]:
             certify(verify_witness(g, witness), "cap witness failed re-check")
             return witness
     return None
-
-
-def _reaches(masks: list[int], u: int, v: int, removed: int) -> bool:
-    """Whether some u..v path avoids `removed` vertices and the edge uv.
-    Each round ORs the masks of the whole frontier."""
-    frontier = masks[u] & ~removed & ~(1 << v)
-    seen = removed | (1 << u) | frontier
-    while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            grown |= masks[low.bit_length() - 1]
-        if grown >> v & 1:
-            return True
-        frontier = grown & ~seen
-        seen |= frontier
-    return False
 
 
 def _bfs_path_avoiding(g: Graph, u: int, v: int, removed: int

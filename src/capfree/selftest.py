@@ -14,7 +14,8 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .construct import (TARGET_CLASSES, GeneratorParams, generate_instance,
-                        random_skeleton)
+                        random_skeleton, skeleton_from_ears,
+                        triangulation_from_ears)
 from .decomposition import Atom, clique_cutset_tree
 from .graphs import (Graph, add_universal_clique, blow_up, complete, cube,
                      gnp, hajos, hole, path)
@@ -26,10 +27,10 @@ from .rng import Xoshiro256StarStar
 from .solvers import (ceil_three_halves, chromatic_number, greedy_color,
                       is_proper_coloring, mwss)
 from .treewidth import (TreeDecomposition, chordal_clique_number,
-                        lift_tree_decomposition, skeleton_from_ears,
-                        skeleton_tree_decomposition, triangulation_from_ears)
+                        skeleton_tree_decomposition)
 from .twins import (clique_number_via_skeleton, extract_skeleton,
-                    twin_classes, twin_classes_quadratic)
+                    lift_tree_decomposition, twin_classes,
+                    twin_classes_quadratic)
 
 
 @dataclass(frozen=True)

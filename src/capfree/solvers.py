@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .decomposition import Atom, DecompositionTree, clique_cutset_tree
-from .graphs import Graph, induced_subgraph, vertex_set
+from .graphs import Graph, induced_subgraph, mask_of, vertex_set
 from .oracles import InstanceTooLargeError, brute_solve, certify
 from .treewidth import (DEFAULT_EXACT_BUDGET, NiceDecomposition,
                         TreeDecomposition, nice_decomposition)
@@ -517,9 +517,7 @@ def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int],
     # Restriction soundness: surviving universal vertices stay universal
     # and surviving class members stay true twins.
     graph = atom.graph
-    alive_mask = 0
-    for v in survivors:
-        alive_mask |= 1 << v
+    alive_mask = mask_of(survivors)
     universal_left = [v for v in sd.universal if v not in deleted]
     for v in universal_left:
         assert (graph.mask(v) | 1 << v) & alive_mask == alive_mask

@@ -1,5 +1,7 @@
-"""Tree decompositions: width-5 decompositions of skeletons, the ear-based
-triangulation, lifting to atoms, and nice form for dynamic programming.
+"""Tree decompositions: width-5 decompositions of skeletons, MCS-M and
+chordality, and nice form for dynamic programming.  From the package the
+module imports graphs and oracles alone; the ear triangulation lives in
+construct, beside the good-ear check, and lifting to atoms in twins.
 
 Strategy for skeletons: the min-fill decomposition first, whose width is
 its elimination width; if that exceeds 5, an exact budgeted
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .graphs import Graph, mask_members, vertex_set
-from .twins import SkeletonDecomposition
+from .oracles import find_forbidden_induced
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -362,8 +364,6 @@ def skeleton_tree_decomposition(f: Graph,
     Raises ValueError if f has a triangle and SearchBudgetExceeded when the
     exact fallback runs out of budget.
     """
-    from .oracles import find_forbidden_induced
-
     if find_forbidden_induced(f, "triangle") is not None:
         raise ValueError("input has a triangle")
     if f.n == 0:
@@ -379,118 +379,10 @@ def skeleton_tree_decomposition(f: Graph,
     return td
 
 
-@dataclass(frozen=True)
-class Ear:
-    """One ear addition: path runs x, interiors..., z; apex is the common
-    neighbor y; apex_links are the interiors adjacent to the apex; host is
-    the hole the ear was attached to, in cycle order."""
-    path: tuple[int, ...]
-    apex: int
-    apex_links: tuple[int, ...]
-    host: tuple[int, ...]
-
-    @property
-    def attachments(self) -> tuple[int, int]:
-        return self.path[0], self.path[-1]
-
-    @property
-    def interior(self) -> tuple[int, ...]:
-        return self.path[1:-1]
-
-
-@dataclass(frozen=True)
-class EarSequence:
-    """A base hole plus good ear additions; determines the skeleton."""
-    base: tuple[int, ...]
-    ears: tuple[Ear, ...]
-
-    def vertex_count(self) -> int:
-        count = len(self.base)
-        for ear in self.ears:
-            count += len(ear.interior)
-        return count
-
-
-def skeleton_from_ears(es: EarSequence) -> Graph:
-    """The graph built by the base hole and the recorded ear additions."""
-    edges = _ear_edges(es)
-    return Graph(es.vertex_count(), edges)
-
-
-def _ear_edges(es: EarSequence) -> list[tuple[int, int]]:
-    k = len(es.base)
-    edges = [(es.base[i], es.base[(i + 1) % k]) for i in range(k)]
-    for ear in es.ears:
-        edges.extend(zip(ear.path, ear.path[1:]))
-        edges.extend((ear.apex, u) for u in ear.apex_links)
-    return [(min(u, v), max(u, v)) for u, v in edges]
-
-
-def triangulation_from_ears(es: EarSequence) -> Graph:
-    """The explicit chordal supergraph of the skeleton with clique number
-    at most 6.
-
-    Per ear, the attachments and apex are made complete to the ear's
-    interior and the attachment chord is added; the first edge of the base
-    hole is joined to the rest of the base hole.  Ears must validate as
-    good (checked against the intermediate graphs); others are rejected.
-    """
-    from .construct import validate_good_ear
-
-    current = Graph(len(es.base),
-                    [(es.base[i], es.base[(i + 1) % len(es.base)])
-                     for i in range(len(es.base))])
-    for ear in es.ears:
-        ok, reason = validate_good_ear(current, ear.host, ear.path,
-                                       ear.apex, ear.apex_links)
-        if not ok:
-            raise ValueError(f"ear {ear.path} is not good: {reason}")
-        edges = current.edges()
-        edges.extend(zip(ear.path, ear.path[1:]))
-        edges.extend((ear.apex, u) for u in ear.apex_links)
-        current = Graph(max(current.n, max(ear.path) + 1), edges)
-    extra: set[tuple[int, int]] = set()
-
-    def add(u: int, v: int):
-        if u != v and not current.has_edge(u, v):
-            extra.add((min(u, v), max(u, v)))
-
-    for ear in es.ears:
-        x, z = ear.attachments
-        add(x, z)
-        for w in ear.interior:
-            for s in (x, ear.apex, z):
-                add(s, w)
-    u, v = es.base[0], es.base[1]
-    for w in es.base[2:]:
-        add(u, w)
-        add(v, w)
-    tri = Graph(current.n, current.edges() + sorted(extra))
-    assert is_chordal([tri.mask(w) for w in tri.vertices()]), \
-        "ear triangulation must be chordal"
-    return tri
-
-
 def chordal_clique_number(g: Graph) -> int:
     """omega of a chordal graph: 1 + the largest weight MCS-M picks."""
     madj = mcs_m([g.mask(v) for v in g.vertices()])[1]
     return max((later.bit_count() + 1 for later in madj), default=0)
-
-
-def lift_tree_decomposition(td: TreeDecomposition,
-                            sd: SkeletonDecomposition) -> TreeDecomposition:
-    """Substitute each skeleton vertex's clique into its bags and append
-    the universal clique to every bag; valid for the atom with width at
-    most 6*omega(atom) - 1."""
-    if td.bags and max(max(b) for b in td.bags if b) >= sd.skeleton.n:
-        raise ValueError("decomposition does not match the skeleton")
-    bags = []
-    for bag in td.bags:
-        lifted: list[int] = list(sd.universal)
-        for v in bag:
-            lifted.extend(sd.classes[v])
-        bags.append(vertex_set(lifted))
-    return TreeDecomposition(tuple(bags), td.edges)
 
 
 class NiceNode(NamedTuple):

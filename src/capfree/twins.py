@@ -1,10 +1,14 @@
-"""True-twin partition refinement and skeleton extraction for atoms.
+"""True-twin classes, skeleton extraction for atoms, and lifting skeleton
+decompositions back to atoms.
 
 An atom (no clique cutset) of a (cap, 4-hole)-free graph is a blow-up of a
 triangle-free, cutset-free skeleton plus a universal clique.  The skeleton
 is recovered from the twin classes of the atom minus its universal
 vertices; extraction validates the shape and rejects with a triangle of
-the would-be skeleton otherwise.
+the would-be skeleton otherwise.  One grouping by closed neighbour mask
+gives the twin classes of a graph (twin_classes) and of an atom minus its
+universal vertices (extract_skeleton); twin_classes_quadratic is the
+pairwise reference, on neighbour sets.
 """
 
 from __future__ import annotations
@@ -15,42 +19,32 @@ from typing import Union
 from .graphs import (Graph, add_universal_clique, blow_up, induced_subgraph,
                      mask_members, vertex_set)
 from .oracles import find_forbidden_induced
+from .treewidth import TreeDecomposition
 
 
 def twin_classes(g: Graph) -> list[tuple[int, ...]]:
-    """Equivalence classes of true twins (equal closed neighborhoods).
+    """Equivalence classes of true twins (equal closed neighborhoods),
+    each in increasing order, the classes by their minimum vertex."""
+    return _twin_classes_within(g, (1 << g.n) - 1)
 
-    Ordered class-splitting: every class is split against N[v] for each
-    vertex v in turn, using per-class buckets, which runs in O(n + m) and
-    computes the same partition as the pairwise check.  Classes come out
-    sorted by their minimum vertex.
-    """
-    if g.n == 0:
-        return []
-    class_of = [0] * g.n
-    members = [set(g.vertices())]
-    for v in g.vertices():
-        touched: dict[int, list[int]] = {}
-        for u in list(g.adj[v]) + [v]:
-            touched.setdefault(class_of[u], []).append(u)
-        for cid, inside in touched.items():
-            if len(inside) == len(members[cid]):
-                continue
-            # A split costs the vertices that move, not the class size.
-            members[cid].difference_update(inside)
-            for u in inside:
-                class_of[u] = len(members)
-            members.append(set(inside))
-    return sorted(vertex_set(vs) for vs in members)
+
+def _twin_classes_within(g: Graph, within: int) -> list[tuple[int, ...]]:
+    """The true-twin classes of g restricted to the vertex mask within:
+    its vertices grouped by closed neighbour mask cut down to within, in
+    one pass in increasing order, so each class is sorted and the classes
+    come by their minimum vertex."""
+    seen: dict[int, list[int]] = {}
+    for v in mask_members(within):
+        seen.setdefault((g.mask(v) | 1 << v) & within, []).append(v)
+    return [tuple(vs) for vs in seen.values()]
 
 
 def twin_classes_quadratic(g: Graph) -> list[tuple[int, ...]]:
-    """Reference partition by direct pairwise N[u] = N[v] comparison."""
-    closed = [g.mask(v) | (1 << v) for v in g.vertices()]
-    seen: dict[int, list[int]] = {}
-    for v in g.vertices():
-        seen.setdefault(closed[v], []).append(v)
-    return sorted(vertex_set(vs) for vs in seen.values())
+    """Reference partition by direct pairwise N[u] = N[v] comparison, on
+    neighbour sets rather than masks."""
+    closed = [set(g.adj[v]) | {v} for v in g.vertices()]
+    return sorted({tuple(u for u in g.vertices() if closed[u] == closed[v])
+                   for v in g.vertices()})
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,7 @@ def extract_skeleton(atom: Graph) -> ExtractResult:
     (cap, 4-hole)-free class.
 
     The classes are the true-twin classes of the atom minus its universal
-    vertices, found as in twin_classes_quadratic: the rest grouped by
+    vertices, by the grouping twin_classes runs: the rest grouped by
     closed neighbour mask cut down to the rest.
     """
     n = atom.n
@@ -106,10 +100,7 @@ def extract_skeleton(atom: Graph) -> ExtractResult:
     rest = (1 << n) - 1
     for v in universal:
         rest ^= 1 << v
-    seen: dict[int, list[int]] = {}
-    for v in mask_members(rest):
-        seen.setdefault((atom.mask(v) | 1 << v) & rest, []).append(v)
-    classes = tuple(map(tuple, seen.values()))
+    classes = tuple(_twin_classes_within(atom, rest))
     reps = [cls[0] for cls in classes]
     skeleton, _ = induced_subgraph(atom, reps)
     tri = find_forbidden_induced(skeleton, "triangle")
@@ -154,3 +145,19 @@ def reconstruct_atom(sd: SkeletonDecomposition) -> Graph:
     edges = [(mapping[u], mapping[v]) for u, v in rebuilt.edges()]
     weights = sd.atom.weights if sd.atom.has_weights() else None
     return Graph(sd.atom.n, edges, weights)
+
+
+def lift_tree_decomposition(td: TreeDecomposition,
+                            sd: SkeletonDecomposition) -> TreeDecomposition:
+    """Substitute each skeleton vertex's clique into its bags and append
+    the universal clique to every bag; valid for the atom with width at
+    most 6*omega(atom) - 1."""
+    if td.bags and max(max(b) for b in td.bags if b) >= sd.skeleton.n:
+        raise ValueError("decomposition does not match the skeleton")
+    bags = []
+    for bag in td.bags:
+        lifted: list[int] = list(sd.universal)
+        for v in bag:
+            lifted.extend(sd.classes[v])
+        bags.append(vertex_set(lifted))
+    return TreeDecomposition(tuple(bags), td.edges)

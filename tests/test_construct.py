@@ -2,13 +2,12 @@ import pytest
 
 from capfree.construct import (GeneratorParams, generate_instance,
                                glue_atoms, random_skeleton,
-                               validate_good_ear)
+                               skeleton_from_ears, validate_good_ear)
 from capfree.decomposition import clique_cutset_tree, find_clique_cutset
 from capfree.graphs import (Graph, blow_up, complete, hole, serialize_graph)
 from capfree.oracles import (brute_solve, find_forbidden_induced,
                              odd_signable_signing)
 from capfree.recognition import recognize
-from capfree.treewidth import skeleton_from_ears
 
 C5 = hole(5)
 C5_HOLE = (0, 1, 2, 3, 4)

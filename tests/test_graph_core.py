@@ -2,7 +2,8 @@ import pytest
 
 from capfree.graphs import (Graph, GraphFormatError, add_universal_clique,
                             blow_up, complete, construct_named, cube, gnp,
-                            hajos, hole, induced_subgraph, parse_graph, path,
+                            hajos, hole, induced_subgraph, mask_members,
+                            mask_of, parse_graph, path, reach,
                             serialize_graph)
 from capfree.rng import Xoshiro256StarStar
 
@@ -214,6 +215,31 @@ def test_graph_is_immutable():
     g = hole(4)
     with pytest.raises(AttributeError):
         g.n = 7
+
+
+def set_reach(g: Graph, start: set[int], allowed: set[int]) -> set[int]:
+    """Breadth-first search on neighbour sets: start, and every vertex a
+    path from start through allowed vertices meets."""
+    seen = set(start)
+    frontier = list(start)
+    while frontier:
+        frontier = [u for x in frontier for u in g.adj[x]
+                    if u in allowed and u not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reach_matches_a_set_search(seed):
+    rng = Xoshiro256StarStar(seed)
+    for i in range(50):
+        g = gnp(rng.below(24), (0.05, 0.15, 0.4)[i % 3], 1000 * seed + i)
+        # Start vertices may lie outside allowed; they still spread.
+        start = {v for v in g.vertices() if rng.below(5) == 0}
+        allowed = {v for v in g.vertices() if rng.below(3)}
+        found = reach([g.mask(v) for v in g.vertices()], mask_of(start),
+                      mask_of(allowed))
+        assert mask_members(found) == sorted(set_reach(g, start, allowed))
 
 
 @pytest.mark.parametrize("seed", range(20))

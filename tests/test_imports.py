@@ -2,7 +2,9 @@
 module's private names, every top-level private name is used somewhere
 else in the package, every import names the standard library or the
 package itself (pyproject.toml declares dependencies = []), and every
-module parses as the oldest Python that pyproject.toml declares."""
+module parses as the oldest Python that pyproject.toml declares; package
+modules are imported only at module level, and those imports form an
+acyclic graph."""
 
 import ast
 import sys
@@ -98,3 +100,56 @@ def test_every_module_parses_as_python_3_10():
     for path in modules:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=(3, 10))
+
+
+def _package_imports(tree: ast.Module) -> list[tuple[ast.ImportFrom, str]]:
+    """(node, module) for every import of a package module: `from .x
+    import` and `from capfree.x import` name x, `from . import x` names
+    each x."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").startswith("capfree."):
+            found.append((node, node.module.partition(".")[2]))
+        elif node.level == 1 and node.module:
+            found.append((node, node.module))
+        elif node.level == 1:
+            found.extend((node, alias.name) for alias in node.names)
+    return found
+
+
+def test_no_function_imports_a_package_module():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        offenders += [f"{path.name}:{node.lineno} imports .{module}"
+                      for node, module in _package_imports(tree)
+                      if id(node) not in top]
+    assert offenders == []
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {path.stem: sorted({module for _, module in _package_imports(
+                 ast.parse(path.read_text(encoding="utf-8")))})
+             for path in sorted(PACKAGE.glob("*.py"))}
+    # Depth-first search; a module met again while still on the path
+    # closes a cycle.
+    done: set[str] = set()
+    cycles = []
+
+    def visit(module: str, trail: list[str]) -> None:
+        if module in trail:
+            cycles.append(" -> ".join(trail[trail.index(module):]
+                                      + [module]))
+            return
+        if module in done:
+            return
+        for imported in graph.get(module, []):
+            visit(imported, trail + [module])
+        done.add(module)
+
+    for module in graph:
+        visit(module, [])
+    assert cycles == []

@@ -16,10 +16,10 @@ from capfree.solvers import (StableSetResult, UnsupportedInstanceError,
                              clique_number, combine_colorings,
                              greedy_color, is_proper_coloring, mwss,
                              q_color, q_color_graph)
-from capfree.treewidth import (lift_tree_decomposition,
-                               min_fill_decomposition, nice_decomposition,
+from capfree.treewidth import (min_fill_decomposition, nice_decomposition,
                                skeleton_tree_decomposition)
-from capfree.twins import clique_number_via_skeleton, extract_skeleton
+from capfree.twins import (clique_number_via_skeleton, extract_skeleton,
+                           lift_tree_decomposition)
 
 G1 = blow_up(hole(5), [2] * 5)
 

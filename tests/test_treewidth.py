@@ -4,19 +4,18 @@ from itertools import combinations
 
 import pytest
 
-from capfree.construct import GeneratorParams, random_skeleton
+from capfree.construct import (Ear, EarSequence, GeneratorParams,
+                               random_skeleton, skeleton_from_ears,
+                               triangulation_from_ears)
 from capfree.graphs import Graph, blow_up, complete, cube, gnp, hole, path
 from capfree.oracles import brute_solve
-from capfree.treewidth import (Ear, EarSequence, SearchBudgetExceeded,
-                               TreeDecomposition, TreewidthReject,
-                               _exact_order, _min_fill_order,
+from capfree.treewidth import (SearchBudgetExceeded, TreeDecomposition,
+                               TreewidthReject, _exact_order, _min_fill_order,
                                chordal_clique_number,
-                               decomposition_from_order, is_chordal,
-                               lift_tree_decomposition, mcs_m,
+                               decomposition_from_order, is_chordal, mcs_m,
                                min_fill_decomposition, nice_decomposition,
-                               skeleton_from_ears, skeleton_tree_decomposition,
-                               triangulation_from_ears)
-from capfree.twins import extract_skeleton
+                               skeleton_tree_decomposition)
+from capfree.twins import extract_skeleton, lift_tree_decomposition
 from test_large_inputs import long_path_decomposition, subdivided_grid
 
 K66 = Graph(12, [(i, 6 + j) for i in range(6) for j in range(6)])

@@ -1,10 +1,13 @@
+import random
+from itertools import accumulate
+
 import pytest
 
 from capfree.construct import (TARGET_CLASSES, GeneratorParams,
-                               generate_instance)
+                               generate_instance, random_skeleton)
 from capfree.decomposition import clique_cutset_tree
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
-                            gnp, hole, induced_subgraph)
+                            gnp, hole, induced_subgraph, vertex_set)
 from capfree.oracles import brute_solve
 from capfree.twins import (COMPLETE_ATOM, SkeletonDecomposition,
                            SkeletonReject,
@@ -37,6 +40,30 @@ def test_refinement_matches_quadratic(seed):
     assert twin_classes(g) == twin_classes_quadratic(g)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_twin_classes_are_the_blow_up_classes(seed):
+    """A skeleton has no true twins, so the twin classes of its blow-up
+    with a universal clique are the blown-up cliques, plus the universal
+    clique when there is one; labels are shuffled so that classes
+    interleave."""
+    rng = random.Random(seed)
+    skeleton, _ = random_skeleton(GeneratorParams(
+        seed=seed, ear_count=seed % 3, target_class=TARGET_CLASSES[seed % 2]))
+    sizes = [rng.randint(1, 3) for _ in skeleton.vertices()]
+    universal = rng.randint(0, 2)
+    g = add_universal_clique(blow_up(skeleton, sizes), universal)
+    label = list(g.vertices())
+    rng.shuffle(label)
+    g = Graph(g.n, [(min(label[u], label[v]), max(label[u], label[v]))
+                    for u, v in g.edges()])
+    # Blocks are contiguous before the shuffle, the universal clique last.
+    ends = list(accumulate([0, *sizes, universal]))
+    expected = sorted(vertex_set(label[u] for u in range(a, b))
+                      for a, b in zip(ends, ends[1:]) if a < b)
+    assert twin_classes(g) == expected
+    assert twin_classes_quadratic(g) == expected
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_extracted_classes_are_the_twin_classes_of_the_rest(seed):
     # A bipartite, so triangle-free, base; shuffled ids, so universal
@@ -55,7 +82,7 @@ def test_extracted_classes_are_the_twin_classes_of_the_rest(seed):
     rest = [v for v in g.vertices() if v not in sd.universal]
     core, back = induced_subgraph(g, rest)
     assert list(sd.classes) == [tuple(back[u] for u in cls)
-                                for cls in twin_classes(core)]
+                                for cls in twin_classes_quadratic(core)]
 
 
 def test_extract_wheel():
