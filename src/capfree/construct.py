@@ -17,7 +17,8 @@ from typing import Optional
 from .decomposition import find_clique_cutset
 from .graphs import (Graph, add_universal_clique, blow_up, hole,
                      serialize_graph)
-from .oracles import (find_forbidden_induced, holes_of, odd_signable_signing)
+from .oracles import (certify, find_forbidden_induced, holes_of,
+                      odd_signable_signing)
 from .recognition import detect_4hole, detect_cap_fast
 from .rng import Xoshiro256StarStar
 from .treewidth import is_chordal
@@ -124,27 +125,34 @@ class Ear:
         return self.path[1:-1]
 
 
+def _add_ear(n: int, ear: Ear) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count once ear is added to a graph on n vertices, and the
+    ear's edges: its path, then the apex links.  The interior must be the
+    fresh ids n, n + 1, ... in path order; anything else is a ValueError."""
+    interior = ear.interior
+    if interior != tuple(range(n, n + len(interior))):
+        raise ValueError(f"ear interior {interior} must be the fresh ids "
+                         f"{n}..{n + len(interior) - 1} in path order")
+    edges = list(zip(ear.path, ear.path[1:]))
+    edges.extend((ear.apex, u) for u in ear.apex_links)
+    return n + len(interior), edges
+
+
 @dataclass(frozen=True)
 class EarSequence:
     """A base hole plus good ear additions; determines the skeleton."""
     base: tuple[int, ...]
     ears: tuple[Ear, ...]
 
-    def vertex_count(self) -> int:
-        count = len(self.base)
-        for ear in self.ears:
-            count += len(ear.interior)
-        return count
-
 
 def skeleton_from_ears(es: EarSequence) -> Graph:
     """The graph built by the base hole and the recorded ear additions."""
-    k = len(es.base)
-    edges = [(es.base[i], es.base[(i + 1) % k]) for i in range(k)]
+    n = len(es.base)
+    edges = [(es.base[i], es.base[(i + 1) % n]) for i in range(n)]
     for ear in es.ears:
-        edges.extend(zip(ear.path, ear.path[1:]))
-        edges.extend((ear.apex, u) for u in ear.apex_links)
-    return Graph(es.vertex_count(), edges)
+        n, ear_edges = _add_ear(n, ear)
+        edges.extend(ear_edges)
+    return Graph(n, edges)
 
 
 def triangulation_from_ears(es: EarSequence) -> Graph:
@@ -160,14 +168,12 @@ def triangulation_from_ears(es: EarSequence) -> Graph:
                     [(es.base[i], es.base[(i + 1) % len(es.base)])
                      for i in range(len(es.base))])
     for ear in es.ears:
+        n, ear_edges = _add_ear(current.n, ear)
         ok, reason = validate_good_ear(current, ear.host, ear.path,
                                        ear.apex, ear.apex_links)
         if not ok:
             raise ValueError(f"ear {ear.path} is not good: {reason}")
-        edges = current.edges()
-        edges.extend(zip(ear.path, ear.path[1:]))
-        edges.extend((ear.apex, u) for u in ear.apex_links)
-        current = Graph(max(current.n, max(ear.path) + 1), edges)
+        current = Graph(n, current.edges() + ear_edges)
     extra: set[tuple[int, int]] = set()
 
     def add(u: int, v: int):
@@ -256,10 +262,9 @@ def random_skeleton(params: GeneratorParams,
         ok, _ = validate_good_ear(graph, host, path, apex, links)
         if not ok:
             continue
-        edges = graph.edges()
-        edges.extend(zip(path, path[1:]))
-        edges.extend((apex, u) for u in links)
-        candidate = Graph(graph.n + len(interior), edges)
+        ear = Ear(path, apex, links, host)
+        n, ear_edges = _add_ear(graph.n, ear)
+        candidate = Graph(n, graph.edges() + ear_edges)
         assert find_forbidden_induced(candidate, "triangle") is None
         assert find_forbidden_induced(candidate, "4-hole") is None
         if even_hole_free and find_forbidden_induced(
@@ -268,7 +273,7 @@ def random_skeleton(params: GeneratorParams,
         if find_clique_cutset(candidate) is not None:
             continue
         graph = candidate
-        ears.append(Ear(path, apex, links, host))
+        ears.append(ear)
         holes = holes_of(graph)
     assert odd_signable_signing(graph) is not None, \
         "generated skeleton must be odd-signable"
@@ -399,8 +404,8 @@ def generate_instance(params: GeneratorParams) -> tuple[Graph, dict]:
             ja = ja[:len(jb)]
         joints.append((b, a, jb, ja))
     glued, maps = glue_atoms(atoms, joints)
-    assert detect_4hole(glued) is None, "generated instance has a 4-hole"
-    assert detect_cap_fast(glued) is None, "generated instance has a cap"
+    certify(detect_4hole(glued) is None, "generated instance has a 4-hole")
+    certify(detect_cap_fast(glued) is None, "generated instance has a cap")
     provenance = {
         "params": {
             "seed": params.seed, "ear_count": params.ear_count,

@@ -1,19 +1,31 @@
 """Recognition of (cap, 4-hole)-free odd-signable and (cap, even-hole)-free
 graphs with machine-checkable certificates.
 
-Pipeline: 4-hole test, fast cap detection, clique-cutset decomposition,
-skeleton extraction per atom, then a desk-scale oracle on each skeleton
-(odd-signability when there is no universal clique, even-hole-freeness
-otherwise).  Rejections carry a forbidden-structure witness that re-checks
-against the input; skeletons beyond the oracle guard yield "undecided"
-rather than a wrong answer.
+Pipeline: 4-hole test, clique-cutset decomposition, one Atom record per
+leaf (the induced atom and its skeleton extraction), a cap test read off
+those atoms, then a desk-scale oracle on each skeleton (odd-signability
+when there is no universal clique, even-hole-freeness otherwise).
+
+The cap test needs the atoms because of where a cap can sit.  Its hole
+has no clique separator, so it lies inside one atom (Leimer, "Optimal
+decomposition by clique separators", Discrete Math. 113, 1993).  An atom
+with a skeleton holds no whole cap, and an apex outside the atom sees it
+through the neighbourhood of its component, a clique minimal separator
+(Berry, Pogorelcnik & Simonet, "An introduction to clique minimal
+separator decomposition", Algorithms 3, 2010).  So a cap shows as an
+outside vertex that sees two classes of an atom's boundary; an atom
+without a skeleton falls back to detect_cap_fast on the whole graph.
+
+Rejections carry a forbidden-structure witness that re-checks against the
+input; skeletons beyond the oracle guard yield "undecided" rather than a
+wrong answer.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .decomposition import Atom, DecompositionTree, clique_cutset_tree
 from .graphs import Graph, reach
@@ -40,19 +52,23 @@ def _canonical_cycle(cyc: tuple[int, ...]) -> tuple[int, ...]:
 def detect_4hole(g: Graph) -> Optional[ForbiddenWitness]:
     """An induced 4-cycle, or None.
 
-    For each u, only the vertices v > u at distance two can close a 4-hole
-    with u: the union of its neighbors' masks, minus N[u] and the ids up to
-    u.  The common neighbors of u and v hold a nonadjacent pair x < y
-    exactly when some x misses a later common neighbor, so walking x upward
-    and taking the lowest such y returns the same first (u, v, x, y) in
-    lexicographic order as a scan over all nonadjacent pairs would.
+    For each u, only the vertices v > u with two common neighbours can
+    close a 4-hole with u: those that two of its neighbours' masks hold,
+    minus N[u] and the ids up to u.  Counting to two rather than taking
+    every vertex at distance two keeps a hub cheap: its neighbours see
+    each other only through it.  The common neighbors of u and v hold a
+    nonadjacent pair x < y exactly when some x misses a later common
+    neighbor, so walking x upward and taking the lowest such y returns the
+    same first (u, v, x, y) in lexicographic order as a scan over all
+    nonadjacent pairs would.
     """
     masks = [g.mask(v) for v in g.vertices()]
     for u in g.vertices():
-        reach = 0
+        once = twice = 0
         for x in g.adj[u]:
-            reach |= masks[x]
-        candidates = reach & ~masks[u] & ~((2 << u) - 1)
+            twice |= once & masks[x]
+            once |= masks[x]
+        candidates = twice & ~masks[u] & ~((2 << u) - 1)
         while candidates:
             low = candidates & -candidates
             candidates ^= low
@@ -105,6 +121,67 @@ def detect_cap_fast(g: Graph) -> Optional[ForbiddenWitness]:
             path = _bfs_path_avoiding(g, u, v, removed)
             cyc = _canonical_cycle(tuple(path))
             witness = ForbiddenWitness("cap", cyc + (w,), (cyc, (w,)))
+            certify(verify_witness(g, witness), "cap witness failed re-check")
+            return witness
+    return None
+
+
+def detect_cap_in_atoms(g: Graph, atoms: Sequence[Atom]
+                        ) -> Optional[ForbiddenWitness]:
+    """A cap, or None, for a 4-hole-free g given the Atom records of the
+    leaves of its clique-cutset tree.
+
+    A cap is a hole H, here of length at least 5, plus an apex x that sees
+    exactly two vertices u, v of H, and they are adjacent.  H lies inside
+    one atom A.  If A has a skeleton, x is not in A: H avoids A's universal
+    clique, whose vertices would see all of H, and meets each twin class at
+    most once; an apex in a class either has a twin on H, and sees three
+    vertices of H, or closes a triangle of the skeleton with the classes of
+    u and v.  So x lies outside A, and N(x) inside A lies in the clique
+    minimal separator between A and x's component: u and v come from two
+    non-universal classes.  Conversely such an x is the apex of a cap.  No
+    skeleton edge of a non-complete atom is a bridge, which would give A a
+    clique cutset, and the shortest cycle through an edge of a
+    triangle-free graph is a hole.
+
+    u and v have a neighbour outside A, so only the boundary of A counts:
+    an atom is scanned only when its boundary spans two non-universal
+    classes, which keeps the test linear when many atoms share a vertex.
+    Then the outside neighbours x of the boundary come by ascending id, u is
+    x's least neighbour in the boundary and v the least one in another
+    class.  The hole is the shortest cycle through the skeleton edge of
+    their classes (breadth-first, ascending-id ties), lifted through u, v
+    and the representatives of the other classes.  If some atom has no
+    skeleton, the answer is detect_cap_fast(g).
+    """
+    if any(isinstance(atom.extracted, SkeletonReject) for atom in atoms):
+        return detect_cap_fast(g)
+    for atom in atoms:
+        if atom.complete:
+            continue
+        sd, back = atom.extracted, atom.back
+        boundary = {back[v]: i for i, members in enumerate(sd.classes)
+                    for v in members
+                    if atom.graph.degree(v) < g.degree(back[v])}
+        if len(set(boundary.values())) < 2:
+            continue
+        inside = set(atom.vertices)
+        outside = {x for r in boundary for x in g.adj[r] if x not in inside}
+        for x in sorted(outside):
+            seen: dict[int, int] = {}
+            for r in g.adj[x]:
+                if r in boundary:
+                    seen.setdefault(boundary[r], r)
+            if len(seen) < 2:
+                continue
+            (cu, u), (cv, v) = list(seen.items())[:2]
+            path = _bfs_path_avoiding(sd.skeleton, cu, cv, 0)
+            certify(path is not None, "skeleton edge lies on no cycle")
+            ends = {cu: u, cv: v}
+            cyc = _canonical_cycle(tuple(
+                ends[s] if s in ends else back[sd.classes[s][0]]
+                for s in path))
+            witness = ForbiddenWitness("cap", cyc + (x,), (cyc, (x,)))
             certify(verify_witness(g, witness), "cap witness failed re-check")
             return witness
     return None
@@ -164,23 +241,33 @@ def recognize(g: Graph, target_class: str,
               oracle_guard: int = DEFAULT_ORACLE_GUARD) -> RecognitionVerdict:
     """Decide class membership with a certificate.
 
-    Rejection witnesses re-check against g.  Acceptance certificates carry
-    the decomposition tree and each atom's skeleton decomposition, from
-    which the input reconstructs.  Skeletons larger than oracle_guard make
-    the outcome "undecided" (reported, never wrong).
+    Stages: the 4-hole test; clique_cutset_tree and one Atom per leaf; the
+    cap test detect_cap_in_atoms, over every atom before any oracle, so a
+    graph with a cap is rejected with a cap; then, atom by atom in leaf
+    order, the oracle guard and the skeleton oracle.  The cap test reads
+    the atoms because a cap's hole lies in one atom (Leimer, Discrete
+    Math. 113, 1993) and its apex sees that atom through a clique minimal
+    separator (Berry, Pogorelcnik & Simonet, Algorithms 3, 2010), so an
+    atom with a skeleton holds no whole cap.
+
+    Rejection witnesses re-check against g; 4-hole and cap rejections
+    carry no tree.  Acceptance certificates carry the decomposition tree
+    and each atom's skeleton decomposition, from which the input
+    reconstructs.  Skeletons larger than oracle_guard make the outcome
+    "undecided" (reported, never wrong).
     """
     if target_class not in ("cap-even-hole-free", "cap-4hole-odd-signable"):
         raise ValueError(f"unknown class {target_class!r}")
     witness = detect_4hole(g)
     if witness is not None:
         return RecognitionVerdict(REJECTED, target_class, witness)
-    witness = detect_cap_fast(g)
+    tree = clique_cutset_tree(g)
+    atoms = [Atom(g, leaf.vertices) for leaf in tree.leaves()]
+    witness = detect_cap_in_atoms(g, atoms)
     if witness is not None:
         return RecognitionVerdict(REJECTED, target_class, witness)
-    tree = clique_cutset_tree(g)
     reports: list[AtomReport] = []
-    for leaf in tree.leaves():
-        atom = Atom(g, leaf.vertices)
+    for atom in atoms:
         if atom.complete:
             reports.append(AtomReport(atom.vertices, True))
             continue

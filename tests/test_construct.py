@@ -1,8 +1,9 @@
 import pytest
 
-from capfree.construct import (GeneratorParams, generate_instance,
-                               glue_atoms, random_skeleton,
-                               skeleton_from_ears, validate_good_ear)
+from capfree.construct import (Ear, EarSequence, GeneratorParams,
+                               generate_instance, glue_atoms, random_skeleton,
+                               skeleton_from_ears, triangulation_from_ears,
+                               validate_good_ear)
 from capfree.decomposition import clique_cutset_tree, find_clique_cutset
 from capfree.graphs import (Graph, blow_up, complete, hole, serialize_graph)
 from capfree.oracles import (brute_solve, find_forbidden_induced,
@@ -194,3 +195,28 @@ def test_ear_shortfall_is_reported():
     params = GeneratorParams(seed=3, ear_count=2, max_ear_length=4)
     skeleton, es = random_skeleton(params)
     assert es.ears == ()
+
+
+@pytest.mark.parametrize("path", [(0, 6, 7, 8, 9, 10, 2),
+                                  (0, 5, 6, 8, 7, 9, 2),
+                                  (0, 5, 6, 7, 8, 3, 2)],
+                         ids=["skips-5", "out-of-order", "reuses-3"])
+def test_both_ear_builders_reject_interiors_that_are_not_fresh(path):
+    # The ear would be good on C5 with fresh ids 5..9; both builders count
+    # the vertices one way and refuse anything else with one message.
+    ear = Ear(path, 1, (path[3],), C5_HOLE)
+    es = EarSequence(C5_HOLE, (ear,))
+    messages = []
+    for build in (skeleton_from_ears, triangulation_from_ears):
+        with pytest.raises(ValueError, match="fresh ids 5..9") as err:
+            build(es)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_both_ear_builders_count_the_fresh_ids():
+    es = EarSequence(C5_HOLE, (Ear((0, 5, 6, 7, 8, 9, 2), 1, (7,),
+                                   C5_HOLE),))
+    skeleton, tri = skeleton_from_ears(es), triangulation_from_ears(es)
+    assert skeleton.n == tri.n == 10
+    assert all(tri.has_edge(u, v) for u, v in skeleton.edges())

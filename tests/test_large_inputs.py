@@ -1,6 +1,8 @@
 """Long inputs run without hitting the interpreter's recursion limit, and
 every answer still re-checks."""
 
+import time
+
 import pytest
 
 from capfree import treewidth
@@ -168,6 +170,34 @@ def test_recognize_long_sparse_inputs(g, atoms, alpha):
 def test_color_long_sparse_inputs(g, chi):
     value, colors = chromatic_number(g)
     assert value == chi and is_proper_coloring(g, colors, chi)
+
+
+def five_hole_flower(k):
+    """k 5-holes through vertex 0: k atoms that meet only there, so vertex
+    0 lies in every atom and has degree 2k."""
+    edges = []
+    for i in range(1, 4 * k, 4):
+        edges += [(0, i), (i, i + 1), (i + 1, i + 2), (i + 2, i + 3),
+                  (i + 3, 0)]
+    return Graph(4 * k + 1, edges)
+
+
+def test_recognize_scales_near_linearly_on_a_flower():
+    def seconds(k, runs):
+        g = five_hole_flower(k)
+        best = None
+        for _ in range(runs):
+            start = time.perf_counter()
+            verdict = recognize(g, "cap-even-hole-free")
+            elapsed = time.perf_counter() - start
+            best = elapsed if best is None else min(best, elapsed)
+        assert verdict.accepted and len(verdict.atoms) == k
+        return best
+
+    # Eight times the input: linear work takes 8 times as long, quadratic
+    # work 64 times (a 4-hole scan over every pair at distance two took
+    # over 100 times as long).
+    assert seconds(2000, 2) < 30 * seconds(250, 5)
 
 
 def test_detectors_pass_a_long_hole():

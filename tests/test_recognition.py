@@ -1,13 +1,16 @@
+import random
 from collections import deque
 
 import pytest
 
+from capfree.decomposition import Atom, clique_cutset_tree
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
                             cube, gnp, hajos, hole, induced_subgraph, path)
 from capfree.oracles import (ForbiddenWitness, find_forbidden_induced,
                              verify_witness)
-from capfree.recognition import (detect_4hole, detect_cap_fast, recognize)
-from capfree.twins import reconstruct_atom
+from capfree.recognition import (detect_4hole, detect_cap_fast,
+                                 detect_cap_in_atoms, recognize)
+from capfree.twins import SkeletonReject, reconstruct_atom
 
 HOUSE = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1)])
 G1 = blow_up(hole(5), [2] * 5)
@@ -277,3 +280,129 @@ def test_recognize_and_clique_number_build_no_tree_decomposition(
     assert clique_number(g) == omega
     with pytest.raises(AssertionError, match="tree decomposition built"):
         mwss(g)
+
+
+# The cap test that recognize reads off the atoms of the cutset tree.
+
+def atom_cap(g):
+    """detect_cap_in_atoms on the Atom records recognize builds for g."""
+    atoms = [Atom(g, leaf.vertices) for leaf in clique_cutset_tree(g).leaves()]
+    return detect_cap_in_atoms(g, atoms)
+
+
+def assert_cap_verdicts_agree(g, naive=True):
+    """The atom cap test, detect_cap_fast and (when asked) the naive oracle
+    agree on the 4-hole-free graph g, and a witness re-checks."""
+    assert detect_4hole(g) is None
+    found = atom_cap(g)
+    assert (found is None) == (detect_cap_fast(g) is None)
+    if naive:
+        assert (found is None) == (find_forbidden_induced(g, "cap") is None)
+    if found is not None:
+        assert found.kind == "cap" and verify_witness(g, found)
+    return found
+
+
+def with_apex(g, u, v):
+    """g plus one vertex adjacent to exactly u and v."""
+    return Graph(g.n + 1, g.edges() + [(u, g.n), (v, g.n)])
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_atom_cap_test_matches_both_detectors_on_gnp(chunk):
+    # Caps are rare in 4-hole-free G(n, p) graphs, so each also gets an
+    # apex over a random edge.
+    caps = 0
+    for seed in range(100 * chunk, 100 * chunk + 100):
+        g = gnp(5 + seed % 12, (0.15, 0.2, 0.25, 0.3)[seed % 4],
+                515000 + seed)
+        rng = random.Random(seed)
+        graphs = [g] + ([with_apex(g, *rng.choice(g.edges()))] if g.m
+                        else [])
+        for h in graphs:
+            if h.n <= 16 and detect_4hole(h) is None:
+                caps += assert_cap_verdicts_agree(h) is not None
+    assert caps > 0
+
+
+@pytest.mark.parametrize("glue", [0, 3, 10])
+def test_atom_cap_test_matches_on_generated_instances(glue):
+    # The naive oracle enumerates every hole, which takes seconds on the
+    # glued instances; detect_cap_fast is pinned against it above.
+    from capfree.construct import GeneratorParams, generate_instance
+    rng = random.Random(glue)
+    caps = 0
+    for seed in range(60):
+        g, _ = generate_instance(GeneratorParams(
+            seed=seed, ear_count=2, max_blowup=2, max_universal=1,
+            glue_count=glue))
+        assert atom_cap(g) is None
+        u, v = g.edges()[rng.randrange(g.m)]
+        planted = with_apex(g, u, v)
+        if detect_4hole(planted) is None:
+            caps += assert_cap_verdicts_agree(planted,
+                                              naive=glue == 0) is not None
+    assert caps >= 20
+
+
+def test_atom_cap_test_matches_on_the_small_graph_pool():
+    from capfree.selftest import small_graph_pool
+    for _, g in small_graph_pool():
+        if g.n <= 12 and detect_4hole(g) is None:
+            assert_cap_verdicts_agree(g)
+
+
+@pytest.mark.parametrize("index", range(len(PINNED)))
+def test_atom_cap_test_matches_on_the_pinned_graphs(index):
+    g = PINNED[index]
+    if detect_4hole(g) is None:
+        assert_cap_verdicts_agree(g, naive=g.n <= 16)
+
+
+def test_atom_cap_test_matches_on_named_graphs():
+    named = [G1, hole(6), hajos(), hole(5), hole(7), complete(6), path(5),
+             add_universal_clique(hole(5), 2), add_universal_clique(hole(6), 1),
+             add_universal_clique(blow_up(hole(7), [2, 1, 1, 2, 1, 1, 1]), 1),
+             Graph(6, hole(5).edges() + [(5, 0), (5, 1)])]
+    found = [assert_cap_verdicts_agree(g) for g in named]
+    assert [w is not None for w in found] == [False] * 10 + [True]
+    assert found[-1].parts == ((0, 1, 2, 3, 4), (5,))
+
+
+def test_atom_cap_witness_runs_through_the_least_apex_neighbours():
+    # G1's classes are {0, 1}, {2, 3}, ...; the apex 10 sees 1, 2 and 3.
+    # u is its least neighbour, 1, and v the least one in another class, 2;
+    # the other classes give their representatives.
+    g = Graph(11, G1.edges() + [(1, 10), (2, 10), (3, 10)])
+    assert assert_cap_verdicts_agree(g).parts == ((1, 2, 4, 6, 8), (10,))
+
+
+def test_recognize_reads_caps_off_the_atoms(monkeypatch):
+    from capfree import recognition
+    from capfree.construct import GeneratorParams, generate_instance
+    glued = generate_instance(GeneratorParams(
+        seed=11, ear_count=1, max_blowup=2, max_universal=1,
+        glue_count=3))[0]
+    capped = Graph(6, hole(5).edges() + [(5, 0), (5, 1)])
+
+    def refuse(g):
+        raise AssertionError("detect_cap_fast called")
+
+    monkeypatch.setattr(recognition, "detect_cap_fast", refuse)
+    for g in (G1, hajos(), glued, hole(6)):
+        assert recognize(g, "cap-4hole-odd-signable").accepted
+    verdict = recognize(capped, "cap-even-hole-free")
+    assert verdict.status == "rejected" and verdict.witness.kind == "cap"
+    assert verdict.tree is None
+
+
+def test_an_atom_without_skeleton_falls_back_to_the_whole_graph_search():
+    # C5 with an apex x over 0 and 1, and x joined to 3 through one more
+    # vertex: one atom, whose would-be skeleton has the triangle 0, 1, x.
+    g = Graph(7, hole(5).edges() + [(5, 0), (5, 1), (6, 5), (6, 3)])
+    atoms = [Atom(g, leaf.vertices) for leaf in clique_cutset_tree(g).leaves()]
+    assert [type(atom.extracted) for atom in atoms] == [SkeletonReject]
+    assert detect_cap_in_atoms(g, atoms) == detect_cap_fast(g)
+    verdict = recognize(g, "cap-even-hole-free")
+    assert verdict.status == "rejected" and verdict.tree is None
+    assert verdict.witness == detect_cap_fast(g)
