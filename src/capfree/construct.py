@@ -17,7 +17,7 @@ from typing import Optional
 from .decomposition import find_clique_cutset
 from .graphs import (Graph, add_universal_clique, blow_up, hole,
                      serialize_graph)
-from .oracles import (certify, find_forbidden_induced, holes_of,
+from .oracles import (certify, enumerate_chordless_cycles, holes_of,
                       odd_signable_signing)
 from .recognition import detect_4hole, detect_cap_fast
 from .rng import Xoshiro256StarStar
@@ -226,10 +226,10 @@ def random_skeleton(params: GeneratorParams,
     """A triangle-free, cutset-free, odd-signable skeleton built from a
     random base hole by good ear additions.
 
-    Each candidate ear must pass the good-ear conditions, keep the graph
-    4-hole-free and cutset-free, and (for the even-hole-free target) pass
-    the even-hole oracle.  Fewer ears than requested is permitted when
-    sampling stalls; the ear sequence records what was built.
+    Each candidate ear must pass the good-ear conditions and keep the
+    graph cutset-free and, for the even-hole-free target, even-hole-free.
+    Fewer ears than requested is permitted when sampling stalls; the ear
+    sequence records what was built.
     """
     if rng is None:
         rng = Xoshiro256StarStar(params.seed)
@@ -265,16 +265,17 @@ def random_skeleton(params: GeneratorParams,
         ear = Ear(path, apex, links, host)
         n, ear_edges = _add_ear(graph.n, ear)
         candidate = Graph(n, graph.edges() + ear_edges)
-        assert find_forbidden_induced(candidate, "triangle") is None
-        assert find_forbidden_induced(candidate, "4-hole") is None
-        if even_hole_free and find_forbidden_induced(
-                candidate, "even-hole") is not None:
+        # One enumeration serves the checks and the next round's hosts:
+        # the ear menu keeps out triangles and 4-holes.
+        cycles = enumerate_chordless_cycles(candidate)
+        assert all(len(cyc) >= 5 for cyc in cycles)
+        if even_hole_free and any(len(cyc) % 2 == 0 for cyc in cycles):
             continue
         if find_clique_cutset(candidate) is not None:
             continue
         graph = candidate
         ears.append(ear)
-        holes = holes_of(graph)
+        holes = cycles
     assert odd_signable_signing(graph) is not None, \
         "generated skeleton must be odd-signable"
     return graph, EarSequence(base, tuple(ears))
@@ -290,43 +291,35 @@ def glue_atoms(atoms: list[Graph],
     per-atom maps from local to glued vertex ids.  Every joint clique
     becomes a clique cutset of the result.
     """
-    count = len(atoms)
-    atom_parent = list(range(count))
-
-    def find_atom(a: int) -> int:
-        while atom_parent[a] != a:
-            atom_parent[a] = atom_parent[atom_parent[a]]
-            a = atom_parent[a]
-        return a
-
-    pairs = [(a, v) for a, g in enumerate(atoms) for v in g.vertices()]
-    index = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(i: int) -> int:
+    def find(parent: list[int], i: int) -> int:
+        """i's union-find root, halving the path on the way."""
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
         return i
 
+    atom_parent = list(range(len(atoms)))
+    pairs = [(a, v) for a, g in enumerate(atoms) for v in g.vertices()]
+    index = {p: i for i, p in enumerate(pairs)}
+    parent = list(range(len(pairs)))
     for a, b, ca, cb in joints:
         if len(ca) != len(cb):
             raise ValueError("joint cliques must have equal size")
         if not atoms[a].is_clique(ca) or not atoms[b].is_clique(cb):
             raise ValueError("joint sets must be cliques")
-        ra, rb = find_atom(a), find_atom(b)
+        ra, rb = find(atom_parent, a), find(atom_parent, b)
         if ra == rb:
             raise ValueError("joint pattern must be acyclic across atoms")
         atom_parent[ra] = rb
         for u, v in zip(ca, cb):
             if atoms[a].weight(u) != atoms[b].weight(v):
                 raise ValueError("identified vertices must agree on weight")
-            ri, rj = find(index[a, u]), find(index[b, v])
+            ri, rj = find(parent, index[a, u]), find(parent, index[b, v])
             parent[max(ri, rj)] = min(ri, rj)
     rep_ids: dict[int, int] = {}
     maps = [[0] * g.n for g in atoms]
     for i, (a, v) in enumerate(pairs):
-        root = find(i)
+        root = find(parent, i)
         if root not in rep_ids:
             rep_ids[root] = len(rep_ids)
         maps[a][v] = rep_ids[root]

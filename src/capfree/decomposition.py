@@ -17,9 +17,10 @@ scan.  A quotient that is a clique or a cycle is one atom.  The blocks
 come leaf-first along the block-cut tree, each split off along its parent
 cut vertex.
 
-Each leaf of the tree is read through one Atom record: the induced atom,
-its skeleton extraction, and on first use the skeleton's width-5 tree
-decomposition and its nice form.
+decompose gives the tree and its leaves' Atom records, each built when
+reached: the induced atom, its skeleton extraction, on first use the nice
+form of the skeleton's width-5 tree decomposition, and brute force for an
+atom without that structure.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from typing import Iterator, Optional
 
 from .graphs import (Graph, induced_subgraph, mask_members, mask_of, reach,
                      vertex_set)
+from .oracles import BruteResult, InstanceTooLargeError, brute_solve
 from .treewidth import (DEFAULT_EXACT_BUDGET, NiceDecomposition,
-                        SearchBudgetExceeded, TreeDecomposition,
-                        TreewidthReject, mcs_m, nice_decomposition,
-                        skeleton_tree_decomposition)
+                        SearchBudgetExceeded, TreewidthReject, mcs_m,
+                        nice_decomposition, skeleton_tree_decomposition)
 from .twins import (COMPLETE_ATOM, ExtractResult, SkeletonDecomposition,
                     SkeletonReject, extract_skeleton)
 
@@ -120,36 +121,41 @@ class DecompositionTree:
         return out
 
 
-class Atom:
-    """One leaf of clique_cutset_tree: the atom root[vertices] (relabelled
-    0..k-1, back mapping to root ids; root itself when the atom spans it)
-    and what extract_skeleton returned.
+class UnsupportedInstanceError(RuntimeError):
+    """An atom has no usable structure and is too large for brute force;
+    the message says why there is no structure: the atom is outside the
+    class, or the width-5 search ran out of its budget."""
 
-    skeleton_td, the skeleton's width-5 tree decomposition, is built on
-    first use; it is None when there is no skeleton, the width exceeds 5,
-    or the exact search runs out of exact_budget, and reason then says
-    which (for a shape reject it is set at once).  nice is the nice form
-    of skeleton_td, built once and read by both the coloring and the
-    stable-set DP.  sd is the skeleton decomposition when skeleton_td
-    exists, None otherwise.
+
+class Atom:
+    """One leaf of clique_cutset_tree, as decompose builds it: the atom
+    root[vertices], relabelled so that local vertex v is vertices[v] (root
+    itself when the atom spans it), and what extract_skeleton returned.
+
+    nice, built on first use, is the nice form of the skeleton's width-5
+    tree decomposition, read by both the coloring and the stable-set DP.
+    It is None when there is no skeleton, the width exceeds 5, or the
+    exact search runs out of exact_budget, and reason then says which (for
+    a shape reject it is set at once).  brute answers an atom without that
+    structure under brute_guard.
     """
 
     def __init__(self, root: Graph, vertices: tuple[int, ...],
-                 exact_budget: int = DEFAULT_EXACT_BUDGET):
+                 exact_budget: int, brute_guard: Optional[int]):
         self.vertices = vertices
-        self.graph, self.back = ((root, tuple(range(root.n)))
-                                 if len(vertices) == root.n
-                                 else induced_subgraph(root, vertices))
+        self.graph = (root if len(vertices) == root.n
+                      else induced_subgraph(root, vertices)[0])
         self.extracted: ExtractResult = extract_skeleton(self.graph)
         self.complete = self.extracted == COMPLETE_ATOM
         self.exact_budget = exact_budget
+        self.brute_guard = brute_guard
         self.reason: Optional[str] = None
         if isinstance(self.extracted, SkeletonReject):
             self.reason = ("is outside the class: its would-be skeleton "
                            "has a triangle")
 
     @cached_property
-    def skeleton_td(self) -> Optional[TreeDecomposition]:
+    def nice(self) -> Optional[NiceDecomposition]:
         if not isinstance(self.extracted, SkeletonDecomposition):
             return None
         try:
@@ -163,16 +169,32 @@ class Atom:
             self.reason = ("is outside the class: its skeleton has "
                            "treewidth above 5")
             return None
-        return td
+        return nice_decomposition(td)
 
-    @cached_property
-    def nice(self) -> Optional[NiceDecomposition]:
-        td = self.skeleton_td
-        return None if td is None else nice_decomposition(td)
+    def brute(self, problem: str, graph: Optional[Graph] = None,
+              reason: Optional[str] = None) -> BruteResult:
+        """brute_solve of problem on graph, the atom or a part of it,
+        under brute_guard.  Beyond the guard, UnsupportedInstanceError
+        says why the atom has no structure: reason, or by default the
+        atom's own."""
+        try:
+            return brute_solve(self.graph if graph is None else graph,
+                               problem, self.brute_guard)
+        except InstanceTooLargeError as exc:
+            raise UnsupportedInstanceError(
+                f"atom {reason or self.reason}; it is beyond the {problem} "
+                f"brute-force guard ({exc})") from exc
 
-    @property
-    def sd(self) -> Optional[SkeletonDecomposition]:
-        return None if self.skeleton_td is None else self.extracted
+
+def decompose(g: Graph, exact_budget: int = DEFAULT_EXACT_BUDGET,
+              brute_guard: Optional[int] = None
+              ) -> tuple[DecompositionTree, Iterator[Atom]]:
+    """clique_cutset_tree(g) and the Atom records of its leaves in leaf
+    order, each built only when the iterator reaches it, so a caller that
+    stops at an atom builds none after it."""
+    tree = clique_cutset_tree(g)
+    return tree, (Atom(g, leaf.vertices, exact_budget, brute_guard)
+                  for leaf in tree.leaves())
 
 
 def clique_cutset_tree(g: Graph) -> DecompositionTree:

@@ -3,8 +3,9 @@
 Everything here is exhaustive by definition and serves as ground truth for
 the structural algorithms.  Witnesses are returned in a canonical order and
 re-check against their definitional predicate via verify_witness.  The
-brute-force solvers recurse at most once per vertex, so brute_solve's size
-guard also bounds their depth.
+cycle and path searches run on explicit stacks.  The brute-force solvers
+recurse once per vertex, within Python's recursion limit only under the
+default size guards.
 """
 
 from __future__ import annotations
@@ -310,24 +311,26 @@ def _induced_paths(g: Graph, x: int, y: int, avoid: int = 0
     """
     results: list[tuple[int, ...]] = []
     y_mask = 1 << y
-
-    def extend(p: list[int], blocked: int, path_mask: int):
-        last = p[-1]
+    p = [x]
+    # As in enumerate_chordless_cycles: an entry (w, blocked, path_mask,
+    # depth) extends p[:depth] by w, and extensions are pushed in
+    # descending order, so the least is tried first.
+    stack = [(a, g.mask(x), (1 << x) | (1 << a), 1)
+             for a in reversed(g.adj[x]) if a != y and not avoid >> a & 1]
+    while stack:
+        last, blocked, path_mask, depth = stack.pop()
+        del p[depth:]
+        p.append(last)
         nbrs = g.mask(last)
         if nbrs & y_mask:
             if not blocked & y_mask:
                 results.append(tuple(p) + (y,))
-            return
+            continue
         options = nbrs & ~path_mask & ~blocked & ~avoid
         while options:
-            low = options & -options
-            options ^= low
-            extend(p + [low.bit_length() - 1], blocked | nbrs,
-                   path_mask | low)
-
-    for a in g.adj[x]:
-        if a != y and not avoid >> a & 1:
-            extend([x, a], g.mask(x), (1 << x) | (1 << a))
+            w = options.bit_length() - 1
+            options ^= 1 << w
+            stack.append((w, blocked | nbrs, path_mask | 1 << w, depth + 1))
     return results
 
 

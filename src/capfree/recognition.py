@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .decomposition import Atom, DecompositionTree, clique_cutset_tree
+from .decomposition import Atom, DecompositionTree, decompose
 from .graphs import Graph, reach
 from .oracles import (ForbiddenWitness, certify, find_any_forbidden,
                       find_forbidden_induced, odd_signable_signing,
@@ -159,7 +159,7 @@ def detect_cap_in_atoms(g: Graph, atoms: Sequence[Atom]
     for atom in atoms:
         if atom.complete:
             continue
-        sd, back = atom.extracted, atom.back
+        sd, back = atom.extracted, atom.vertices
         boundary = {back[v]: i for i, members in enumerate(sd.classes)
                     for v in members
                     if atom.graph.degree(v) < g.degree(back[v])}
@@ -241,14 +241,14 @@ def recognize(g: Graph, target_class: str,
               oracle_guard: int = DEFAULT_ORACLE_GUARD) -> RecognitionVerdict:
     """Decide class membership with a certificate.
 
-    Stages: the 4-hole test; clique_cutset_tree and one Atom per leaf; the
-    cap test detect_cap_in_atoms, over every atom before any oracle, so a
-    graph with a cap is rejected with a cap; then, atom by atom in leaf
-    order, the oracle guard and the skeleton oracle.  The cap test reads
-    the atoms because a cap's hole lies in one atom (Leimer, Discrete
-    Math. 113, 1993) and its apex sees that atom through a clique minimal
-    separator (Berry, Pogorelcnik & Simonet, Algorithms 3, 2010), so an
-    atom with a skeleton holds no whole cap.
+    Stages: the 4-hole test; decompose, the cutset tree and one Atom per
+    leaf; the cap test detect_cap_in_atoms, over every atom before any
+    oracle, so a graph with a cap is rejected with a cap; then, atom by
+    atom in leaf order, the oracle guard and the skeleton oracle.  The cap
+    test reads the atoms because a cap's hole lies in one atom (Leimer,
+    Discrete Math. 113, 1993) and its apex sees that atom through a clique
+    minimal separator (Berry, Pogorelcnik & Simonet, Algorithms 3, 2010),
+    so an atom with a skeleton holds no whole cap.
 
     Rejection witnesses re-check against g; 4-hole and cap rejections
     carry no tree.  Acceptance certificates carry the decomposition tree
@@ -261,8 +261,8 @@ def recognize(g: Graph, target_class: str,
     witness = detect_4hole(g)
     if witness is not None:
         return RecognitionVerdict(REJECTED, target_class, witness)
-    tree = clique_cutset_tree(g)
-    atoms = [Atom(g, leaf.vertices) for leaf in tree.leaves()]
+    tree, lazy = decompose(g)
+    atoms = list(lazy)
     witness = detect_cap_in_atoms(g, atoms)
     if witness is not None:
         return RecognitionVerdict(REJECTED, target_class, witness)
@@ -276,7 +276,7 @@ def recognize(g: Graph, target_class: str,
                 "skeleton shape violation on a cap- and 4-hole-free atom "
                 "without clique cutsets; this cannot happen: "
                 f"{atom.extracted}")
-        sd, back = atom.extracted, atom.back
+        sd, back = atom.extracted, atom.vertices
         if sd.skeleton.n > oracle_guard:
             return RecognitionVerdict(
                 UNDECIDED, target_class, tree=tree,
@@ -293,10 +293,11 @@ def recognize(g: Graph, target_class: str,
             oracle = "even-hole-free"
         else:
             if odd_signable_signing(sd.skeleton) is None:
-                found = find_any_forbidden(
-                    sd.skeleton, ("even-wheel", "theta", "prism"))
-                assert found is not None, \
-                    "non-odd-signable skeleton must contain a witness"
+                # A prism has triangles, and the skeleton has none.
+                found = find_any_forbidden(sd.skeleton,
+                                           ("even-wheel", "theta"))
+                certify(found is not None,
+                        "non-odd-signable skeleton must contain a witness")
                 witness = found.relabel(to_root)
                 certify(verify_witness(g, witness), "witness re-check")
                 return RecognitionVerdict(REJECTED, target_class, witness,

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from .construct import (TARGET_CLASSES, GeneratorParams, generate_instance,
                         random_skeleton, skeleton_from_ears,
                         triangulation_from_ears)
-from .decomposition import Atom, clique_cutset_tree
+from .decomposition import decompose
 from .graphs import (Graph, add_universal_clique, blow_up, complete, cube,
                      gnp, hajos, hole, path)
 from .oracles import (brute_solve, find_any_forbidden,
@@ -230,21 +230,20 @@ def criterion_6_atom_treewidth() -> CriterionResult:
     def run():
         violations = atoms = 0
         for seed, g, prov in standard_instances():
-            tree = clique_cutset_tree(g)
-            for leaf in tree.leaves():
+            for atom in decompose(g)[1]:
                 atoms += 1
-                atom = Atom(g, leaf.vertices)
                 if atom.complete:
                     td = TreeDecomposition(
                         (tuple(atom.graph.vertices()),) if atom.graph.n
                         else (), ())
                     omega = atom.graph.n
                 else:
-                    if atom.sd is None:
+                    if atom.nice is None:
                         violations += 1
                         continue
-                    td = lift_tree_decomposition(atom.skeleton_td, atom.sd)
-                    omega = clique_number_via_skeleton(atom.sd)
+                    td = lift_tree_decomposition(
+                        atom.nice.as_tree_decomposition(), atom.extracted)
+                    omega = clique_number_via_skeleton(atom.extracted)
                 if not td.is_valid(atom.graph) or td.width > 6 * omega - 1:
                     violations += 1
         return violations == 0, \

@@ -1,13 +1,14 @@
 """Coloring, clique number and maximum weight stable set over the
 decomposition stack.
 
-Every call reads each leaf of clique_cutset_tree through one Atom record
-(decomposition.py), built once per call: the skeleton extraction, and the
-skeleton's width-5 tree decomposition and its nice form only when a DP
-needs them.  Both DPs below run on that one nice form through one
-driver, _nice_dp; each gives only its table rules and what it reads off
-the traceback.  One per-atom step, _color_atom, serves chromatic_number
-and q_color_graph; clique_number reads the skeleton alone.
+Every call reads the cutset tree and one Atom record per leaf from
+decomposition.decompose, each built once per call and only when the call
+reaches it: the skeleton extraction, and the nice form of the skeleton's
+width-5 tree decomposition only when a DP needs it.  Both DPs below run
+on that one nice form through one driver, _nice_dp; each gives only its
+table rules and what it reads off the traceback.  One per-atom step,
+_color_atom, serves chromatic_number and q_color_graph; clique_number
+reads the skeleton alone.
 
 Coloring runs the count DP, _multicolor_dp, over a nice tree
 decomposition: vertex v needs demand[v] colors, adjacent vertices get
@@ -22,9 +23,10 @@ heaviest survivor of U, complete to the atom, stands alone against the
 skeleton's answer.  Clique cutsets combine atom answers to the whole
 graph (color permutation for coloring, Tarjan's reweighting for stable
 sets).  Atoms without usable structure fall back to the brute-force
-oracles under a size guard; beyond the guard the instance is reported
-unsupported, never answered wrongly.  Returned answers are re-checked by
-certify, which raises CertificateError under python -O too.
+oracles through Atom.brute, under a size guard; beyond the guard the
+instance is reported unsupported, never answered wrongly.  Returned
+answers are re-checked by certify, which raises CertificateError under
+python -O too.
 """
 
 from __future__ import annotations
@@ -33,19 +35,14 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .decomposition import Atom, DecompositionTree, clique_cutset_tree
+from .decomposition import (Atom, DecompositionTree,
+                            UnsupportedInstanceError, decompose)
 from .graphs import Graph, induced_subgraph, mask_of, vertex_set
-from .oracles import InstanceTooLargeError, brute_solve, certify
+from .oracles import certify
 from .treewidth import (DEFAULT_EXACT_BUDGET, NiceDecomposition,
                         TreeDecomposition, nice_decomposition)
 from .twins import (SkeletonDecomposition, clique_number_via_skeleton,
                     max_clique_via_skeleton)
-
-
-class UnsupportedInstanceError(RuntimeError):
-    """An atom has no usable structure and is too large for brute force;
-    the message says why there is no structure: the atom is outside the
-    class, or the width-5 search ran out of its budget."""
 
 
 def ceil_three_halves(omega: int) -> int:
@@ -341,12 +338,11 @@ def combine_colorings(tree: DecompositionTree,
     return colors
 
 
-def _color_atom(atom: Atom, cap: int, brute_guard: Optional[int]
-                ) -> Optional[tuple[int, list[int]]]:
+def _color_atom(atom: Atom, cap: int) -> Optional[tuple[int, list[int]]]:
     """(chi, coloring) of the atom, or None for a structured atom that
     needs more than cap colors.  Complete atoms and atoms without
     structure get their chromatic number whatever the cap, the latter by
-    brute force under the guard.
+    brute force.
 
     A structured atom is colored by one pass of the count DP over its
     skeleton's width-5 decomposition: skeleton vertex v needs |class v|
@@ -355,11 +351,10 @@ def _color_atom(atom: Atom, cap: int, brute_guard: Optional[int]
     """
     if atom.complete:
         return atom.graph.n, list(range(1, atom.graph.n + 1))
-    sd = atom.sd
-    if sd is None:
-        result = _brute_or_unsupported(atom.graph, "chromatic", brute_guard,
-                                       atom.reason)
+    if atom.nice is None:
+        result = atom.brute("chromatic")
         return result.value, list(result.witness)
+    sd = atom.extracted
     found = _multicolor_dp(sd.skeleton, atom.nice,
                            [len(cls) for cls in sd.classes],
                            cap - len(sd.universal))
@@ -378,18 +373,6 @@ def _color_atom(atom: Atom, cap: int, brute_guard: Optional[int]
     return chi, colors
 
 
-def _brute_or_unsupported(g: Graph, problem: str, guard: Optional[int],
-                          reason: str):
-    """brute_solve on an atom without usable structure; reason says why
-    it has none ("is outside the class: ..." or "is undecided: ...")."""
-    try:
-        return brute_solve(g, problem, guard)
-    except InstanceTooLargeError as exc:
-        raise UnsupportedInstanceError(
-            f"atom {reason}; it is beyond the {problem} brute-force guard "
-            f"({exc})") from exc
-
-
 def chromatic_number(g: Graph, brute_guard: Optional[int] = None,
                      exact_budget: int = DEFAULT_EXACT_BUDGET
                      ) -> tuple[int, list[int]]:
@@ -404,22 +387,22 @@ def chromatic_number(g: Graph, brute_guard: Optional[int] = None,
     """
     if g.n == 0:
         return 0, []
-    tree = clique_cutset_tree(g)
+    tree, atoms = decompose(g, exact_budget, brute_guard)
     per_leaf: list[dict[int, int]] = []
     chi = 1
-    for leaf in tree.leaves():
-        atom = Atom(g, leaf.vertices, exact_budget)
-        omega = (0 if atom.sd is None
-                 else clique_number_via_skeleton(atom.sd))
+    for atom in atoms:
+        omega = (0 if atom.nice is None
+                 else clique_number_via_skeleton(atom.extracted))
         cap = ceil_three_halves(omega)
-        found = _color_atom(atom, cap, brute_guard)
+        found = _color_atom(atom, cap)
         if found is None:
-            result = _brute_or_unsupported(
-                atom.graph, "chromatic", brute_guard,
-                f"is outside the class: it needs more than {cap} colors")
+            result = atom.brute(
+                "chromatic",
+                reason=f"is outside the class: it needs more than {cap} "
+                       f"colors")
             found = result.value, list(result.witness)
         chi = max(chi, found[0])
-        per_leaf.append(dict(zip(atom.back, found[1])))
+        per_leaf.append(dict(zip(atom.vertices, found[1])))
     coloring = combine_colorings(tree, per_leaf, chi)
     return chi, coloring
 
@@ -435,14 +418,13 @@ def q_color_graph(g: Graph, q: int, brute_guard: Optional[int] = None,
         raise ValueError("q must be at least 1")
     if g.n == 0:
         return []
-    tree = clique_cutset_tree(g)
+    tree, atoms = decompose(g, exact_budget, brute_guard)
     per_leaf = []
-    for leaf in tree.leaves():
-        atom = Atom(g, leaf.vertices, exact_budget)
-        found = _color_atom(atom, q, brute_guard)
+    for atom in atoms:
+        found = _color_atom(atom, q)
         if found is None or found[0] > q:
             return None
-        per_leaf.append(dict(zip(atom.back, found[1])))
+        per_leaf.append(dict(zip(atom.vertices, found[1])))
     return combine_colorings(tree, per_leaf, q)
 
 
@@ -457,22 +439,20 @@ def clique_number(g: Graph, brute_guard: Optional[int] = None
     under the guard."""
     best = 0
     witness: tuple[int, ...] = ()
-    for leaf in clique_cutset_tree(g).leaves():
-        atom = Atom(g, leaf.vertices)
+    for atom in decompose(g, brute_guard=brute_guard)[1]:
         if atom.complete:
             value, local = atom.graph.n, tuple(atom.graph.vertices())
         elif isinstance(atom.extracted, SkeletonDecomposition):
             local = max_clique_via_skeleton(atom.extracted)
             value = len(local)
         else:
-            result = _brute_or_unsupported(atom.graph, "max-clique",
-                                           brute_guard, atom.reason)
+            result = atom.brute("max-clique")
             value, local = result.value, result.witness
         certify(atom.graph.is_clique(local) and len(local) == value,
                 "clique witness failed re-check")
         if value > best:
             best = value
-            witness = vertex_set(atom.back[v] for v in local)
+            witness = vertex_set(atom.vertices[v] for v in local)
     return best, witness
 
 
@@ -482,8 +462,8 @@ class StableSetResult:
     weight: int
 
 
-def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int],
-                brute_guard: Optional[int]) -> tuple[int, tuple[int, ...]]:
+def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int]
+                ) -> tuple[int, tuple[int, ...]]:
     """The heaviest stable set of the atom minus the deleted atom
     vertices, as (weight, root-id vertex tuple); weights are indexed by
     root id.  mwss asks this of an atom minus its cutset, or minus a
@@ -495,25 +475,24 @@ def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int],
     The universal clique U needs no DP: U is complete to the atom, so a
     stable set that takes a vertex of U is that vertex alone, and the
     heaviest survivor of U replaces the skeleton's set when it is heavier.
-    Unstructured atoms fall back to brute force under the guard.
+    Unstructured atoms fall back to brute force.
     """
     survivors = [v for v in atom.graph.vertices() if v not in deleted]
     if not survivors:
         return 0, ()
-    local_w = {v: weights[atom.back[v]] for v in survivors}
+    local_w = {v: weights[atom.vertices[v]] for v in survivors}
     if atom.complete:
         best = max(survivors, key=lambda v: (local_w[v], -v))
         if local_w[best] <= 0:
             return 0, ()
-        return local_w[best], (atom.back[best],)
-    sd = atom.sd
-    if sd is None:
+        return local_w[best], (atom.vertices[best],)
+    if atom.nice is None:
         sub, sub_back = induced_subgraph(atom.graph, survivors)
-        weighted = sub.with_weights([local_w[v] for v in survivors])
-        res = _brute_or_unsupported(weighted, "mwss", brute_guard,
-                                    atom.reason)
-        return res.value, vertex_set(atom.back[sub_back[v]]
+        res = atom.brute("mwss",
+                         sub.with_weights([local_w[v] for v in survivors]))
+        return res.value, vertex_set(atom.vertices[sub_back[v]]
                                      for v in res.witness)
+    sd = atom.extracted
     # Restriction soundness: surviving universal vertices stay universal
     # and surviving class members stay true twins.
     graph = atom.graph
@@ -540,7 +519,7 @@ def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int],
     certify(None not in picked and graph.is_stable(picked)
             and sum(local_w[v] for v in picked) == value,
             "DP stable set failed re-check")
-    return value, vertex_set(atom.back[v] for v in picked)
+    return value, vertex_set(atom.vertices[v] for v in picked)
 
 
 def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
@@ -560,31 +539,28 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
     # cutset for the graph below and record how to lift that graph's answer.
     # The cutset's new weights are written into w only after the node's
     # last solve call, which reads the old ones.
-    node = clique_cutset_tree(g).root
+    tree, atoms = decompose(g, exact_budget, brute_guard)
     w = list(base)
     lifts = []
-    while not node.is_leaf:
+    # zip asks the spine first, so the last atom is left for after it.
+    for node, atom in zip(tree.internal_nodes(), atoms):
         cut = node.cutset
-        atom = Atom(g, node.left.vertices, exact_budget)
-        local = {r: i for i, r in enumerate(atom.back)}
-        base_value, base_set = _solve_atom(atom, {local[v] for v in cut}, w,
-                                           brute_guard)
+        local = {r: i for i, r in enumerate(atom.vertices)}
+        base_value, base_set = _solve_atom(atom, {local[v] for v in cut}, w)
         sub_sets = {}
         reweighted = []
         for v in cut:
             # The cutset lies in the atom, which is induced, so N[v] meets
             # the atom in v's closed neighbourhood there.
             closed = {local[v], *atom.graph.adj[local[v]]}
-            value_v, sub_sets[v] = _solve_atom(atom, closed, w, brute_guard)
+            value_v, sub_sets[v] = _solve_atom(atom, closed, w)
             reweighted.append(w[v] + value_v - base_value)
             assert reweighted[-1] <= w[v], \
                 "reweighting must not increase a weight"
         for v, wv in zip(cut, reweighted):
             w[v] = wv
         lifts.append((cut, base_value, base_set, sub_sets))
-        node = node.right
-    atom = Atom(g, node.vertices, exact_budget)
-    value, picked = _solve_atom(atom, set(), w, brute_guard)
+    value, picked = _solve_atom(next(atoms), set(), w)
     picked = set(picked)
     # Bottom-up: since w'(v) = w(v) + value_v - base_value, the total is
     # base_value plus the answer below whether or not that answer takes a

@@ -2,10 +2,15 @@ from itertools import combinations
 
 import pytest
 
-from capfree.decomposition import (clique_cutset_tree, find_clique_cutset,
-                                   tree_to_dot)
+from capfree import decomposition, selftest
+from capfree.construct import GeneratorParams, generate_instance
+from capfree.decomposition import (clique_cutset_tree, decompose,
+                                   find_clique_cutset, tree_to_dot)
 from capfree.graphs import Graph, complete, gnp, hole, induced_subgraph, path
 from capfree.oracles import brute_solve
+from capfree.recognition import recognize
+from capfree.solvers import (chromatic_number, clique_number, mwss,
+                             q_color_graph)
 
 K4_MINUS_EDGE = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 TWO_TRIANGLES = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -123,3 +128,70 @@ def test_dot_export():
     assert dot.startswith("graph decomposition {")
     assert 'cutset {2,3}' in dot
     assert dot.count("atom") == 2
+
+
+# The glue-10 even-hole-free graph of the benchmark's seed-1 glued corpus.
+GLUED = generate_instance(GeneratorParams(
+    seed=773644157, ear_count=2, max_blowup=1, max_universal=1,
+    glue_count=10))[0]
+GLUED_CHI = chromatic_number(GLUED)[0]
+
+
+def atoms_built(monkeypatch, call):
+    """The number of Atom records decompose builds while call runs."""
+    built = []
+
+    class Counted(decomposition.Atom):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(decomposition, "Atom", Counted)
+    call()
+    return len(built)
+
+
+def test_decompose_gives_the_tree_and_one_atom_per_leaf():
+    tree, atoms = decompose(GLUED)
+    atoms = list(atoms)
+    assert tree.atoms() == clique_cutset_tree(GLUED).atoms()
+    assert [atom.vertices for atom in atoms] == tree.atoms()
+    assert all(atom.graph == induced_subgraph(GLUED, atom.vertices)[0]
+               for atom in atoms)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: recognize(GLUED, "cap-even-hole-free"),
+    lambda: recognize(GLUED, "cap-4hole-odd-signable"),
+    lambda: clique_number(GLUED),
+    lambda: chromatic_number(GLUED),
+    lambda: q_color_graph(GLUED, GLUED_CHI),
+    lambda: mwss(GLUED)],
+    ids=["recognize-ehf", "recognize-os", "clique_number", "chromatic",
+         "q_color_graph-chi", "mwss"])
+def test_every_command_builds_one_atom_per_leaf(monkeypatch, call):
+    leaves = len(clique_cutset_tree(GLUED).leaves())
+    assert leaves > 2
+    assert atoms_built(monkeypatch, call) == leaves
+
+
+def test_q_color_graph_stops_building_atoms_at_the_first_failure(
+        monkeypatch):
+    found = []
+    built = atoms_built(
+        monkeypatch,
+        lambda: found.append(q_color_graph(GLUED, GLUED_CHI - 1)))
+    assert found == [None]
+    assert 1 <= built < len(clique_cutset_tree(GLUED).leaves())
+
+
+def test_atom_treewidth_criterion_builds_one_atom_per_leaf(monkeypatch):
+    leaves = sum(len(clique_cutset_tree(g).leaves())
+                 for _, g, _ in selftest.standard_instances())
+    result = []
+    built = atoms_built(
+        monkeypatch,
+        lambda: result.append(selftest.criterion_6_atom_treewidth()))
+    assert result[0].passed
+    assert built == leaves
+    assert result[0].detail.startswith(f"{leaves} atoms: ")

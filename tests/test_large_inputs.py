@@ -10,6 +10,7 @@ from capfree.construct import GeneratorParams, generate_instance
 from capfree.decomposition import clique_cutset_tree, tree_to_dot
 from capfree.graphs import (Graph, add_universal_clique, blow_up, hole,
                             path)
+from capfree.oracles import find_forbidden_induced, verify_witness
 from capfree.recognition import detect_4hole, detect_cap_fast, recognize
 from capfree.solvers import (ceil_three_halves, chromatic_number,
                              clique_number, is_proper_coloring, mwss,
@@ -56,6 +57,32 @@ def test_long_inputs_do_not_recurse(name):
 
     colors = q_color_graph(g, 3)
     assert colors is not None and is_proper_coloring(g, colors, 3)
+
+
+def long_path_edges(a, b, first, length):
+    """Edges of an a..b path through length new vertices from first on."""
+    inner = list(range(first, first + length))
+    return list(zip([a] + inner, inner + [b]))
+
+
+# Two short paths and one of 1100 interior vertices, so the witness's
+# quadratic re-check stays fast: a theta between 0 and 1, and a prism
+# between the triangles 0, 1, 2 and 3, 4, 5.
+LONG_THETA = Graph(1105, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1)]
+                   + long_path_edges(0, 1, 5, 1100))
+LONG_PRISM = Graph(1107, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
+                          (0, 3), (1, 6), (6, 4)]
+                   + long_path_edges(2, 5, 7, 1100))
+
+
+@pytest.mark.parametrize("g, kind", [(LONG_THETA, "theta"),
+                                     (LONG_PRISM, "prism")],
+                         ids=["theta", "prism"])
+def test_path_oracles_walk_long_paths_without_recursing(g, kind):
+    found = find_forbidden_induced(g, kind)
+    assert found is not None and found.kind == kind
+    assert verify_witness(g, found)
+    assert max(map(len, found.parts)) == 1102
 
 
 # Wide blow-ups: the count DP over the skeleton's decomposition keeps one

@@ -3,11 +3,11 @@ from collections import deque
 
 import pytest
 
-from capfree.decomposition import Atom, clique_cutset_tree
+from capfree.decomposition import decompose
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
                             cube, gnp, hajos, hole, induced_subgraph, path)
-from capfree.oracles import (ForbiddenWitness, find_forbidden_induced,
-                             verify_witness)
+from capfree.oracles import (CertificateError, ForbiddenWitness,
+                             find_forbidden_induced, verify_witness)
 from capfree.recognition import (detect_4hole, detect_cap_fast,
                                  detect_cap_in_atoms, recognize)
 from capfree.twins import SkeletonReject, reconstruct_atom
@@ -160,6 +160,25 @@ def test_reject_skeleton_without_universal():
     assert verify_witness(g, verdict.witness)
 
 
+def test_a_skeleton_without_its_witness_is_an_internal_failure(
+        monkeypatch):
+    # Searched in the triangle-free skeleton, a prism can never be found;
+    # a missing witness raises CertificateError, also under python -O.
+    from capfree import recognition
+    asked = []
+
+    def nothing(g, kinds):
+        asked.append(tuple(kinds))
+        return None
+
+    monkeypatch.setattr(recognition, "find_any_forbidden", nothing)
+    theta = Graph(7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1),
+                      (0, 5), (5, 6), (6, 1)])
+    with pytest.raises(CertificateError):
+        recognize(theta, "cap-4hole-odd-signable")
+    assert asked == [("even-wheel", "theta")]
+
+
 def test_accepts_fixtures():
     for g in (hajos(), hole(5), hole(7), complete(6), path(5),
               add_universal_clique(hole(5), 2)):
@@ -286,8 +305,7 @@ def test_recognize_and_clique_number_build_no_tree_decomposition(
 
 def atom_cap(g):
     """detect_cap_in_atoms on the Atom records recognize builds for g."""
-    atoms = [Atom(g, leaf.vertices) for leaf in clique_cutset_tree(g).leaves()]
-    return detect_cap_in_atoms(g, atoms)
+    return detect_cap_in_atoms(g, list(decompose(g)[1]))
 
 
 def assert_cap_verdicts_agree(g, naive=True):
@@ -400,7 +418,7 @@ def test_an_atom_without_skeleton_falls_back_to_the_whole_graph_search():
     # C5 with an apex x over 0 and 1, and x joined to 3 through one more
     # vertex: one atom, whose would-be skeleton has the triangle 0, 1, x.
     g = Graph(7, hole(5).edges() + [(5, 0), (5, 1), (6, 5), (6, 3)])
-    atoms = [Atom(g, leaf.vertices) for leaf in clique_cutset_tree(g).leaves()]
+    atoms = list(decompose(g)[1])
     assert [type(atom.extracted) for atom in atoms] == [SkeletonReject]
     assert detect_cap_in_atoms(g, atoms) == detect_cap_fast(g)
     verdict = recognize(g, "cap-even-hole-free")

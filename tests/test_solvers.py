@@ -6,7 +6,7 @@ import pytest
 
 from capfree import decomposition, solvers
 from capfree.construct import GeneratorParams, generate_instance
-from capfree.decomposition import Atom, clique_cutset_tree
+from capfree.decomposition import clique_cutset_tree, decompose
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
                             gnp, hajos, hole, path)
 from capfree.oracles import CertificateError, brute_solve
@@ -278,8 +278,7 @@ GLUED3 = generate_instance(GeneratorParams(
 def _count_calls(monkeypatch, call, dp):
     """Run call, counting nice_decomposition calls and DP passes; also
     returns the number of structured atoms of GLUED3."""
-    structured = sum(Atom(GLUED3, leaf.vertices).sd is not None
-                     for leaf in clique_cutset_tree(GLUED3).leaves())
+    structured = sum(atom.nice is not None for atom in decompose(GLUED3)[1])
     calls = {"nice": 0, "dp": 0}
 
     def counted(name, fn):
@@ -401,9 +400,9 @@ def grotzsch():
 
 def test_chromatic_range_exhaustion_falls_back():
     g = grotzsch()
-    atom = Atom(g, tuple(g.vertices()))
-    assert atom.sd is not None
-    omega = clique_number_via_skeleton(atom.sd)
+    (atom,) = decompose(g)[1]
+    assert atom.nice is not None
+    omega = clique_number_via_skeleton(atom.extracted)
     assert omega == 2
     chi, colors = chromatic_number(g)
     assert chi == 4 == brute_solve(g, "chromatic").value
@@ -630,10 +629,9 @@ def _dp_inputs():
             max_universal=seed % 3, glue_count=seed % 5,
             target_class=("cap-even-hole-free",
                           "cap-4hole-odd-signable")[seed % 2]))
-        for leaf in clique_cutset_tree(g).leaves():
-            atom = Atom(g, leaf.vertices)
-            if atom.sd is not None:
-                yield atom.sd.skeleton, atom.nice
+        for atom in decompose(g)[1]:
+            if atom.nice is not None:
+                yield atom.extracted.skeleton, atom.nice
 
 
 def test_shared_dp_driver_matches_the_separate_dps():
