@@ -18,9 +18,10 @@ come leaf-first along the block-cut tree, each split off along its parent
 cut vertex.
 
 decompose gives the tree and its leaves' Atom records, each built when
-reached: the induced atom, its skeleton extraction, on first use the nice
-form of the skeleton's width-5 tree decomposition, and brute force for an
-atom without that structure.
+reached: completeness from the root's masks, and for a non-complete atom
+the induced atom and its skeleton extraction; on first use the nice form
+of the skeleton's width-5 tree decomposition, and brute force for an atom
+without that structure.
 """
 
 from __future__ import annotations
@@ -128,9 +129,17 @@ class UnsupportedInstanceError(RuntimeError):
 
 
 class Atom:
-    """One leaf of clique_cutset_tree, as decompose builds it: the atom
-    root[vertices], relabelled so that local vertex v is vertices[v] (root
-    itself when the atom spans it), and what extract_skeleton returned.
+    """One leaf of clique_cutset_tree, as decompose builds it: the root
+    vertices of the atom, their mask, whether the atom is complete, and
+    what extract_skeleton returns for it.
+
+    Completeness is read off the root's masks: every vertex's closed
+    neighbourhood holds the atom's mask.  A complete atom needs nothing
+    more, so it builds no graph and runs no extraction; extracted is
+    COMPLETE_ATOM.  graph is the atom root[vertices], relabelled so that
+    local vertex v is vertices[v] (root itself when the atom spans it),
+    built on first read: at once for a non-complete atom, which
+    extract_skeleton reads.
 
     nice, built on first use, is the nice form of the skeleton's width-5
     tree decomposition, read by both the coloring and the stable-set DP.
@@ -142,17 +151,25 @@ class Atom:
 
     def __init__(self, root: Graph, vertices: tuple[int, ...],
                  exact_budget: int, brute_guard: Optional[int]):
+        self.root = root
         self.vertices = vertices
-        self.graph = (root if len(vertices) == root.n
-                      else induced_subgraph(root, vertices)[0])
-        self.extracted: ExtractResult = extract_skeleton(self.graph)
-        self.complete = self.extracted == COMPLETE_ATOM
+        self.mask = mask = mask_of(vertices)
+        self.complete = all((root.mask(v) | 1 << v) & mask == mask
+                            for v in vertices)
+        self.extracted: ExtractResult = (
+            COMPLETE_ATOM if self.complete else extract_skeleton(self.graph))
         self.exact_budget = exact_budget
         self.brute_guard = brute_guard
         self.reason: Optional[str] = None
         if isinstance(self.extracted, SkeletonReject):
             self.reason = ("is outside the class: its would-be skeleton "
                            "has a triangle")
+
+    @cached_property
+    def graph(self) -> Graph:
+        if len(self.vertices) == self.root.n:
+            return self.root
+        return induced_subgraph(self.root, self.vertices)[0]
 
     @cached_property
     def nice(self) -> Optional[NiceDecomposition]:
@@ -193,7 +210,7 @@ def decompose(g: Graph, exact_budget: int = DEFAULT_EXACT_BUDGET,
     order, each built only when the iterator reaches it, so a caller that
     stops at an atom builds none after it."""
     tree = clique_cutset_tree(g)
-    return tree, (Atom(g, leaf.vertices, exact_budget, brute_guard)
+    return tree, (Atom(g, leaf.atom, exact_budget, brute_guard)
                   for leaf in tree.leaves())
 
 

@@ -3,9 +3,8 @@
 Everything here is exhaustive by definition and serves as ground truth for
 the structural algorithms.  Witnesses are returned in a canonical order and
 re-check against their definitional predicate via verify_witness.  The
-cycle and path searches run on explicit stacks.  The brute-force solvers
-recurse once per vertex, within Python's recursion limit only under the
-default size guards.
+cycle and path searches and the brute-force solvers run on explicit
+stacks, so no input size meets Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -335,9 +334,15 @@ def _induced_paths(g: Graph, x: int, y: int, avoid: int = 0
 
 
 def _find_theta(g: Graph) -> Optional[ForbiddenWitness]:
+    """The first theta by branch pair (x, y), x < y.  Each branch vertex
+    starts three paths whose interiors are disjoint and non-adjacent, so
+    it has degree at least 3, and pairs with a smaller degree are
+    skipped."""
     for x in g.vertices():
+        if g.degree(x) < 3:
+            continue
         for y in range(x + 1, g.n):
-            if g.has_edge(x, y):
+            if g.degree(y) < 3 or g.has_edge(x, y):
                 continue
             paths = _induced_paths(g, x, y)
             if len(paths) < 3:
@@ -485,47 +490,57 @@ def brute_solve(g: Graph, problem: str, max_n: Optional[int] = None
 
 
 def _brute_max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
-    best: list = [0, ()]
-
-    def grow(clique: list[int], candidates: int):
-        if len(clique) > best[0]:
-            best[0] = len(clique)
-            best[1] = tuple(clique)
-        while candidates:
-            if len(clique) + bin(candidates).count("1") <= best[0]:
-                return
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            candidates ^= low
-            grow(clique + [v], candidates & g.mask(v))
-
-    grow([], (1 << g.n) - 1)
-    return best[0], best[1]
+    """Depth-first growth of cliques by least candidate, pruned when the
+    clique and all its candidates cannot beat the best so far."""
+    best, found = 0, ()
+    clique: list[int] = []
+    # stack[i] holds the candidates left to extend the clique's first i
+    # vertices: each is adjacent to all of them.
+    stack = [(1 << g.n) - 1]
+    while stack:
+        candidates = stack[-1]
+        if not candidates or len(clique) + candidates.bit_count() <= best:
+            stack.pop()
+            if clique:
+                clique.pop()
+            continue
+        low = candidates & -candidates
+        v = low.bit_length() - 1
+        stack[-1] = candidates ^ low
+        clique.append(v)
+        if len(clique) > best:
+            best, found = len(clique), tuple(clique)
+        stack.append(stack[-1] & g.mask(v))
+    return best, found
 
 
 def _brute_mwss(g: Graph, weights) -> tuple[int, tuple[int, ...]]:
-    """Branch and bound; vertices of nonpositive weight are never taken."""
+    """Branch and bound; vertices of nonpositive weight are never taken.
+    Each vertex of the order is taken, when no chosen vertex sees it,
+    before it is left out."""
     order = sorted((v for v in g.vertices() if weights[v] > 0),
                    key=lambda v: (-weights[v], v))
     suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[order[i]]
-    best: list = [0, ()]
-
-    def search(i: int, chosen: list[int], excluded: int, total: int):
-        if total > best[0]:
-            best[0] = total
-            best[1] = tuple(sorted(chosen))
-        if i == len(order) or total + suffix[i] <= best[0]:
-            return
+    best, found = 0, ()
+    # A state decides order[i:] given the chosen vertices, the mask they
+    # exclude and their total; the branch that takes order[i] is pushed
+    # last, so it is searched first.
+    stack = [(0, [], 0, 0)]
+    while stack:
+        i, chosen, excluded, total = stack.pop()
+        if total > best:
+            best, found = total, tuple(sorted(chosen))
+        if i == len(order) or total + suffix[i] <= best:
+            continue
         v = order[i]
+        stack.append((i + 1, chosen, excluded, total))
         if not excluded >> v & 1:
-            search(i + 1, chosen + [v], excluded | g.mask(v) | (1 << v),
-                   total + weights[v])
-        search(i + 1, chosen, excluded, total)
-
-    search(0, [], 0, 0)
-    return best[0], best[1]
+            stack.append((i + 1, chosen + [v],
+                          excluded | g.mask(v) | (1 << v),
+                          total + weights[v]))
+    return best, found
 
 
 def _brute_chromatic(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -541,25 +556,33 @@ def _brute_chromatic(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def _try_color(g: Graph, order, q: int) -> Optional[tuple[int, ...]]:
+    """A q-coloring by backtracking along order, or None: each vertex
+    tries its least color above the one it holds, at most one more than
+    the colors used before it and none its colored neighbours hold."""
     colors = [0] * g.n
-
-    def assign(i: int, used: int) -> bool:
-        if i == len(order):
-            return True
+    # One frame per vertex on the way down: its index in order, the number
+    # of colors used before it, and the colors its neighbours hold.
+    stack: list[tuple[int, int, set[int]]] = []
+    i = used = 0
+    while i < len(order):
         v = order[i]
-        taken = {colors[u] for u in g.adj[v] if colors[u]}
-        for c in range(1, min(q, used + 1) + 1):
-            if c in taken:
-                continue
-            colors[v] = c
-            if assign(i + 1, max(used, c)):
-                return True
-        colors[v] = 0
-        return False
-
-    if assign(0, 0):
-        return tuple(colors)
-    return None
+        stack.append((i, used, {colors[u] for u in g.adj[v] if colors[u]}))
+        while stack:
+            i, used, taken = stack[-1]
+            v = order[i]
+            top = min(q, used + 1)
+            c = colors[v] + 1
+            while c <= top and c in taken:
+                c += 1
+            if c <= top:
+                colors[v] = c
+                i, used = i + 1, max(used, c)
+                break
+            colors[v] = 0
+            stack.pop()
+        else:
+            return None
+    return tuple(colors)
 
 
 def _brute_clique_cutset(g: Graph) -> Optional[tuple[int, ...]]:

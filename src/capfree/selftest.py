@@ -301,15 +301,15 @@ def criterion_9_cap_detector() -> CriterionResult:
     return _timed(run, "9 cap detector equivalence", limit=120.0)
 
 
-def criterion_10_twin_refinement() -> CriterionResult:
+def criterion_10_twin_grouping() -> CriterionResult:
     def run():
         mismatches = sum(
             1 for name, g in small_graph_pool()
             if twin_classes(g) != twin_classes_quadratic(g))
         return mismatches == 0, \
-            f"twin refinement vs quadratic on {len(small_graph_pool())} " \
+            f"twin grouping vs quadratic on {len(small_graph_pool())} " \
             f"graphs: {mismatches} mismatches"
-    return _timed(run, "10 twin refinement equivalence", limit=60.0)
+    return _timed(run, "10 twin grouping equivalence", limit=60.0)
 
 
 def criterion_11_recognition() -> CriterionResult:
@@ -386,7 +386,7 @@ ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
     criterion_7_chromatic_equivalence,
     criterion_8_mwss_equivalence,
     criterion_9_cap_detector,
-    criterion_10_twin_refinement,
+    criterion_10_twin_grouping,
     criterion_11_recognition,
     criterion_12_odd_signability_crosscheck,
     criterion_13_performance,

@@ -8,7 +8,9 @@ width-5 tree decomposition only when a DP needs it.  Both DPs below run
 on that one nice form through one driver, _nice_dp; each gives only its
 table rules and what it reads off the traceback.  One per-atom step,
 _color_atom, serves chromatic_number and q_color_graph; clique_number
-reads the skeleton alone.
+reads the skeleton alone.  A complete atom has neither a skeleton nor a
+graph of its own: the solvers answer it from its size and the root's
+masks.
 
 Coloring runs the count DP, _multicolor_dp, over a nice tree
 decomposition: vertex v needs demand[v] colors, adjacent vertices get
@@ -37,7 +39,8 @@ from typing import Optional, Sequence
 
 from .decomposition import (Atom, DecompositionTree,
                             UnsupportedInstanceError, decompose)
-from .graphs import Graph, induced_subgraph, mask_of, vertex_set
+from .graphs import (Graph, induced_subgraph, mask_members, mask_of,
+                     vertex_set)
 from .oracles import certify
 from .treewidth import (DEFAULT_EXACT_BUDGET, NiceDecomposition,
                         TreeDecomposition, nice_decomposition)
@@ -350,7 +353,8 @@ def _color_atom(atom: Atom, cap: int) -> Optional[tuple[int, list[int]]]:
     takes the |U| colors after the DP's total.
     """
     if atom.complete:
-        return atom.graph.n, list(range(1, atom.graph.n + 1))
+        n = len(atom.vertices)
+        return n, list(range(1, n + 1))
     if atom.nice is None:
         result = atom.brute("chromatic")
         return result.value, list(result.witness)
@@ -441,18 +445,20 @@ def clique_number(g: Graph, brute_guard: Optional[int] = None
     witness: tuple[int, ...] = ()
     for atom in decompose(g, brute_guard=brute_guard)[1]:
         if atom.complete:
-            value, local = atom.graph.n, tuple(atom.graph.vertices())
+            value, local = len(atom.vertices), range(len(atom.vertices))
         elif isinstance(atom.extracted, SkeletonDecomposition):
             local = max_clique_via_skeleton(atom.extracted)
             value = len(local)
         else:
             result = atom.brute("max-clique")
             value, local = result.value, result.witness
-        certify(atom.graph.is_clique(local) and len(local) == value,
+        # The atom is induced, so a clique of it is one of g.
+        found = vertex_set(atom.vertices[v] for v in local)
+        certify(g.is_clique(found) and len(found) == value,
                 "clique witness failed re-check")
         if value > best:
             best = value
-            witness = vertex_set(atom.vertices[v] for v in local)
+            witness = found
     return best, witness
 
 
@@ -477,7 +483,7 @@ def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int]
     heaviest survivor of U replaces the skeleton's set when it is heavier.
     Unstructured atoms fall back to brute force.
     """
-    survivors = [v for v in atom.graph.vertices() if v not in deleted]
+    survivors = [v for v in range(len(atom.vertices)) if v not in deleted]
     if not survivors:
         return 0, ()
     local_w = {v: weights[atom.vertices[v]] for v in survivors}
@@ -550,9 +556,8 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
         sub_sets = {}
         reweighted = []
         for v in cut:
-            # The cutset lies in the atom, which is induced, so N[v] meets
-            # the atom in v's closed neighbourhood there.
-            closed = {local[v], *atom.graph.adj[local[v]]}
+            closed = {local[u] for u in
+                      mask_members((g.mask(v) | 1 << v) & atom.mask)}
             value_v, sub_sets[v] = _solve_atom(atom, closed, w)
             reweighted.append(w[v] + value_v - base_value)
             assert reweighted[-1] <= w[v], \

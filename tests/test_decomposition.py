@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from capfree.oracles import brute_solve
 from capfree.recognition import recognize
 from capfree.solvers import (chromatic_number, clique_number, mwss,
                              q_color_graph)
+from capfree.twins import COMPLETE_ATOM, extract_skeleton
 
 K4_MINUS_EDGE = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 TWO_TRIANGLES = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -138,7 +140,7 @@ GLUED_CHI = chromatic_number(GLUED)[0]
 
 
 def atoms_built(monkeypatch, call):
-    """The number of Atom records decompose builds while call runs."""
+    """The Atom records decompose builds while call runs."""
     built = []
 
     class Counted(decomposition.Atom):
@@ -148,7 +150,7 @@ def atoms_built(monkeypatch, call):
 
     monkeypatch.setattr(decomposition, "Atom", Counted)
     call()
-    return len(built)
+    return built
 
 
 def test_decompose_gives_the_tree_and_one_atom_per_leaf():
@@ -172,15 +174,15 @@ def test_decompose_gives_the_tree_and_one_atom_per_leaf():
 def test_every_command_builds_one_atom_per_leaf(monkeypatch, call):
     leaves = len(clique_cutset_tree(GLUED).leaves())
     assert leaves > 2
-    assert atoms_built(monkeypatch, call) == leaves
+    assert len(atoms_built(monkeypatch, call)) == leaves
 
 
 def test_q_color_graph_stops_building_atoms_at_the_first_failure(
         monkeypatch):
     found = []
-    built = atoms_built(
+    built = len(atoms_built(
         monkeypatch,
-        lambda: found.append(q_color_graph(GLUED, GLUED_CHI - 1)))
+        lambda: found.append(q_color_graph(GLUED, GLUED_CHI - 1))))
     assert found == [None]
     assert 1 <= built < len(clique_cutset_tree(GLUED).leaves())
 
@@ -189,9 +191,115 @@ def test_atom_treewidth_criterion_builds_one_atom_per_leaf(monkeypatch):
     leaves = sum(len(clique_cutset_tree(g).leaves())
                  for _, g, _ in selftest.standard_instances())
     result = []
-    built = atoms_built(
+    built = len(atoms_built(
         monkeypatch,
-        lambda: result.append(selftest.criterion_6_atom_treewidth()))
+        lambda: result.append(selftest.criterion_6_atom_treewidth())))
     assert result[0].passed
     assert built == leaves
     assert result[0].detail.startswith(f"{leaves} atoms: ")
+
+
+def friendship(k):
+    """k triangles sharing vertex 0."""
+    return Graph(2 * k + 1, [e for i in range(1, 2 * k, 2)
+                             for e in ((0, i), (0, i + 1), (i, i + 1))])
+
+
+def with_pendant_triangle(g):
+    """g with a triangle hung on its vertex 0: one more, complete atom."""
+    return Graph(g.n + 2, g.edges() + [(0, g.n), (0, g.n + 1),
+                                       (g.n, g.n + 1)])
+
+
+def commands(g):
+    chi = chromatic_number(g)[0]
+    return [lambda: recognize(g, "cap-even-hole-free"),
+            lambda: recognize(g, "cap-4hole-odd-signable"),
+            lambda: clique_number(g),
+            lambda: mwss(g),
+            lambda: chromatic_number(g),
+            lambda: q_color_graph(g, chi),
+            lambda: q_color_graph(g, chi - 1)]
+
+
+COMMAND_IDS = ["recognize-ehf", "recognize-os", "clique_number", "mwss",
+               "chromatic", "q_color_graph-chi", "q_color_graph-chi-1"]
+
+
+def copies_and_extractions(monkeypatch, call):
+    """The induced_subgraph and extract_skeleton calls decompose's atoms
+    make while call runs, and the non-complete atoms it builds."""
+    calls = {"induced_subgraph": 0, "extract_skeleton": 0}
+
+    def counted(name):
+        original = getattr(decomposition, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(decomposition, name, counted(name))
+    built = atoms_built(monkeypatch, call)
+    return calls, sum(not atom.complete for atom in built)
+
+
+@pytest.mark.parametrize("g", [path(300), friendship(50)],
+                         ids=["path300", "friendship50"])
+@pytest.mark.parametrize("i", range(len(COMMAND_IDS)), ids=COMMAND_IDS)
+def test_complete_atoms_build_no_graph_and_run_no_extraction(
+        monkeypatch, g, i):
+    calls, _ = copies_and_extractions(monkeypatch, commands(g)[i])
+    assert calls == {"induced_subgraph": 0, "extract_skeleton": 0}
+
+
+@pytest.mark.parametrize("i", range(len(COMMAND_IDS)), ids=COMMAND_IDS)
+def test_each_non_complete_atom_is_copied_and_extracted_once(
+        monkeypatch, i):
+    g = with_pendant_triangle(GLUED)
+    atoms = list(decompose(g)[1])
+    assert any(atom.complete for atom in atoms)
+    assert sum(not atom.complete for atom in atoms) > 2
+    calls, built = copies_and_extractions(monkeypatch, commands(g)[i])
+    assert built >= 1
+    assert calls == {"induced_subgraph": built, "extract_skeleton": built}
+
+
+def random_chordal(n, seed):
+    """Each new vertex joins a random clique of the graph so far, so the
+    reverse insertion order eliminates simplicial vertices."""
+    rng = random.Random(seed)
+    nbrs = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = rng.randrange(v)
+        clique = [u]
+        for x in rng.sample(sorted(nbrs[u]), len(nbrs[u])):
+            if all(x in nbrs[y] for y in clique):
+                clique.append(x)
+        for x in rng.sample(clique, rng.randint(0, len(clique))):
+            nbrs[v].add(x)
+            nbrs[x].add(v)
+    return Graph(n, [(u, v) for v in range(n) for u in nbrs[v] if u < v])
+
+
+def pin_graphs():
+    rng = random.Random(20)
+    for _ in range(300):
+        yield gnp(rng.randint(1, 14), rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)),
+                  rng.randrange(10 ** 6))
+    for _ in range(100):
+        yield random_chordal(rng.randint(1, 16), rng.randrange(10 ** 6))
+
+
+def test_atom_completeness_and_graph_match_the_induced_atom():
+    complete_atoms = other_atoms = 0
+    for g in pin_graphs():
+        for atom in decompose(g)[1]:
+            sub = induced_subgraph(g, atom.vertices)[0]
+            assert atom.complete == (extract_skeleton(sub) == COMPLETE_ATOM)
+            assert (atom.extracted == COMPLETE_ATOM) == atom.complete
+            assert atom.graph == sub
+            complete_atoms += atom.complete
+            other_atoms += not atom.complete
+    assert complete_atoms > 100 and other_atoms > 100

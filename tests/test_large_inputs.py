@@ -1,6 +1,7 @@
 """Long inputs run without hitting the interpreter's recursion limit, and
 every answer still re-checks."""
 
+import json
 import time
 
 import pytest
@@ -9,8 +10,9 @@ from capfree import treewidth
 from capfree.construct import GeneratorParams, generate_instance
 from capfree.decomposition import clique_cutset_tree, tree_to_dot
 from capfree.graphs import (Graph, add_universal_clique, blow_up, hole,
-                            path)
-from capfree.oracles import find_forbidden_induced, verify_witness
+                            path, serialize_graph)
+from capfree.cli import main
+from capfree.oracles import brute_solve, find_forbidden_induced, verify_witness
 from capfree.recognition import detect_4hole, detect_cap_fast, recognize
 from capfree.solvers import (ceil_three_halves, chromatic_number,
                              clique_number, is_proper_coloring, mwss,
@@ -83,6 +85,43 @@ def test_path_oracles_walk_long_paths_without_recursing(g, kind):
     assert found is not None and found.kind == kind
     assert verify_witness(g, found)
     assert max(map(len, found.parts)) == 1102
+
+
+# One search level per vertex, on an explicit stack: K1100's clique grows
+# 1100 deep, the path's 2-coloring assigns 1500 vertices in turn, and the
+# edgeless graph's stable set takes 1500 vertices one by one.
+BRUTE_CASES = {
+    "K1100-max-clique": (lambda: add_universal_clique(Graph(0, []), 1100),
+                         "max-clique", 1100),
+    "path1500-chromatic": (lambda: path(1500), "chromatic", 2),
+    "isolated1500-mwss": (lambda: Graph(1500, []), "mwss", 1500),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE_CASES))
+def test_brute_solvers_do_not_recurse(name):
+    build, problem, value = BRUTE_CASES[name]
+    g = build()
+    result = brute_solve(g, problem, 2000)
+    assert result.value == value
+    if problem == "max-clique":
+        assert len(result.witness) == value and g.is_clique(result.witness)
+    elif problem == "chromatic":
+        assert is_proper_coloring(g, result.witness, value)
+    else:
+        assert g.is_stable(result.witness)
+        assert sum(g.weight(v) for v in result.witness) == value
+
+
+def test_theta_oracle_skips_branch_pairs_of_degree_two(tmp_path, capsys):
+    # Every vertex of a hole has degree 2, so no pair is searched.
+    f = tmp_path / "hole1100.graph"
+    f.write_text(serialize_graph(hole(1100)), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["oracle", "theta", str(f)]) == 0
+    assert time.perf_counter() - start < 5
+    assert json.loads(capsys.readouterr().out) == {"kind": "theta",
+                                                   "witness": None}
 
 
 # Wide blow-ups: the count DP over the skeleton's decomposition keeps one
