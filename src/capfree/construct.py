@@ -7,18 +7,30 @@ clique-cutset gluing.
 Every emitted instance carries a provenance record (skeletons, ear data,
 blow-up sizes, expected clique number) so tests know the right answers
 without re-deriving them.
+
+The ear loops keep one list of the current graph's holes, in
+enumerate_chordless_cycles' order, for the good-ear checks, the hosts
+(drawn by position in the list) and the final odd-signing.  The list stays
+valid across ears: an ear's edges all meet its fresh interior, so every
+hole of the graph before it is still a hole, and every new hole passes
+through the interior.  Only those are enumerated (chordless_cycles_through)
+and merged in by cycle_order, so the list is the one a full enumeration
+would give, and for the even-hole-free target only they need checking.
+The instance's closing self-check runs detect_cap_fast, whose searches
+each stay inside one block, so gluing many atoms stays near-linear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import merge
 from typing import Optional
 
 from .decomposition import find_clique_cutset
 from .graphs import (Graph, add_universal_clique, blow_up, hole,
                      serialize_graph)
-from .oracles import (certify, enumerate_chordless_cycles, holes_of,
-                      odd_signable_signing)
+from .oracles import (certify, chordless_cycles_through, cycle_order,
+                      holes_of, odd_signing)
 from .recognition import detect_4hole, detect_cap_fast
 from .rng import Xoshiro256StarStar
 from .treewidth import is_chordal
@@ -61,7 +73,12 @@ def validate_good_ear(g_prime: Graph, host: tuple[int, ...],
     Precondition violations (not an ear at all) raise ValueError; the
     returned reason names the first failing condition.
     """
-    holes = holes_of(g_prime)
+    return _good_ear(g_prime, host, path, apex, apex_links,
+                     holes_of(g_prime))
+
+
+def _good_ear(g_prime, host, path, apex, apex_links, holes):
+    """validate_good_ear, given holes_of(g_prime) as holes."""
     _check_ear_shape(g_prime, host, path, apex, apex_links, holes)
     x, z = path[0], path[-1]
     if (2 + len(apex_links)) % 2 == 0:
@@ -167,13 +184,17 @@ def triangulation_from_ears(es: EarSequence) -> Graph:
     current = Graph(len(es.base),
                     [(es.base[i], es.base[(i + 1) % len(es.base)])
                      for i in range(len(es.base))])
+    holes = holes_of(current)
     for ear in es.ears:
         n, ear_edges = _add_ear(current.n, ear)
-        ok, reason = validate_good_ear(current, ear.host, ear.path,
-                                       ear.apex, ear.apex_links)
+        ok, reason = _good_ear(current, ear.host, ear.path, ear.apex,
+                               ear.apex_links, holes)
         if not ok:
             raise ValueError(f"ear {ear.path} is not good: {reason}")
         current = Graph(n, current.edges() + ear_edges)
+        new = chordless_cycles_through(current, ear.interior)
+        holes = list(merge(holes, [c for c in new if len(c) >= 4],
+                           key=cycle_order))
     extra: set[tuple[int, int]] = set()
 
     def add(u: int, v: int):
@@ -259,24 +280,24 @@ def random_skeleton(params: GeneratorParams,
         interior = tuple(range(graph.n, graph.n + length - 1))
         path = (x,) + interior + (z,)
         links = tuple(interior[j - 1] for j in link_positions)
-        ok, _ = validate_good_ear(graph, host, path, apex, links)
+        ok, _ = _good_ear(graph, host, path, apex, links, holes)
         if not ok:
             continue
         ear = Ear(path, apex, links, host)
         n, ear_edges = _add_ear(graph.n, ear)
         candidate = Graph(n, graph.edges() + ear_edges)
-        # One enumeration serves the checks and the next round's hosts:
-        # the ear menu keeps out triangles and 4-holes.
-        cycles = enumerate_chordless_cycles(candidate)
-        assert all(len(cyc) >= 5 for cyc in cycles)
-        if even_hole_free and any(len(cyc) % 2 == 0 for cyc in cycles):
+        # Only the cycles through the interior are new; the ear menu keeps
+        # out triangles and 4-holes.
+        new = chordless_cycles_through(candidate, interior)
+        assert all(len(cyc) >= 5 for cyc in new)
+        if even_hole_free and any(len(cyc) % 2 == 0 for cyc in new):
             continue
         if find_clique_cutset(candidate) is not None:
             continue
         graph = candidate
         ears.append(ear)
-        holes = cycles
-    assert odd_signable_signing(graph) is not None, \
+        holes = list(merge(holes, new, key=cycle_order))
+    assert odd_signing(graph, holes) is not None, \
         "generated skeleton must be odd-signable"
     return graph, EarSequence(base, tuple(ears))
 

@@ -233,17 +233,18 @@ def _tarjan_pieces(g: Graph) -> Iterator[tuple[tuple[int, ...],
     parent cut vertex, or along () for a component's last block."""
     if not g.n:
         yield (), ()
-    for blocks in _blocks(g):
+    for blocks in component_blocks(g):
         # i is 0 for the component's last block.
         for i, (top, block) in enumerate(blocks, 1 - len(blocks)):
             for cutset, atom in _block_pieces(g, top, block):
                 yield cutset or ((top,) if i else ()), atom
 
 
-def _blocks(g: Graph) -> Iterator[list[tuple[int, list[int]]]]:
+def component_blocks(g: Graph) -> Iterator[list[tuple[int, list[int]]]]:
     """Per component, by least vertex: its blocks as (top, vertices),
-    leaf-first along the block-cut tree.  top is the block's parent cut
-    vertex, or the component's least vertex for the blocks holding it."""
+    leaf-first along the block-cut tree, by one depth-first search.  top is
+    the block's parent cut vertex, or the component's least vertex for the
+    blocks holding it; an isolated vertex is a block of its own."""
     disc, low, count = [0] * g.n, [0] * g.n, 0
     for root in g.vertices():
         if disc[root]:
@@ -358,7 +359,7 @@ def tree_to_dot(tree: DecompositionTree) -> str:
     edge is written after the child's whole subtree, so the spine edges
     come last, from the bottom up."""
     def atom_line(i: int, leaf: DecompositionNode) -> str:
-        return f'  n{i} [label="atom |{len(leaf.vertices)}|", shape=box];'
+        return f'  n{i} [label="atom |{len(leaf.atom)}|", shape=box];'
 
     lines = ["graph decomposition {"]
     spine = tree.internal_nodes()

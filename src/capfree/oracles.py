@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, induced_subgraph, mask_of
 
@@ -34,15 +34,34 @@ def certify(ok: bool, message: str) -> None:
         raise CertificateError(message)
 
 
+def canonical_cycle(cyc: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle from its least vertex toward the smaller of that vertex's
+    two cycle neighbours: the one form in which the chordless-cycle
+    searches return a cycle."""
+    i = cyc.index(min(cyc))
+    rotated = cyc[i:] + cyc[:i]
+    if rotated[1] > rotated[-1]:
+        rotated = rotated[:1] + rotated[:0:-1]
+    return rotated
+
+
+def cycle_order(cyc: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The sort key of enumerate_chordless_cycles' order on canonical
+    cycles.  Its search extends a path by ascending vertex and lists the
+    cycles that the path closes before it extends the path, so the order
+    is tuple order, except that at the same prefix a closing vertex comes
+    before every extension."""
+    return [(1, v) for v in cyc[:-1]] + [(0, cyc[-1])]
+
+
 def enumerate_chordless_cycles(g: Graph, max_len: Optional[int] = None
                                ) -> list[tuple[int, ...]]:
-    """All chordless cycles of length >= 3, each once, canonically ordered.
+    """All chordless cycles of length >= 3, each once, in canonical form
+    (canonical_cycle) and sorted by cycle_order.
 
-    Canonical form: the cycle starts at its minimum vertex and continues
-    toward the smaller of that vertex's two cycle neighbors.  Enumeration
-    is DFS path extension keeping the path induced, on an explicit stack
-    so long holes do not recurse; exponential in the worst case, fine at
-    oracle scale.
+    Enumeration is DFS path extension from each start vertex, keeping the
+    path induced, on an explicit stack so long holes do not recurse;
+    exponential in the worst case, fine at oracle scale.
     """
     cycles: list[tuple[int, ...]] = []
     for s in range(g.n):
@@ -79,6 +98,35 @@ def enumerate_chordless_cycles(g: Graph, max_len: Optional[int] = None
     return cycles
 
 
+def chordless_cycles_through(g: Graph, fresh: Iterable[int]
+                            ) -> list[tuple[int, ...]]:
+    """The chordless cycles of g that pass through a vertex of fresh, as
+    enumerate_chordless_cycles gives them: canonical and in its order.
+
+    The chordless cycles of g are those of g minus fresh plus these, so
+    merging the two lists by cycle_order gives enumerate_chordless_cycles
+    of g.  Each cycle is found once, at its least fresh vertex f: f and an
+    induced path between two of f's neighbours whose interior avoids N[f]
+    and every smaller fresh vertex; two adjacent neighbours close a
+    triangle with f.
+    """
+    found: list[tuple[int, ...]] = []
+    skip = 0
+    for f in sorted(set(fresh)):
+        skip |= 1 << f
+        avoid = skip | g.mask(f)
+        ends = [a for a in g.adj[f] if not skip >> a & 1]
+        for i, a in enumerate(ends):
+            for b in ends[i + 1:]:
+                if g.has_edge(a, b):
+                    found.append(canonical_cycle((f, a, b)))
+                    continue
+                found.extend(canonical_cycle((f,) + p)
+                             for p in _induced_paths(g, a, b, avoid))
+    found.sort(key=cycle_order)
+    return found
+
+
 def holes_of(g: Graph, max_len: Optional[int] = None) -> list[tuple[int, ...]]:
     """Chordless cycles of length at least 4."""
     return [c for c in enumerate_chordless_cycles(g, max_len) if len(c) >= 4]
@@ -96,15 +144,21 @@ def cycle_weight(cyc: tuple[int, ...], signing: Signing) -> int:
 
 
 def odd_signable_signing(g: Graph) -> Optional[Signing]:
-    """A 0/1 edge signing making every chordless cycle odd, or None.
+    """A 0/1 edge signing making every chordless cycle odd, or None:
+    odd_signing on enumerate_chordless_cycles(g)."""
+    return odd_signing(g, enumerate_chordless_cycles(g))
 
-    Builds one GF(2) equation per chordless cycle and eliminates over a
-    dense bit-matrix.  Any returned signing is verified against all
-    enumerated cycles before being returned.
+
+def odd_signing(g: Graph, cycles: Sequence[tuple[int, ...]]
+                ) -> Optional[Signing]:
+    """A 0/1 edge signing of g making every cycle of cycles odd, or None.
+
+    Builds one GF(2) equation per cycle and eliminates over a dense
+    bit-matrix.  Any returned signing is verified against every cycle
+    before being returned.
     """
     edges = g.edges()
     index = {e: i for i, e in enumerate(edges)}
-    cycles = enumerate_chordless_cycles(g)
     const_bit = 1 << len(edges)
     pivots: dict[int, int] = {}
     for cyc in cycles:

@@ -320,7 +320,7 @@ def combine_colorings(tree: DecompositionTree,
     if len(atom_colorings) != len(leaves):
         raise ValueError("need one coloring per decomposition leaf")
     for leaf, coloring in zip(leaves, atom_colorings):
-        if set(coloring) != set(leaf.vertices):
+        if set(coloring) != set(leaf.atom):
             raise ValueError("coloring does not match its atom")
         if any(not 1 <= c <= q for c in coloring.values()):
             raise ValueError(f"atom coloring exceeds {q} colors")

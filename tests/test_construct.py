@@ -1,3 +1,7 @@
+import hashlib
+import json
+from heapq import merge
+
 import pytest
 
 from capfree.construct import (Ear, EarSequence, GeneratorParams,
@@ -6,8 +10,9 @@ from capfree.construct import (Ear, EarSequence, GeneratorParams,
                                validate_good_ear)
 from capfree.decomposition import clique_cutset_tree, find_clique_cutset
 from capfree.graphs import (Graph, blow_up, complete, hole, serialize_graph)
-from capfree.oracles import (brute_solve, find_forbidden_induced,
-                             odd_signable_signing)
+from capfree.oracles import (brute_solve, chordless_cycles_through,
+                             cycle_order, enumerate_chordless_cycles,
+                             find_forbidden_induced, odd_signable_signing)
 from capfree.recognition import recognize
 
 C5 = hole(5)
@@ -220,3 +225,42 @@ def test_both_ear_builders_count_the_fresh_ids():
     skeleton, tri = skeleton_from_ears(es), triangulation_from_ears(es)
     assert skeleton.n == tri.n == 10
     assert all(tri.has_edge(u, v) for u, v in skeleton.edges())
+
+
+def test_holes_through_each_ear_merge_into_the_enumeration():
+    # The 16-ear skeleton, rebuilt ear by ear: every old hole stays one,
+    # and the new ones all pass through the ear's fresh interior.
+    _, es = random_skeleton(GeneratorParams(
+        seed=3, ear_count=16, max_ear_length=8, base_length=15))
+    assert len(es.ears) == 16
+    before = enumerate_chordless_cycles(skeleton_from_ears(
+        EarSequence(es.base, ())))
+    for k, ear in enumerate(es.ears, 1):
+        g = skeleton_from_ears(EarSequence(es.base, es.ears[:k]))
+        merged = list(merge(before, chordless_cycles_through(g, ear.interior),
+                            key=cycle_order))
+        before = enumerate_chordless_cycles(g)
+        assert merged == before, k
+    assert len(before) == 302
+
+
+# sha256 over serialize_graph and the sorted-key JSON of the provenance of
+# every instance of the grid below, in its order.
+GRID_SHA256 = \
+    "29f0e8c507075a033b5d8bdc3d9e0da3786f420bba3cd3466798dc8059564d3d"
+
+
+def test_generator_output_is_pinned():
+    # The hosts are drawn by position in the hole list, so a change to its
+    # content or order, or to any self-check, shows here.
+    digest = hashlib.sha256()
+    for seed in range(1, 41):
+        for target in ("cap-even-hole-free", "cap-4hole-odd-signable"):
+            for ears, glue in ((2, 3), (3, 1), (4, 0)):
+                g, provenance = generate_instance(GeneratorParams(
+                    seed=seed, ear_count=ears, max_ear_length=8,
+                    max_blowup=2, max_universal=1, glue_count=glue,
+                    target_class=target))
+                digest.update(serialize_graph(g).encode())
+                digest.update(json.dumps(provenance, sort_keys=True).encode())
+    assert digest.hexdigest() == GRID_SHA256

@@ -1,6 +1,7 @@
 """Long inputs run without hitting the interpreter's recursion limit, and
 every answer still re-checks."""
 
+import hashlib
 import json
 import time
 
@@ -296,3 +297,21 @@ def test_glue60_is_recognized_and_solved(glue60):
     assert omega <= chi <= ceil_three_halves(omega)
     assert is_proper_coloring(g, colors, chi)
     assert q_color_graph(g, chi - 1) is None
+
+
+# sha256 over serialize_graph(g) and json.dumps(provenance, sort_keys=True).
+GLUE160_SHA256 = \
+    "d2d0162e17e79bf1c171021c041981981e19e4ca9b2b9f05562aa21907553165"
+
+
+def test_glue160_generation_is_pinned():
+    # 161 atoms, n = 3719.  Generation stays near-linear only while the
+    # self-check's cap searches stay inside blocks; searches over the whole
+    # graph take over ten seconds here.  No timing is asserted: pytest
+    # --durations shows it.
+    g, provenance = generate_instance(GeneratorParams(
+        seed=5, ear_count=2, max_blowup=2, max_universal=1, glue_count=160))
+    assert (g.n, g.m) == (3719, 10486)
+    digest = hashlib.sha256(serialize_graph(g).encode()
+                            + json.dumps(provenance, sort_keys=True).encode())
+    assert digest.hexdigest() == GLUE160_SHA256

@@ -1,12 +1,16 @@
+import random
+from heapq import merge
 from itertools import combinations
 
 import pytest
 
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
                             cube, gnp, hole, induced_subgraph, path)
-from capfree.oracles import (InstanceTooLargeError, brute_solve, cycle_weight,
+from capfree.oracles import (InstanceTooLargeError, brute_solve,
+                             canonical_cycle, chordless_cycles_through,
+                             cycle_order, cycle_weight,
                              enumerate_chordless_cycles, find_any_forbidden,
-                             find_forbidden_induced, holes_of,
+                             find_forbidden_induced, holes_of, odd_signing,
                              odd_signable_signing, verify_witness)
 
 EVEN_WHEEL = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0),
@@ -200,3 +204,47 @@ def test_holes_of_excludes_triangles():
     g = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     assert holes_of(g) == []
     assert len(enumerate_chordless_cycles(g)) == 2
+
+
+def with_fresh_suffix(g, fresh):
+    """g without its last fresh vertices: every edge of g that meets them
+    is new."""
+    return Graph(g.n - fresh, [(u, v) for u, v in g.edges()
+                               if v < g.n - fresh])
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_cycles_through_fresh_vertices_merge_into_the_enumeration(chunk):
+    # Dense draws hold triangles, and a random suffix of fresh vertices
+    # may be empty, one vertex or the whole graph.
+    for seed in range(100 * chunk, 100 * chunk + 100):
+        n = 5 + seed % 9
+        g = gnp(n, (0.2, 0.3, 0.45, 0.6)[seed % 4], 7000 + seed)
+        fresh = random.Random(seed).randrange(n + 1)
+        new = chordless_cycles_through(g, range(g.n - fresh, g.n))
+        old = enumerate_chordless_cycles(with_fresh_suffix(g, fresh))
+        assert list(merge(old, new, key=cycle_order)) \
+            == enumerate_chordless_cycles(g), seed
+
+
+def test_enumeration_is_sorted_by_cycle_order_in_canonical_form():
+    # A closing vertex comes before every extension of the same prefix:
+    # 5 closes the path 0, 1, 2 before 3 extends it, unlike tuple order.
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 0)])
+    cycles = enumerate_chordless_cycles(g)
+    assert cycles == [(0, 1, 2, 5), (0, 1, 2, 3, 4), (0, 4, 3, 2, 5)]
+    assert cycles == sorted(cycles, key=cycle_order) != sorted(cycles)
+    for cyc in cycles:
+        for k in range(len(cyc)):
+            turned = cyc[k:] + cyc[:k]
+            assert canonical_cycle(turned) == cyc
+            assert canonical_cycle(turned[::-1]) == cyc
+
+
+def test_odd_signing_solves_the_given_cycles():
+    g = gnp(10, 0.35, 12)
+    cycles = enumerate_chordless_cycles(g)
+    assert odd_signing(g, cycles) == odd_signable_signing(g)
+    # Without the cycles that block it, an even wheel has a signing.
+    assert odd_signable_signing(EVEN_WHEEL) is None
+    assert odd_signing(EVEN_WHEEL, holes_of(EVEN_WHEEL)) is not None

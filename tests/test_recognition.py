@@ -1,5 +1,7 @@
+import hashlib
 import random
 from collections import deque
+from functools import lru_cache
 
 import pytest
 
@@ -343,24 +345,64 @@ def test_atom_cap_test_matches_both_detectors_on_gnp(chunk):
     assert caps > 0
 
 
-@pytest.mark.parametrize("glue", [0, 3, 10])
-def test_atom_cap_test_matches_on_generated_instances(glue):
-    # The naive oracle enumerates every hole, which takes seconds on the
-    # glued instances; detect_cap_fast is pinned against it above.
+@lru_cache(maxsize=None)
+def planted_instances(glue):
+    """60 generated instances with glue_count glue, each with the graph
+    that adds an apex over one of its edges, drawn by random.Random(glue).
+    """
     from capfree.construct import GeneratorParams, generate_instance
     rng = random.Random(glue)
-    caps = 0
+    out = []
     for seed in range(60):
         g, _ = generate_instance(GeneratorParams(
             seed=seed, ear_count=2, max_blowup=2, max_universal=1,
             glue_count=glue))
-        assert atom_cap(g) is None
         u, v = g.edges()[rng.randrange(g.m)]
-        planted = with_apex(g, u, v)
+        out.append((g, with_apex(g, u, v)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("glue", [0, 3, 10])
+def test_atom_cap_test_matches_on_generated_instances(glue):
+    # The naive oracle enumerates every hole, which takes seconds on the
+    # glued instances; detect_cap_fast is pinned against it above.
+    caps = 0
+    for g, planted in planted_instances(glue):
+        assert atom_cap(g) is None
         if detect_4hole(planted) is None:
             caps += assert_cap_verdicts_agree(planted,
                                               naive=glue == 0) is not None
     assert caps >= 20
+
+
+# sha256 over repr((kind, vertices, parts)) of every detect_cap_fast answer
+# below, or repr(None) where it finds no cap, in order.
+CAP_WITNESS_SHA256 = \
+    "5bdec0912afdfbc998c203994b52cbf50ea2f576bfe8bbbd8790fb6c57b1b4ba"
+
+
+def test_cap_witnesses_are_pinned():
+    # Each search runs inside the block of its edge, but which cap comes
+    # first and the path built for it must not change: on the 4-hole-free
+    # planted instances above, and on sparse G(n, p) graphs of many
+    # blocks, each also with an apex over a random edge.
+    graphs = [planted for glue in (0, 3, 10)
+              for _, planted in planted_instances(glue)
+              if detect_4hole(planted) is None]
+    for seed in range(400):
+        g = gnp(6 + seed % 25, (0.1, 0.15, 0.2, 0.3)[seed % 4], 900000 + seed)
+        graphs.append(g)
+        if g.m:
+            graphs.append(with_apex(g, *random.Random(seed).choice(g.edges())))
+    digest = hashlib.sha256()
+    caps = 0
+    for g in graphs:
+        w = detect_cap_fast(g)
+        caps += w is not None
+        digest.update(repr(None if w is None
+                           else (w.kind, w.vertices, w.parts)).encode())
+    assert caps == 685
+    assert digest.hexdigest() == CAP_WITNESS_SHA256
 
 
 def test_atom_cap_test_matches_on_the_small_graph_pool():
