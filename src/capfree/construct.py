@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from heapq import merge
 from typing import Optional
 
-from .decomposition import find_clique_cutset
 from .graphs import (Graph, add_universal_clique, blow_up, hole,
                      serialize_graph)
 from .oracles import (certify, chordless_cycles_through, cycle_order,
@@ -247,10 +246,21 @@ def random_skeleton(params: GeneratorParams,
     """A triangle-free, cutset-free, odd-signable skeleton built from a
     random base hole by good ear additions.
 
-    Each candidate ear must pass the good-ear conditions and keep the
-    graph cutset-free and, for the even-hole-free target, even-hole-free.
-    Fewer ears than requested is permitted when sampling stalls; the ear
-    sequence records what was built.
+    Each candidate ear must pass the good-ear conditions and, for the
+    even-hole-free target, keep the graph even-hole-free.  Fewer ears than
+    requested is permitted when sampling stalls; the ear sequence records
+    what was built.
+
+    No ear can make a clique cutset, so none is looked for.  The base hole
+    has none.  Say the graph G before an ear has none, and S is a clique of
+    the candidate.  The candidate is triangle-free, so S has at most two
+    vertices, and the ear adds no edge between two vertices of G, so S
+    meets G in a clique of G and G - S is connected.  The ear is an
+    induced path x ... z with its ends in G (x and z share the apex, so
+    they are not adjacent), so S holds at most two vertices of it, and
+    adjacent ones, which lie on one side of any other vertex of the ear.
+    So every interior vertex outside S reaches x or z along the ear
+    without meeting S, and the candidate minus S is connected.
     """
     if rng is None:
         rng = Xoshiro256StarStar(params.seed)
@@ -291,8 +301,6 @@ def random_skeleton(params: GeneratorParams,
         new = chordless_cycles_through(candidate, interior)
         assert all(len(cyc) >= 5 for cyc in new)
         if even_hole_free and any(len(cyc) % 2 == 0 for cyc in new):
-            continue
-        if find_clique_cutset(candidate) is not None:
             continue
         graph = candidate
         ears.append(ear)

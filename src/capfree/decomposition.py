@@ -281,7 +281,9 @@ def _block_pieces(g: Graph, top: int, block: list[int]
 
     The Atoms scan runs on the block's quotient h: each thread shrunk to
     one vertex, each class of true twins of the block merged into one, and
-    top's group as vertex 0, which MCS-M eliminates last.  A generator x
+    top's group as vertex 0, which MCS-M eliminates last.  A group's row
+    of h comes from one walk over the block mask of each thread vertex,
+    or of one twin standing for its class.  A generator x
     whose madj(x), a minimal separator of the minimal triangulation, is a
     clique splits off x's component of the rest: that component lies below
     x in elimination order, every later generator above it.
@@ -325,12 +327,16 @@ def _block_pieces(g: Graph, top: int, block: list[int]
                 members.append([])
             members[i].append(v)
     # Twins share their neighbours, so one of them stands for its class.
-    adj = [0] * len(members)
+    adj = []
     for i, vs in enumerate(members):
+        row = 0
         for x in vs if vs[0] in thread else vs[:1]:
-            for u in mask_members(g.mask(x) & inside):
-                adj[i] |= 1 << group[u]
-        adj[i] &= ~(1 << i)
+            nbrs = g.mask(x) & inside
+            while nbrs:
+                low = nbrs & -nbrs
+                row |= 1 << group[low.bit_length() - 1]
+                nbrs ^= low
+        adj.append(row & ~(1 << i))
     degrees = [mask.bit_count() for mask in adj]
     if (sum(degrees) == len(adj) * (len(adj) - 1)
             or all(d == 2 for d in degrees)):

@@ -14,9 +14,12 @@ bags and tree edges off that record, decomposition_from_order plays the
 game for a given order, and the exact search takes moves back by
 restoring the masks they saved.  One MCS-M pass (mcs_m), also on
 neighbour masks, gives the minimal triangulation behind the clique-cutset
-scan and decides chordality and the clique number of chordal graphs; each
-step grows one reach mask level by level in ascending weight.  Validity
-checks of tree decompositions run on bag masks."""
+scan and decides chordality and the clique number of chordal graphs.  It
+keeps the unnumbered vertices in a list of masks indexed by weight, under
+a top pointer that marks the heaviest level, so each step picks its
+vertex without a sort, and grows one reach mask level by level in
+ascending weight.  Validity checks of tree decompositions run on bag
+masks."""
 
 from __future__ import annotations
 
@@ -182,48 +185,65 @@ def mcs_m(adj: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     mask grows from v's unnumbered neighbours, level by level in ascending
     weight: at level w it holds every vertex joined to v through vertices
     lighter than w, so its members of weight w gain, and then it spreads
-    through them and every vertex of weight at most w that it meets."""
+    through them and every vertex of weight at most w that it meets.  A v
+    with no unnumbered neighbour makes no one gain.
+
+    The unnumbered vertices of weight w are the mask level[w], a list
+    indexed by weight.  top is the largest weight whose level may be
+    nonempty: a pick only lowers it, past the levels it finds empty, and a
+    gain at top raises it by one."""
     n = len(adj)
     madj = [0] * n
     order = [0] * n
     generators = []
     unnumbered = (1 << n) - 1
-    # level[w]: the mask of the unnumbered vertices of weight w.
-    level = {0: unnumbered}
+    # level[w]: the mask of the unnumbered vertices of weight w < n.
+    level = [0] * (n + 1)
+    level[0] = unnumbered
+    top = 0
     last = -1
     for i in range(n - 1, -1, -1):
-        weight = max(level)
-        bit = level[weight] & -level[weight]
+        while not level[top]:
+            top -= 1
+        members = level[top]
+        bit = members & -members
         v = bit.bit_length() - 1
-        level[weight] ^= bit
+        level[top] = members ^ bit
         unnumbered ^= bit
         order[i] = v
-        if weight <= last:
+        if top <= last:
             generators.append(v)
-        last = weight
+        last = top
         reach = adj[v] & unnumbered
+        if not reach:
+            continue
         lighter = 0
         gains = []
-        for w in sorted(level):
-            gain = reach & level[w]
-            gains.append((w, gain))
-            lighter |= level[w]
+        for w in range(top + 1):
+            members = level[w]
+            gain = reach & members
+            if gain:
+                gains.append((w, gain))
+            lighter |= members
             spread = gain
             while spread:
                 step = 0
-                for u in mask_members(spread):
-                    step |= adj[u]
+                while spread:
+                    low = spread & -spread
+                    step |= adj[low.bit_length() - 1]
+                    spread ^= low
                 spread = step & unnumbered & ~reach
                 reach |= spread
                 spread &= lighter
         for w, gain in gains:
-            if gain:
-                level[w] ^= gain
-                level[w + 1] = level.get(w + 1, 0) | gain
-                for u in mask_members(gain):
-                    madj[u] |= bit
-        for w in [w for w, mask in level.items() if not mask]:
-            del level[w]
+            level[w] ^= gain
+            level[w + 1] |= gain
+            while gain:
+                low = gain & -gain
+                madj[low.bit_length() - 1] |= bit
+                gain ^= low
+        if level[top + 1]:
+            top += 1
     return order, madj, generators[::-1]
 
 

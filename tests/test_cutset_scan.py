@@ -1,11 +1,15 @@
 """The block-wise cutset scan against a copy of the whole-graph scan it
 replaced: one MCS-M pass over all of g, no blocks, no shortened threads.
-Atoms as sets and find_clique_cutset's verdict must agree."""
+Atoms as sets and find_clique_cutset's verdict must agree, and the exact
+spines (cutsets and atoms in order) are pinned by one digest."""
+
+import hashlib
 
 import pytest
 
-from capfree import construct, decomposition
-from capfree.construct import GeneratorParams, generate_instance
+from capfree import decomposition
+from capfree.construct import (GeneratorParams, generate_instance,
+                               random_skeleton)
 from capfree.decomposition import clique_cutset_tree, find_clique_cutset
 from capfree.graphs import (Graph, add_universal_clique, blow_up, gnp, hole,
                             mask_members, path, vertex_set)
@@ -171,15 +175,62 @@ def test_cutset_verdict_matches_the_whole_graph_scan(name):
         assert set(h1) == component_of_0(g)
 
 
-def test_generated_instances_do_not_depend_on_the_scan(monkeypatch):
-    # generate_instance reads only whether a candidate has a clique cutset.
-    params = [GeneratorParams(seed=seed, ear_count=2, max_blowup=2,
-                              max_universal=1, glue_count=glue)
-              for seed, glue in ((5, 0), (6, 3), (7, 10))]
-    mine = [generate_instance(p) for p in params]
-    monkeypatch.setattr(construct, "find_clique_cutset",
-                        lambda g: True if whole_graph_has_cutset(g) else None)
-    assert [generate_instance(p) for p in params] == mine
+def test_generated_skeletons_have_no_clique_cutset():
+    # random_skeleton looks for no cutset: no good ear can make one.
+    for seed in range(1, 31):
+        for target in ("cap-even-hole-free", "cap-4hole-odd-signable"):
+            for ears, length in ((2, 6), (3, 6), (4, 8), (6, 8)):
+                skeleton, _ = random_skeleton(GeneratorParams(
+                    seed=seed, ear_count=ears, max_ear_length=length,
+                    target_class=target))
+                assert find_clique_cutset(skeleton) is None
+                assert not whole_graph_has_cutset(skeleton)
+
+
+def pinned_graphs():
+    """The digest's corpus, in order: every graph above, G(n, p) up to 40
+    vertices, glued instances with K1 and K2 joints, blow-ups with
+    universal cliques of 1 to 3 vertices, and grids, plain and
+    subdivided."""
+    for name in sorted(FAMILIES):
+        yield FAMILIES[name]
+    for seed in range(120):
+        yield gnp(6 + seed % 35, (0.1, 0.2, 0.3, 0.5, 0.7)[seed % 5],
+                  4100 + seed)
+    joint_sizes = set()
+    for seed in range(1, 13):
+        g, provenance = generate_instance(GeneratorParams(
+            seed=seed, ear_count=2 + seed % 3, max_ear_length=8,
+            max_blowup=2, max_universal=2, glue_count=(3, 6)[seed % 2],
+            target_class=("cap-even-hole-free",
+                          "cap-4hole-odd-signable")[seed % 2]))
+        joint_sizes.update(len(j["clique_first"])
+                           for j in provenance["joints"])
+        yield g
+    assert joint_sizes == {1, 2}
+    rng = Xoshiro256StarStar(2026)
+    for seed in range(60):
+        g = gnp(3 + seed % 10, (0.25, 0.4, 0.55)[seed % 3], 4300 + seed)
+        g = blow_up(g, [1 + rng.below(3) for _ in g.vertices()])
+        yield add_universal_clique(g, 1 + seed % 3)
+    for side, k in ((6, 0), (9, 0), (4, 1), (5, 2), (3, 4)):
+        yield subdivided_grid(side, k)
+
+
+# sha256 over, per graph of pinned_graphs in its order, the repr of the
+# spine's (cutset, left atom) list and the last atom.
+SPINES_SHA256 = \
+    "bb0d72868f1bb35cb203e920a90784def3335bc784dd720b494a603c30189595"
+
+
+def test_cutset_tree_spines_are_pinned():
+    digest = hashlib.sha256()
+    for g in pinned_graphs():
+        tree = clique_cutset_tree(g)
+        spine = [(node.cutset, node.left.atom)
+                 for node in tree.internal_nodes()]
+        digest.update(repr((spine, tree.leaves()[-1].atom)).encode())
+    assert digest.hexdigest() == SPINES_SHA256
 
 
 def scan_sizes(monkeypatch):

@@ -4,10 +4,13 @@ from itertools import combinations
 
 import pytest
 
+from capfree import decomposition
 from capfree.construct import (Ear, EarSequence, GeneratorParams,
-                               random_skeleton, skeleton_from_ears,
-                               triangulation_from_ears)
-from capfree.graphs import Graph, blow_up, complete, cube, gnp, hole, path
+                               generate_instance, random_skeleton,
+                               skeleton_from_ears, triangulation_from_ears)
+from capfree.decomposition import clique_cutset_tree
+from capfree.graphs import (Graph, blow_up, complete, cube, gnp, hole,
+                            mask_members, path)
 from capfree.oracles import brute_solve
 from capfree.treewidth import (SearchBudgetExceeded, TreeDecomposition,
                                TreewidthReject, _exact_order, _min_fill_order,
@@ -249,9 +252,9 @@ def heap_mcs_m(adj):
     return order, madj, generators[::-1]
 
 
-def assert_mcs_m_matches_the_heap_version(g):
-    order, madj, generators = mcs_m(masks(g))
-    expected = heap_mcs_m(g.adj)
+def assert_mcs_m_matches_the_heap_version(adj):
+    order, madj, generators = mcs_m(adj)
+    expected = heap_mcs_m([mask_members(mask) for mask in adj])
     assert order == expected[0]
     assert madj == [sum(1 << v for v in later) for later in expected[1]]
     assert generators == expected[2]
@@ -263,10 +266,58 @@ def test_mcs_m_matches_the_heap_version(seed):
     for i in range(300):
         g = gnp(rng.randint(0, 22), rng.uniform(0.05, 0.7),
                 10_000 + 300 * seed + i)
-        assert_mcs_m_matches_the_heap_version(g)
+        assert_mcs_m_matches_the_heap_version(masks(g))
         if i % 10 == 0:
             chordal = spanned_graph(min_fill_decomposition(g), g.n)
-            assert_mcs_m_matches_the_heap_version(chordal)
+            assert_mcs_m_matches_the_heap_version(masks(chordal))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mcs_m_matches_the_heap_version_across_components(seed):
+    # The last vertex numbered in each component, and every isolated
+    # vertex, has no unnumbered neighbour; the components interleave by id.
+    rng = random.Random(50 + seed)
+    for i in range(60):
+        n, edges = 0, []
+        for _ in range(rng.randint(2, 5)):
+            part = gnp(rng.randint(1, 7), rng.uniform(0.1, 0.9),
+                       20_000 + 60 * seed + i)
+            edges += [(u + n, v + n) for u, v in part.edges()]
+            n += part.n
+        n += rng.randint(0, 3)
+        ids = list(range(n))
+        rng.shuffle(ids)
+        g = Graph(n, [(ids[u], ids[v]) for u, v in edges])
+        assert_mcs_m_matches_the_heap_version(masks(g))
+    assert_mcs_m_matches_the_heap_version(masks(Graph(9, [])))
+
+
+def test_mcs_m_matches_the_heap_version_on_complete_graphs():
+    for k in range(13):
+        assert_mcs_m_matches_the_heap_version(masks(complete(k)))
+        order, madj, generators = mcs_m(masks(complete(k)))
+        assert order == list(range(k))[::-1] and generators == []
+
+
+def test_mcs_m_matches_the_heap_version_on_block_quotients(monkeypatch):
+    # The quotients the cutset scan hands to mcs_m on glued instances.
+    quotients = []
+
+    def captured(adj):
+        quotients.append(list(adj))
+        return mcs_m(adj)
+
+    monkeypatch.setattr(decomposition, "mcs_m", captured)
+    for seed in range(1, 13):
+        g, _ = generate_instance(GeneratorParams(
+            seed=seed, ear_count=2 + seed % 3, max_ear_length=8,
+            max_blowup=2, max_universal=1, glue_count=6,
+            target_class=("cap-even-hole-free",
+                          "cap-4hole-odd-signable")[seed % 2]))
+        clique_cutset_tree(g)
+    assert len(quotients) >= 30
+    for adj in quotients:
+        assert_mcs_m_matches_the_heap_version(adj)
 
 
 def filled_graph(g, order):
