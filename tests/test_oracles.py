@@ -1,3 +1,4 @@
+import hashlib
 import random
 from heapq import merge
 from itertools import combinations
@@ -12,6 +13,7 @@ from capfree.oracles import (InstanceTooLargeError, brute_solve,
                              enumerate_chordless_cycles, find_any_forbidden,
                              find_forbidden_induced, holes_of, odd_signing,
                              odd_signable_signing, verify_witness)
+from capfree.selftest import small_graph_pool
 
 EVEN_WHEEL = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0),
                        (4, 0), (4, 1), (4, 2), (4, 3)])
@@ -248,3 +250,28 @@ def test_odd_signing_solves_the_given_cycles():
     # Without the cycles that block it, an even wheel has a signing.
     assert odd_signable_signing(EVEN_WHEEL) is None
     assert odd_signing(EVEN_WHEEL, holes_of(EVEN_WHEEL)) is not None
+
+
+KINDS = ("even-hole", "4-hole", "cap", "theta", "prism", "even-wheel",
+         "triangle")
+
+# The sha256 of oracle_outputs over selftest.small_graph_pool(), computed
+# before the cycle and path searches shared one induced-path search.
+PINNED_ORACLE_DIGEST = (
+    "2fce314740a8e60d927eed5a7db80c09e2cf603ba174d44a5712942d7d64b8a7")
+
+
+def oracle_outputs(g):
+    """Every cycle list, witness and signing the oracles give on g."""
+    return (enumerate_chordless_cycles(g),
+            enumerate_chordless_cycles(g, max_len=5),
+            chordless_cycles_through(g, range(g.n // 2, g.n)),
+            [find_forbidden_induced(g, kind) for kind in KINDS],
+            odd_signable_signing(g))
+
+
+def test_oracle_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for name, g in small_graph_pool():
+        digest.update(repr((name, oracle_outputs(g))).encode())
+    assert digest.hexdigest() == PINNED_ORACLE_DIGEST
