@@ -13,9 +13,11 @@ enumerate_chordless_cycles' order, for the good-ear checks, the hosts
 (drawn by position in the list) and the final odd-signing.  The list stays
 valid across ears: an ear's edges all meet its fresh interior, so every
 hole of the graph before it is still a hole, and every new hole passes
-through the interior.  Only those are enumerated (chordless_cycles_through)
-and merged in by cycle_order, so the list is the one a full enumeration
-would give, and for the even-hole-free target only they need checking.
+through the interior.  Only those are enumerated: chordless_cycles_through
+closes each at its least interior vertex by induced paths that avoid the
+smaller interior vertices.  They are merged in by cycle_order, so the list
+is the one a full enumeration would give, and for the even-hole-free
+target only they need checking.
 The instance's closing self-check runs detect_cap_fast, whose searches
 each stay inside one block, so gluing many atoms stays near-linear.
 """

@@ -2,16 +2,21 @@
 
 Everything here is exhaustive by definition and serves as ground truth for
 the structural algorithms.  Witnesses are returned in a canonical order and
-re-check against their definitional predicate via verify_witness.  The
-cycle and path searches and the brute-force solvers run on explicit
-stacks, so no input size meets Python's recursion limit.
+re-check against their definitional predicate via verify_witness.
+
+One induced-path search, _induced_paths, serves every cycle and path
+oracle.  The chordless-cycle enumerations find each cycle as a vertex and
+an induced path between two of its neighbours, and the theta and prism
+finders join pairs of branch vertices by induced paths.  The search and
+the brute-force solvers run on explicit stacks, so no input size meets
+Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, induced_subgraph, mask_of
 
@@ -59,42 +64,15 @@ def enumerate_chordless_cycles(g: Graph, max_len: Optional[int] = None
     """All chordless cycles of length >= 3, each once, in canonical form
     (canonical_cycle) and sorted by cycle_order.
 
-    Enumeration is DFS path extension from each start vertex, keeping the
-    path induced, on an explicit stack so long holes do not recurse;
-    exponential in the worst case, fine at oracle scale.
+    Each cycle is found at its least vertex s, as s and an induced path
+    between two of its neighbours above it (_cycles_at), so it comes out
+    canonical and in order.  Exponential in the worst case, fine at oracle
+    scale.
     """
+    path_len = None if max_len is None else max_len - 1
     cycles: list[tuple[int, ...]] = []
     for s in range(g.n):
-        s_mask = g.mask(s)
-        high = ~((1 << (s + 1)) - 1)
-        p = [s]
-        # An entry (w, blocked_mid, path_mask, depth) extends p[:depth] by
-        # w; extensions are pushed in descending order, so the least is
-        # tried first.
-        stack = [(a, 0, (1 << s) | (1 << a), 1)
-                 for a in reversed(g.adj[s]) if a > s]
-        while stack:
-            last, blocked_mid, path_mask, depth = stack.pop()
-            del p[depth:]
-            p.append(last)
-            allowed = g.mask(last) & high & ~path_mask & ~blocked_mid
-            if max_len is None or len(p) + 1 <= max_len:
-                closing = allowed & s_mask
-                second = p[1]
-                while closing:
-                    low = closing & -closing
-                    closing ^= low
-                    w = low.bit_length() - 1
-                    if second < w:
-                        cycles.append(tuple(p) + (w,))
-            if max_len is not None and len(p) + 2 > max_len:
-                continue
-            extendable = allowed & ~s_mask
-            blocked = blocked_mid | g.mask(last)
-            while extendable:
-                w = extendable.bit_length() - 1
-                extendable ^= 1 << w
-                stack.append((w, blocked, path_mask | 1 << w, depth + 1))
+        cycles.extend(_cycles_at(g, s, ~((1 << (s + 1)) - 1), path_len))
     return cycles
 
 
@@ -106,25 +84,76 @@ def chordless_cycles_through(g: Graph, fresh: Iterable[int]
     The chordless cycles of g are those of g minus fresh plus these, so
     merging the two lists by cycle_order gives enumerate_chordless_cycles
     of g.  Each cycle is found once, at its least fresh vertex f: f and an
-    induced path between two of f's neighbours whose interior avoids N[f]
-    and every smaller fresh vertex; two adjacent neighbours close a
-    triangle with f.
+    induced path between two of f's neighbours that avoids every smaller
+    fresh vertex.
     """
     found: list[tuple[int, ...]] = []
     skip = 0
     for f in sorted(set(fresh)):
         skip |= 1 << f
-        avoid = skip | g.mask(f)
-        ends = [a for a in g.adj[f] if not skip >> a & 1]
-        for i, a in enumerate(ends):
-            for b in ends[i + 1:]:
-                if g.has_edge(a, b):
-                    found.append(canonical_cycle((f, a, b)))
-                    continue
-                found.extend(canonical_cycle((f,) + p)
-                             for p in _induced_paths(g, a, b, avoid))
+        found.extend(canonical_cycle(c) for c in _cycles_at(g, f, ~skip))
     found.sort(key=cycle_order)
     return found
+
+
+def _cycles_at(g: Graph, s: int, allowed: int,
+               path_len: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """The chordless cycles s, a, ..., w with a < w, every vertex but s in
+    the mask allowed (which holds no s) and at most path_len vertices after
+    s: for each neighbour a, the induced paths from a to a higher
+    neighbour of s whose inner vertices miss N(s)."""
+    s_mask = g.mask(s)
+    inner = allowed & ~s_mask
+    ends = s_mask & allowed
+    while ends:
+        low = ends & -ends
+        ends ^= low
+        for p in _induced_paths(g, low.bit_length() - 1, ends, inner,
+                                path_len):
+            yield (s,) + p
+
+
+def _induced_paths(g: Graph, x: int, ends: int, inner: int,
+                   max_len: Optional[int] = None) -> list[tuple[int, ...]]:
+    """The induced paths x, ..., w of at most max_len vertices with w in
+    the mask ends and every vertex between x and w in the mask inner.
+
+    One depth-first search serves every cycle and path oracle.  It extends
+    a path by ascending vertex and lists the paths that the path closes
+    before it extends the path.  A branch stops once every end sees a
+    vertex of the path: a longer path would give each end a chord.  It runs
+    on an explicit stack, so long holes do not recurse.
+    """
+    limit = g.n if max_len is None else max_len
+    results: list[tuple[int, ...]] = []
+    p: list[int] = []
+    # An entry (v, blocked, depth) extends p[:depth] by v.  blocked holds
+    # x and the neighbours of p[:depth], so no path vertex but the last
+    # is in it.  Extensions are pushed in descending order, so the least
+    # is tried first.
+    stack = [(x, 1 << x, 0)]
+    while stack:
+        last, blocked, depth = stack.pop()
+        del p[depth:]
+        p.append(last)
+        if depth + 2 > limit:
+            continue
+        nbrs = g.mask(last)
+        open_ends = ends & ~blocked
+        closing = open_ends & nbrs
+        while closing:
+            low = closing & -closing
+            closing ^= low
+            results.append(tuple(p) + (low.bit_length() - 1,))
+        if depth + 3 > limit or not open_ends & ~nbrs:
+            continue
+        options = nbrs & inner & ~blocked
+        blocked |= nbrs
+        while options:
+            w = options.bit_length() - 1
+            options ^= 1 << w
+            stack.append((w, blocked, depth + 1))
+    return results
 
 
 def holes_of(g: Graph, max_len: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -210,15 +239,15 @@ class ForbiddenWitness:
 
 
 def _is_induced_cycle(g: Graph, cyc: tuple[int, ...]) -> bool:
+    """Whether each vertex of cyc sees exactly its two cycle neighbours
+    among cyc: one mask test per vertex, so long holes re-check fast."""
     k = len(cyc)
     if k < 3 or len(set(cyc)) != k:
         return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = j - i == 1 or (i == 0 and j == k - 1)
-            if g.has_edge(cyc[i], cyc[j]) != adjacent:
-                return False
-    return True
+    on_cycle = mask_of(cyc)
+    return all(g.mask(cyc[i]) & on_cycle
+               == (1 << cyc[i - 1]) | (1 << cyc[(i + 1) % k])
+               for i in range(k))
 
 
 def _is_induced_path(g: Graph, p: tuple[int, ...]) -> bool:
@@ -231,6 +260,23 @@ def _is_induced_path(g: Graph, p: tuple[int, ...]) -> bool:
     return True
 
 
+def _is_cap_apex(nbrs: list[int], k: int) -> bool:
+    """Whether a vertex seeing exactly the hole positions nbrs, on a hole
+    of length k, caps it: two consecutive positions."""
+    return len(nbrs) == 2 and (nbrs[1] - nbrs[0] == 1 or nbrs == [0, k - 1])
+
+
+def _is_even_wheel_hub(nbrs: list[int], k: int) -> bool:
+    """Whether a vertex seeing the hole positions nbrs is the hub of an
+    even wheel: an even number of them, at least 4."""
+    return len(nbrs) >= 4 and len(nbrs) % 2 == 0
+
+
+# The hole-plus-one-vertex kinds: the test the outside vertex's positions
+# on the hole must pass.
+_APEX_TESTS = {"cap": _is_cap_apex, "even-wheel": _is_even_wheel_hub}
+
+
 def verify_witness(g: Graph, w: ForbiddenWitness) -> bool:
     """Re-check a witness against the definition of its kind."""
     if w.kind == "triangle":
@@ -241,21 +287,12 @@ def verify_witness(g: Graph, w: ForbiddenWitness) -> bool:
         if not _is_induced_cycle(g, cyc) or len(cyc) < 4 or len(cyc) % 2:
             return False
         return len(cyc) == 4 if w.kind == "4-hole" else True
-    if w.kind == "cap":
+    if w.kind in _APEX_TESTS:
         cyc, (apex,) = w.parts
         if not _is_induced_cycle(g, cyc) or len(cyc) < 4 or apex in cyc:
             return False
         nbrs = [i for i, v in enumerate(cyc) if g.has_edge(apex, v)]
-        if len(nbrs) != 2:
-            return False
-        i, j = nbrs
-        return j - i == 1 or (i == 0 and j == len(cyc) - 1)
-    if w.kind == "even-wheel":
-        cyc, (hub,) = w.parts
-        if not _is_induced_cycle(g, cyc) or len(cyc) < 4 or hub in cyc:
-            return False
-        count = sum(1 for v in cyc if g.has_edge(hub, v))
-        return count >= 3 and count % 2 == 0
+        return _APEX_TESTS[w.kind](nbrs, len(cyc))
     if w.kind == "theta":
         p1, p2, p3 = w.parts
         x, y = p1[0], p1[-1]
@@ -298,16 +335,22 @@ def verify_witness(g: Graph, w: ForbiddenWitness) -> bool:
     raise ValueError(f"unknown witness kind {w.kind!r}")
 
 
-def _find_triangle(g: Graph) -> Optional[ForbiddenWitness]:
+def _triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """Every triangle u < v < w, in tuple order."""
     for u in g.vertices():
         for v in g.adj[u]:
             if v <= u:
                 continue
             common = g.mask(u) & g.mask(v) & ~((1 << (v + 1)) - 1)
-            if common:
-                w = (common & -common).bit_length() - 1
-                return ForbiddenWitness("triangle", (u, v, w), ((u, v, w),))
-    return None
+            while common:
+                low = common & -common
+                common ^= low
+                yield (u, v, low.bit_length() - 1)
+
+
+def _find_triangle(g: Graph) -> Optional[ForbiddenWitness]:
+    tri = next(_triangles(g), None)
+    return None if tri is None else ForbiddenWitness("triangle", tri, (tri,))
 
 
 def _find_hole(g: Graph, exact_len: Optional[int] = None
@@ -322,7 +365,10 @@ def _find_hole(g: Graph, exact_len: Optional[int] = None
     return None
 
 
-def _find_cap(g: Graph) -> Optional[ForbiddenWitness]:
+def _find_hole_with_apex(g: Graph, kind: str) -> Optional[ForbiddenWitness]:
+    """The first hole, in enumeration order, with the first outside vertex
+    whose positions on it pass kind's test."""
+    test = _APEX_TESTS[kind]
     for cyc in enumerate_chordless_cycles(g):
         if len(cyc) < 4:
             continue
@@ -331,60 +377,9 @@ def _find_cap(g: Graph) -> Optional[ForbiddenWitness]:
             if apex in on_hole:
                 continue
             nbrs = [i for i, v in enumerate(cyc) if g.has_edge(apex, v)]
-            if len(nbrs) != 2:
-                continue
-            i, j = nbrs
-            if j - i == 1 or (i == 0 and j == len(cyc) - 1):
-                return ForbiddenWitness("cap", cyc + (apex,), (cyc, (apex,)))
+            if test(nbrs, len(cyc)):
+                return ForbiddenWitness(kind, cyc + (apex,), (cyc, (apex,)))
     return None
-
-
-def _find_even_wheel(g: Graph) -> Optional[ForbiddenWitness]:
-    for cyc in enumerate_chordless_cycles(g):
-        if len(cyc) < 4:
-            continue
-        on_hole = set(cyc)
-        for hub in g.vertices():
-            if hub in on_hole:
-                continue
-            count = sum(1 for v in cyc if g.has_edge(hub, v))
-            if count >= 3 and count % 2 == 0:
-                return ForbiddenWitness("even-wheel", cyc + (hub,),
-                                        (cyc, (hub,)))
-    return None
-
-
-def _induced_paths(g: Graph, x: int, y: int, avoid: int = 0
-                   ) -> list[tuple[int, ...]]:
-    """All induced x..y paths with at least one interior vertex, no
-    interior vertex in the mask avoid.
-
-    Requires x and y nonadjacent.  A path vertex adjacent to y must be the
-    last interior, so such paths close immediately.
-    """
-    results: list[tuple[int, ...]] = []
-    y_mask = 1 << y
-    p = [x]
-    # As in enumerate_chordless_cycles: an entry (w, blocked, path_mask,
-    # depth) extends p[:depth] by w, and extensions are pushed in
-    # descending order, so the least is tried first.
-    stack = [(a, g.mask(x), (1 << x) | (1 << a), 1)
-             for a in reversed(g.adj[x]) if a != y and not avoid >> a & 1]
-    while stack:
-        last, blocked, path_mask, depth = stack.pop()
-        del p[depth:]
-        p.append(last)
-        nbrs = g.mask(last)
-        if nbrs & y_mask:
-            if not blocked & y_mask:
-                results.append(tuple(p) + (y,))
-            continue
-        options = nbrs & ~path_mask & ~blocked & ~avoid
-        while options:
-            w = options.bit_length() - 1
-            options ^= 1 << w
-            stack.append((w, blocked | nbrs, path_mask | 1 << w, depth + 1))
-    return results
 
 
 def _find_theta(g: Graph) -> Optional[ForbiddenWitness]:
@@ -398,7 +393,7 @@ def _find_theta(g: Graph) -> Optional[ForbiddenWitness]:
         for y in range(x + 1, g.n):
             if g.degree(y) < 3 or g.has_edge(x, y):
                 continue
-            paths = _induced_paths(g, x, y)
+            paths = _induced_paths(g, x, 1 << y, ~0)
             if len(paths) < 3:
                 continue
             inner_masks = [mask_of(p[1:-1]) for p in paths]
@@ -419,18 +414,6 @@ def _find_theta(g: Graph) -> Optional[ForbiddenWitness]:
     return None
 
 
-def _triangles(g: Graph) -> list[tuple[int, int, int]]:
-    out = []
-    for u in g.vertices():
-        for v in g.adj[u]:
-            if v <= u:
-                continue
-            common = g.mask(u) & g.mask(v) & ~((1 << (v + 1)) - 1)
-            while common:
-                low = common & -common
-                common ^= low
-                out.append((u, v, low.bit_length() - 1))
-    return out
 
 
 def _prism_pair_ok(g: Graph, p: tuple[int, ...], q: tuple[int, ...]) -> bool:
@@ -445,17 +428,15 @@ def _prism_pair_ok(g: Graph, p: tuple[int, ...], q: tuple[int, ...]) -> bool:
 
 
 def _find_prism(g: Graph) -> Optional[ForbiddenWitness]:
-    tris = _triangles(g)
+    tris = list(_triangles(g))
     for i, t1 in enumerate(tris):
         for t2 in tris[i + 1:]:
             if set(t1) & set(t2):
                 continue
             for perm in permutations(t2):
                 corners = mask_of(t1 + t2)
-                all_paths = [
-                    [(a, b)] if g.has_edge(a, b) else
-                    _induced_paths(g, a, b, corners & ~(1 << a | 1 << b))
-                    for a, b in zip(t1, perm)]
+                all_paths = [_induced_paths(g, a, 1 << b, ~corners)
+                             for a, b in zip(t1, perm)]
                 if any(not paths for paths in all_paths):
                     continue
                 for p1 in all_paths[0]:
@@ -473,10 +454,10 @@ def _find_prism(g: Graph) -> Optional[ForbiddenWitness]:
 _FINDERS = {
     "even-hole": lambda g: _find_hole(g),
     "4-hole": lambda g: _find_hole(g, exact_len=4),
-    "cap": _find_cap,
+    "cap": lambda g: _find_hole_with_apex(g, "cap"),
     "theta": _find_theta,
     "prism": _find_prism,
-    "even-wheel": _find_even_wheel,
+    "even-wheel": lambda g: _find_hole_with_apex(g, "even-wheel"),
     "triangle": _find_triangle,
 }
 

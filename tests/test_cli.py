@@ -7,7 +7,7 @@ import pytest
 
 from capfree import cli
 from capfree.cli import main
-from capfree.graphs import (blow_up, hajos, hole, parse_graph,
+from capfree.graphs import (blow_up, cube, hajos, hole, parse_graph,
                             serialize_graph)
 
 
@@ -165,6 +165,16 @@ def test_oracle_commands(graph_file, capsys):
     assert code == 0 and json.loads(out)["witness"] is None
     code, out = run(capsys, "oracle", "clique-cutset", f)
     assert code == 0 and json.loads(out)["cutset"] is None
+
+
+def test_oracle_chordless_cycles_max_len(graph_file, capsys):
+    # The cube's chordless cycles are six 4-holes and four 6-holes.
+    f = graph_file("cube.graph", cube())
+    code, out = run(capsys, "oracle", "chordless-cycles", "--max-len", "4", f)
+    doc = json.loads(out)
+    assert code == 0 and doc["count"] == 6
+    assert [len(c) for c in doc["cycles"]] == [4] * 6
+    assert doc["cycles"][0] == [1, 6, 3, 8]
 
 
 def test_oracle_guard_exit_code(graph_file, capsys):

@@ -220,6 +220,13 @@ def test_long_hole_recognition_does_not_recurse():
     assert verdict.status == "rejected"
     assert verdict.witness.kind == "even-hole"
     assert sorted(verdict.witness.vertices) == list(range(996))
+    # With the guard lifted, each search stops once its ends are all seen,
+    # so a hole of thousands of vertices costs one walk around it.
+    verdict = recognize(hole(3001), "cap-4hole-odd-signable",
+                        oracle_guard=10**9)
+    assert verdict.accepted
+    witness = find_forbidden_induced(hole(3000), "even-hole")
+    assert witness.vertices == tuple(range(3000))
 
 
 @pytest.mark.parametrize("g,atoms,alpha", [(path(5000), 4999, 2500),

@@ -7,12 +7,13 @@ import pytest
 
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
                             cube, gnp, hole, induced_subgraph, path)
-from capfree.oracles import (InstanceTooLargeError, brute_solve,
-                             canonical_cycle, chordless_cycles_through,
-                             cycle_order, cycle_weight,
-                             enumerate_chordless_cycles, find_any_forbidden,
-                             find_forbidden_induced, holes_of, odd_signing,
-                             odd_signable_signing, verify_witness)
+from capfree.oracles import (ForbiddenWitness, InstanceTooLargeError,
+                             brute_solve, canonical_cycle,
+                             chordless_cycles_through, cycle_order,
+                             cycle_weight, enumerate_chordless_cycles,
+                             find_any_forbidden, find_forbidden_induced,
+                             holes_of, odd_signing, odd_signable_signing,
+                             verify_witness)
 from capfree.selftest import small_graph_pool
 
 EVEN_WHEEL = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0),
@@ -69,10 +70,14 @@ def test_enumeration_matches_subset_oracle(seed):
 
 
 def test_max_len_prunes():
-    g = gnp(10, 0.4, 99)
-    short = enumerate_chordless_cycles(g, max_len=4)
-    full = [c for c in enumerate_chordless_cycles(g) if len(c) <= 4]
-    assert sorted(short) == sorted(full)
+    # A cycle-length cap is a path-length cap one less inside the search,
+    # so check it at every cap from below a triangle to past most holes.
+    for seed in range(6):
+        g = gnp(10, (0.4, 0.3, 0.5)[seed % 3], 99 + seed)
+        full = enumerate_chordless_cycles(g)
+        for max_len in range(2, 9):
+            assert enumerate_chordless_cycles(g, max_len=max_len) \
+                == [c for c in full if len(c) <= max_len], (seed, max_len)
 
 
 def test_c4_is_odd_signable():
@@ -101,6 +106,17 @@ def test_find_even_hole():
     w = find_forbidden_induced(hole(6), "even-hole")
     assert w is not None and len(w.vertices) == 6
     assert find_forbidden_induced(hole(5), "even-hole") is None
+
+
+def test_hole_recheck_rejects_what_is_no_hole():
+    def recheck(g, cyc):
+        return verify_witness(g, ForbiddenWitness("even-hole", cyc, (cyc,)))
+    six = tuple(range(6))
+    assert recheck(hole(6), six) and recheck(hole(6), six[::-1])
+    assert not recheck(Graph(6, hole(6).edges() + [(0, 3)]), six)
+    assert not recheck(path(6), six)
+    assert not recheck(hole(6), (0, 2, 1, 3, 4, 5))
+    assert not recheck(hole(6), (0, 1, 2, 3, 4, 5, 0, 1))
 
 
 def test_find_cap_in_house():
