@@ -66,6 +66,17 @@ def _witness_json(w: Optional[ForbiddenWitness]):
             "parts": [_ids(p) for p in w.parts]}
 
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _budget_guards(args) -> dict:
     """--budget N caps every vertex-count guard at N and scales the exact
     treewidth search to 10000*N nodes."""
@@ -87,7 +98,8 @@ def cmd_recognize(args) -> int:
         out["atoms"] = [
             {"vertices": _ids(r.vertices), "complete": r.complete,
              "skeleton_size": None if r.complete else r.skeleton.skeleton.n,
-             "universal": None if r.complete else _ids(r.skeleton.universal),
+             "universal": None if r.complete
+             else _ids(r.vertices[u] for u in r.skeleton.universal),
              "oracle": r.oracle}
             for r in verdict.atoms]
     if verdict.detail:
@@ -280,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="capfree",
         description="Decomposition, recognition, coloring and stable-set "
                     "algorithms for (cap, even-hole)-free graphs.")
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=_nonnegative, default=None,
                         help="set all oracle and search guards uniformly")
     sub = parser.add_subparsers(dest="command", required=True)
 

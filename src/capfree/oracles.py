@@ -2,7 +2,9 @@
 
 Everything here is exhaustive by definition and serves as ground truth for
 the structural algorithms.  Witnesses are returned in a canonical order and
-re-check against their definitional predicate via verify_witness.
+re-check against their definitional predicate via verify_witness, which
+decides the induced structure of every kind with one test: the vertices
+that the parts name must induce exactly the edges that the parts name.
 
 One induced-path search, _induced_paths, serves every cycle and path
 oracle.  The chordless-cycle enumerations find each cycle as a vertex and
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graphs import Graph, induced_subgraph, mask_of
+from .graphs import Graph, mask_of, reach
 
 
 class InstanceTooLargeError(RuntimeError):
@@ -238,28 +240,6 @@ class ForbiddenWitness:
             tuple(tuple(mapping[v] for v in part) for part in self.parts))
 
 
-def _is_induced_cycle(g: Graph, cyc: tuple[int, ...]) -> bool:
-    """Whether each vertex of cyc sees exactly its two cycle neighbours
-    among cyc: one mask test per vertex, so long holes re-check fast."""
-    k = len(cyc)
-    if k < 3 or len(set(cyc)) != k:
-        return False
-    on_cycle = mask_of(cyc)
-    return all(g.mask(cyc[i]) & on_cycle
-               == (1 << cyc[i - 1]) | (1 << cyc[(i + 1) % k])
-               for i in range(k))
-
-
-def _is_induced_path(g: Graph, p: tuple[int, ...]) -> bool:
-    if len(set(p)) != len(p):
-        return False
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if g.has_edge(p[i], p[j]) != (j - i == 1):
-                return False
-    return True
-
-
 def _is_cap_apex(nbrs: list[int], k: int) -> bool:
     """Whether a vertex seeing exactly the hole positions nbrs, on a hole
     of length k, caps it: two consecutive positions."""
@@ -277,62 +257,64 @@ def _is_even_wheel_hub(nbrs: list[int], k: int) -> bool:
 _APEX_TESTS = {"cap": _is_cap_apex, "even-wheel": _is_even_wheel_hub}
 
 
+def _closed(p: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The consecutive pairs of p and its closing pair."""
+    return zip(p, p[1:] + p[:1])
+
+
+def _induces_exactly(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether the ends of edges induce exactly edges in g: one neighbour
+    mask comparison per vertex, so long witnesses re-check fast."""
+    want: dict[int, int] = {}
+    for u, v in edges:
+        want[u] = want.get(u, 0) | 1 << v
+        want[v] = want.get(v, 0) | 1 << u
+    on = mask_of(want)
+    return all(g.mask(v) & on == nbrs for v, nbrs in want.items())
+
+
 def verify_witness(g: Graph, w: ForbiddenWitness) -> bool:
-    """Re-check a witness against the definition of its kind."""
+    """Re-check a witness against the definition of its kind.
+
+    The parts name their vertices, each once, and the edges those must
+    induce: the pairs of a triangle, the consecutive pairs of each path,
+    the closing pair of a hole, and the pairs of a prism's end triangles.
+    The named vertices must be distinct and be w.vertices, and
+    _induces_exactly decides the edges; what stays per kind is lengths,
+    ends and the apex's positions on its hole.
+    """
     if w.kind == "triangle":
         (tri,) = w.parts
-        return len(tri) == 3 and len(set(tri)) == 3 and g.is_clique(tri)
-    if w.kind in ("even-hole", "4-hole"):
+        named, edges, ok = tri, combinations(tri, 2), len(tri) == 3
+    elif w.kind in ("even-hole", "4-hole"):
         (cyc,) = w.parts
-        if not _is_induced_cycle(g, cyc) or len(cyc) < 4 or len(cyc) % 2:
-            return False
-        return len(cyc) == 4 if w.kind == "4-hole" else True
-    if w.kind in _APEX_TESTS:
+        named, edges = cyc, _closed(cyc)
+        ok = len(cyc) % 2 == 0 and (len(cyc) == 4 if w.kind == "4-hole"
+                                    else len(cyc) >= 4)
+    elif w.kind in _APEX_TESTS:
         cyc, (apex,) = w.parts
-        if not _is_induced_cycle(g, cyc) or len(cyc) < 4 or apex in cyc:
-            return False
+        named, edges = cyc + (apex,), _closed(cyc)
         nbrs = [i for i, v in enumerate(cyc) if g.has_edge(apex, v)]
-        return _APEX_TESTS[w.kind](nbrs, len(cyc))
-    if w.kind == "theta":
-        p1, p2, p3 = w.parts
+        ok = len(cyc) >= 4 and _APEX_TESTS[w.kind](nbrs, len(cyc))
+    elif w.kind == "theta":
+        # Distinct named vertices give x != y and disjoint interiors.
+        paths = p1, p2, p3 = w.parts
         x, y = p1[0], p1[-1]
-        if any(p[0] != x or p[-1] != y for p in (p2, p3)):
-            return False
-        if x == y or g.has_edge(x, y):
-            return False
-        interiors = [p[1:-1] for p in (p1, p2, p3)]
-        if any(not inner for inner in interiors):
-            return False
-        seen: set[int] = set()
-        for inner in interiors:
-            if seen & set(inner):
-                return False
-            seen |= set(inner)
-        if any(not _is_induced_path(g, p) for p in (p1, p2, p3)):
-            return False
-        for a, b in combinations(interiors, 2):
-            if any(g.has_edge(u, v) for u in a for v in b):
-                return False
-        return True
-    if w.kind == "prism":
-        p1, p2, p3 = w.parts
-        tri1 = (p1[0], p2[0], p3[0])
-        tri2 = (p1[-1], p2[-1], p3[-1])
-        if not (g.is_clique(tri1) and g.is_clique(tri2)):
-            return False
-        vs = [v for p in w.parts for v in p]
-        if len(set(vs)) != len(vs):
-            return False
-        if any(not _is_induced_path(g, p) for p in w.parts):
-            return False
-        for a, b in combinations(w.parts, 2):
-            for u in a:
-                for v in b:
-                    if g.has_edge(u, v) and {u, v} not in ({a[0], b[0]},
-                                                           {a[-1], b[-1]}):
-                        return False
-        return True
-    raise ValueError(f"unknown witness kind {w.kind!r}")
+        named = (x, y) + p1[1:-1] + p2[1:-1] + p3[1:-1]
+        edges = [e for p in paths for e in zip(p, p[1:])]
+        ok = all(len(p) >= 3 and p[0] == x and p[-1] == y for p in paths)
+    elif w.kind == "prism":
+        paths = p1, p2, p3 = w.parts
+        named = p1 + p2 + p3
+        edges = [e for p in paths for e in zip(p, p[1:])]
+        edges += [*_closed((p1[0], p2[0], p3[0])),
+                  *_closed((p1[-1], p2[-1], p3[-1]))]
+        ok = all(len(p) >= 2 for p in paths)
+    else:
+        raise ValueError(f"unknown witness kind {w.kind!r}")
+    on = mask_of(named)
+    return (ok and on.bit_count() == len(named) == len(w.vertices)
+            and mask_of(w.vertices) == on and _induces_exactly(g, edges))
 
 
 def _triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
@@ -623,26 +605,18 @@ def _try_color(g: Graph, order, q: int) -> Optional[tuple[int, ...]]:
 def _brute_clique_cutset(g: Graph) -> Optional[tuple[int, ...]]:
     if g.n == 0:
         return None
-    if not _connected_without(g, ()):
+    adj = [g.mask(v) for v in g.vertices()]
+    if not _connected_without(adj, 0):
         return ()
     for size in range(1, g.n - 1):
         for sub in combinations(range(g.n), size):
-            if g.is_clique(sub) and not _connected_without(g, sub):
+            if g.is_clique(sub) and not _connected_without(adj, mask_of(sub)):
                 return sub
     return None
 
 
-def _connected_without(g: Graph, removed) -> bool:
-    rest = [v for v in g.vertices() if v not in set(removed)]
-    if not rest:
-        return True
-    sub, _ = induced_subgraph(g, rest)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in sub.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == sub.n
+def _connected_without(adj: list[int], removed: int) -> bool:
+    """Whether the vertices outside the mask removed induce a connected
+    graph, for neighbour masks adj."""
+    rest = ((1 << len(adj)) - 1) & ~removed
+    return reach(adj, rest & -rest, rest) == rest

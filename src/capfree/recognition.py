@@ -324,13 +324,12 @@ def _skeleton_reject_witness(g: Graph, eh: ForbiddenWitness,
 
     For the even-hole-free class the hole itself is the witness; for the
     odd-signable class with a universal clique, the hole plus a universal
-    vertex forms an even wheel."""
-    hole_in_g = tuple(to_root[v] for v in eh.parts[0])
+    vertex, numbered after the skeleton, forms an even wheel."""
     if target_class == "cap-even-hole-free":
-        witness = ForbiddenWitness("even-hole", hole_in_g, (hole_in_g,))
+        witness = eh.relabel(to_root)
     else:
-        hub = back[sd.universal[0]]
-        witness = ForbiddenWitness("even-wheel", hole_in_g + (hub,),
-                                   (hole_in_g, (hub,)))
+        cyc, hub = eh.parts[0], len(to_root)
+        wheel = ForbiddenWitness("even-wheel", cyc + (hub,), (cyc, (hub,)))
+        witness = wheel.relabel(to_root + (back[sd.universal[0]],))
     certify(verify_witness(g, witness), "skeleton hole re-check")
     return witness

@@ -28,7 +28,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .graphs import Graph, mask_members, vertex_set
+from .graphs import Graph, mask_members, reach, vertex_set
 from .oracles import find_forbidden_induced
 
 
@@ -56,21 +56,14 @@ class TreeDecomposition:
             return g.n == 0
         if len(self.edges) != k - 1:
             return False
-        nbrs: list[list[int]] = [[] for _ in range(k)]
+        nbrs = [0] * k
         for a, b in self.edges:
             if not (0 <= a < k and 0 <= b < k):
                 return False
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != k:
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+        every_bag = (1 << k) - 1
+        if reach(nbrs, 1, every_bag) != every_bag:
             return False
         masks = []
         for bag in self.bags:

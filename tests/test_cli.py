@@ -7,8 +7,9 @@ import pytest
 
 from capfree import cli
 from capfree.cli import main
-from capfree.graphs import (blow_up, cube, hajos, hole, parse_graph,
-                            serialize_graph)
+from capfree.construct import glue_atoms
+from capfree.graphs import (add_universal_clique, blow_up, cube, hajos, hole,
+                            parse_graph, path, serialize_graph)
 
 
 @pytest.fixture
@@ -50,6 +51,30 @@ def test_recognize_undecided_exit_code(graph_file, capsys):
                     "--class", "cap-even-hole-free", f)
     assert code == 3
     assert json.loads(out)["status"] == "undecided"
+
+
+def test_recognize_lists_universal_vertices_by_input_id(graph_file, capsys):
+    # The 5-hole's universal vertex is atom vertex 5 and input vertex 8.
+    g, _ = glue_atoms([path(3), add_universal_clique(hole(5), 1)],
+                      [(0, 1, (2,), (0,))])
+    f = graph_file("glued.graph", g)
+    code, out = run(capsys, "recognize", "--class", "cap-even-hole-free", f)
+    assert code == 0
+    atoms = json.loads(out)["atoms"]
+    assert [a["universal"] for a in atoms if not a["complete"]] == [[8]]
+    for atom in atoms:
+        for u in atom["universal"] or ():
+            rest = {v - 1 for v in atom["vertices"]} - {u - 1}
+            assert rest <= set(g.adj[u - 1]), (atom, u)
+
+
+def test_negative_budget_is_a_usage_error(graph_file, capsys):
+    f = graph_file("c5.graph", hole(5))
+    code = main(["--budget", "-1", "recognize", "--class",
+                 "cap-even-hole-free", f])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--budget" in captured.err
 
 
 def test_color_q2_c5_fails(graph_file, capsys):

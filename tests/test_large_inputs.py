@@ -13,7 +13,8 @@ from capfree.decomposition import clique_cutset_tree, tree_to_dot
 from capfree.graphs import (Graph, add_universal_clique, blow_up, hole,
                             path, serialize_graph)
 from capfree.cli import main
-from capfree.oracles import brute_solve, find_forbidden_induced, verify_witness
+from capfree.oracles import (ForbiddenWitness, brute_solve,
+                             find_forbidden_induced, verify_witness)
 from capfree.recognition import detect_4hole, detect_cap_fast, recognize
 from capfree.solvers import (ceil_three_halves, chromatic_number,
                              clique_number, is_proper_coloring, mwss,
@@ -68,9 +69,8 @@ def long_path_edges(a, b, first, length):
     return list(zip([a] + inner, inner + [b]))
 
 
-# Two short paths and one of 1100 interior vertices, so the witness's
-# quadratic re-check stays fast: a theta between 0 and 1, and a prism
-# between the triangles 0, 1, 2 and 3, 4, 5.
+# Two short paths and one of 1100 interior vertices: a theta between 0
+# and 1, and a prism between the triangles 0, 1, 2 and 3, 4, 5.
 LONG_THETA = Graph(1105, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1)]
                    + long_path_edges(0, 1, 5, 1100))
 LONG_PRISM = Graph(1107, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
@@ -86,6 +86,21 @@ def test_path_oracles_walk_long_paths_without_recursing(g, kind):
     assert found is not None and found.kind == kind
     assert verify_witness(g, found)
     assert max(map(len, found.parts)) == 1102
+
+
+def test_long_theta_rechecks_in_linear_time():
+    # Three paths of 3000 interior vertices between 0 and 1 (n = 9002): the
+    # re-check compares one neighbour mask per vertex, not every pair.
+    paths = tuple((0,) + tuple(range(2 + 3000 * i, 3002 + 3000 * i)) + (1,)
+                  for i in range(3))
+    g = Graph(9002, [e for p in paths for e in zip(p, p[1:])])
+    theta = ForbiddenWitness("theta", tuple(dict.fromkeys(sum(paths, ()))),
+                             paths)
+    chord = Graph(9002, g.edges() + [(2, 3002)])
+    start = time.perf_counter()
+    assert verify_witness(g, theta)
+    assert not verify_witness(chord, theta)
+    assert time.perf_counter() - start < 0.5
 
 
 # One search level per vertex, on an explicit stack: K1100's clique grows

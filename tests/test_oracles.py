@@ -119,6 +119,60 @@ def test_hole_recheck_rejects_what_is_no_hole():
     assert not recheck(hole(6), (0, 1, 2, 3, 4, 5, 0, 1))
 
 
+def test_recheck_rejects_a_malformed_witness_of_every_kind():
+    def recheck(g, kind, *parts):
+        vertices = tuple(dict.fromkeys(v for p in parts for v in p))
+        return verify_witness(g, ForbiddenWitness(kind, vertices, parts))
+    assert recheck(complete(3), "triangle", (0, 1, 2))
+    assert not recheck(path(3), "triangle", (0, 1, 2))
+    assert not recheck(complete(3), "triangle", (0, 1, 1))
+
+    five = tuple(range(5))
+    cap = Graph(6, hole(5).edges() + [(5, 0), (5, 1)])
+    assert recheck(cap, "cap", five, (5,))
+    three = Graph(6, hole(5).edges() + [(5, 0), (5, 1), (5, 2)])
+    assert not recheck(three, "cap", five, (5,))
+    assert not recheck(cap, "cap", five, (1,))
+
+    six = tuple(range(6))
+    four = Graph(7, hole(6).edges() + [(6, 0), (6, 1), (6, 3), (6, 4)])
+    assert recheck(four, "even-wheel", six, (6,))
+    for seen in ((0, 2, 4), (0, 1, 2, 3, 4)):
+        odd = Graph(7, hole(6).edges() + [(6, v) for v in seen])
+        assert not recheck(odd, "even-wheel", six, (6,)), seen
+
+    assert recheck(K23, "theta", (0, 2, 1), (0, 3, 1), (0, 4, 1))
+    touching = Graph(5, K23.edges() + [(2, 3)])
+    assert not recheck(touching, "theta", (0, 2, 1), (0, 3, 1), (0, 4, 1))
+    assert not recheck(K23, "theta", (0, 2, 1), (0, 2, 1), (0, 3, 1))
+    assert not recheck(K23, "theta", (0, 2, 1), (0, 3, 1), (0, 1))
+
+    assert recheck(PRISM, "prism", (0, 3), (1, 4), (2, 5))
+    extra = Graph(6, PRISM.edges() + [(0, 4)])
+    assert not recheck(extra, "prism", (0, 3), (1, 4), (2, 5))
+
+
+def test_recheck_rejects_a_prism_whose_triangles_share_a_vertex():
+    # A 4-wheel with hub 0 on the hole 1, 3, 4, 2: its triangles 0, 1, 2
+    # and 0, 3, 4 meet in the hub, and it holds no prism.
+    wheel = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4),
+                      (1, 3), (2, 4)])
+    assert find_forbidden_induced(wheel, "prism") is None
+    degenerate = ForbiddenWitness("prism", (0, 1, 3, 2, 4),
+                                  ((0,), (1, 3), (2, 4)))
+    assert not verify_witness(wheel, degenerate)
+
+
+def test_recheck_rejects_vertices_that_differ_from_the_parts():
+    six = tuple(range(6))
+    assert verify_witness(hole(6), ForbiddenWitness("even-hole", six, (six,)))
+    for vertices in (six[:5], six + (0,), six[:5] + (6,)):
+        w = ForbiddenWitness("even-hole", vertices, (six,))
+        assert not verify_witness(Graph(7, hole(6).edges()), w), vertices
+    w = ForbiddenWitness("cap", six[:5], (six[:5], (4,)))
+    assert not verify_witness(Graph(6, hole(5).edges() + [(5, 0), (5, 1)]), w)
+
+
 def test_find_cap_in_house():
     w = find_forbidden_induced(HOUSE, "cap")
     assert w is not None
