@@ -18,7 +18,7 @@ from .graphs import (Graph, GraphFormatError, add_universal_clique, blow_up,
                      induced_subgraph, parse_graph, path, serialize_graph,
                      vertex_set)
 from .oracles import (BruteResult, CertificateError, ForbiddenWitness,
-                      InstanceTooLargeError, brute_solve, certify,
+                      SearchBudgetExceeded, brute_solve, certify,
                       enumerate_chordless_cycles, find_forbidden_induced,
                       holes_of, odd_signable_signing, verify_witness)
 from .recognition import (RecognitionVerdict, detect_4hole, detect_cap_fast,
@@ -28,10 +28,9 @@ from .solvers import (StableSetResult, UnsupportedInstanceError,
                       chromatic_number, clique_number, combine_colorings,
                       greedy_color, is_proper_coloring, mwss, q_color,
                       q_color_graph)
-from .treewidth import (NiceDecomposition, SearchBudgetExceeded,
-                        TreeDecomposition, TreewidthReject,
-                        min_fill_decomposition, nice_decomposition,
-                        skeleton_tree_decomposition)
+from .treewidth import (NiceDecomposition, TreeDecomposition,
+                        TreewidthReject, min_fill_decomposition,
+                        nice_decomposition, skeleton_tree_decomposition)
 from .twins import (SkeletonDecomposition, SkeletonReject,
                     clique_number_via_skeleton, extract_skeleton,
                     lift_tree_decomposition, reconstruct_atom, twin_classes)

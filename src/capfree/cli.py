@@ -4,8 +4,8 @@ stdout carries exactly one JSON document per invocation (or DOT under
 `decompose --dot`, or graph text under `generate` without --out); human
 summaries go to stderr.  Vertex ids in JSON are 1-based, matching the
 graph file format.  Exit codes: 0 success/accepted, 1 rejected or negative
-answer, 2 usage or input errors, 3 undecided or beyond the configured
-budget, 4 internal failure (stdout carries {"error": "internal", ...}).
+answer, 2 usage or input errors, 3 undecided: a search ran out of its
+--budget of nodes, 4 internal failure (stdout carries {"error": ...}).
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from . import selftest as selftest_mod
 from .construct import TARGET_CLASSES, GeneratorParams, generate_instance
 from .decomposition import clique_cutset_tree, find_clique_cutset, tree_to_dot
 from .graphs import Graph, GraphFormatError, parse_graph, serialize_graph
-from .oracles import (ForbiddenWitness, InstanceTooLargeError,
-                      brute_solve, enumerate_chordless_cycles,
-                      find_forbidden_induced, odd_signable_signing)
-from .recognition import DEFAULT_ORACLE_GUARD, recognize
+from .oracles import (BRUTE_PROBLEMS, DEFAULT_BUDGET, ForbiddenWitness,
+                      SearchBudgetExceeded, brute_solve,
+                      enumerate_chordless_cycles, find_forbidden_induced,
+                      odd_signable_signing)
+from .recognition import recognize
 from .solvers import (UnsupportedInstanceError, chromatic_number,
                       clique_number, greedy_color, mwss, q_color_graph)
-from .treewidth import (DEFAULT_EXACT_BUDGET, SearchBudgetExceeded,
-                        TreewidthReject, min_fill_decomposition,
+from .treewidth import (TreewidthReject, min_fill_decomposition,
                         skeleton_tree_decomposition)
 from .twins import (COMPLETE_ATOM, SkeletonReject, extract_skeleton)
 
@@ -38,7 +38,6 @@ INTERNAL_ERROR = 4
 
 FORBIDDEN_KINDS = ("even-hole", "4-hole", "cap", "theta", "prism",
                    "even-wheel", "triangle")
-BRUTE_PROBLEMS = ("chromatic", "mwss", "max-clique", "clique-cutset")
 
 
 def _emit(obj) -> None:
@@ -77,21 +76,9 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _budget_guards(args) -> dict:
-    """--budget N caps every vertex-count guard at N and scales the exact
-    treewidth search to 10000*N nodes."""
-    if args.budget is None:
-        return {"oracle": DEFAULT_ORACLE_GUARD,
-                "brute": None,
-                "exact": DEFAULT_EXACT_BUDGET}
-    return {"oracle": args.budget, "brute": args.budget,
-            "exact": 10_000 * args.budget}
-
-
 def cmd_recognize(args) -> int:
     g = _read_graph(args.file)
-    guards = _budget_guards(args)
-    verdict = recognize(g, args.cls, oracle_guard=guards["oracle"])
+    verdict = recognize(g, args.cls, budget=args.budget)
     out = {"class": args.cls, "status": verdict.status,
            "witness": _witness_json(verdict.witness)}
     if verdict.status == "accepted":
@@ -154,17 +141,12 @@ def cmd_skeleton(args) -> int:
 
 def cmd_treewidth(args) -> int:
     g = _read_graph(args.file)
-    guards = _budget_guards(args)
     if find_forbidden_induced(g, "triangle") is not None:
         td = min_fill_decomposition(g)
         _emit({"width": td.width, "bags": [_ids(b) for b in td.bags],
                "tree_edges": [list(e) for e in td.edges], "exact": False})
         return 0
-    try:
-        result = skeleton_tree_decomposition(g, exact_budget=guards["exact"])
-    except SearchBudgetExceeded as exc:
-        _emit({"undecided": str(exc)})
-        return UNDECIDED_EXIT
+    result = skeleton_tree_decomposition(g, budget=args.budget)
     if isinstance(result, TreewidthReject):
         _emit({"width_exceeds": result.bound})
         return 1
@@ -175,8 +157,7 @@ def cmd_treewidth(args) -> int:
 
 def cmd_clique_number(args) -> int:
     g = _read_graph(args.file)
-    guards = _budget_guards(args)
-    value, witness = clique_number(g, brute_guard=guards["brute"])
+    value, witness = clique_number(g, budget=args.budget)
     _emit({"value": value, "witness": _ids(witness)})
     return 0
 
@@ -190,9 +171,7 @@ def cmd_greedy_color(args) -> int:
 
 def cmd_color(args) -> int:
     g = _read_graph(args.file)
-    guards = _budget_guards(args)
-    colors = q_color_graph(g, args.q, brute_guard=guards["brute"],
-                           exact_budget=guards["exact"])
+    colors = q_color_graph(g, args.q, budget=args.budget)
     if colors is None:
         _emit({"colorable": False, "q": args.q})
         return 1
@@ -202,18 +181,14 @@ def cmd_color(args) -> int:
 
 def cmd_chromatic(args) -> int:
     g = _read_graph(args.file)
-    guards = _budget_guards(args)
-    chi, colors = chromatic_number(g, brute_guard=guards["brute"],
-                                   exact_budget=guards["exact"])
+    chi, colors = chromatic_number(g, budget=args.budget)
     _emit({"chi": chi, "colors": colors})
     return 0
 
 
 def cmd_mwss(args) -> int:
     g = _read_graph(args.file)
-    guards = _budget_guards(args)
-    result = mwss(g, brute_guard=guards["brute"],
-                  exact_budget=guards["exact"])
+    result = mwss(g, budget=args.budget)
     _emit({"weight": result.weight, "vertices": _ids(result.vertices)})
     return 0
 
@@ -244,36 +219,31 @@ def cmd_generate(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _read_graph(args.file)
-    kind = args.kind
-    try:
-        if kind == "chordless-cycles":
-            cycles = enumerate_chordless_cycles(g, args.max_len)
-            _emit({"count": len(cycles), "cycles": [_ids(c) for c in cycles]})
-            return 0
-        if kind == "odd-signable":
-            signing = odd_signable_signing(g)
-            if signing is None:
-                _emit({"odd_signable": False})
-                return 1
-            _emit({"odd_signable": True,
-                   "signing": {f"{u + 1} {v + 1}": val
-                               for (u, v), val in sorted(signing.items())}})
-            return 0
-        if kind in FORBIDDEN_KINDS:
-            witness = find_forbidden_induced(g, kind)
-            _emit({"kind": kind, "witness": _witness_json(witness)})
-            return 0
-        guards = _budget_guards(args)
-        result = brute_solve(g, kind, guards["brute"])
-        if kind == "clique-cutset":
-            _emit({"cutset": None if result.witness is None
-                   else _ids(result.witness)})
-        else:
-            _emit({"value": result.value, "witness": _ids(result.witness)})
+    kind, budget = args.kind, args.budget
+    if kind == "chordless-cycles":
+        cycles = enumerate_chordless_cycles(g, args.max_len, budget=budget)
+        _emit({"count": len(cycles), "cycles": [_ids(c) for c in cycles]})
         return 0
-    except InstanceTooLargeError as exc:
-        _emit({"error": "instance-too-large", "detail": str(exc)})
-        return UNDECIDED_EXIT
+    if kind == "odd-signable":
+        signing = odd_signable_signing(g, budget=budget)
+        if signing is None:
+            _emit({"odd_signable": False})
+            return 1
+        _emit({"odd_signable": True,
+               "signing": {f"{u + 1} {v + 1}": val
+                           for (u, v), val in sorted(signing.items())}})
+        return 0
+    if kind in FORBIDDEN_KINDS:
+        witness = find_forbidden_induced(g, kind, budget=budget)
+        _emit({"kind": kind, "witness": _witness_json(witness)})
+        return 0
+    result = brute_solve(g, kind, budget=budget)
+    if kind == "clique-cutset":
+        _emit({"cutset": None if result.witness is None
+               else _ids(result.witness)})
+    else:
+        _emit({"value": result.value, "witness": _ids(result.witness)})
+    return 0
 
 
 def cmd_selftest(args) -> int:
@@ -292,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="capfree",
         description="Decomposition, recognition, coloring and stable-set "
                     "algorithms for (cap, even-hole)-free graphs.")
-    parser.add_argument("--budget", type=_nonnegative, default=None,
-                        help="set all oracle and search guards uniformly")
+    parser.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET,
+                        help="nodes each exhaustive search may visit "
+                             f"(default {DEFAULT_BUDGET})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("recognize", help="decide class membership")
@@ -377,8 +348,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FileNotFoundError as exc:
         _info(f"input error: {exc}")
         return USAGE_ERROR
-    except (UnsupportedInstanceError, SearchBudgetExceeded,
-            InstanceTooLargeError) as exc:
+    except (UnsupportedInstanceError, SearchBudgetExceeded) as exc:
         _emit({"error": "undecided", "detail": str(exc)})
         return UNDECIDED_EXIT
     except ValueError as exc:

@@ -32,9 +32,9 @@ from typing import Iterator, Optional
 
 from .graphs import (Graph, induced_subgraph, mask_members, mask_of, reach,
                      vertex_set)
-from .oracles import BruteResult, InstanceTooLargeError, brute_solve
-from .treewidth import (DEFAULT_EXACT_BUDGET, NiceDecomposition,
-                        SearchBudgetExceeded, TreewidthReject, mcs_m,
+from .oracles import (DEFAULT_BUDGET, BruteResult, SearchBudgetExceeded,
+                      brute_solve)
+from .treewidth import (NiceDecomposition, TreewidthReject, mcs_m,
                         nice_decomposition, skeleton_tree_decomposition)
 from .twins import (COMPLETE_ATOM, ExtractResult, SkeletonDecomposition,
                     SkeletonReject, extract_skeleton)
@@ -123,9 +123,9 @@ class DecompositionTree:
 
 
 class UnsupportedInstanceError(RuntimeError):
-    """An atom has no usable structure and is too large for brute force;
-    the message says why there is no structure: the atom is outside the
-    class, or the width-5 search ran out of its budget."""
+    """An atom has no usable structure and brute force ran out of its
+    budget; the message says why there is no structure: the atom is
+    outside the class, or the width-5 search ran out of its budget."""
 
 
 class Atom:
@@ -144,13 +144,12 @@ class Atom:
     nice, built on first use, is the nice form of the skeleton's width-5
     tree decomposition, read by both the coloring and the stable-set DP.
     It is None when there is no skeleton, the width exceeds 5, or the
-    exact search runs out of exact_budget, and reason then says which (for
-    a shape reject it is set at once).  brute answers an atom without that
-    structure under brute_guard.
+    exact search runs out of budget, and reason then says which (for a
+    shape reject it is set at once).  brute answers an atom without that
+    structure, each search under its own budget of nodes.
     """
 
-    def __init__(self, root: Graph, vertices: tuple[int, ...],
-                 exact_budget: int, brute_guard: Optional[int]):
+    def __init__(self, root: Graph, vertices: tuple[int, ...], budget: int):
         self.root = root
         self.vertices = vertices
         self.mask = mask = mask_of(vertices)
@@ -158,8 +157,7 @@ class Atom:
                             for v in vertices)
         self.extracted: ExtractResult = (
             COMPLETE_ATOM if self.complete else extract_skeleton(self.graph))
-        self.exact_budget = exact_budget
-        self.brute_guard = brute_guard
+        self.budget = budget
         self.reason: Optional[str] = None
         if isinstance(self.extracted, SkeletonReject):
             self.reason = ("is outside the class: its would-be skeleton "
@@ -177,10 +175,9 @@ class Atom:
             return None
         try:
             td = skeleton_tree_decomposition(self.extracted.skeleton,
-                                             self.exact_budget)
-        except SearchBudgetExceeded:
-            self.reason = (f"is undecided: the width-5 search ran out of "
-                           f"its budget of {self.exact_budget} nodes")
+                                             budget=self.budget)
+        except SearchBudgetExceeded as exc:
+            self.reason = f"is undecided: {exc}"
             return None
         if isinstance(td, TreewidthReject):
             self.reason = ("is outside the class: its skeleton has "
@@ -191,27 +188,24 @@ class Atom:
     def brute(self, problem: str, graph: Optional[Graph] = None,
               reason: Optional[str] = None) -> BruteResult:
         """brute_solve of problem on graph, the atom or a part of it,
-        under brute_guard.  Beyond the guard, UnsupportedInstanceError
-        says why the atom has no structure: reason, or by default the
-        atom's own."""
+        under budget.  Past it, UnsupportedInstanceError says why the atom
+        has no structure, reason or by default the atom's own, and which
+        search ran out."""
         try:
             return brute_solve(self.graph if graph is None else graph,
-                               problem, self.brute_guard)
-        except InstanceTooLargeError as exc:
+                               problem, budget=self.budget)
+        except SearchBudgetExceeded as exc:
             raise UnsupportedInstanceError(
-                f"atom {reason or self.reason}; it is beyond the {problem} "
-                f"brute-force guard ({exc})") from exc
+                f"atom {reason or self.reason}; {exc}") from exc
 
 
-def decompose(g: Graph, exact_budget: int = DEFAULT_EXACT_BUDGET,
-              brute_guard: Optional[int] = None
+def decompose(g: Graph, *, budget: int = DEFAULT_BUDGET
               ) -> tuple[DecompositionTree, Iterator[Atom]]:
     """clique_cutset_tree(g) and the Atom records of its leaves in leaf
     order, each built only when the iterator reaches it, so a caller that
     stops at an atom builds none after it."""
     tree = clique_cutset_tree(g)
-    return tree, (Atom(g, leaf.atom, exact_budget, brute_guard)
-                  for leaf in tree.leaves())
+    return tree, (Atom(g, leaf.atom, budget) for leaf in tree.leaves())
 
 
 def clique_cutset_tree(g: Graph) -> DecompositionTree:

@@ -11,25 +11,46 @@ oracle.  The chordless-cycle enumerations find each cycle as a vertex and
 an induced path between two of its neighbours, and the theta and prism
 finders join pairs of branch vertices by induced paths.  The search and
 the brute-force solvers run on explicit stacks, so no input size meets
-Python's recursion limit.
+Python's recursion limit, and count their nodes against a keyword-only
+budget: unbounded by default for the cycle oracles and finders,
+DEFAULT_BUDGET for brute force.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, mask_of, reach
 
 
-class InstanceTooLargeError(RuntimeError):
-    """An oracle was asked to exceed its configured size guard."""
+DEFAULT_BUDGET = 200_000
 
-    def __init__(self, what: str, n: int, cap: int):
-        super().__init__(f"{what}: instance has n={n}, guard allows {cap}")
-        self.n = n
-        self.cap = cap
+
+class SearchBudgetExceeded(RuntimeError):
+    """An exhaustive search visited more nodes than its budget allows; its
+    answer is undecided, never silently wrong."""
+
+    def __init__(self, search: str, budget: int):
+        super().__init__(f"{search} ran out of its budget of {budget} nodes")
+
+
+class _Nodes:
+    """The nodes one search may still visit, None for no bound: the pops
+    of _induced_paths over one enumeration or finder, the frames, steps
+    or subsets of a brute-force search (over every q of a chromatic one)."""
+
+    def __init__(self, search: str, budget: Optional[int]):
+        self.search, self.budget = search, budget
+        self.left = math.inf if budget is None else budget
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise SearchBudgetExceeded(self.search, self.budget)
 
 
 class CertificateError(RuntimeError):
@@ -61,20 +82,29 @@ def cycle_order(cyc: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(1, v) for v in cyc[:-1]] + [(0, cyc[-1])]
 
 
-def enumerate_chordless_cycles(g: Graph, max_len: Optional[int] = None
+def enumerate_chordless_cycles(g: Graph, max_len: Optional[int] = None, *,
+                               budget: Optional[int] = None
                                ) -> list[tuple[int, ...]]:
     """All chordless cycles of length >= 3, each once, in canonical form
     (canonical_cycle) and sorted by cycle_order.
 
     Each cycle is found at its least vertex s, as s and an induced path
     between two of its neighbours above it (_cycles_at), so it comes out
-    canonical and in order.  Exponential in the worst case, fine at oracle
-    scale.
+    canonical and in order.  Exponential in the worst case; budget bounds
+    the search nodes.
     """
+    return _chordless_cycles(
+        g, _Nodes("the chordless-cycle enumeration", budget), max_len)
+
+
+def _chordless_cycles(g: Graph, nodes: _Nodes,
+                      max_len: Optional[int] = None
+                      ) -> list[tuple[int, ...]]:
     path_len = None if max_len is None else max_len - 1
     cycles: list[tuple[int, ...]] = []
     for s in range(g.n):
-        cycles.extend(_cycles_at(g, s, ~((1 << (s + 1)) - 1), path_len))
+        cycles.extend(_cycles_at(g, s, ~((1 << (s + 1)) - 1), nodes,
+                                 path_len))
     return cycles
 
 
@@ -89,16 +119,18 @@ def chordless_cycles_through(g: Graph, fresh: Iterable[int]
     induced path between two of f's neighbours that avoids every smaller
     fresh vertex.
     """
+    nodes = _Nodes("the chordless-cycle search", None)
     found: list[tuple[int, ...]] = []
     skip = 0
     for f in sorted(set(fresh)):
         skip |= 1 << f
-        found.extend(canonical_cycle(c) for c in _cycles_at(g, f, ~skip))
+        found.extend(canonical_cycle(c)
+                     for c in _cycles_at(g, f, ~skip, nodes))
     found.sort(key=cycle_order)
     return found
 
 
-def _cycles_at(g: Graph, s: int, allowed: int,
+def _cycles_at(g: Graph, s: int, allowed: int, nodes: _Nodes,
                path_len: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """The chordless cycles s, a, ..., w with a < w, every vertex but s in
     the mask allowed (which holds no s) and at most path_len vertices after
@@ -110,12 +142,12 @@ def _cycles_at(g: Graph, s: int, allowed: int,
     while ends:
         low = ends & -ends
         ends ^= low
-        for p in _induced_paths(g, low.bit_length() - 1, ends, inner,
+        for p in _induced_paths(g, low.bit_length() - 1, ends, inner, nodes,
                                 path_len):
             yield (s,) + p
 
 
-def _induced_paths(g: Graph, x: int, ends: int, inner: int,
+def _induced_paths(g: Graph, x: int, ends: int, inner: int, nodes: _Nodes,
                    max_len: Optional[int] = None) -> list[tuple[int, ...]]:
     """The induced paths x, ..., w of at most max_len vertices with w in
     the mask ends and every vertex between x and w in the mask inner.
@@ -124,7 +156,8 @@ def _induced_paths(g: Graph, x: int, ends: int, inner: int,
     a path by ascending vertex and lists the paths that the path closes
     before it extends the path.  A branch stops once every end sees a
     vertex of the path: a longer path would give each end a chord.  It runs
-    on an explicit stack, so long holes do not recurse.
+    on an explicit stack, so long holes do not recurse; it counts its pops
+    on a local, as _Nodes.spend would, since this loop is the hot one.
     """
     limit = g.n if max_len is None else max_len
     results: list[tuple[int, ...]] = []
@@ -134,7 +167,11 @@ def _induced_paths(g: Graph, x: int, ends: int, inner: int,
     # is in it.  Extensions are pushed in descending order, so the least
     # is tried first.
     stack = [(x, 1 << x, 0)]
+    left = nodes.left
     while stack:
+        left -= 1
+        if left < 0:
+            raise SearchBudgetExceeded(nodes.search, nodes.budget)
         last, blocked, depth = stack.pop()
         del p[depth:]
         p.append(last)
@@ -155,6 +192,7 @@ def _induced_paths(g: Graph, x: int, ends: int, inner: int,
             w = options.bit_length() - 1
             options ^= 1 << w
             stack.append((w, blocked, depth + 1))
+    nodes.left = left
     return results
 
 
@@ -174,10 +212,11 @@ def cycle_weight(cyc: tuple[int, ...], signing: Signing) -> int:
     return total
 
 
-def odd_signable_signing(g: Graph) -> Optional[Signing]:
+def odd_signable_signing(g: Graph, *, budget: Optional[int] = None
+                         ) -> Optional[Signing]:
     """A 0/1 edge signing making every chordless cycle odd, or None:
-    odd_signing on enumerate_chordless_cycles(g)."""
-    return odd_signing(g, enumerate_chordless_cycles(g))
+    odd_signing on enumerate_chordless_cycles(g) under budget."""
+    return odd_signing(g, enumerate_chordless_cycles(g, budget=budget))
 
 
 def odd_signing(g: Graph, cycles: Sequence[tuple[int, ...]]
@@ -257,6 +296,10 @@ def _is_even_wheel_hub(nbrs: list[int], k: int) -> bool:
 _APEX_TESTS = {"cap": _is_cap_apex, "even-wheel": _is_even_wheel_hub}
 
 
+_PART_COUNTS = {"triangle": 1, "even-hole": 1, "4-hole": 1, "cap": 2,
+                "even-wheel": 2, "theta": 3, "prism": 3}
+
+
 def _closed(p: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """The consecutive pairs of p and its closing pair."""
     return zip(p, p[1:] + p[:1])
@@ -281,8 +324,14 @@ def verify_witness(g: Graph, w: ForbiddenWitness) -> bool:
     the closing pair of a hole, and the pairs of a prism's end triangles.
     The named vertices must be distinct and be w.vertices, and
     _induces_exactly decides the edges; what stays per kind is lengths,
-    ends and the apex's positions on its hole.
+    ends and the apex's positions on its hole.  A witness with the wrong
+    number of parts, an empty part or a vertex outside g fails.
     """
+    if w.kind not in _PART_COUNTS:
+        raise ValueError(f"unknown witness kind {w.kind!r}")
+    if (len(w.parts) != _PART_COUNTS[w.kind] or not all(w.parts)
+            or not all(0 <= v < g.n for v in w.vertices + sum(w.parts, ()))):
+        return False
     if w.kind == "triangle":
         (tri,) = w.parts
         named, edges, ok = tri, combinations(tri, 2), len(tri) == 3
@@ -292,10 +341,11 @@ def verify_witness(g: Graph, w: ForbiddenWitness) -> bool:
         ok = len(cyc) % 2 == 0 and (len(cyc) == 4 if w.kind == "4-hole"
                                     else len(cyc) >= 4)
     elif w.kind in _APEX_TESTS:
-        cyc, (apex,) = w.parts
-        named, edges = cyc + (apex,), _closed(cyc)
-        nbrs = [i for i, v in enumerate(cyc) if g.has_edge(apex, v)]
-        ok = len(cyc) >= 4 and _APEX_TESTS[w.kind](nbrs, len(cyc))
+        cyc, hub = w.parts
+        named, edges = cyc + hub, _closed(cyc)
+        nbrs = [i for i, v in enumerate(cyc) if g.has_edge(hub[0], v)]
+        ok = (len(hub) == 1 and len(cyc) >= 4
+              and _APEX_TESTS[w.kind](nbrs, len(cyc)))
     elif w.kind == "theta":
         # Distinct named vertices give x != y and disjoint interiors.
         paths = p1, p2, p3 = w.parts
@@ -303,15 +353,13 @@ def verify_witness(g: Graph, w: ForbiddenWitness) -> bool:
         named = (x, y) + p1[1:-1] + p2[1:-1] + p3[1:-1]
         edges = [e for p in paths for e in zip(p, p[1:])]
         ok = all(len(p) >= 3 and p[0] == x and p[-1] == y for p in paths)
-    elif w.kind == "prism":
+    else:
         paths = p1, p2, p3 = w.parts
         named = p1 + p2 + p3
         edges = [e for p in paths for e in zip(p, p[1:])]
         edges += [*_closed((p1[0], p2[0], p3[0])),
                   *_closed((p1[-1], p2[-1], p3[-1]))]
         ok = all(len(p) >= 2 for p in paths)
-    else:
-        raise ValueError(f"unknown witness kind {w.kind!r}")
     on = mask_of(named)
     return (ok and on.bit_count() == len(named) == len(w.vertices)
             and mask_of(w.vertices) == on and _induces_exactly(g, edges))
@@ -335,9 +383,9 @@ def _find_triangle(g: Graph) -> Optional[ForbiddenWitness]:
     return None if tri is None else ForbiddenWitness("triangle", tri, (tri,))
 
 
-def _find_hole(g: Graph, exact_len: Optional[int] = None
+def _find_hole(g: Graph, nodes: _Nodes, exact_len: Optional[int] = None
                ) -> Optional[ForbiddenWitness]:
-    for cyc in enumerate_chordless_cycles(g, exact_len):
+    for cyc in _chordless_cycles(g, nodes, exact_len):
         if len(cyc) < 4 or len(cyc) % 2:
             continue
         if exact_len is not None and len(cyc) != exact_len:
@@ -347,11 +395,12 @@ def _find_hole(g: Graph, exact_len: Optional[int] = None
     return None
 
 
-def _find_hole_with_apex(g: Graph, kind: str) -> Optional[ForbiddenWitness]:
+def _find_hole_with_apex(g: Graph, nodes: _Nodes, kind: str
+                         ) -> Optional[ForbiddenWitness]:
     """The first hole, in enumeration order, with the first outside vertex
     whose positions on it pass kind's test."""
     test = _APEX_TESTS[kind]
-    for cyc in enumerate_chordless_cycles(g):
+    for cyc in _chordless_cycles(g, nodes):
         if len(cyc) < 4:
             continue
         on_hole = set(cyc)
@@ -364,7 +413,7 @@ def _find_hole_with_apex(g: Graph, kind: str) -> Optional[ForbiddenWitness]:
     return None
 
 
-def _find_theta(g: Graph) -> Optional[ForbiddenWitness]:
+def _find_theta(g: Graph, nodes: _Nodes) -> Optional[ForbiddenWitness]:
     """The first theta by branch pair (x, y), x < y.  Each branch vertex
     starts three paths whose interiors are disjoint and non-adjacent, so
     it has degree at least 3, and pairs with a smaller degree are
@@ -375,7 +424,7 @@ def _find_theta(g: Graph) -> Optional[ForbiddenWitness]:
         for y in range(x + 1, g.n):
             if g.degree(y) < 3 or g.has_edge(x, y):
                 continue
-            paths = _induced_paths(g, x, 1 << y, ~0)
+            paths = _induced_paths(g, x, 1 << y, ~0, nodes)
             if len(paths) < 3:
                 continue
             inner_masks = [mask_of(p[1:-1]) for p in paths]
@@ -409,7 +458,7 @@ def _prism_pair_ok(g: Graph, p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     return True
 
 
-def _find_prism(g: Graph) -> Optional[ForbiddenWitness]:
+def _find_prism(g: Graph, nodes: _Nodes) -> Optional[ForbiddenWitness]:
     tris = list(_triangles(g))
     for i, t1 in enumerate(tris):
         for t2 in tris[i + 1:]:
@@ -417,7 +466,7 @@ def _find_prism(g: Graph) -> Optional[ForbiddenWitness]:
                 continue
             for perm in permutations(t2):
                 corners = mask_of(t1 + t2)
-                all_paths = [_induced_paths(g, a, 1 << b, ~corners)
+                all_paths = [_induced_paths(g, a, 1 << b, ~corners, nodes)
                              for a, b in zip(t1, perm)]
                 if any(not paths for paths in all_paths):
                     continue
@@ -434,31 +483,35 @@ def _find_prism(g: Graph) -> Optional[ForbiddenWitness]:
 
 
 _FINDERS = {
-    "even-hole": lambda g: _find_hole(g),
-    "4-hole": lambda g: _find_hole(g, exact_len=4),
-    "cap": lambda g: _find_hole_with_apex(g, "cap"),
+    "even-hole": _find_hole,
+    "4-hole": partial(_find_hole, exact_len=4),
+    "cap": partial(_find_hole_with_apex, kind="cap"),
     "theta": _find_theta,
     "prism": _find_prism,
-    "even-wheel": lambda g: _find_hole_with_apex(g, "even-wheel"),
-    "triangle": _find_triangle,
+    "even-wheel": partial(_find_hole_with_apex, kind="even-wheel"),
+    "triangle": lambda g, nodes: _find_triangle(g),
 }
 
 
-def find_forbidden_induced(g: Graph, kind: str) -> Optional[ForbiddenWitness]:
-    """Exhaustive search for one forbidden structure of the given kind."""
+def find_forbidden_induced(g: Graph, kind: str, *,
+                           budget: Optional[int] = None
+                           ) -> Optional[ForbiddenWitness]:
+    """Exhaustive search for one forbidden structure of the given kind,
+    under budget search nodes."""
     try:
         finder = _FINDERS[kind]
     except KeyError:
         raise ValueError(f"unknown forbidden structure kind {kind!r}")
-    witness = finder(g)
+    witness = finder(g, _Nodes(f"the {kind} search", budget))
     if witness is not None:
         certify(verify_witness(g, witness), f"{kind} witness failed re-check")
     return witness
 
 
-def find_any_forbidden(g: Graph, kinds) -> Optional[ForbiddenWitness]:
+def find_any_forbidden(g: Graph, kinds, *, budget: Optional[int] = None
+                       ) -> Optional[ForbiddenWitness]:
     for kind in kinds:
-        witness = find_forbidden_induced(g, kind)
+        witness = find_forbidden_induced(g, kind, budget=budget)
         if witness is not None:
             return witness
     return None
@@ -471,42 +524,33 @@ class BruteResult:
     witness: Optional[tuple[int, ...]]
 
 
-DEFAULT_GUARDS = {
-    "chromatic": 16,
-    "mwss": 24,
-    "max-clique": 24,
-    "clique-cutset": 16,
-}
+BRUTE_PROBLEMS = ("chromatic", "mwss", "max-clique", "clique-cutset")
 
 
-def brute_solve(g: Graph, problem: str, max_n: Optional[int] = None
-                ) -> BruteResult:
-    """Exact solver by exhaustive search; guarded by a configurable cap.
+def brute_solve(g: Graph, problem: str, *,
+                budget: Optional[int] = DEFAULT_BUDGET) -> BruteResult:
+    """Exact solver by exhaustive search of at most budget nodes.
 
     chromatic/max-clique/mwss return value plus witness; clique-cutset
     returns value 1 with the cutset, or value 0 with witness None.
     """
-    if problem not in DEFAULT_GUARDS:
+    if problem not in BRUTE_PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
-    cap = DEFAULT_GUARDS[problem] if max_n is None else max_n
-    if g.n > cap:
-        raise InstanceTooLargeError(f"brute {problem}", g.n, cap)
+    nodes = _Nodes(f"the brute-force {problem} search", budget)
     if problem == "max-clique":
-        value, clique = _brute_max_clique(g)
-        return BruteResult(problem, value, clique)
-    if problem == "mwss":
-        value, stable = _brute_mwss(g, g.weights)
-        return BruteResult(problem, value, stable)
-    if problem == "chromatic":
-        chi, colors = _brute_chromatic(g)
-        return BruteResult(problem, chi, colors)
-    cutset = _brute_clique_cutset(g)
-    if cutset is None:
-        return BruteResult(problem, 0, None)
-    return BruteResult(problem, 1, cutset)
+        value, witness = _brute_max_clique(g, nodes)
+    elif problem == "mwss":
+        value, witness = _brute_mwss(g, g.weights, nodes)
+    elif problem == "chromatic":
+        value, witness = _brute_chromatic(g, nodes)
+    else:
+        witness = _brute_clique_cutset(g, nodes)
+        value = int(witness is not None)
+    return BruteResult(problem, value, witness)
 
 
-def _brute_max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
+def _brute_max_clique(g: Graph, nodes: _Nodes
+                      ) -> tuple[int, tuple[int, ...]]:
     """Depth-first growth of cliques by least candidate, pruned when the
     clique and all its candidates cannot beat the best so far."""
     best, found = 0, ()
@@ -515,6 +559,7 @@ def _brute_max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
     # vertices: each is adjacent to all of them.
     stack = [(1 << g.n) - 1]
     while stack:
+        nodes.spend()
         candidates = stack[-1]
         if not candidates or len(clique) + candidates.bit_count() <= best:
             stack.pop()
@@ -531,7 +576,8 @@ def _brute_max_clique(g: Graph) -> tuple[int, tuple[int, ...]]:
     return best, found
 
 
-def _brute_mwss(g: Graph, weights) -> tuple[int, tuple[int, ...]]:
+def _brute_mwss(g: Graph, weights, nodes: _Nodes
+                ) -> tuple[int, tuple[int, ...]]:
     """Branch and bound; vertices of nonpositive weight are never taken.
     Each vertex of the order is taken, when no chosen vertex sees it,
     before it is left out."""
@@ -546,6 +592,7 @@ def _brute_mwss(g: Graph, weights) -> tuple[int, tuple[int, ...]]:
     # last, so it is searched first.
     stack = [(0, [], 0, 0)]
     while stack:
+        nodes.spend()
         i, chosen, excluded, total = stack.pop()
         if total > best:
             best, found = total, tuple(sorted(chosen))
@@ -560,19 +607,21 @@ def _brute_mwss(g: Graph, weights) -> tuple[int, tuple[int, ...]]:
     return best, found
 
 
-def _brute_chromatic(g: Graph) -> tuple[int, tuple[int, ...]]:
+def _brute_chromatic(g: Graph, nodes: _Nodes
+                     ) -> tuple[int, tuple[int, ...]]:
     if g.n == 0:
         return 0, ()
-    lower = _brute_max_clique(g)[0]
+    lower = _brute_max_clique(g, nodes)[0]
     order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     for q in range(lower, g.n + 1):
-        colors = _try_color(g, order, q)
+        colors = _try_color(g, order, q, nodes)
         if colors is not None:
             return q, colors
     raise AssertionError("unreachable")
 
 
-def _try_color(g: Graph, order, q: int) -> Optional[tuple[int, ...]]:
+def _try_color(g: Graph, order, q: int, nodes: _Nodes
+               ) -> Optional[tuple[int, ...]]:
     """A q-coloring by backtracking along order, or None: each vertex
     tries its least color above the one it holds, at most one more than
     the colors used before it and none its colored neighbours hold."""
@@ -585,6 +634,7 @@ def _try_color(g: Graph, order, q: int) -> Optional[tuple[int, ...]]:
         v = order[i]
         stack.append((i, used, {colors[u] for u in g.adj[v] if colors[u]}))
         while stack:
+            nodes.spend()
             i, used, taken = stack[-1]
             v = order[i]
             top = min(q, used + 1)
@@ -602,7 +652,8 @@ def _try_color(g: Graph, order, q: int) -> Optional[tuple[int, ...]]:
     return tuple(colors)
 
 
-def _brute_clique_cutset(g: Graph) -> Optional[tuple[int, ...]]:
+def _brute_clique_cutset(g: Graph, nodes: _Nodes
+                         ) -> Optional[tuple[int, ...]]:
     if g.n == 0:
         return None
     adj = [g.mask(v) for v in g.vertices()]
@@ -610,6 +661,7 @@ def _brute_clique_cutset(g: Graph) -> Optional[tuple[int, ...]]:
         return ()
     for size in range(1, g.n - 1):
         for sub in combinations(range(g.n), size):
+            nodes.spend()
             if g.is_clique(sub) and not _connected_without(adj, mask_of(sub)):
                 return sub
     return None

@@ -3,7 +3,7 @@ graphs with machine-checkable certificates.
 
 Pipeline: 4-hole test, clique-cutset decomposition, one Atom record per
 leaf (the induced atom and its skeleton extraction), a cap test read off
-those atoms, then a desk-scale oracle on each skeleton (odd-signability
+those atoms, then a budgeted oracle on each skeleton (odd-signability
 when there is no universal clique, even-hole-freeness otherwise).
 
 The cap test needs the atoms because of where a cap can sit.  Its hole
@@ -18,8 +18,8 @@ without a skeleton falls back to detect_cap_fast on the whole graph, whose
 searches each stay inside one block.
 
 Rejections carry a forbidden-structure witness that re-checks against the
-input; skeletons beyond the oracle guard yield "undecided" rather than a
-wrong answer.
+input; an oracle or witness search that runs out of its budget of nodes
+yields "undecided" rather than a wrong or uncertified answer.
 """
 
 from __future__ import annotations
@@ -31,16 +31,15 @@ from typing import Optional, Sequence
 from .decomposition import (Atom, DecompositionTree, component_blocks,
                             decompose)
 from .graphs import Graph, mask_members, mask_of, reach
-from .oracles import (ForbiddenWitness, canonical_cycle, certify,
-                      find_any_forbidden, find_forbidden_induced,
-                      odd_signable_signing, verify_witness)
+from .oracles import (DEFAULT_BUDGET, ForbiddenWitness, SearchBudgetExceeded,
+                      canonical_cycle, certify, find_any_forbidden,
+                      find_forbidden_induced, odd_signable_signing,
+                      verify_witness)
 from .twins import SkeletonDecomposition, SkeletonReject
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
 UNDECIDED = "undecided"
-
-DEFAULT_ORACLE_GUARD = 24
 
 
 def detect_4hole(g: Graph) -> Optional[ForbiddenWitness]:
@@ -245,24 +244,24 @@ class RecognitionVerdict:
         return self.status == ACCEPTED
 
 
-def recognize(g: Graph, target_class: str,
-              oracle_guard: int = DEFAULT_ORACLE_GUARD) -> RecognitionVerdict:
+def recognize(g: Graph, target_class: str, *,
+              budget: int = DEFAULT_BUDGET) -> RecognitionVerdict:
     """Decide class membership with a certificate.
 
     Stages: the 4-hole test; decompose, the cutset tree and one Atom per
     leaf; the cap test detect_cap_in_atoms, over every atom before any
     oracle, so a graph with a cap is rejected with a cap; then, atom by
-    atom in leaf order, the oracle guard and the skeleton oracle.  The cap
-    test reads the atoms because a cap's hole lies in one atom (Leimer,
-    Discrete Math. 113, 1993) and its apex sees that atom through a clique
-    minimal separator (Berry, Pogorelcnik & Simonet, Algorithms 3, 2010),
-    so an atom with a skeleton holds no whole cap.
+    atom in leaf order, the skeleton oracle.  The cap test reads the atoms
+    because a cap's hole lies in one atom (Leimer, Discrete Math. 113,
+    1993) and its apex sees that atom through a clique minimal separator
+    (Berry, Pogorelcnik & Simonet, Algorithms 3, 2010), so an atom with a
+    skeleton holds no whole cap.
 
     Rejection witnesses re-check against g; 4-hole and cap rejections
     carry no tree.  Acceptance certificates carry the decomposition tree
     and each atom's skeleton decomposition, from which the input
-    reconstructs.  Skeletons larger than oracle_guard make the outcome
-    "undecided" (reported, never wrong).
+    reconstructs.  An oracle search that runs out of budget nodes makes
+    the outcome "undecided" (reported, never wrong).
     """
     if target_class not in ("cap-even-hole-free", "cap-4hole-odd-signable"):
         raise ValueError(f"unknown class {target_class!r}")
@@ -275,7 +274,7 @@ def recognize(g: Graph, target_class: str,
     if witness is not None:
         return RecognitionVerdict(REJECTED, target_class, witness)
     reports: list[AtomReport] = []
-    for atom in atoms:
+    for i, atom in enumerate(atoms, 1):
         if atom.complete:
             reports.append(AtomReport(atom.vertices, True))
             continue
@@ -284,52 +283,50 @@ def recognize(g: Graph, target_class: str,
                 "skeleton shape violation on a cap- and 4-hole-free atom "
                 "without clique cutsets; this cannot happen: "
                 f"{atom.extracted}")
-        sd, back = atom.extracted, atom.vertices
-        if sd.skeleton.n > oracle_guard:
+        sd = atom.extracted
+        oracle = ("even-hole-free" if target_class == "cap-even-hole-free"
+                  or sd.universal else "odd-signable")
+        try:
+            witness = _skeleton_witness(g, atom, oracle, target_class,
+                                        budget)
+        except SearchBudgetExceeded as exc:
             return RecognitionVerdict(
                 UNDECIDED, target_class, tree=tree,
-                detail=(f"atom skeleton has {sd.skeleton.n} vertices, "
-                        f"oracle guard is {oracle_guard}"))
-        to_root = tuple(back[r] for r in sd.representatives)
-        if target_class == "cap-even-hole-free" or sd.universal:
-            eh = find_forbidden_induced(sd.skeleton, "even-hole")
-            if eh is not None:
-                witness = _skeleton_reject_witness(g, eh, sd, back,
-                                                   to_root, target_class)
-                return RecognitionVerdict(REJECTED, target_class, witness,
-                                          tree)
-            oracle = "even-hole-free"
-        else:
-            if odd_signable_signing(sd.skeleton) is None:
-                # A prism has triangles, and the skeleton has none.
-                found = find_any_forbidden(sd.skeleton,
-                                           ("even-wheel", "theta"))
-                certify(found is not None,
-                        "non-odd-signable skeleton must contain a witness")
-                witness = found.relabel(to_root)
-                certify(verify_witness(g, witness), "witness re-check")
-                return RecognitionVerdict(REJECTED, target_class, witness,
-                                          tree)
-            oracle = "odd-signable"
+                detail=(f"the {oracle} oracle on atom {i} of {len(atoms)} "
+                        f"({len(atom.vertices)} vertices): {exc}"))
+        if witness is not None:
+            return RecognitionVerdict(REJECTED, target_class, witness, tree)
         reports.append(AtomReport(atom.vertices, False, sd, oracle))
     return RecognitionVerdict(ACCEPTED, target_class, tree=tree,
                               atoms=tuple(reports))
 
 
-def _skeleton_reject_witness(g: Graph, eh: ForbiddenWitness,
-                             sd: SkeletonDecomposition, back,
-                             to_root: tuple[int, ...],
-                             target_class: str) -> ForbiddenWitness:
-    """Map an even hole of the skeleton to a witness in the input graph.
-
-    For the even-hole-free class the hole itself is the witness; for the
-    odd-signable class with a universal clique, the hole plus a universal
-    vertex, numbered after the skeleton, forms an even wheel."""
-    if target_class == "cap-even-hole-free":
-        witness = eh.relabel(to_root)
+def _skeleton_witness(g: Graph, atom: Atom, oracle: str, target_class: str,
+                      budget: int) -> Optional[ForbiddenWitness]:
+    """A witness in g that the atom's skeleton fails oracle, or None.  An
+    even hole of the skeleton plus a universal vertex, numbered after the
+    skeleton, forms an even wheel; a skeleton that is not odd-signable
+    holds an even wheel or a theta (a prism has triangles)."""
+    sd, back = atom.extracted, atom.vertices
+    to_root = tuple(back[r] for r in sd.representatives)
+    if oracle == "odd-signable":
+        if odd_signable_signing(sd.skeleton, budget=budget) is not None:
+            return None
+        found = find_any_forbidden(sd.skeleton, ("even-wheel", "theta"),
+                                   budget=budget)
+        certify(found is not None,
+                "non-odd-signable skeleton must contain a witness")
+        witness = found.relabel(to_root)
     else:
-        cyc, hub = eh.parts[0], len(to_root)
-        wheel = ForbiddenWitness("even-wheel", cyc + (hub,), (cyc, (hub,)))
-        witness = wheel.relabel(to_root + (back[sd.universal[0]],))
-    certify(verify_witness(g, witness), "skeleton hole re-check")
+        eh = find_forbidden_induced(sd.skeleton, "even-hole", budget=budget)
+        if eh is None:
+            return None
+        if target_class == "cap-even-hole-free":
+            witness = eh.relabel(to_root)
+        else:
+            cyc, hub = eh.parts[0], len(to_root)
+            wheel = ForbiddenWitness("even-wheel", cyc + (hub,),
+                                     (cyc, (hub,)))
+            witness = wheel.relabel(to_root + (back[sd.universal[0]],))
+    certify(verify_witness(g, witness), "skeleton witness re-check")
     return witness

@@ -25,8 +25,8 @@ heaviest survivor of U, complete to the atom, stands alone against the
 skeleton's answer.  Clique cutsets combine atom answers to the whole
 graph (color permutation for coloring, Tarjan's reweighting for stable
 sets).  Atoms without usable structure fall back to the brute-force
-oracles through Atom.brute, under a size guard; beyond the guard the
-instance is reported unsupported, never answered wrongly.  Returned
+oracles through Atom.brute, each search under a budget of nodes; past it
+the instance is reported unsupported, never answered wrongly.  Returned
 answers are re-checked by certify, which raises CertificateError under
 python -O too.
 """
@@ -41,9 +41,9 @@ from .decomposition import (Atom, DecompositionTree,
                             UnsupportedInstanceError, decompose)
 from .graphs import (Graph, induced_subgraph, mask_members, mask_of,
                      vertex_set)
-from .oracles import certify
-from .treewidth import (DEFAULT_EXACT_BUDGET, NiceDecomposition,
-                        TreeDecomposition, nice_decomposition)
+from .oracles import DEFAULT_BUDGET, certify
+from .treewidth import (NiceDecomposition, TreeDecomposition,
+                        nice_decomposition)
 from .twins import (SkeletonDecomposition, clique_number_via_skeleton,
                     max_clique_via_skeleton)
 
@@ -377,21 +377,20 @@ def _color_atom(atom: Atom, cap: int) -> Optional[tuple[int, list[int]]]:
     return chi, colors
 
 
-def chromatic_number(g: Graph, brute_guard: Optional[int] = None,
-                     exact_budget: int = DEFAULT_EXACT_BUDGET
+def chromatic_number(g: Graph, *, budget: int = DEFAULT_BUDGET
                      ) -> tuple[int, list[int]]:
     """Exact chromatic number with a proper coloring.
 
     Per atom: one pass of the count DP over the skeleton's decomposition
     (_color_atom), capped at ceil(3/2 omega) colors.  Atoms without class
     structure, or that need more colors than the cap (which proves the
-    atom is outside the class), use the brute oracle under the guard.
+    atom is outside the class), use the brute oracle.
     The DP's tables grow with the skeleton's width (at most 5) and the
     cap, not with the twin classes' members.
     """
     if g.n == 0:
         return 0, []
-    tree, atoms = decompose(g, exact_budget, brute_guard)
+    tree, atoms = decompose(g, budget=budget)
     per_leaf: list[dict[int, int]] = []
     chi = 1
     for atom in atoms:
@@ -411,8 +410,7 @@ def chromatic_number(g: Graph, brute_guard: Optional[int] = None,
     return chi, coloring
 
 
-def q_color_graph(g: Graph, q: int, brute_guard: Optional[int] = None,
-                  exact_budget: int = DEFAULT_EXACT_BUDGET
+def q_color_graph(g: Graph, q: int, *, budget: int = DEFAULT_BUDGET
                   ) -> Optional[list[int]]:
     """A proper q-coloring of the whole graph, or None.
 
@@ -422,7 +420,7 @@ def q_color_graph(g: Graph, q: int, brute_guard: Optional[int] = None,
         raise ValueError("q must be at least 1")
     if g.n == 0:
         return []
-    tree, atoms = decompose(g, exact_budget, brute_guard)
+    tree, atoms = decompose(g, budget=budget)
     per_leaf = []
     for atom in atoms:
         found = _color_atom(atom, q)
@@ -432,7 +430,7 @@ def q_color_graph(g: Graph, q: int, brute_guard: Optional[int] = None,
     return combine_colorings(tree, per_leaf, q)
 
 
-def clique_number(g: Graph, brute_guard: Optional[int] = None
+def clique_number(g: Graph, *, budget: int = DEFAULT_BUDGET
                   ) -> tuple[int, tuple[int, ...]]:
     """omega with a witness clique, through the skeleton structure.
 
@@ -440,10 +438,10 @@ def clique_number(g: Graph, brute_guard: Optional[int] = None
     the universal clique plus the heaviest class or adjacent class pair
     (exact for any blow-up of a triangle-free skeleton, so no tree
     decomposition is built); other atoms fall back to the brute oracle
-    under the guard."""
+    under budget nodes."""
     best = 0
     witness: tuple[int, ...] = ()
-    for atom in decompose(g, brute_guard=brute_guard)[1]:
+    for atom in decompose(g, budget=budget)[1]:
         if atom.complete:
             value, local = len(atom.vertices), range(len(atom.vertices))
         elif isinstance(atom.extracted, SkeletonDecomposition):
@@ -528,9 +526,8 @@ def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int]
     return value, vertex_set(atom.vertices[v] for v in picked)
 
 
-def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
-         brute_guard: Optional[int] = None,
-         exact_budget: int = DEFAULT_EXACT_BUDGET) -> StableSetResult:
+def mwss(g: Graph, weights: Optional[Sequence[int]] = None, *,
+         budget: int = DEFAULT_BUDGET) -> StableSetResult:
     """Maximum weight stable set via top-down clique-cutset recursion.
 
     At each internal node with cutset S and atom side A: solve A minus S
@@ -545,7 +542,7 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None,
     # cutset for the graph below and record how to lift that graph's answer.
     # The cutset's new weights are written into w only after the node's
     # last solve call, which reads the old ones.
-    tree, atoms = decompose(g, exact_budget, brute_guard)
+    tree, atoms = decompose(g, budget=budget)
     w = list(base)
     lifts = []
     # zip asks the spine first, so the last atom is left for after it.

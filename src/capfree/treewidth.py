@@ -29,12 +29,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .graphs import Graph, mask_members, reach, vertex_set
-from .oracles import find_forbidden_induced
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """The exact width search ran out of its node budget; the width bound
-    is undecided, never silently wrong."""
+from .oracles import (DEFAULT_BUDGET, SearchBudgetExceeded,
+                      find_forbidden_induced)
 
 
 @dataclass(frozen=True)
@@ -309,9 +305,10 @@ def _exact_order(g: Graph, k: int, budget: int) -> Optional[list[int]]:
     move is taken back on backtracking by restoring the masks it saved.
     Memoizes failed masks of live vertices (the filled graph only depends
     on the eliminated set).  The least simplicial vertex of degree <= k is
-    eliminated without branching.  Raises SearchBudgetExceeded past the
-    node budget.
+    eliminated without branching.  Raises SearchBudgetExceeded past
+    budget search nodes.
     """
+    left = budget
     adj = [g.mask(v) for v in g.vertices()]
     live = (1 << g.n) - 1
     failed: set[int] = set()
@@ -322,10 +319,9 @@ def _exact_order(g: Graph, k: int, budget: int) -> Optional[list[int]]:
         if live.bit_count() <= k + 1:
             return [frame[2][0] for frame in frames] + mask_members(live)
         if live not in failed:
-            budget -= 1
-            if budget < 0:
-                raise SearchBudgetExceeded(
-                    f"width-{k} search budget exhausted")
+            left -= 1
+            if left < 0:
+                raise SearchBudgetExceeded(f"the width-{k} search", budget)
             frames.append([live, iter(_branches(adj, live, k)), None])
         while frames:
             frame = frames[-1]
@@ -362,20 +358,17 @@ def _branches(adj: list[int], live: int, k: int) -> list[int]:
     return [v for _, _, v in keyed]
 
 
-DEFAULT_EXACT_BUDGET = 200_000
-
 SkeletonTwResult = Union[TreeDecomposition, TreewidthReject]
 
 
-def skeleton_tree_decomposition(f: Graph,
-                                exact_budget: int = DEFAULT_EXACT_BUDGET
+def skeleton_tree_decomposition(f: Graph, *, budget: int = DEFAULT_BUDGET
                                 ) -> SkeletonTwResult:
     """Width <= 5 tree decomposition of a triangle-free graph, or a
     TreewidthReject proving width > 5 (so f is not a triangle-free
     odd-signable skeleton).
 
     Raises ValueError if f has a triangle and SearchBudgetExceeded when the
-    exact fallback runs out of budget.
+    exact fallback visits more than budget search nodes.
     """
     if find_forbidden_induced(f, "triangle") is not None:
         raise ValueError("input has a triangle")
@@ -384,7 +377,7 @@ def skeleton_tree_decomposition(f: Graph,
     td = min_fill_decomposition(f)
     if td.width <= 5:
         return td
-    exact = _exact_order(f, 5, exact_budget)
+    exact = _exact_order(f, 5, budget)
     if exact is None:
         return TreewidthReject(5)
     td = decomposition_from_order(f, exact)

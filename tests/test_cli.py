@@ -207,7 +207,7 @@ def test_oracle_guard_exit_code(graph_file, capsys):
     f = graph_file("big.graph", gnp(30, 0.3, 4))
     code, out = run(capsys, "--budget", "10", "oracle", "chromatic", f)
     assert code == 3
-    assert json.loads(out)["error"] == "instance-too-large"
+    assert json.loads(out)["error"] == "undecided"
 
 
 def test_generate_with_sidecar(tmp_path, capsys):

@@ -19,9 +19,10 @@ from capfree.recognition import detect_4hole, detect_cap_fast, recognize
 from capfree.solvers import (ceil_three_halves, chromatic_number,
                              clique_number, is_proper_coloring, mwss,
                              q_color_graph)
-from capfree.treewidth import (SearchBudgetExceeded, TreeDecomposition,
-                               TreewidthReject, min_fill_decomposition,
-                               nice_decomposition, skeleton_tree_decomposition)
+from capfree.oracles import SearchBudgetExceeded
+from capfree.treewidth import (TreeDecomposition, TreewidthReject,
+                               min_fill_decomposition, nice_decomposition,
+                               skeleton_tree_decomposition)
 
 
 def friendship(k):
@@ -118,7 +119,7 @@ BRUTE_CASES = {
 def test_brute_solvers_do_not_recurse(name):
     build, problem, value = BRUTE_CASES[name]
     g = build()
-    result = brute_solve(g, problem, 2000)
+    result = brute_solve(g, problem)
     assert result.value == value
     if problem == "max-clique":
         assert len(result.witness) == value and g.is_clique(result.witness)
@@ -221,7 +222,7 @@ def test_exact_width_search_does_not_recurse():
     g = subdivided_grid(7, 12)
     assert (g.n, g.m) == (1057, 1092)
     try:
-        result = skeleton_tree_decomposition(g, exact_budget=1500)
+        result = skeleton_tree_decomposition(g, budget=1500)
     except SearchBudgetExceeded:
         return
     assert result == TreewidthReject(5)
@@ -231,14 +232,13 @@ def test_long_hole_recognition_does_not_recurse():
     # The even-hole oracle extends one path around the whole 996-vertex
     # skeleton, more steps than the default recursion limit of 1000 frames
     # leaves room for.
-    verdict = recognize(hole(996), "cap-even-hole-free", oracle_guard=996)
+    verdict = recognize(hole(996), "cap-even-hole-free")
     assert verdict.status == "rejected"
     assert verdict.witness.kind == "even-hole"
     assert sorted(verdict.witness.vertices) == list(range(996))
-    # With the guard lifted, each search stops once its ends are all seen,
-    # so a hole of thousands of vertices costs one walk around it.
-    verdict = recognize(hole(3001), "cap-4hole-odd-signable",
-                        oracle_guard=10**9)
+    # Each search stops once its ends are all seen, so a hole of thousands
+    # of vertices costs one walk around it, well inside the default budget.
+    verdict = recognize(hole(3001), "cap-4hole-odd-signable")
     assert verdict.accepted
     witness = find_forbidden_induced(hole(3000), "even-hole")
     assert witness.vertices == tuple(range(3000))

@@ -7,7 +7,7 @@ import pytest
 
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
                             cube, gnp, hole, induced_subgraph, path)
-from capfree.oracles import (ForbiddenWitness, InstanceTooLargeError,
+from capfree.oracles import (ForbiddenWitness, SearchBudgetExceeded,
                              brute_solve, canonical_cycle,
                              chordless_cycles_through, cycle_order,
                              cycle_weight, enumerate_chordless_cycles,
@@ -15,6 +15,7 @@ from capfree.oracles import (ForbiddenWitness, InstanceTooLargeError,
                              holes_of, odd_signing, odd_signable_signing,
                              verify_witness)
 from capfree.selftest import small_graph_pool
+from capfree.treewidth import skeleton_tree_decomposition
 
 EVEN_WHEEL = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0),
                        (4, 0), (4, 1), (4, 2), (4, 3)])
@@ -152,6 +153,17 @@ def test_recheck_rejects_a_malformed_witness_of_every_kind():
     assert not recheck(extra, "prism", (0, 3), (1, 4), (2, 5))
 
 
+def test_recheck_fails_a_witness_with_the_wrong_parts():
+    for w in (ForbiddenWitness("cap", (0, 1, 2, 3, 4, 5),
+                               ((0, 1, 2, 3), (4, 5))),
+              ForbiddenWitness("theta", (0, 1), ((0, 1),)),
+              ForbiddenWitness("even-hole", (0, 1, 2, 3), ((0, 1, 2, 3), ())),
+              ForbiddenWitness("prism", (0, 1), ((), (0,), (1,))),
+              ForbiddenWitness("cap", (0, 1, 2, 3, 9), ((0, 1, 2, 3), (9,))),
+              ForbiddenWitness("even-hole", (0, 1, 2, -1), ((0, 1, 2, -1),))):
+        assert not verify_witness(hole(5), w), w
+
+
 def test_recheck_rejects_a_prism_whose_triangles_share_a_vertex():
     # A 4-wheel with hub 0 on the hole 1, 3, 4, 2: its triangles 0, 1, 2
     # and 0, 3, 4 meet in the hub, and it holds no prism.
@@ -255,10 +267,46 @@ def test_brute_clique_cutset():
 
 
 def test_brute_guard_reports():
-    with pytest.raises(InstanceTooLargeError):
-        brute_solve(gnp(20, 0.3, 1), "chromatic")
-    # configurable cap
-    assert brute_solve(gnp(20, 0.2, 1), "chromatic", max_n=20).value >= 1
+    with pytest.raises(SearchBudgetExceeded,
+                       match="brute-force chromatic search ran out of its "
+                             "budget of 10 nodes"):
+        brute_solve(gnp(20, 0.3, 1), "chromatic", budget=10)
+    assert brute_solve(gnp(20, 0.2, 1), "chromatic").value >= 1
+
+
+GNP30 = gnp(30, 0.5, 1)
+K66 = Graph(12, [(i, 6 + j) for i in range(6) for j in range(6)])
+
+# Each exhaustive search, a graph it answers at its default budget, and a
+# budget it runs out of there.  The brute-force clique-cutset search tries
+# every vertex subset, so it answers a 14-vertex graph but not GNP30.
+BUDGETED_SEARCHES = {
+    "width-5": (lambda g, **kw: skeleton_tree_decomposition(g, **kw),
+                K66, 0),
+    **{problem: (lambda g, problem=problem, **kw:
+                 brute_solve(g, problem, **kw), GNP30, 10)
+       for problem in ("max-clique", "mwss", "chromatic")},
+    "clique-cutset": (lambda g, **kw: brute_solve(g, "clique-cutset", **kw),
+                      gnp(14, 0.5, 1), 1000),
+    "chordless-cycles": (enumerate_chordless_cycles, GNP30, 10),
+    **{kind: (lambda g, kind=kind, **kw:
+              find_forbidden_induced(g, kind, **kw), GNP30, 10)
+       for kind in ("even-hole", "theta")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED_SEARCHES))
+def test_every_search_stops_at_its_budget(name):
+    search, g, small = BUDGETED_SEARCHES[name]
+    with pytest.raises(SearchBudgetExceeded,
+                       match=f"ran out of its budget of {small} nodes$"):
+        search(g, budget=small)
+    assert search(g) is not None
+
+
+def test_brute_solve_takes_its_budget_by_keyword_only():
+    with pytest.raises(TypeError):
+        brute_solve(hole(5), "chromatic", 5)
 
 
 def test_chromatic_at_least_clique():

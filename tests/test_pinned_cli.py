@@ -1,0 +1,81 @@
+"""Pinned CLI outputs: the exit code and JSON of every answering command
+on the first 40 selftest instances and the five reject fixtures of
+criterion 11, as one sha256.  A refactor that should change no output can
+show that it changed none; a change that alters an output on purpose
+updates the pin and lists the changed outputs in CHANGES.md.
+
+To print the current digest: python tests/test_pinned_cli.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from capfree import Graph, add_universal_clique, hole, serialize_graph
+from capfree.cli import main
+from capfree.construct import TARGET_CLASSES
+from capfree.selftest import standard_instances
+
+REJECT_FIXTURES = {
+    "even-wheel": lambda: add_universal_clique(hole(4), 1),
+    "K23": lambda: Graph(5, [(0, 2), (0, 3), (0, 4),
+                             (1, 2), (1, 3), (1, 4)]),
+    "prism": lambda: Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
+                               (5, 3), (0, 3), (1, 4), (2, 5)]),
+    "house": lambda: Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0),
+                               (4, 0), (4, 1)]),
+    "C4": lambda: hole(4),
+}
+
+
+def _graphs():
+    for seed, g, _ in standard_instances()[:40]:
+        yield f"seed{seed}", g
+    for name, build in REJECT_FIXTURES.items():
+        yield name, build()
+
+
+def _run(*argv) -> list:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return [code, out.getvalue()]
+
+
+def outputs(path: str) -> dict:
+    """Every pinned command's exit code and stdout on the graph file."""
+    doc = {f"recognize {cls}": _run("recognize", "--class", cls, path)
+           for cls in TARGET_CLASSES}
+    for command in ("decompose", "clique-number", "mwss", "chromatic"):
+        doc[command] = _run(command, path)
+    chi = json.loads(doc["chromatic"][1])["chi"]
+    for q in (chi, chi - 1):
+        doc[f"color {q}"] = _run("color", "-q", str(q), path)
+    return doc
+
+
+def digest() -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, g in _graphs():
+            path = Path(tmp) / f"{name}.graph"
+            path.write_text(serialize_graph(g), encoding="utf-8")
+            text = json.dumps(outputs(str(path)), sort_keys=True)
+            h.update(f"{name}\n{text}\n".encode())
+    return h.hexdigest()
+
+
+PINNED_CLI_DIGEST = (
+    "cc2a978880efbc6f8aa47d372c96a604931ee9d947484e5522244d022497d2d0")
+
+
+def test_cli_outputs_match_their_pin():
+    assert digest() == PINNED_CLI_DIGEST
+
+
+if __name__ == "__main__":
+    print(digest())

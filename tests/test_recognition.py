@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 
+from capfree.construct import GeneratorParams, generate_instance
 from capfree.decomposition import decompose
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
                             cube, gnp, hajos, hole, induced_subgraph, path)
@@ -169,7 +170,7 @@ def test_a_skeleton_without_its_witness_is_an_internal_failure(
     from capfree import recognition
     asked = []
 
-    def nothing(g, kinds):
+    def nothing(g, kinds, *, budget):
         asked.append(tuple(kinds))
         return None
 
@@ -179,6 +180,16 @@ def test_a_skeleton_without_its_witness_is_an_internal_failure(
     with pytest.raises(CertificateError):
         recognize(theta, "cap-4hole-odd-signable")
     assert asked == [("even-wheel", "theta")]
+
+
+@pytest.mark.parametrize("ears", [0, 8, 16])
+def test_large_skeletons_are_decided_at_the_default_budget(ears):
+    # hole(25) and the 8- and 16-ear skeletons (n = 65 and 117) need 47,
+    # about 4,400 and about 79,000 search nodes.
+    g = hole(25) if ears == 0 else generate_instance(GeneratorParams(
+        seed=3, ear_count=ears, max_ear_length=8, base_length=15))[0]
+    for cls in ("cap-even-hole-free", "cap-4hole-odd-signable"):
+        assert recognize(g, cls).accepted
 
 
 def test_accepts_fixtures():
@@ -194,9 +205,11 @@ def test_odd_signable_class_is_larger():
 
 
 def test_undecided_when_skeleton_exceeds_guard():
-    verdict = recognize(hole(30), "cap-even-hole-free", oracle_guard=20)
+    verdict = recognize(hole(30), "cap-even-hole-free", budget=20)
     assert verdict.status == "undecided"
-    assert "30" in verdict.detail
+    assert verdict.detail == (
+        "the even-hole-free oracle on atom 1 of 1 (30 vertices): the "
+        "even-hole search ran out of its budget of 20 nodes")
 
 
 def test_accept_certificate_reconstructs_input():

@@ -87,7 +87,7 @@ def _dp_case(kind, seed):
 def test_q_color_decides_brute_chi(kind, seed):
     g, td = _dp_case(kind, seed)
     assert td.is_valid(g)
-    chi = brute_solve(g, "chromatic", g.n).value
+    chi = brute_solve(g, "chromatic").value
     colors = q_color(g, td, chi)
     assert colors is not None and is_proper_coloring(g, colors, chi)
     if chi > 1:
@@ -123,7 +123,7 @@ def _uneven_blowup(seed):
 @pytest.mark.parametrize("seed", range(24))
 def test_count_dp_on_uneven_blowups(seed):
     g = _uneven_blowup(seed)
-    chi = brute_solve(g, "chromatic", g.n).value
+    chi = brute_solve(g, "chromatic").value
     value, colors = chromatic_number(g)
     assert value == chi and is_proper_coloring(g, colors, chi)
     assert is_proper_coloring(g, q_color_graph(g, chi), chi)
@@ -261,13 +261,13 @@ def test_structured_instances_agree_with_brute(seed, glue, base, top):
     g, prov = generate_instance(params)
     assert g.n <= 30
     assert chromatic_number(g)[0] \
-        == brute_solve(g, "chromatic", g.n).value
+        == brute_solve(g, "chromatic").value
     rng = Xoshiro256StarStar(seed)
     w = [rng.below(top) for _ in range(g.n)]
     result = mwss(g, w)
     assert g.is_stable(result.vertices)
     assert result.weight == sum(w[v] for v in result.vertices) \
-        == brute_solve(g.with_weights(w), "mwss", g.n).value
+        == brute_solve(g.with_weights(w), "mwss").value
 
 
 GLUED3 = generate_instance(GeneratorParams(
@@ -372,11 +372,23 @@ def test_min_degree_bound_on_generated():
 
 
 def test_unsupported_raises_beyond_guard():
-    g = gnp(30, 0.5, 1)        # far outside the class, n > default guard
+    g = gnp(30, 0.5, 1)        # far outside the class
     with pytest.raises(UnsupportedInstanceError):
-        chromatic_number(g, brute_guard=10)
+        chromatic_number(g, budget=10)
     with pytest.raises(UnsupportedInstanceError):
-        mwss(g, brute_guard=10)
+        mwss(g, budget=10)
+
+
+def test_brute_force_answers_out_of_class_atoms_within_the_budget():
+    # One 40-vertex atom whose would-be skeleton has a triangle: its brute
+    # cliques and colorings take 179 and 809 nodes, its stable sets 1.87 M.
+    g = gnp(40, 0.15, 5)
+    assert clique_number(g)[0] == brute_solve(g, "max-clique").value
+    assert chromatic_number(g)[0] == brute_solve(g, "chromatic").value
+    with pytest.raises(UnsupportedInstanceError, match="budget of 200000 "):
+        mwss(g)
+    assert mwss(g, budget=2_000_000).weight \
+        == brute_solve(g, "mwss", budget=2_000_000).value
 
 
 def test_negative_weights_internal():
@@ -428,20 +440,22 @@ def test_clique_number_reads_only_the_skeleton():
     assert clique_number(GRID6) == (2, (0, 1))
 
 
-# An atom without structure beyond the brute-force guard names why it has
-# none: a shape reject, a proof of width above 5, a chromatic number above
-# ceil(3/2 omega), or an exhausted width-5 search, which is undecided.
+# An atom without structure whose brute-force search runs out of its budget
+# names why it has none: a shape reject, a proof of width above 5, a
+# chromatic number above ceil(3/2 omega), or an exhausted width-5 search,
+# which is undecided.  The K7,7 proof takes 1 search node and its brute
+# mwss 703.
 @pytest.mark.parametrize("call, reason", [
-    (lambda: mwss(GRID6, exact_budget=50),
+    (lambda: mwss(GRID6, budget=50),
      "is undecided: the width-5 search ran out of its budget of 50 nodes"),
-    (lambda: chromatic_number(GRID6, exact_budget=50),
+    (lambda: chromatic_number(GRID6, budget=50),
      "is undecided: the width-5 search ran out of its budget of 50 nodes"),
     (lambda: mwss(Graph(14, [(i, 7 + j) for i in range(7)
-                             for j in range(7)]), brute_guard=10),
+                             for j in range(7)]), budget=10),
      "is outside the class: its skeleton has treewidth above 5"),
-    (lambda: clique_number(gnp(30, 0.5, 1), brute_guard=10),
+    (lambda: clique_number(gnp(30, 0.5, 1), budget=10),
      "is outside the class: its would-be skeleton has a triangle"),
-    (lambda: chromatic_number(grotzsch(), brute_guard=5),
+    (lambda: chromatic_number(grotzsch(), budget=5),
      "is outside the class: it needs more than 3 colors")],
     ids=["grid6-mwss", "grid6-chromatic", "K77", "gnp", "grotzsch"])
 def test_unsupported_names_its_reason(call, reason):

@@ -11,9 +11,9 @@ from capfree.construct import (Ear, EarSequence, GeneratorParams,
 from capfree.decomposition import clique_cutset_tree
 from capfree.graphs import (Graph, blow_up, complete, cube, gnp, hole,
                             mask_members, path)
-from capfree.oracles import brute_solve
-from capfree.treewidth import (SearchBudgetExceeded, TreeDecomposition,
-                               TreewidthReject, _exact_order, _min_fill_order,
+from capfree.oracles import SearchBudgetExceeded, brute_solve
+from capfree.treewidth import (TreeDecomposition, TreewidthReject,
+                               _exact_order, _min_fill_order,
                                chordal_clique_number,
                                decomposition_from_order, is_chordal, mcs_m,
                                min_fill_decomposition, nice_decomposition,
@@ -52,8 +52,10 @@ def test_k66_rejected_by_exact_search():
 
 
 def test_budget_exhaustion_is_undecided():
-    with pytest.raises(SearchBudgetExceeded):
-        skeleton_tree_decomposition(GRID6, exact_budget=40)
+    with pytest.raises(SearchBudgetExceeded,
+                       match="^the width-5 search ran out of its budget of "
+                             "40 nodes$"):
+        skeleton_tree_decomposition(GRID6, budget=40)
 
 
 @pytest.mark.parametrize("seed", range(1, 21))
