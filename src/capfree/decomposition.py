@@ -20,8 +20,7 @@ cut vertex.
 decompose gives the tree and its leaves' Atom records, each built when
 reached: completeness from the root's masks, and for a non-complete atom
 the induced atom and its skeleton extraction; on first use the nice form
-of the skeleton's width-5 tree decomposition, and brute force for an atom
-without that structure.
+of the min-fill decomposition of the atom's twin quotient, at any width.
 """
 
 from __future__ import annotations
@@ -34,10 +33,9 @@ from .graphs import (Graph, induced_subgraph, mask_members, mask_of, reach,
                      vertex_set)
 from .oracles import (DEFAULT_BUDGET, BruteResult, SearchBudgetExceeded,
                       brute_solve)
-from .treewidth import (NiceDecomposition, TreewidthReject, mcs_m,
-                        nice_decomposition, skeleton_tree_decomposition)
-from .twins import (COMPLETE_ATOM, ExtractResult, SkeletonDecomposition,
-                    SkeletonReject, extract_skeleton)
+from .treewidth import (NiceDecomposition, mcs_m, min_fill_decomposition,
+                        nice_decomposition)
+from .twins import COMPLETE_ATOM, ExtractResult, extract_skeleton
 
 
 def find_clique_cutset(g: Graph
@@ -123,9 +121,9 @@ class DecompositionTree:
 
 
 class UnsupportedInstanceError(RuntimeError):
-    """An atom has no usable structure and brute force ran out of its
-    budget; the message says why there is no structure: the atom is
-    outside the class, or the width-5 search ran out of its budget."""
+    """A solver's work on an atom ran out of its budget: the DP over the
+    atom's decomposition, or a brute-force search where one serves.  The
+    message names each search that ran out and its budget."""
 
 
 class Atom:
@@ -141,12 +139,11 @@ class Atom:
     built on first read: at once for a non-complete atom, which
     extract_skeleton reads.
 
-    nice, built on first use, is the nice form of the skeleton's width-5
-    tree decomposition, read by both the coloring and the stable-set DP.
-    It is None when there is no skeleton, the width exceeds 5, or the
-    exact search runs out of budget, and reason then says which (for a
-    shape reject it is set at once).  brute answers an atom without that
-    structure, each search under its own budget of nodes.
+    For any other atom, extracted, a SkeletonDecomposition or a
+    SkeletonReject, gives the twin quotient, its classes and universal
+    clique; nice, built on first use, is the nice form of the quotient's
+    min-fill tree decomposition at any width, which both DPs read.  The
+    DPs and brute count their work against budget.
     """
 
     def __init__(self, root: Graph, vertices: tuple[int, ...], budget: int):
@@ -158,10 +155,6 @@ class Atom:
         self.extracted: ExtractResult = (
             COMPLETE_ATOM if self.complete else extract_skeleton(self.graph))
         self.budget = budget
-        self.reason: Optional[str] = None
-        if isinstance(self.extracted, SkeletonReject):
-            self.reason = ("is outside the class: its would-be skeleton "
-                           "has a triangle")
 
     @cached_property
     def graph(self) -> Graph:
@@ -171,32 +164,17 @@ class Atom:
 
     @cached_property
     def nice(self) -> Optional[NiceDecomposition]:
-        if not isinstance(self.extracted, SkeletonDecomposition):
-            return None
-        try:
-            td = skeleton_tree_decomposition(self.extracted.skeleton,
-                                             budget=self.budget)
-        except SearchBudgetExceeded as exc:
-            self.reason = f"is undecided: {exc}"
-            return None
-        if isinstance(td, TreewidthReject):
-            self.reason = ("is outside the class: its skeleton has "
-                           "treewidth above 5")
-            return None
-        return nice_decomposition(td)
+        return None if self.complete else nice_decomposition(
+            min_fill_decomposition(self.extracted.quotient))
 
-    def brute(self, problem: str, graph: Optional[Graph] = None,
-              reason: Optional[str] = None) -> BruteResult:
-        """brute_solve of problem on graph, the atom or a part of it,
-        under budget.  Past it, UnsupportedInstanceError says why the atom
-        has no structure, reason or by default the atom's own, and which
-        search ran out."""
+    def brute(self, problem: str, reason: str) -> BruteResult:
+        """brute_solve of problem on the atom under budget.  Past it,
+        UnsupportedInstanceError gives reason, why brute force ran, and
+        names the search that ran out."""
         try:
-            return brute_solve(self.graph if graph is None else graph,
-                               problem, budget=self.budget)
+            return brute_solve(self.graph, problem, budget=self.budget)
         except SearchBudgetExceeded as exc:
-            raise UnsupportedInstanceError(
-                f"atom {reason or self.reason}; {exc}") from exc
+            raise UnsupportedInstanceError(f"{reason}; {exc}") from exc
 
 
 def decompose(g: Graph, *, budget: int = DEFAULT_BUDGET

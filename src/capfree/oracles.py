@@ -24,7 +24,7 @@ from functools import partial
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graphs import Graph, mask_of, reach
+from .graphs import Graph, mask_members, mask_of, reach
 
 
 DEFAULT_BUDGET = 200_000
@@ -654,16 +654,24 @@ def _try_color(g: Graph, order, q: int, nodes: _Nodes
 
 def _brute_clique_cutset(g: Graph, nodes: _Nodes
                          ) -> Optional[tuple[int, ...]]:
+    """The first clique cutset by size, then lexicographically: cliques
+    grow by ascending vertex, level by level, each level in that order."""
     if g.n == 0:
         return None
     adj = [g.mask(v) for v in g.vertices()]
     if not _connected_without(adj, 0):
         return ()
-    for size in range(1, g.n - 1):
-        for sub in combinations(range(g.n), size):
-            nodes.spend()
-            if g.is_clique(sub) and not _connected_without(adj, mask_of(sub)):
-                return sub
+    level = [((), (1 << g.n) - 1)]
+    for _ in range(g.n - 2):
+        grown = []
+        for clique, later in level:
+            for v in mask_members(later):
+                nodes.spend()
+                sub = clique + (v,)
+                if not _connected_without(adj, mask_of(sub)):
+                    return sub
+                grown.append((sub, later & adj[v] >> v + 1 << v + 1))
+        level = grown
     return None
 
 

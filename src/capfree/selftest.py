@@ -28,8 +28,8 @@ from .solvers import (ceil_three_halves, chromatic_number, greedy_color,
                       is_proper_coloring, mwss)
 from .treewidth import (TreeDecomposition, chordal_clique_number,
                         skeleton_tree_decomposition)
-from .twins import (clique_number_via_skeleton, extract_skeleton,
-                    lift_tree_decomposition, twin_classes,
+from .twins import (SkeletonDecomposition, clique_number_via_skeleton,
+                    extract_skeleton, lift_tree_decomposition, twin_classes,
                     twin_classes_quadratic)
 
 
@@ -238,12 +238,14 @@ def criterion_6_atom_treewidth() -> CriterionResult:
                         else (), ())
                     omega = atom.graph.n
                 else:
-                    if atom.nice is None:
+                    sd = atom.extracted
+                    td = (skeleton_tree_decomposition(sd.skeleton)
+                          if isinstance(sd, SkeletonDecomposition) else None)
+                    if not isinstance(td, TreeDecomposition):
                         violations += 1
                         continue
-                    td = lift_tree_decomposition(
-                        atom.nice.as_tree_decomposition(), atom.extracted)
-                    omega = clique_number_via_skeleton(atom.extracted)
+                    td = lift_tree_decomposition(td, sd)
+                    omega = clique_number_via_skeleton(sd)
                 if not td.is_valid(atom.graph) or td.width > 6 * omega - 1:
                     violations += 1
         return violations == 0, \

@@ -3,45 +3,42 @@ decomposition stack.
 
 Every call reads the cutset tree and one Atom record per leaf from
 decomposition.decompose, each built once per call and only when the call
-reaches it: the skeleton extraction, and the nice form of the skeleton's
-width-5 tree decomposition only when a DP needs it.  Both DPs below run
-on that one nice form through one driver, _nice_dp; each gives only its
-table rules and what it reads off the traceback.  One per-atom step,
-_color_atom, serves chromatic_number and q_color_graph; clique_number
-reads the skeleton alone.  A complete atom has neither a skeleton nor a
-graph of its own: the solvers answer it from its size and the root's
-masks.
+reaches it: the skeleton extraction, and the nice form of the min-fill
+decomposition of the atom's twin quotient, at any width, only when a DP
+needs it.  Both DPs below run on that one nice form through one driver,
+_nice_dp, which counts their table entries against the atom's budget;
+each gives only its table rules and what it reads off the traceback.  One
+per-atom step, _color_atom, serves chromatic_number and q_color_graph;
+clique_number reads the skeleton alone.  A complete atom is answered from
+its size and the root's masks.
 
-Coloring runs the count DP, _multicolor_dp, over a nice tree
-decomposition: vertex v needs demand[v] colors, adjacent vertices get
-disjoint ones, and one pass finds the fewest colors up to a cap.  An atom
-is a blow-up of its skeleton plus a universal clique U, so its twin
-classes become demands on the skeleton's width-5 decomposition and U takes
-|U| colors of its own; q_color runs the same DP with every demand 1 on any
-decomposition.  Stable sets run the DP _stable_dp on the skeleton alone:
-every query of Tarjan's clique-cutset recursion weighs each class by its
-heaviest survivor and bars the classes it deletes entirely, and the
-heaviest survivor of U, complete to the atom, stands alone against the
-skeleton's answer.  Clique cutsets combine atom answers to the whole
-graph (color permutation for coloring, Tarjan's reweighting for stable
-sets).  Atoms without usable structure fall back to the brute-force
-oracles through Atom.brute, each search under a budget of nodes; past it
-the instance is reported unsupported, never answered wrongly.  Returned
-answers are re-checked by certify, which raises CertificateError under
-python -O too.
+Any other atom, in the class or not, is a clique blow-up of its twin
+quotient plus a universal clique U.  Coloring runs the count DP,
+_multicolor_dp: vertex v needs demand[v] colors, adjacent vertices get
+disjoint ones, and one pass finds the fewest colors up to a cap; the twin
+classes are the demands and U takes |U| colors of its own.  Stable sets
+run _stable_dp on the quotient alone: every query of Tarjan's
+clique-cutset recursion weighs each class by its heaviest survivor and
+bars the classes it deletes entirely, and the heaviest survivor of U
+stands alone against the quotient's answer.  Clique cutsets combine atom
+answers (color permutation, Tarjan's reweighting).  Brute force serves
+only the clique number of an atom whose quotient has a triangle and a
+coloring whose DP ran out; past the budget the instance is reported
+unsupported, never answered wrongly.  Returned answers are re-checked by
+certify, which raises CertificateError under python -O too.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .decomposition import (Atom, DecompositionTree,
                             UnsupportedInstanceError, decompose)
-from .graphs import (Graph, induced_subgraph, mask_members, mask_of,
-                     vertex_set)
-from .oracles import DEFAULT_BUDGET, certify
+from .graphs import Graph, mask_members, mask_of, vertex_set
+from .oracles import DEFAULT_BUDGET, SearchBudgetExceeded, certify
 from .treewidth import (NiceDecomposition, TreeDecomposition,
                         nice_decomposition)
 from .twins import (SkeletonDecomposition, clique_number_via_skeleton,
@@ -98,18 +95,23 @@ def is_proper_coloring(g: Graph, colors: Sequence[int],
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
-def _nice_dp(nd: NiceDecomposition, empty, introduce, forget, join, drop):
+def _nice_dp(nd: NiceDecomposition, empty, introduce, forget, join, drop,
+             search: str, budget: Optional[int]):
     """The post-order pass both DPs run, and its traceback.
 
     A table maps keys (bag states) to values; a leaf's is {empty: 0}, and
-    the rules build whole tables: introduce(table, v), join(left, right),
-    and forget(table, v), which also returns the child key kept for each
-    key.  A child's table is dropped once its parent is built.  None when
-    a table is empty; else the root's value and a generator of (forget
-    node, chosen child key), parents first.  drop(key, bit) clears an
-    introduced vertex from a key on the way down.
+    the rules build whole tables: introduce(table, v, room), join(left,
+    right), and forget(table, v), which also returns the child key kept
+    for each key.  A child's table is dropped once its parent is built.
+    Each table entry is one node of budget (None: no bound); introduce,
+    the only rule that grows a table, may stop once it holds more than
+    room, the nodes left, and SearchBudgetExceeded then names search.
+    None when a table is empty; else the root's value and a generator of
+    (forget node, chosen child key), parents first.  drop(key, bit) clears
+    an introduced vertex from a key on the way down.
     """
     nodes = nd.nodes
+    left = math.inf if budget is None else budget
     tables: list[Optional[dict]] = [None] * len(nodes)
     choice: dict[int, dict] = {}
     for idx, node in enumerate(nodes):
@@ -117,11 +119,14 @@ def _nice_dp(nd: NiceDecomposition, empty, introduce, forget, join, drop):
         if kind == "leaf":
             table = {empty: 0}
         elif kind == "introduce":
-            table = introduce(tables[kids[0]], node.vertex)
+            table = introduce(tables[kids[0]], node.vertex, left)
         elif kind == "forget":
             table, choice[idx] = forget(tables[kids[0]], node.vertex)
         else:
             table = join(tables[kids[0]], tables[kids[1]])
+        left -= len(table)
+        if left < 0:
+            raise SearchBudgetExceeded(search, budget)
         for kid in kids:
             tables[kid] = None
         if not table:
@@ -148,10 +153,11 @@ def _nice_dp(nd: NiceDecomposition, empty, introduce, forget, join, drop):
 
 
 def _stable_dp(graph: Graph, nd: NiceDecomposition, allowed: int,
-               weights: Sequence[int]) -> tuple[int, list[int]]:
+               weights: Sequence[int], budget: Optional[int] = None
+               ) -> tuple[int, list[int]]:
     """The heaviest stable set of graph within the vertex mask allowed, as
     (weight, its vertices); vertex v adds weights[v], counted when it is
-    forgotten.
+    forgotten.  Its tables may hold budget entries in all.
 
     A key is the bitmask of the bag vertices taken.  Introduce keeps every
     key with v left out and, when v is allowed and has no taken neighbour,
@@ -160,7 +166,7 @@ def _stable_dp(graph: Graph, nd: NiceDecomposition, allowed: int,
     Join adds the two sides' values: each side holds every allowed stable
     subset of the bag.
     """
-    def introduce(table, v):
+    def introduce(table, v, room):
         bit, nbrs = 1 << v, graph.mask(v)
         if not allowed & bit:
             return table
@@ -188,7 +194,8 @@ def _stable_dp(graph: Graph, nd: NiceDecomposition, allowed: int,
         return {key: value + right[key] for key, value in left.items()}
 
     value, steps = _nice_dp(nd, 0, introduce, forget, join,
-                            lambda key, bit: key & ~bit)
+                            lambda key, bit: key & ~bit,
+                            "the stable-set DP", budget)
     return value, [node.vertex for node, key in steps
                    if key >> node.vertex & 1]
 
@@ -200,11 +207,13 @@ def _without(key: tuple[int, ...], bit: int) -> tuple[int, ...]:
 
 
 def _multicolor_dp(graph: Graph, nd: NiceDecomposition,
-                   demand: Sequence[int], cap: int
+                   demand: Sequence[int], cap: int,
+                   budget: Optional[int] = None
                    ) -> Optional[tuple[int, list[list[int]]]]:
     """The fewest colors, at most cap, that give every vertex v demand[v]
     colors with adjacent vertices' colors disjoint, and a sorted color
-    list per vertex; None when cap colors do not suffice.
+    list per vertex; None when cap colors do not suffice.  Its tables may
+    hold budget entries in all.
 
     A key holds one entry per color held in the bag: the bitmask of the
     bag vertices that hold it, an independent set; entries are sorted, so
@@ -226,10 +235,12 @@ def _multicolor_dp(graph: Graph, nd: NiceDecomposition,
     free, since a key never has more entries than its value, which is at
     most the total.
     """
-    def introduce(table, v):
+    def introduce(table, v, room):
         bit, nbrs, d = 1 << v, graph.mask(v), demand[v]
         out = {}
         for key, value in table.items():
+            if len(out) > room:
+                break
             # Entries that may take v, grouped by mask (equal masks sit
             # together in the sorted key).
             fixed = []
@@ -268,7 +279,8 @@ def _multicolor_dp(graph: Graph, nd: NiceDecomposition,
         return {key: max(value, right[key])
                 for key, value in left.items() if key in right}
 
-    found = _nice_dp(nd, (), introduce, forget, join, _without)
+    found = _nice_dp(nd, (), introduce, forget, join, _without,
+                     "the coloring DP", budget)
     if found is None:
         return None
     total, steps = found
@@ -292,8 +304,8 @@ def _multicolor_dp(graph: Graph, nd: NiceDecomposition,
 def q_color(atom: Graph, td: TreeDecomposition, q: int
             ) -> Optional[list[int]]:
     """A proper q-coloring of the atom via the count DP over the
-    decomposition's nice form (every demand 1), or None when no
-    q-coloring exists."""
+    decomposition's nice form (every demand 1), with no bound on its
+    tables, or None when no q-coloring exists."""
     if q < 1:
         raise ValueError("q must be at least 1")
     if not td.is_valid(atom):
@@ -342,26 +354,25 @@ def combine_colorings(tree: DecompositionTree,
 
 
 def _color_atom(atom: Atom, cap: int) -> Optional[tuple[int, list[int]]]:
-    """(chi, coloring) of the atom, or None for a structured atom that
-    needs more than cap colors.  Complete atoms and atoms without
-    structure get their chromatic number whatever the cap, the latter by
-    brute force.
-
-    A structured atom is colored by one pass of the count DP over its
-    skeleton's width-5 decomposition: skeleton vertex v needs |class v|
-    colors, its class members take one each, and the universal clique
-    takes the |U| colors after the DP's total.
+    """(chi, coloring) of the atom, or None for an atom that needs more
+    than cap colors.  A complete atom gets its chromatic number whatever
+    the cap, and so does an atom whose DP runs out of budget, by brute
+    force.  The count DP runs over the twin quotient's decomposition:
+    quotient vertex v needs |class v| colors, its class members take one
+    each, and the universal clique takes the |U| colors after the DP's
+    total.
     """
     if atom.complete:
         n = len(atom.vertices)
         return n, list(range(1, n + 1))
-    if atom.nice is None:
-        result = atom.brute("chromatic")
-        return result.value, list(result.witness)
     sd = atom.extracted
-    found = _multicolor_dp(sd.skeleton, atom.nice,
-                           [len(cls) for cls in sd.classes],
-                           cap - len(sd.universal))
+    try:
+        found = _multicolor_dp(sd.quotient, atom.nice,
+                               [len(cls) for cls in sd.classes],
+                               cap - len(sd.universal), atom.budget)
+    except SearchBudgetExceeded as exc:
+        result = atom.brute("chromatic", f"atom is undecided: {exc}")
+        return result.value, list(result.witness)
     if found is None:
         return None
     total, lists = found
@@ -381,12 +392,10 @@ def chromatic_number(g: Graph, *, budget: int = DEFAULT_BUDGET
                      ) -> tuple[int, list[int]]:
     """Exact chromatic number with a proper coloring.
 
-    Per atom: one pass of the count DP over the skeleton's decomposition
-    (_color_atom), capped at ceil(3/2 omega) colors.  Atoms without class
-    structure, or that need more colors than the cap (which proves the
-    atom is outside the class), use the brute oracle.
-    The DP's tables grow with the skeleton's width (at most 5) and the
-    cap, not with the twin classes' members.
+    Per atom, the count DP (_color_atom) capped at ceil(3/2 omega) colors
+    for an in-class atom, else or past that at the number of colors
+    greedy_color uses, which always suffices.  Its tables grow with the
+    quotient's width and the cap, not with the twin classes' members.
     """
     if g.n == 0:
         return 0, []
@@ -394,16 +403,13 @@ def chromatic_number(g: Graph, *, budget: int = DEFAULT_BUDGET
     per_leaf: list[dict[int, int]] = []
     chi = 1
     for atom in atoms:
-        omega = (0 if atom.nice is None
-                 else clique_number_via_skeleton(atom.extracted))
-        cap = ceil_three_halves(omega)
-        found = _color_atom(atom, cap)
+        sd = atom.extracted
+        found = None
+        if atom.complete or isinstance(sd, SkeletonDecomposition):
+            omega = 0 if atom.complete else clique_number_via_skeleton(sd)
+            found = _color_atom(atom, ceil_three_halves(omega))
         if found is None:
-            result = atom.brute(
-                "chromatic",
-                reason=f"is outside the class: it needs more than {cap} "
-                       f"colors")
-            found = result.value, list(result.witness)
+            found = _color_atom(atom, max(greedy_color(atom.graph)))
         chi = max(chi, found[0])
         per_leaf.append(dict(zip(atom.vertices, found[1])))
     coloring = combine_colorings(tree, per_leaf, chi)
@@ -448,7 +454,9 @@ def clique_number(g: Graph, *, budget: int = DEFAULT_BUDGET
             local = max_clique_via_skeleton(atom.extracted)
             value = len(local)
         else:
-            result = atom.brute("max-clique")
+            result = atom.brute(
+                "max-clique", "atom is outside the class: its would-be "
+                              "skeleton has a triangle")
             value, local = result.value, result.witness
         # The atom is induced, so a clique of it is one of g.
         found = vertex_set(atom.vertices[v] for v in local)
@@ -473,13 +481,13 @@ def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int]
     root id.  mwss asks this of an atom minus its cutset, or minus a
     closed neighborhood, under the current weights.
 
-    A structured atom runs the stable-set DP on its skeleton alone, over
-    the atom's shared nice decomposition: each class is weighted by its
-    heaviest survivor, and classes left without a vertex may not be taken.
-    The universal clique U needs no DP: U is complete to the atom, so a
-    stable set that takes a vertex of U is that vertex alone, and the
-    heaviest survivor of U replaces the skeleton's set when it is heavier.
-    Unstructured atoms fall back to brute force.
+    A non-complete atom runs the stable-set DP on its twin quotient over
+    the atom's shared nice decomposition: each class weighs its heaviest
+    survivor, and classes left without one may not be taken.  A stable set
+    that takes a vertex of the universal clique U, complete to the atom,
+    is that vertex alone: the heaviest survivor of U replaces the
+    quotient's set when heavier.  A DP past the atom's budget raises
+    UnsupportedInstanceError.
     """
     survivors = [v for v in range(len(atom.vertices)) if v not in deleted]
     if not survivors:
@@ -490,12 +498,6 @@ def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int]
         if local_w[best] <= 0:
             return 0, ()
         return local_w[best], (atom.vertices[best],)
-    if atom.nice is None:
-        sub, sub_back = induced_subgraph(atom.graph, survivors)
-        res = atom.brute("mwss",
-                         sub.with_weights([local_w[v] for v in survivors]))
-        return res.value, vertex_set(atom.vertices[sub_back[v]]
-                                     for v in res.witness)
     sd = atom.extracted
     # Restriction soundness: surviving universal vertices stay universal
     # and surviving class members stay true twins.
@@ -512,9 +514,12 @@ def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int]
         assert len(masks) <= 1, "restricted class is not a twin class"
         reps.append(min(alive, key=lambda v: -local_w[v]) if alive else None)
         allowed |= bool(alive) << i
-    value, taken = _stable_dp(
-        sd.skeleton, atom.nice, allowed,
-        [0 if r is None else local_w[r] for r in reps])
+    try:
+        value, taken = _stable_dp(
+            sd.quotient, atom.nice, allowed,
+            [0 if r is None else local_w[r] for r in reps], atom.budget)
+    except SearchBudgetExceeded as exc:
+        raise UnsupportedInstanceError(f"atom is undecided: {exc}") from exc
     picked = [reps[i] for i in taken]
     if universal_left:
         top = min(universal_left, key=lambda v: -local_w[v])

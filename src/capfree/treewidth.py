@@ -358,11 +358,8 @@ def _branches(adj: list[int], live: int, k: int) -> list[int]:
     return [v for _, _, v in keyed]
 
 
-SkeletonTwResult = Union[TreeDecomposition, TreewidthReject]
-
-
 def skeleton_tree_decomposition(f: Graph, *, budget: int = DEFAULT_BUDGET
-                                ) -> SkeletonTwResult:
+                                ) -> Union[TreeDecomposition, TreewidthReject]:
     """Width <= 5 tree decomposition of a triangle-free graph, or a
     TreewidthReject proving width > 5 (so f is not a triangle-free
     odd-signable skeleton).
@@ -372,8 +369,6 @@ def skeleton_tree_decomposition(f: Graph, *, budget: int = DEFAULT_BUDGET
     """
     if find_forbidden_induced(f, "triangle") is not None:
         raise ValueError("input has a triangle")
-    if f.n == 0:
-        return TreeDecomposition((), ())
     td = min_fill_decomposition(f)
     if td.width <= 5:
         return td

@@ -5,7 +5,8 @@ An atom (no clique cutset) of a (cap, 4-hole)-free graph is a blow-up of a
 triangle-free, cutset-free skeleton plus a universal clique.  The skeleton
 is recovered from the twin classes of the atom minus its universal
 vertices; extraction validates the shape and rejects with a triangle of
-the would-be skeleton otherwise.  One grouping by closed neighbour mask
+the would-be skeleton otherwise, keeping that twin quotient for the
+solvers.  One grouping by closed neighbour mask
 gives the twin classes of a graph (twin_classes) and of an atom minus its
 universal vertices (extract_skeleton); twin_classes_quadratic is the
 pairwise reference, on neighbour sets.
@@ -64,13 +65,22 @@ class SkeletonDecomposition:
     def representatives(self) -> tuple[int, ...]:
         return tuple(cls[0] for cls in self.classes)
 
+    @property
+    def quotient(self) -> Graph:
+        return self.skeleton
+
 
 @dataclass(frozen=True)
 class SkeletonReject:
     """Certificate that an atom is not a blow-up of a triangle-free
-    skeleton: a triangle among class representatives (atom vertex ids)."""
+    skeleton: a triangle among class representatives (atom vertex ids),
+    with the twin quotient that has it (the atom induced on them), its
+    classes and universal clique, which the solvers read."""
     kind: str       # always "triangle"
     vertices: tuple[int, ...]
+    quotient: Graph
+    classes: tuple[tuple[int, ...], ...]
+    universal: tuple[int, ...]
 
 
 COMPLETE_ATOM = "complete-atom"
@@ -106,7 +116,8 @@ def extract_skeleton(atom: Graph) -> ExtractResult:
     tri = find_forbidden_induced(skeleton, "triangle")
     if tri is not None:
         return SkeletonReject("triangle",
-                              tuple(reps[i] for i in tri.vertices))
+                              tuple(reps[i] for i in tri.vertices),
+                              skeleton, classes, universal)
     return SkeletonDecomposition(atom, skeleton, classes, universal)
 
 

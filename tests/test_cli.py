@@ -266,7 +266,7 @@ def test_failed_recheck_exit_code_under_python_O(graph_file):
     script = (
         "import sys\n"
         "from capfree import cli, solvers\n"
-        "solvers._stable_dp = lambda g, nd, allowed, w: (\n"
+        "solvers._stable_dp = lambda g, nd, allowed, w, budget: (\n"
         "    0, list(g.vertices()))\n"
         "sys.exit(cli.main(['mwss', sys.argv[1]]))\n")
     f = graph_file("g1.graph", blow_up(hole(5), [2] * 5))

@@ -228,6 +228,19 @@ def test_exact_width_search_does_not_recurse():
     assert result == TreewidthReject(5)
 
 
+def test_solvers_answer_the_subdivided_grid_by_its_decomposition():
+    # The width-5 search cannot decompose this graph, and brute force is
+    # exponential in its 1057 vertices; the DPs over its min-fill
+    # decomposition answer in well under a second each.
+    g = subdivided_grid(7, 12)
+    start = time.perf_counter()
+    result = mwss(g)
+    chi, colors = chromatic_number(g)
+    assert time.perf_counter() - start < 10
+    assert result.weight == 529 and g.is_stable(result.vertices)
+    assert chi == 2 and is_proper_coloring(g, colors, 2)
+
+
 def test_long_hole_recognition_does_not_recurse():
     # The even-hole oracle extends one path around the whole 996-vertex
     # skeleton, more steps than the default recursion limit of 1000 frames

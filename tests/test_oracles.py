@@ -15,7 +15,9 @@ from capfree.oracles import (ForbiddenWitness, SearchBudgetExceeded,
                              holes_of, odd_signing, odd_signable_signing,
                              verify_witness)
 from capfree.selftest import small_graph_pool
-from capfree.treewidth import skeleton_tree_decomposition
+from capfree.solvers import _multicolor_dp, _stable_dp, greedy_color
+from capfree.treewidth import (min_fill_decomposition, nice_decomposition,
+                               skeleton_tree_decomposition)
 
 EVEN_WHEEL = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0),
                        (4, 0), (4, 1), (4, 2), (4, 3)])
@@ -277,17 +279,30 @@ def test_brute_guard_reports():
 GNP30 = gnp(30, 0.5, 1)
 K66 = Graph(12, [(i, 6 + j) for i in range(6) for j in range(6)])
 
+
+def _dp_over_min_fill(dp, args):
+    """dp over the nice form of g's min-fill decomposition, with the
+    further arguments args(g)."""
+    return lambda g, **kw: dp(
+        g, nice_decomposition(min_fill_decomposition(g)), *args(g), **kw)
+
+
 # Each exhaustive search, a graph it answers at its default budget, and a
-# budget it runs out of there.  The brute-force clique-cutset search tries
-# every vertex subset, so it answers a 14-vertex graph but not GNP30.
+# budget it runs out of there.  The brute-force clique-cutset search grows
+# cliques, so it answers GNP30 by testing its 1,441 cliques.  The DPs count
+# their table entries: the stable-set DP takes every vertex of GNP30 at
+# weight 1, and the coloring DP colors K6,6 with the colors greedy uses.
 BUDGETED_SEARCHES = {
     "width-5": (lambda g, **kw: skeleton_tree_decomposition(g, **kw),
                 K66, 0),
     **{problem: (lambda g, problem=problem, **kw:
                  brute_solve(g, problem, **kw), GNP30, 10)
-       for problem in ("max-clique", "mwss", "chromatic")},
-    "clique-cutset": (lambda g, **kw: brute_solve(g, "clique-cutset", **kw),
-                      gnp(14, 0.5, 1), 1000),
+       for problem in ("max-clique", "mwss", "chromatic", "clique-cutset")},
+    "stable-set DP": (_dp_over_min_fill(
+        _stable_dp, lambda g: ((1 << g.n) - 1, [1] * g.n)), GNP30, 10),
+    "coloring DP": (_dp_over_min_fill(
+        _multicolor_dp, lambda g: ([1] * g.n, max(greedy_color(g)))),
+        K66, 10),
     "chordless-cycles": (enumerate_chordless_cycles, GNP30, 10),
     **{kind: (lambda g, kind=kind, **kw:
               find_forbidden_induced(g, kind, **kw), GNP30, 10)

@@ -70,7 +70,7 @@ def digest() -> str:
 
 
 PINNED_CLI_DIGEST = (
-    "cc2a978880efbc6f8aa47d372c96a604931ee9d947484e5522244d022497d2d0")
+    "7eaf74a8a10618b2d266ab57e45aaca57fe3fb85ba699f5855e0dc3ce3f976b8")
 
 
 def test_cli_outputs_match_their_pin():

@@ -5,11 +5,13 @@ from pathlib import Path
 import pytest
 
 from capfree import decomposition, solvers
-from capfree.construct import GeneratorParams, generate_instance
+from capfree.construct import (TARGET_CLASSES, GeneratorParams,
+                               generate_instance)
 from capfree.decomposition import clique_cutset_tree, decompose
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
                             gnp, hajos, hole, path)
 from capfree.oracles import CertificateError, brute_solve
+from capfree.recognition import recognize
 from capfree.rng import Xoshiro256StarStar
 from capfree.solvers import (StableSetResult, UnsupportedInstanceError,
                              ceil_three_halves, chromatic_number,
@@ -18,8 +20,9 @@ from capfree.solvers import (StableSetResult, UnsupportedInstanceError,
                              q_color, q_color_graph)
 from capfree.treewidth import (min_fill_decomposition, nice_decomposition,
                                skeleton_tree_decomposition)
-from capfree.twins import (clique_number_via_skeleton, extract_skeleton,
-                           lift_tree_decomposition)
+from capfree.twins import (SkeletonReject, clique_number_via_skeleton,
+                           extract_skeleton, lift_tree_decomposition)
+from test_pinned_cli import REJECT_FIXTURES
 
 G1 = blow_up(hole(5), [2] * 5)
 
@@ -312,17 +315,17 @@ def test_coloring_builds_one_nice_decomposition_per_structured_atom(
     assert calls["nice"] == calls["dp"] == structured
 
 
-def _improper(graph, nd, allowed, weights):
+def _improper(graph, nd, allowed, weights, budget=None):
     """Every vertex taken: not a stable set."""
     return 0, list(graph.vertices())
 
 
-def _all_color_one(graph, nd, demand, cap):
+def _all_color_one(graph, nd, demand, cap, budget=None):
     """Color 1 for every vertex, as often as it needs colors."""
     return 1, [[1] * d for d in demand]
 
 
-def _overlapping_lists(graph, nd, demand, cap):
+def _overlapping_lists(graph, nd, demand, cap, budget=None):
     """Colors 1..d for every vertex: adjacent vertices' lists overlap."""
     return max(demand), [list(range(1, d + 1)) for d in demand]
 
@@ -343,9 +346,9 @@ def test_improper_dp_labelling_is_caught(monkeypatch, call, dp, fake):
 def test_improper_dp_labelling_is_caught_under_python_O():
     script = (
         "from capfree import solvers, blow_up, hole\n"
-        "solvers._multicolor_dp = lambda g, nd, demand, cap: (\n"
+        "solvers._multicolor_dp = lambda g, nd, demand, cap, budget: (\n"
         "    1, [[1] * d for d in demand])\n"
-        "solvers._stable_dp = lambda g, nd, allowed, w: (\n"
+        "solvers._stable_dp = lambda g, nd, allowed, w, budget: (\n"
         "    0, list(g.vertices()))\n"
         "g = blow_up(hole(5), [2] * 5)\n"
         "for call in (lambda: solvers.q_color_graph(g, 5),\n"
@@ -380,14 +383,15 @@ def test_unsupported_raises_beyond_guard():
 
 
 def test_brute_force_answers_out_of_class_atoms_within_the_budget():
-    # One 40-vertex atom whose would-be skeleton has a triangle: its brute
-    # cliques and colorings take 179 and 809 nodes, its stable sets 1.87 M.
+    # One 40-vertex atom whose twin quotient has a triangle: its brute
+    # cliques and colorings take 179 and 809 nodes, the latter once the
+    # coloring DP has run out.  Its stable sets need 1.87 M brute-force
+    # nodes, but the stable-set DP over its width-13 decomposition answers
+    # at the default budget.
     g = gnp(40, 0.15, 5)
     assert clique_number(g)[0] == brute_solve(g, "max-clique").value
     assert chromatic_number(g)[0] == brute_solve(g, "chromatic").value
-    with pytest.raises(UnsupportedInstanceError, match="budget of 200000 "):
-        mwss(g)
-    assert mwss(g, budget=2_000_000).weight \
+    assert mwss(g).weight == 15 \
         == brute_solve(g, "mwss", budget=2_000_000).value
 
 
@@ -422,6 +426,38 @@ def test_chromatic_range_exhaustion_falls_back():
     assert is_proper_coloring(g, colors, chi)
 
 
+def _out_of_class_graphs():
+    """The graphs of at most 12 vertices that the tests draw and that
+    neither class holds: the prism, house and K2,3 fixtures of the pinned
+    CLI test and the gnp draws of test_agreement_with_brute_on_random."""
+    graphs = {name: REJECT_FIXTURES[name]()
+              for name in ("prism", "house", "K23")}
+    for seed in range(30):
+        graphs[f"gnp{seed}"] = gnp(5 + seed % 9, (0.25, 0.5)[seed % 2],
+                                   7100 + seed)
+    return [(name, g) for name, g in graphs.items() if g.n <= 12
+            and not any(recognize(g, cls).accepted for cls in TARGET_CLASSES)]
+
+
+def test_out_of_class_graphs_agree_with_brute():
+    # Every atom runs the DPs over its twin quotient, which may have a
+    # triangle; the answers must still be exact.
+    triangle_quotients = 0
+    for name, g in _out_of_class_graphs():
+        triangle_quotients += sum(isinstance(atom.extracted, SkeletonReject)
+                                  for atom in decompose(g)[1])
+        rng = Xoshiro256StarStar(len(name))
+        w = [rng.below(50) for _ in range(g.n)]
+        assert mwss(g, w).weight \
+            == brute_solve(g.with_weights(w), "mwss").value, name
+        chi, colors = chromatic_number(g)
+        assert chi == brute_solve(g, "chromatic").value, name
+        assert is_proper_coloring(g, colors, chi)
+        assert q_color_graph(g, chi) is not None, name
+        assert q_color_graph(g, chi - 1) is None, name
+    assert triangle_quotients >= 10
+
+
 def test_mwss_structured_path_is_exact_outside_class():
     # The stable-set DP only needs the blow-up structure, not membership.
     g = grotzsch()
@@ -440,28 +476,62 @@ def test_clique_number_reads_only_the_skeleton():
     assert clique_number(GRID6) == (2, (0, 1))
 
 
-# An atom without structure whose brute-force search runs out of its budget
-# names why it has none: a shape reject, a proof of width above 5, a
-# chromatic number above ceil(3/2 omega), or an exhausted width-5 search,
-# which is undecided.  The K7,7 proof takes 1 search node and its brute
-# mwss 703.
-@pytest.mark.parametrize("call, reason", [
-    (lambda: mwss(GRID6, budget=50),
-     "is undecided: the width-5 search ran out of its budget of 50 nodes"),
+# An atom the solvers cannot answer within the budget names each search
+# that ran out: the stable-set DP, which has no fallback; the coloring DP,
+# then the brute-force coloring; or, for the clique number of an atom whose
+# twin quotient has a triangle, the brute-force clique search.
+DP_OUT = "atom is undecided: the {} DP ran out of its budget of {} nodes"
+BRUTE_OUT = "; the brute-force {} search ran out of its budget of {} nodes"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mwss(GRID6, budget=50), DP_OUT.format("stable-set", 50)),
     (lambda: chromatic_number(GRID6, budget=50),
-     "is undecided: the width-5 search ran out of its budget of 50 nodes"),
+     DP_OUT.format("coloring", 50) + BRUTE_OUT.format("chromatic", 50)),
     (lambda: mwss(Graph(14, [(i, 7 + j) for i in range(7)
                              for j in range(7)]), budget=10),
-     "is outside the class: its skeleton has treewidth above 5"),
+     DP_OUT.format("stable-set", 10)),
     (lambda: clique_number(gnp(30, 0.5, 1), budget=10),
-     "is outside the class: its would-be skeleton has a triangle"),
+     "atom is outside the class: its would-be skeleton has a triangle"
+     + BRUTE_OUT.format("max-clique", 10)),
     (lambda: chromatic_number(grotzsch(), budget=5),
-     "is outside the class: it needs more than 3 colors")],
+     DP_OUT.format("coloring", 5) + BRUTE_OUT.format("chromatic", 5))],
     ids=["grid6-mwss", "grid6-chromatic", "K77", "gnp", "grotzsch"])
-def test_unsupported_names_its_reason(call, reason):
+def test_unsupported_names_its_reason(call, message):
     with pytest.raises(UnsupportedInstanceError) as info:
         call()
-    assert str(info.value).startswith(f"atom {reason}; ")
+    assert str(info.value) == message
+
+
+def test_chromatic_number_of_a_dense_atom_stays_small():
+    # The coloring DP over these atoms' twin quotients (width 20, and width
+    # 7 with demands 6) outgrows the budget at the greedy cap.  It must stop
+    # there, inside the introduce step that crosses it, rather than build
+    # its tables (one such step on the blow-up makes 1.66 M entries and
+    # 580 MB when unchecked), and brute force then answers.  Their own
+    # process reports its peak resident size in bytes.
+    script = (
+        "import resource, sys\n"
+        "from capfree import blow_up, brute_solve, chromatic_number, gnp\n"
+        "from capfree.solvers import UnsupportedInstanceError\n"
+        "for g in (gnp(30, 0.5, 1), blow_up(gnp(12, 0.4, 2), [6] * 12)):\n"
+        "    try:\n"
+        "        chi = chromatic_number(g)[0]\n"
+        "        print(chi == brute_solve(g, 'chromatic').value)\n"
+        "    except UnsupportedInstanceError as exc:\n"
+        "        print(exc)\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(peak * (1 if sys.platform == 'darwin' else 1024))\n")
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    *answers, peak = done.stdout.splitlines()
+    assert len(answers) == 2
+    for answer in answers:
+        assert answer == "True" \
+            or "the coloring DP ran out of its budget" in answer
+    assert int(peak) < 200 * 2 ** 20
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
