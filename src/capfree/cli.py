@@ -26,8 +26,8 @@ from .oracles import (BRUTE_PROBLEMS, DEFAULT_BUDGET, ForbiddenWitness,
                       enumerate_chordless_cycles, find_forbidden_induced,
                       odd_signable_signing)
 from .recognition import recognize
-from .solvers import (UnsupportedInstanceError, chromatic_number,
-                      clique_number, greedy_color, mwss, q_color_graph)
+from .solvers import (chromatic_number, clique_number, greedy_color, mwss,
+                      q_color_graph)
 from .treewidth import (TreewidthReject, min_fill_decomposition,
                         skeleton_tree_decomposition)
 from .twins import (COMPLETE_ATOM, SkeletonReject, extract_skeleton)
@@ -348,7 +348,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FileNotFoundError as exc:
         _info(f"input error: {exc}")
         return USAGE_ERROR
-    except (UnsupportedInstanceError, SearchBudgetExceeded) as exc:
+    except SearchBudgetExceeded as exc:
         _emit({"error": "undecided", "detail": str(exc)})
         return UNDECIDED_EXIT
     except ValueError as exc:

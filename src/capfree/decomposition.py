@@ -68,7 +68,9 @@ def find_clique_cutset(g: Graph
 class DecompositionNode:
     """Node of the decomposition tree over root-graph vertex ids.  A leaf
     holds its atom; an internal node gathers its vertices, the union of
-    the atoms below it, by a walk down the spine on first read."""
+    the atoms below it, by a walk down the spine on first read.  Equality,
+    hash and repr are structural, as a dataclass's, but walk the tree on
+    a stack, so a spine of any length stays within the recursion limit."""
     atom: Optional[tuple[int, ...]]
     cutset: Optional[tuple[int, ...]] = None
     left: Optional["DecompositionNode"] = None
@@ -77,6 +79,40 @@ class DecompositionNode:
     @property
     def is_leaf(self) -> bool:
         return self.cutset is None
+
+    def _preorder(self) -> Iterator[Optional[tuple]]:
+        """(atom, cutset) of each node in preorder, None for a missing
+        child: a form that tells the tree apart from every other."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                yield None
+            else:
+                yield node.atom, node.cutset
+                stack += [node.right, node.left]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return list(self._preorder()) == list(other._preorder())
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self) -> str:
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif item is None:
+                out.append("None")
+            else:
+                out.append(f"{type(item).__qualname__}(atom={item.atom!r}, "
+                           f"cutset={item.cutset!r}, left=")
+                stack += [")", item.right, ", right=", item.left]
+        return "".join(out)
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
@@ -120,7 +156,7 @@ class DecompositionTree:
         return out
 
 
-class UnsupportedInstanceError(RuntimeError):
+class UnsupportedInstanceError(SearchBudgetExceeded):
     """A solver's work on an atom ran out of its budget: the DP over the
     atom's decomposition, or a brute-force search where one serves.  The
     message names each search that ran out and its budget."""

@@ -11,9 +11,9 @@ oracle.  The chordless-cycle enumerations find each cycle as a vertex and
 an induced path between two of its neighbours, and the theta and prism
 finders join pairs of branch vertices by induced paths.  The search and
 the brute-force solvers run on explicit stacks, so no input size meets
-Python's recursion limit, and count their nodes against a keyword-only
-budget: unbounded by default for the cycle oracles and finders,
-DEFAULT_BUDGET for brute force.
+Python's recursion limit.  Every budgeted search of the package counts
+its nodes on a NodeBudget, under a keyword-only budget: unbounded by
+default for the cycle oracles and finders, DEFAULT_BUDGET for brute force.
 """
 
 from __future__ import annotations
@@ -31,26 +31,26 @@ DEFAULT_BUDGET = 200_000
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """An exhaustive search visited more nodes than its budget allows; its
-    answer is undecided, never silently wrong."""
-
-    def __init__(self, search: str, budget: int):
-        super().__init__(f"{search} ran out of its budget of {budget} nodes")
+    """A search ran out of its NodeBudget; its answer is undecided, never
+    silently wrong."""
 
 
-class _Nodes:
+class NodeBudget:
     """The nodes one search may still visit, None for no bound: the pops
     of _induced_paths over one enumeration or finder, the frames, steps
-    or subsets of a brute-force search (over every q of a chromatic one)."""
+    or subsets of a brute-force search (over every q of a chromatic one),
+    the nodes of an exact width-k search, the table entries of a DP; the
+    one place that raises SearchBudgetExceeded."""
 
     def __init__(self, search: str, budget: Optional[int]):
         self.search, self.budget = search, budget
         self.left = math.inf if budget is None else budget
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, count: int = 1) -> None:
+        self.left -= count
         if self.left < 0:
-            raise SearchBudgetExceeded(self.search, self.budget)
+            raise SearchBudgetExceeded(
+                f"{self.search} ran out of its budget of {self.budget} nodes")
 
 
 class CertificateError(RuntimeError):
@@ -94,10 +94,10 @@ def enumerate_chordless_cycles(g: Graph, max_len: Optional[int] = None, *,
     the search nodes.
     """
     return _chordless_cycles(
-        g, _Nodes("the chordless-cycle enumeration", budget), max_len)
+        g, NodeBudget("the chordless-cycle enumeration", budget), max_len)
 
 
-def _chordless_cycles(g: Graph, nodes: _Nodes,
+def _chordless_cycles(g: Graph, nodes: NodeBudget,
                       max_len: Optional[int] = None
                       ) -> list[tuple[int, ...]]:
     path_len = None if max_len is None else max_len - 1
@@ -119,7 +119,7 @@ def chordless_cycles_through(g: Graph, fresh: Iterable[int]
     induced path between two of f's neighbours that avoids every smaller
     fresh vertex.
     """
-    nodes = _Nodes("the chordless-cycle search", None)
+    nodes = NodeBudget("the chordless-cycle search", None)
     found: list[tuple[int, ...]] = []
     skip = 0
     for f in sorted(set(fresh)):
@@ -130,7 +130,7 @@ def chordless_cycles_through(g: Graph, fresh: Iterable[int]
     return found
 
 
-def _cycles_at(g: Graph, s: int, allowed: int, nodes: _Nodes,
+def _cycles_at(g: Graph, s: int, allowed: int, nodes: NodeBudget,
                path_len: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """The chordless cycles s, a, ..., w with a < w, every vertex but s in
     the mask allowed (which holds no s) and at most path_len vertices after
@@ -147,7 +147,7 @@ def _cycles_at(g: Graph, s: int, allowed: int, nodes: _Nodes,
             yield (s,) + p
 
 
-def _induced_paths(g: Graph, x: int, ends: int, inner: int, nodes: _Nodes,
+def _induced_paths(g: Graph, x: int, ends: int, inner: int, nodes: NodeBudget,
                    max_len: Optional[int] = None) -> list[tuple[int, ...]]:
     """The induced paths x, ..., w of at most max_len vertices with w in
     the mask ends and every vertex between x and w in the mask inner.
@@ -157,7 +157,7 @@ def _induced_paths(g: Graph, x: int, ends: int, inner: int, nodes: _Nodes,
     before it extends the path.  A branch stops once every end sees a
     vertex of the path: a longer path would give each end a chord.  It runs
     on an explicit stack, so long holes do not recurse; it counts its pops
-    on a local, as _Nodes.spend would, since this loop is the hot one.
+    on a local, since this loop is the hot one, and hands them to nodes.
     """
     limit = g.n if max_len is None else max_len
     results: list[tuple[int, ...]] = []
@@ -171,7 +171,7 @@ def _induced_paths(g: Graph, x: int, ends: int, inner: int, nodes: _Nodes,
     while stack:
         left -= 1
         if left < 0:
-            raise SearchBudgetExceeded(nodes.search, nodes.budget)
+            nodes.spend(nodes.left - left)  # more than it has: raises
         last, blocked, depth = stack.pop()
         del p[depth:]
         p.append(last)
@@ -383,19 +383,17 @@ def _find_triangle(g: Graph) -> Optional[ForbiddenWitness]:
     return None if tri is None else ForbiddenWitness("triangle", tri, (tri,))
 
 
-def _find_hole(g: Graph, nodes: _Nodes, exact_len: Optional[int] = None
+def _find_hole(g: Graph, nodes: NodeBudget, exact_len: Optional[int] = None
                ) -> Optional[ForbiddenWitness]:
     for cyc in _chordless_cycles(g, nodes, exact_len):
         if len(cyc) < 4 or len(cyc) % 2:
-            continue
-        if exact_len is not None and len(cyc) != exact_len:
             continue
         kind = "4-hole" if exact_len == 4 else "even-hole"
         return ForbiddenWitness(kind, cyc, (cyc,))
     return None
 
 
-def _find_hole_with_apex(g: Graph, nodes: _Nodes, kind: str
+def _find_hole_with_apex(g: Graph, nodes: NodeBudget, kind: str
                          ) -> Optional[ForbiddenWitness]:
     """The first hole, in enumeration order, with the first outside vertex
     whose positions on it pass kind's test."""
@@ -413,7 +411,7 @@ def _find_hole_with_apex(g: Graph, nodes: _Nodes, kind: str
     return None
 
 
-def _find_theta(g: Graph, nodes: _Nodes) -> Optional[ForbiddenWitness]:
+def _find_theta(g: Graph, nodes: NodeBudget) -> Optional[ForbiddenWitness]:
     """The first theta by branch pair (x, y), x < y.  Each branch vertex
     starts three paths whose interiors are disjoint and non-adjacent, so
     it has degree at least 3, and pairs with a smaller degree are
@@ -430,10 +428,10 @@ def _find_theta(g: Graph, nodes: _Nodes) -> Optional[ForbiddenWitness]:
             inner_masks = [mask_of(p[1:-1]) for p in paths]
             reach_masks = []
             for p in paths:
-                reach = 0
+                seen = 0
                 for v in p[1:-1]:
-                    reach |= g.mask(v) | (1 << v)
-                reach_masks.append(reach)
+                    seen |= g.mask(v) | (1 << v)
+                reach_masks.append(seen)
             for i, j, k in combinations(range(len(paths)), 3):
                 if (reach_masks[i] & inner_masks[j]
                         or reach_masks[i] & inner_masks[k]
@@ -443,8 +441,6 @@ def _find_theta(g: Graph, nodes: _Nodes) -> Optional[ForbiddenWitness]:
                 return ForbiddenWitness("theta", flat,
                                         (paths[i], paths[j], paths[k]))
     return None
-
-
 
 
 def _prism_pair_ok(g: Graph, p: tuple[int, ...], q: tuple[int, ...]) -> bool:
@@ -458,7 +454,7 @@ def _prism_pair_ok(g: Graph, p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     return True
 
 
-def _find_prism(g: Graph, nodes: _Nodes) -> Optional[ForbiddenWitness]:
+def _find_prism(g: Graph, nodes: NodeBudget) -> Optional[ForbiddenWitness]:
     tris = list(_triangles(g))
     for i, t1 in enumerate(tris):
         for t2 in tris[i + 1:]:
@@ -502,7 +498,7 @@ def find_forbidden_induced(g: Graph, kind: str, *,
         finder = _FINDERS[kind]
     except KeyError:
         raise ValueError(f"unknown forbidden structure kind {kind!r}")
-    witness = finder(g, _Nodes(f"the {kind} search", budget))
+    witness = finder(g, NodeBudget(f"the {kind} search", budget))
     if witness is not None:
         certify(verify_witness(g, witness), f"{kind} witness failed re-check")
     return witness
@@ -536,7 +532,7 @@ def brute_solve(g: Graph, problem: str, *,
     """
     if problem not in BRUTE_PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
-    nodes = _Nodes(f"the brute-force {problem} search", budget)
+    nodes = NodeBudget(f"the brute-force {problem} search", budget)
     if problem == "max-clique":
         value, witness = _brute_max_clique(g, nodes)
     elif problem == "mwss":
@@ -549,7 +545,7 @@ def brute_solve(g: Graph, problem: str, *,
     return BruteResult(problem, value, witness)
 
 
-def _brute_max_clique(g: Graph, nodes: _Nodes
+def _brute_max_clique(g: Graph, nodes: NodeBudget
                       ) -> tuple[int, tuple[int, ...]]:
     """Depth-first growth of cliques by least candidate, pruned when the
     clique and all its candidates cannot beat the best so far."""
@@ -576,7 +572,7 @@ def _brute_max_clique(g: Graph, nodes: _Nodes
     return best, found
 
 
-def _brute_mwss(g: Graph, weights, nodes: _Nodes
+def _brute_mwss(g: Graph, weights, nodes: NodeBudget
                 ) -> tuple[int, tuple[int, ...]]:
     """Branch and bound; vertices of nonpositive weight are never taken.
     Each vertex of the order is taken, when no chosen vertex sees it,
@@ -607,7 +603,7 @@ def _brute_mwss(g: Graph, weights, nodes: _Nodes
     return best, found
 
 
-def _brute_chromatic(g: Graph, nodes: _Nodes
+def _brute_chromatic(g: Graph, nodes: NodeBudget
                      ) -> tuple[int, tuple[int, ...]]:
     if g.n == 0:
         return 0, ()
@@ -620,7 +616,7 @@ def _brute_chromatic(g: Graph, nodes: _Nodes
     raise AssertionError("unreachable")
 
 
-def _try_color(g: Graph, order, q: int, nodes: _Nodes
+def _try_color(g: Graph, order, q: int, nodes: NodeBudget
                ) -> Optional[tuple[int, ...]]:
     """A q-coloring by backtracking along order, or None: each vertex
     tries its least color above the one it holds, at most one more than
@@ -652,7 +648,7 @@ def _try_color(g: Graph, order, q: int, nodes: _Nodes
     return tuple(colors)
 
 
-def _brute_clique_cutset(g: Graph, nodes: _Nodes
+def _brute_clique_cutset(g: Graph, nodes: NodeBudget
                          ) -> Optional[tuple[int, ...]]:
     """The first clique cutset by size, then lexicographically: cliques
     grow by ascending vertex, level by level, each level in that order."""

@@ -57,6 +57,3 @@ class Xoshiro256StarStar:
         if n <= 0:
             raise ValueError("below() requires n >= 1")
         return (self.next_u64() * n) >> 64
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

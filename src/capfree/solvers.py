@@ -6,11 +6,11 @@ decomposition.decompose, each built once per call and only when the call
 reaches it: the skeleton extraction, and the nice form of the min-fill
 decomposition of the atom's twin quotient, at any width, only when a DP
 needs it.  Both DPs below run on that one nice form through one driver,
-_nice_dp, which counts their table entries against the atom's budget;
-each gives only its table rules and what it reads off the traceback.  One
-per-atom step, _color_atom, serves chromatic_number and q_color_graph;
-clique_number reads the skeleton alone.  A complete atom is answered from
-its size and the root's masks.
+_nice_dp, which spends one node of a NodeBudget per table entry, under
+the atom's budget; each gives only its table rules and what it reads off
+the traceback.  One per-atom step, _color_atom, serves chromatic_number
+and q_color_graph; clique_number reads the skeleton alone.  A complete
+atom is answered from its size and the root's masks.
 
 Any other atom, in the class or not, is a clique blow-up of its twin
 quotient plus a universal clique U.  Coloring runs the count DP,
@@ -24,21 +24,22 @@ stands alone against the quotient's answer.  Clique cutsets combine atom
 answers (color permutation, Tarjan's reweighting).  Brute force serves
 only the clique number of an atom whose quotient has a triangle and a
 coloring whose DP ran out; past the budget the instance is reported
-unsupported, never answered wrongly.  Returned answers are re-checked by
+unsupported (UnsupportedInstanceError, a SearchBudgetExceeded), never
+answered wrongly.  Returned answers are re-checked by
 certify, which raises CertificateError under python -O too.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .decomposition import (Atom, DecompositionTree,
                             UnsupportedInstanceError, decompose)
 from .graphs import Graph, mask_members, mask_of, vertex_set
-from .oracles import DEFAULT_BUDGET, SearchBudgetExceeded, certify
+from .oracles import (DEFAULT_BUDGET, NodeBudget, SearchBudgetExceeded,
+                      certify)
 from .treewidth import (NiceDecomposition, TreeDecomposition,
                         nice_decomposition)
 from .twins import (SkeletonDecomposition, clique_number_via_skeleton,
@@ -96,22 +97,21 @@ def is_proper_coloring(g: Graph, colors: Sequence[int],
 
 
 def _nice_dp(nd: NiceDecomposition, empty, introduce, forget, join, drop,
-             search: str, budget: Optional[int]):
+             budget: NodeBudget):
     """The post-order pass both DPs run, and its traceback.
 
     A table maps keys (bag states) to values; a leaf's is {empty: 0}, and
     the rules build whole tables: introduce(table, v, room), join(left,
     right), and forget(table, v), which also returns the child key kept
     for each key.  A child's table is dropped once its parent is built.
-    Each table entry is one node of budget (None: no bound); introduce,
-    the only rule that grows a table, may stop once it holds more than
-    room, the nodes left, and SearchBudgetExceeded then names search.
+    Each table entry spends one node of budget; introduce, the only rule
+    that grows a table, may stop once it holds more than room, the nodes
+    left, since budget then raises SearchBudgetExceeded.
     None when a table is empty; else the root's value and a generator of
     (forget node, chosen child key), parents first.  drop(key, bit) clears
     an introduced vertex from a key on the way down.
     """
     nodes = nd.nodes
-    left = math.inf if budget is None else budget
     tables: list[Optional[dict]] = [None] * len(nodes)
     choice: dict[int, dict] = {}
     for idx, node in enumerate(nodes):
@@ -119,14 +119,12 @@ def _nice_dp(nd: NiceDecomposition, empty, introduce, forget, join, drop,
         if kind == "leaf":
             table = {empty: 0}
         elif kind == "introduce":
-            table = introduce(tables[kids[0]], node.vertex, left)
+            table = introduce(tables[kids[0]], node.vertex, budget.left)
         elif kind == "forget":
             table, choice[idx] = forget(tables[kids[0]], node.vertex)
         else:
             table = join(tables[kids[0]], tables[kids[1]])
-        left -= len(table)
-        if left < 0:
-            raise SearchBudgetExceeded(search, budget)
+        budget.spend(len(table))
         for kid in kids:
             tables[kid] = None
         if not table:
@@ -195,7 +193,7 @@ def _stable_dp(graph: Graph, nd: NiceDecomposition, allowed: int,
 
     value, steps = _nice_dp(nd, 0, introduce, forget, join,
                             lambda key, bit: key & ~bit,
-                            "the stable-set DP", budget)
+                            NodeBudget("the stable-set DP", budget))
     return value, [node.vertex for node, key in steps
                    if key >> node.vertex & 1]
 
@@ -280,7 +278,7 @@ def _multicolor_dp(graph: Graph, nd: NiceDecomposition,
                 for key, value in left.items() if key in right}
 
     found = _nice_dp(nd, (), introduce, forget, join, _without,
-                     "the coloring DP", budget)
+                     NodeBudget("the coloring DP", budget))
     if found is None:
         return None
     total, steps = found

@@ -4,22 +4,22 @@ module imports graphs and oracles alone; the ear triangulation lives in
 construct, beside the good-ear check, and lifting to atoms in twins.
 
 Strategy for skeletons: the min-fill decomposition first, whose width is
-its elimination width; if that exceeds 5, an exact budgeted
-branch-and-bound either finds a width-5 elimination order or proves none
-exists (certifying the graph is not a triangle-free odd-signable
-skeleton).  Every triangulation and every search step plays the one
-elimination game in _eliminate, on integer neighbour masks: min-fill
-records each move's neighbourhood while it picks the order and reads the
-bags and tree edges off that record, decomposition_from_order plays the
-game for a given order, and the exact search takes moves back by
-restoring the masks they saved.  One MCS-M pass (mcs_m), also on
-neighbour masks, gives the minimal triangulation behind the clique-cutset
-scan and decides chordality and the clique number of chordal graphs.  It
-keeps the unnumbered vertices in a list of masks indexed by weight, under
-a top pointer that marks the heaviest level, so each step picks its
-vertex without a sort, and grows one reach mask level by level in
-ascending weight.  Validity checks of tree decompositions run on bag
-masks."""
+its elimination width; if that exceeds 5, an exact branch-and-bound,
+which spends one node of a NodeBudget per search node, either finds a
+width-5 elimination order or proves none exists (certifying the graph is
+not a triangle-free odd-signable skeleton).  Every triangulation and
+every search step plays the one elimination game in _eliminate, on
+integer neighbour masks: min-fill records each move's neighbourhood
+while it picks the order and reads the bags and tree edges off that
+record, decomposition_from_order plays the game for a given order, and
+the exact search takes moves back by restoring the masks they saved.
+One MCS-M pass (mcs_m), also on neighbour masks, gives the minimal
+triangulation behind the clique-cutset scan and decides chordality and
+the clique number of chordal graphs.  It keeps the unnumbered vertices
+in a list of masks indexed by weight, under a top pointer that marks the
+heaviest level, so each step picks its vertex without a sort, and grows
+one reach mask level by level in ascending weight.  Validity checks of
+tree decompositions run on bag masks."""
 
 from __future__ import annotations
 
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .graphs import Graph, mask_members, reach, vertex_set
-from .oracles import (DEFAULT_BUDGET, SearchBudgetExceeded,
-                      find_forbidden_induced)
+from .oracles import DEFAULT_BUDGET, NodeBudget, find_forbidden_induced
 
 
 @dataclass(frozen=True)
@@ -305,10 +304,10 @@ def _exact_order(g: Graph, k: int, budget: int) -> Optional[list[int]]:
     move is taken back on backtracking by restoring the masks it saved.
     Memoizes failed masks of live vertices (the filled graph only depends
     on the eliminated set).  The least simplicial vertex of degree <= k is
-    eliminated without branching.  Raises SearchBudgetExceeded past
-    budget search nodes.
+    eliminated without branching.  Each search node spends one node of its
+    NodeBudget, which raises SearchBudgetExceeded past budget.
     """
-    left = budget
+    nodes = NodeBudget(f"the width-{k} search", budget)
     adj = [g.mask(v) for v in g.vertices()]
     live = (1 << g.n) - 1
     failed: set[int] = set()
@@ -319,9 +318,7 @@ def _exact_order(g: Graph, k: int, budget: int) -> Optional[list[int]]:
         if live.bit_count() <= k + 1:
             return [frame[2][0] for frame in frames] + mask_members(live)
         if live not in failed:
-            left -= 1
-            if left < 0:
-                raise SearchBudgetExceeded(f"the width-{k} search", budget)
+            nodes.spend()
             frames.append([live, iter(_branches(adj, live, k)), None])
         while frames:
             frame = frames[-1]

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -8,8 +9,13 @@ import pytest
 from capfree import cli
 from capfree.cli import main
 from capfree.construct import glue_atoms
-from capfree.graphs import (add_universal_clique, blow_up, cube, hajos, hole,
-                            parse_graph, path, serialize_graph)
+from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
+                            cube, hajos, hole, parse_graph, path,
+                            serialize_graph)
+
+PRISM = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
+                  (0, 3), (1, 4), (2, 5)])
+K23 = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 
 
 @pytest.fixture
@@ -75,6 +81,13 @@ def test_negative_budget_is_a_usage_error(graph_file, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "--budget" in captured.err
+
+
+def test_non_integer_budget_is_a_usage_error(graph_file, capsys):
+    code = main(["--budget", "lots", "mwss", graph_file("c5.graph", hole(5))])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "must be a nonnegative integer, got 'lots'" in captured.err
 
 
 def test_color_q2_c5_fails(graph_file, capsys):
@@ -178,6 +191,16 @@ def test_skeleton_command_rejects_cutset(graph_file, capsys):
     assert "cutset" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("g,code,doc", [
+    (complete(4), 0, {"complete_atom": True}),
+    (PRISM, 1, {"reject": {"kind": "triangle", "vertices": [1, 2, 3]}})],
+    ids=["K4", "prism"])
+def test_skeleton_command_on_atoms_without_a_skeleton(graph_file, capsys,
+                                                      g, code, doc):
+    assert run(capsys, "skeleton", graph_file("atom.graph", g)) == (
+        code, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def test_oracle_commands(graph_file, capsys):
     f = graph_file("c5.graph", hole(5))
     code, out = run(capsys, "oracle", "odd-signable", f)
@@ -190,6 +213,9 @@ def test_oracle_commands(graph_file, capsys):
     assert code == 0 and json.loads(out)["witness"] is None
     code, out = run(capsys, "oracle", "clique-cutset", f)
     assert code == 0 and json.loads(out)["cutset"] is None
+    code, out = run(capsys, "oracle", "odd-signable",
+                    graph_file("k23.graph", K23))
+    assert code == 1 and json.loads(out) == {"odd_signable": False}
 
 
 def test_oracle_chordless_cycles_max_len(graph_file, capsys):
@@ -248,8 +274,19 @@ def test_missing_file_exit_code(capsys):
     assert main(["mwss", "/nonexistent/g.graph"]) == 2
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(graph_file, capsys):
     assert main(["color", "-q", "not-a-number", "x"]) == 2
+    # -q 0 parses, and the library's ValueError is a usage error too.
+    assert main(["color", "-q", "0", graph_file("c5.graph", hole(5))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\nerror: q must be at least 1\n")
+
+
+def test_graph_read_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_graph(hole(5))))
+    code, out = run(capsys, "mwss", "-")
+    assert code == 0 and json.loads(out)["weight"] == 2
 
 
 def test_internal_failure_exit_code(graph_file, capsys, monkeypatch):

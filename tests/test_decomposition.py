@@ -125,6 +125,19 @@ def test_leaf_bound_on_connected_graphs(seed):
         assert len(tree.atoms()) <= max(1, g.n - 1)
 
 
+def test_tree_nodes_compare_and_print_as_dataclasses_do():
+    root = clique_cutset_tree(path(3)).root
+    assert repr(root) == (
+        "DecompositionNode(atom=None, cutset=(1,), left=DecompositionNode("
+        "atom=(1, 2), cutset=None, left=None, right=None), "
+        "right=DecompositionNode(atom=(0, 1), cutset=None, left=None, "
+        "right=None))")
+    assert root == clique_cutset_tree(path(3)).root
+    assert hash(root) == hash(clique_cutset_tree(path(3)).root)
+    assert root != root.right and root.left != root.right
+    assert root.__eq__("not a node") is NotImplemented
+
+
 def test_dot_export():
     dot = tree_to_dot(clique_cutset_tree(TWO_TRIANGLES))
     assert dot.startswith("graph decomposition {")

@@ -274,6 +274,17 @@ def test_color_long_sparse_inputs(g, chi):
     assert value == chi and is_proper_coloring(g, colors, chi)
 
 
+def test_long_cutset_trees_compare_hash_and_print_without_recursing():
+    # The spine of path(5000)'s tree is 4998 internal nodes deep.
+    first = clique_cutset_tree(path(5000)).root
+    second = clique_cutset_tree(path(5000)).root
+    assert first == second and hash(first) == hash(second)
+    assert first != clique_cutset_tree(path(4999)).root
+    assert repr(first).startswith("DecompositionNode(atom=None, cutset=(")
+    verdict = recognize(path(5000), "cap-even-hole-free")
+    assert repr(verdict).startswith("RecognitionVerdict(status='accepted'")
+
+
 def five_hole_flower(k):
     """k 5-holes through vertex 0: k atoms that meet only there, so vertex
     0 lies in every atom and has degree 2k."""

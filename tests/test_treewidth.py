@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from capfree import decomposition
+from capfree import decomposition, treewidth
 from capfree.construct import (Ear, EarSequence, GeneratorParams,
                                generate_instance, random_skeleton,
                                skeleton_from_ears, triangulation_from_ears)
@@ -493,6 +493,25 @@ def test_exact_search_spends_a_pinned_number_of_nodes():
     assert td.width <= 5
     with pytest.raises(SearchBudgetExceeded):
         _exact_order(g, 5, 57)
+
+
+def test_exact_search_eliminates_a_simplicial_vertex_without_branching():
+    # The pendant vertex 8 is simplicial of degree 1, so the first search
+    # node tries it alone.
+    g = Graph(9, cube().edges() + [(0, 8)])
+    order = _exact_order(g, 5, 100)
+    assert order[:2] == [8, 0] and sorted(order) == list(range(9))
+    assert decomposition_from_order(g, order).width <= 5
+
+
+def test_skeleton_decomposition_falls_back_to_the_exact_search(monkeypatch):
+    g = cube()
+    monkeypatch.setattr(
+        treewidth, "min_fill_decomposition",
+        lambda f: TreeDecomposition((tuple(f.vertices()),), ()))
+    td = skeleton_tree_decomposition(g)
+    assert isinstance(td, TreeDecomposition)
+    assert td.is_valid(g) and td.width == 3
 
 
 def listed_is_valid(td, g):
