@@ -108,7 +108,7 @@ def cmd_decompose(args) -> int:
         return 0
     _emit({
         "atoms": [_ids(a) for a in tree.atoms()],
-        "cutsets": [_ids(n.cutset) for n in tree.internal_nodes()],
+        "cutsets": [_ids(cutset) for cutset, _ in tree.pieces[:-1]],
         "leaf_count": len(tree.atoms()),
     })
     return 0

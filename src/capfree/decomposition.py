@@ -15,7 +15,8 @@ blow-up of a skeleton plus a universal clique, so its quotient is the
 skeleton plus one vertex: a blown-up hole is answered as a cycle with no
 scan.  A quotient that is a clique or a cycle is one atom.  The blocks
 come leaf-first along the block-cut tree, each split off along its parent
-cut vertex.
+cut vertex.  The tree is the scan's (cutset, atom) pieces in leaf order;
+its nested node view is built only when read.
 
 decompose gives the tree and its leaves' Atom records, each built when
 reached: completeness from the root's masks, and for a non-complete atom
@@ -125,26 +126,34 @@ class DecompositionNode:
 
 @dataclass(frozen=True)
 class DecompositionTree:
-    """A caterpillar: every internal node's left child is a leaf, the atom
-    it splits off, and its right child is the rest of its graph.  The
-    internal nodes form a spine from the root down the right children,
-    which ends at the last atom."""
+    """A caterpillar, held as its pieces: the (cutset, atom) pairs in leaf
+    order, the last with cutset ().  The i-th spine node splits off the
+    i-th atom along its cutset, and the spine ends at the last atom.  root,
+    the nested node view of the spine, is built on first read and kept out
+    of pickles and copies."""
     graph: Graph
-    root: DecompositionNode
+    pieces: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    @cached_property
+    def root(self) -> DecompositionNode:
+        node = DecompositionNode(self.pieces[-1][1])
+        for cutset, atom in reversed(self.pieces[:-1]):
+            node = DecompositionNode(None, cutset, DecompositionNode(atom),
+                                     node)
+        return node
+
+    def __getstate__(self) -> dict:
+        return {"graph": self.graph, "pieces": self.pieces}
 
     def leaves(self) -> list[DecompositionNode]:
         """Leaves in left-to-right order: each spine node's atom from the
         root down, then the last atom."""
-        out = []
-        node = self.root
-        while not node.is_leaf:
-            out.append(node.left)
-            node = node.right
-        out.append(node)
-        return out
+        spine = self.internal_nodes()
+        return [node.left for node in spine] + [
+            spine[-1].right if spine else self.root]
 
     def atoms(self) -> list[tuple[int, ...]]:
-        return [leaf.atom for leaf in self.leaves()]
+        return [atom for _, atom in self.pieces]
 
     def internal_nodes(self) -> list[DecompositionNode]:
         """The spine from the root down."""
@@ -219,19 +228,14 @@ def decompose(g: Graph, *, budget: int = DEFAULT_BUDGET
     order, each built only when the iterator reaches it, so a caller that
     stops at an atom builds none after it."""
     tree = clique_cutset_tree(g)
-    return tree, (Atom(g, leaf.atom, budget) for leaf in tree.leaves())
+    return tree, (Atom(g, atom, budget) for _, atom in tree.pieces)
 
 
 def clique_cutset_tree(g: Graph) -> DecompositionTree:
-    """Decompose g: the i-th spine node splits off the i-th atom of
-    _tarjan_pieces along its cutset, so a connected graph has at most n-1
-    leaves.  Components come by least vertex; the last atom lies in the
-    last one."""
-    pieces = list(_tarjan_pieces(g))
-    node = DecompositionNode(pieces[-1][1])
-    for cutset, atom in reversed(pieces[:-1]):
-        node = DecompositionNode(None, cutset, DecompositionNode(atom), node)
-    return DecompositionTree(g, node)
+    """Decompose g into the pieces of _tarjan_pieces, so a connected graph
+    has at most n-1 leaves.  Components come by least vertex; the last
+    atom lies in the last one."""
+    return DecompositionTree(g, tuple(_tarjan_pieces(g)))
 
 
 def _tarjan_pieces(g: Graph) -> Iterator[tuple[tuple[int, ...],
@@ -372,17 +376,17 @@ def tree_to_dot(tree: DecompositionTree) -> str:
     n(2i+1), and the last atom n(2s) for a spine of s nodes.  Each tree
     edge is written after the child's whole subtree, so the spine edges
     come last, from the bottom up."""
-    def atom_line(i: int, leaf: DecompositionNode) -> str:
-        return f'  n{i} [label="atom |{len(leaf.atom)}|", shape=box];'
+    def atom_line(i: int, atom: tuple[int, ...]) -> str:
+        return f'  n{i} [label="atom |{len(atom)}|", shape=box];'
 
     lines = ["graph decomposition {"]
-    spine = tree.internal_nodes()
-    for i, node in enumerate(spine):
-        cut = ",".join(str(v + 1) for v in node.cutset) or "empty"
+    *spine, (_, last) = tree.pieces
+    for i, (cutset, atom) in enumerate(spine):
+        cut = ",".join(str(v + 1) for v in cutset) or "empty"
         lines += [f'  n{2 * i} [label="cutset {{{cut}}}"];',
-                  atom_line(2 * i + 1, node.left),
+                  atom_line(2 * i + 1, atom),
                   f"  n{2 * i} -- n{2 * i + 1};"]
-    lines.append(atom_line(2 * len(spine), tree.leaves()[-1]))
+    lines.append(atom_line(2 * len(spine), last))
     lines += [f"  n{2 * i} -- n{2 * i + 2};"
               for i in reversed(range(len(spine)))]
     lines.append("}")

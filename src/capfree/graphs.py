@@ -74,6 +74,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        """Pickles and copies rebuild through _from_masks, not through
+        the __setattr__ that Graph forbids."""
+        return Graph._from_masks, (list(self._masks), self._weights)
+
     @property
     def m(self) -> int:
         return self._m

@@ -196,9 +196,9 @@ def _induced_paths(g: Graph, x: int, ends: int, inner: int, nodes: NodeBudget,
     return results
 
 
-def holes_of(g: Graph, max_len: Optional[int] = None) -> list[tuple[int, ...]]:
+def holes_of(g: Graph) -> list[tuple[int, ...]]:
     """Chordless cycles of length at least 4."""
-    return [c for c in enumerate_chordless_cycles(g, max_len) if len(c) >= 4]
+    return [c for c in enumerate_chordless_cycles(g) if len(c) >= 4]
 
 
 Signing = dict[tuple[int, int], int]

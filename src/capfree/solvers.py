@@ -321,25 +321,23 @@ def combine_colorings(tree: DecompositionTree,
                       q: int) -> list[int]:
     """Merge per-atom colorings into a proper coloring of the whole graph.
 
-    atom_colorings aligns with tree.leaves().  At every internal node the
-    split-off atom's colors are permuted to agree with the rest of the
-    graph on the cutset clique (whose colors are pairwise distinct, so a
-    permutation always exists).
+    atom_colorings aligns with tree.pieces.  Each split-off atom's colors
+    are permuted to agree with the rest of the graph on its cutset clique
+    (whose colors are pairwise distinct, so a permutation always exists).
     """
-    leaves = tree.leaves()
-    if len(atom_colorings) != len(leaves):
+    if len(atom_colorings) != len(tree.pieces):
         raise ValueError("need one coloring per decomposition leaf")
-    for leaf, coloring in zip(leaves, atom_colorings):
-        if set(coloring) != set(leaf.atom):
+    for (_, atom), coloring in zip(tree.pieces, atom_colorings):
+        if set(coloring) != set(atom):
             raise ValueError("coloring does not match its atom")
         if any(not 1 <= c <= q for c in coloring.values()):
             raise ValueError(f"atom coloring exceeds {q} colors")
-    # Bottom-up along the spine: each split-off atom's colors are permuted
-    # to agree with the graph below it.
-    total = dict(atom_colorings[-1])
-    for node, coloring in zip(reversed(tree.internal_nodes()),
-                              reversed(atom_colorings[:-1])):
-        perm = {coloring[v]: total[v] for v in node.cutset}
+    # Bottom-up along the spine, from the last atom, split off along ():
+    # each atom's colors are permuted to agree with the graph below it.
+    total: dict[int, int] = {}
+    for (cutset, _), coloring in zip(reversed(tree.pieces),
+                                     reversed(atom_colorings)):
+        perm = {coloring[v]: total[v] for v in cutset}
         free = iter(c for c in range(1, q + 1) if c not in perm.values())
         for c in range(1, q + 1):
             if c not in perm:
@@ -533,24 +531,23 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None, *,
          budget: int = DEFAULT_BUDGET) -> StableSetResult:
     """Maximum weight stable set via top-down clique-cutset recursion.
 
-    At each internal node with cutset S and atom side A: solve A minus S
-    and A minus each closed neighborhood N[v] (v in S), reweight S by
-    w'(v) = w(v) + w(I_v) - w(I'), recurse on the other side, and combine.
-    The reweighting never increases a weight (asserted).
+    At each piece, cutset S and atom A in leaf order: solve A minus S and
+    A minus each closed neighborhood N[v] (v in S), reweight S by
+    w'(v) = w(v) + w(I_v) - w(I'), go on to the rest of the graph, and
+    combine.  The last atom is split off along S = (), so it is solved
+    whole.  The reweighting never increases a weight (asserted).
     """
     base = list(weights) if weights is not None else list(g.weights)
     if len(base) != g.n:
         raise ValueError("weights length must equal vertex count")
     # Top-down along the spine: solve each split-off atom, reweight its
     # cutset for the graph below and record how to lift that graph's answer.
-    # The cutset's new weights are written into w only after the node's
+    # The cutset's new weights are written into w only after the piece's
     # last solve call, which reads the old ones.
     tree, atoms = decompose(g, budget=budget)
     w = list(base)
     lifts = []
-    # zip asks the spine first, so the last atom is left for after it.
-    for node, atom in zip(tree.internal_nodes(), atoms):
-        cut = node.cutset
+    for (cut, _), atom in zip(tree.pieces, atoms):
         local = {r: i for i, r in enumerate(atom.vertices)}
         base_value, base_set = _solve_atom(atom, {local[v] for v in cut}, w)
         sub_sets = {}
@@ -565,11 +562,10 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None, *,
         for v, wv in zip(cut, reweighted):
             w[v] = wv
         lifts.append((cut, base_value, base_set, sub_sets))
-    value, picked = _solve_atom(next(atoms), set(), w)
-    picked = set(picked)
     # Bottom-up: since w'(v) = w(v) + value_v - base_value, the total is
     # base_value plus the answer below whether or not that answer takes a
     # cutset vertex v.
+    value, picked = 0, set()
     for cut, base_value, base_set, sub_sets in reversed(lifts):
         inside = picked & set(cut)
         picked |= set(sub_sets[inside.pop()] if len(inside) == 1

@@ -184,6 +184,21 @@ def test_glue_error_cases():
                                 (1, 0, (1,), (1,))])         # cyclic pattern
 
 
+def test_glue_keeps_weights():
+    p3 = Graph(3, [(0, 1), (1, 2)], [5, 6, 7])
+    p2 = Graph(2, [(0, 1)], [7, 9])
+    glued, maps = glue_atoms([p3, p2], [(0, 1, (2,), (0,))])
+    assert glued.weights == (5, 6, 7, 9)
+    assert maps == [[0, 1, 2], [2, 3]]
+
+
+def test_glue_rejects_identified_vertices_of_different_weight():
+    p3 = Graph(3, [(0, 1), (1, 2)], [5, 6, 7])
+    p2 = Graph(2, [(0, 1)], [8, 9])
+    with pytest.raises(ValueError, match="agree on weight"):
+        glue_atoms([p3, p2], [(0, 1, (2,), (0,))])
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         GeneratorParams(seed=1, max_ear_length=1)

@@ -1,13 +1,18 @@
+import contextlib
+import io
+import json
 import random
 from itertools import combinations
 
 import pytest
 
 from capfree import decomposition, selftest
+from capfree.cli import main
 from capfree.construct import GeneratorParams, generate_instance
 from capfree.decomposition import (clique_cutset_tree, decompose,
                                    find_clique_cutset, tree_to_dot)
-from capfree.graphs import Graph, complete, gnp, hole, induced_subgraph, path
+from capfree.graphs import (Graph, complete, gnp, hole, induced_subgraph,
+                            path, serialize_graph)
 from capfree.oracles import brute_solve
 from capfree.recognition import recognize
 from capfree.solvers import (chromatic_number, clique_number, mwss,
@@ -138,6 +143,22 @@ def test_tree_nodes_compare_and_print_as_dataclasses_do():
     assert root.__eq__("not a node") is NotImplemented
 
 
+def test_tree_is_its_pieces_and_builds_its_node_view_on_read():
+    tree = clique_cutset_tree(path(3))
+    assert tree.pieces == (((1,), (1, 2)), ((), (0, 1)))
+    assert repr(tree) == ("DecompositionTree(graph=Graph(n=3, m=2), "
+                          "pieces=(((1,), (1, 2)), ((), (0, 1))))")
+    assert "root" not in vars(tree)
+    assert tree == clique_cutset_tree(path(3))
+    assert hash(tree) == hash(clique_cutset_tree(path(3)))
+    assert tree != clique_cutset_tree(path(4))
+    assert [node.cutset for node in tree.internal_nodes()] == [(1,)]
+    assert [leaf.atom for leaf in tree.leaves()] == tree.atoms()
+    assert tree.root is tree.root
+    lone = clique_cutset_tree(hole(5))
+    assert lone.internal_nodes() == [] and lone.leaves() == [lone.root]
+
+
 def test_dot_export():
     dot = tree_to_dot(clique_cutset_tree(TWO_TRIANGLES))
     assert dot.startswith("graph decomposition {")
@@ -198,6 +219,33 @@ def test_q_color_graph_stops_building_atoms_at_the_first_failure(
         lambda: found.append(q_color_graph(GLUED, GLUED_CHI - 1))))
     assert found == [None]
     assert 1 <= built < len(clique_cutset_tree(GLUED).leaves())
+
+
+def test_no_answer_builds_the_node_view(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a DecompositionNode was built")
+
+    monkeypatch.setattr(decomposition, "DecompositionNode", refuse)
+    with pytest.raises(AssertionError):
+        clique_cutset_tree(GLUED).root
+    leaves = len(clique_cutset_tree(GLUED).pieces)
+    assert recognize(GLUED, "cap-even-hole-free").accepted
+    assert recognize(GLUED, "cap-4hole-odd-signable").accepted
+    assert clique_number(GLUED)[0] >= 2
+    assert GLUED.is_stable(mwss(GLUED).vertices)
+    assert chromatic_number(GLUED)[0] == GLUED_CHI
+    assert q_color_graph(GLUED, GLUED_CHI) is not None
+    assert q_color_graph(GLUED, GLUED_CHI - 1) is None
+    file = tmp_path / "glued.graph"
+    file.write_text(serialize_graph(GLUED), encoding="utf-8")
+    for flags in ([], ["--dot"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["decompose", *flags, str(file)]) == 0
+        if flags:
+            assert out.getvalue().count("shape=box") == leaves
+        else:
+            assert json.loads(out.getvalue())["leaf_count"] == leaves
 
 
 def test_atom_treewidth_criterion_builds_one_atom_per_leaf(monkeypatch):

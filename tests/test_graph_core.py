@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from capfree.graphs import (Graph, GraphFormatError, add_universal_clique,
@@ -215,6 +218,19 @@ def test_graph_is_immutable():
     g = hole(4)
     with pytest.raises(AttributeError):
         g.n = 7
+
+
+@pytest.mark.parametrize("g", [path(5), path(5).with_weights([3, -1, 4, 1, 5]),
+                               Graph(0, [])],
+                         ids=["unweighted", "weighted", "empty"])
+def test_graph_pickles_and_copies(g):
+    for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g),
+                 copy.deepcopy(g)):
+        assert twin == g
+        assert (twin.adj, twin.m, twin.has_weights()) \
+            == (g.adj, g.m, g.has_weights())
+        with pytest.raises(AttributeError):
+            twin.n = 7
 
 
 def set_reach(g: Graph, start: set[int], allowed: set[int]) -> set[int]:

@@ -1,8 +1,10 @@
 """Long inputs run without hitting the interpreter's recursion limit, and
 every answer still re-checks."""
 
+import copy
 import hashlib
 import json
+import pickle
 import time
 
 import pytest
@@ -283,6 +285,16 @@ def test_long_cutset_trees_compare_hash_and_print_without_recursing():
     assert repr(first).startswith("DecompositionNode(atom=None, cutset=(")
     verdict = recognize(path(5000), "cap-even-hole-free")
     assert repr(verdict).startswith("RecognitionVerdict(status='accepted'")
+
+
+def test_long_cutset_trees_and_verdicts_pickle_and_copy():
+    tree = clique_cutset_tree(path(5000))
+    assert tree.root.cutset
+    for twin in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+        assert twin == tree and twin.root == tree.root
+    verdict = recognize(path(3000), "cap-even-hole-free")
+    verdict.tree.root
+    assert pickle.loads(pickle.dumps(verdict)) == verdict
 
 
 def five_hole_flower(k):

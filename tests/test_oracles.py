@@ -268,6 +268,19 @@ def test_brute_clique_cutset():
     assert brute_solve(disconnected, "clique-cutset").witness == ()
 
 
+def test_brute_solve_on_the_empty_graph():
+    empty = Graph(0, [])
+    chrom = brute_solve(empty, "chromatic")
+    assert (chrom.value, chrom.witness) == (0, ())
+    cut = brute_solve(empty, "clique-cutset")
+    assert (cut.value, cut.witness) == (0, None)
+
+
+def test_brute_solve_rejects_an_unknown_problem():
+    with pytest.raises(ValueError, match="unknown problem"):
+        brute_solve(path(4), "max-cut")
+
+
 def test_brute_guard_reports():
     with pytest.raises(SearchBudgetExceeded,
                        match="brute-force chromatic search ran out of its "

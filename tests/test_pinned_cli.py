@@ -4,7 +4,11 @@ criterion 11, as one sha256.  A refactor that should change no output can
 show that it changed none; a change that alters an output on purpose
 updates the pin and lists the changed outputs in CHANGES.md.
 
-To print the current digest: python tests/test_pinned_cli.py
+A second sha256 pins `decompose --dot` on the same graphs plus a path and
+a disconnected graph, whose tree splits along the empty cutset that the
+DOT writer labels "empty".
+
+To print the current digests: python tests/test_pinned_cli.py
 """
 
 import contextlib
@@ -38,6 +42,15 @@ def _graphs():
         yield name, build()
 
 
+# P5, and two 5-holes and an isolated vertex: its components split off
+# along ().
+DOT_FIXTURES = {
+    "P5": lambda: Graph(5, [(v, v + 1) for v in range(4)]),
+    "2C5+K1": lambda: Graph(11, hole(5).edges()
+                            + [(u + 5, v + 5) for u, v in hole(5).edges()]),
+}
+
+
 def _run(*argv) -> list:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
@@ -58,24 +71,43 @@ def outputs(path: str) -> dict:
     return doc
 
 
-def digest() -> str:
+def _digest(graphs, output) -> str:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, g in _graphs():
-            path = Path(tmp) / f"{name}.graph"
-            path.write_text(serialize_graph(g), encoding="utf-8")
-            text = json.dumps(outputs(str(path)), sort_keys=True)
+        for name, g in graphs:
+            file = Path(tmp) / f"{name}.graph"
+            file.write_text(serialize_graph(g), encoding="utf-8")
+            text = json.dumps(output(str(file)), sort_keys=True)
             h.update(f"{name}\n{text}\n".encode())
     return h.hexdigest()
+
+
+def digest() -> str:
+    return _digest(_graphs(), outputs)
+
+
+def dot_digest() -> str:
+    graphs = [*_graphs(), *((name, build()) for name, build
+                            in DOT_FIXTURES.items())]
+    return _digest(graphs, lambda file: _run("decompose", "--dot", file))
 
 
 PINNED_CLI_DIGEST = (
     "7eaf74a8a10618b2d266ab57e45aaca57fe3fb85ba699f5855e0dc3ce3f976b8")
 
 
+PINNED_DOT_DIGEST = (
+    "16edd264016557ee44ca8a04301f71298e4b418728a57c6a9b0e4ef86239a09a")
+
+
 def test_cli_outputs_match_their_pin():
     assert digest() == PINNED_CLI_DIGEST
 
 
+def test_dot_outputs_match_their_pin():
+    assert dot_digest() == PINNED_DOT_DIGEST
+
+
 if __name__ == "__main__":
     print(digest())
+    print(dot_digest())

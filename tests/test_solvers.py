@@ -166,11 +166,27 @@ def test_combine_two_triangles():
     assert is_proper_coloring(g, colors, 3)
 
 
+def test_combine_colorings_checks_its_input():
+    tree = clique_cutset_tree(path(3))
+    good = [{a: 1, b: 2} for a, b in tree.atoms()]
+    with pytest.raises(ValueError, match="one coloring per"):
+        combine_colorings(tree, good[:1], 2)
+    with pytest.raises(ValueError, match="does not match its atom"):
+        combine_colorings(tree, [good[0], {0: 1}], 2)
+    with pytest.raises(ValueError, match="exceeds 2 colors"):
+        combine_colorings(tree, [good[0], {0: 3, 1: 1}], 2)
+
+
 def test_combine_single_atom_is_identity():
     tree = clique_cutset_tree(hole(5))
     coloring = {0: 1, 1: 2, 2: 1, 3: 2, 4: 3}
     colors = combine_colorings(tree, [coloring], 3)
     assert colors == [1, 2, 1, 2, 3]
+
+
+def test_coloring_the_empty_graph():
+    assert chromatic_number(Graph(0, [])) == (0, [])
+    assert q_color_graph(Graph(0, []), 1) == []
 
 
 def test_chromatic_examples():
@@ -226,6 +242,11 @@ def test_mwss_paths():
     assert mwss(path(3), [2, 3, 2]) \
         == mwss(path(3).with_weights([2, 3, 2]))
     assert mwss(path(3), [2, 3, 2]).vertices == (0, 2)
+
+
+def test_mwss_checks_the_weights_length():
+    with pytest.raises(ValueError, match="weights length"):
+        mwss(path(3), [1, 2])
 
 
 def test_mwss_blown_c5_unit():
