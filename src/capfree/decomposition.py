@@ -123,27 +123,38 @@ class DecompositionNode:
             node = node.right
         return vertex_set(below.union(node.atom))
 
+    def __reduce__(self):
+        """Pickles and copies rebuild the spine from its pieces through
+        _spine, so they nest no frame per node."""
+        pieces, node = [], self
+        while not node.is_leaf:
+            pieces.append((node.cutset, node.left.atom))
+            node = node.right
+        pieces.append(((), node.atom))
+        return _spine, (tuple(pieces),)
+
+
+def _spine(pieces: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+           ) -> DecompositionNode:
+    """The nested node view of a caterpillar's (cutset, atom) pieces."""
+    node = DecompositionNode(pieces[-1][1])
+    for cutset, atom in reversed(pieces[:-1]):
+        node = DecompositionNode(None, cutset, DecompositionNode(atom), node)
+    return node
+
 
 @dataclass(frozen=True)
 class DecompositionTree:
     """A caterpillar, held as its pieces: the (cutset, atom) pairs in leaf
     order, the last with cutset ().  The i-th spine node splits off the
     i-th atom along its cutset, and the spine ends at the last atom.  root,
-    the nested node view of the spine, is built on first read and kept out
-    of pickles and copies."""
+    the nested node view of the spine, is built on first read."""
     graph: Graph
     pieces: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     @cached_property
     def root(self) -> DecompositionNode:
-        node = DecompositionNode(self.pieces[-1][1])
-        for cutset, atom in reversed(self.pieces[:-1]):
-            node = DecompositionNode(None, cutset, DecompositionNode(atom),
-                                     node)
-        return node
-
-    def __getstate__(self) -> dict:
-        return {"graph": self.graph, "pieces": self.pieces}
+        return _spine(self.pieces)
 
     def leaves(self) -> list[DecompositionNode]:
         """Leaves in left-to-right order: each spine node's atom from the

@@ -7,9 +7,12 @@ decides the induced structure of every kind with one test: the vertices
 that the parts name must induce exactly the edges that the parts name.
 
 One induced-path search, _induced_paths, serves every cycle and path
-oracle.  The chordless-cycle enumerations find each cycle as a vertex and
-an induced path between two of its neighbours, and the theta and prism
-finders join pairs of branch vertices by induced paths.  The search and
+oracle.  One chordless-cycle search on it, _cycles_through, yields each
+cycle as it finds it, as a vertex and an induced path between two of its
+neighbours: the enumerations list it, and the one hole finder (even hole,
+4-hole, cap, even wheel) and the odd-signing read it and stop at their
+first answer.  The theta and prism finders join pairs of branch vertices
+by induced paths.  The search and
 the brute-force solvers run on explicit stacks, so no input size meets
 Python's recursion limit.  Every budgeted search of the package counts
 its nodes on a NodeBudget, under a keyword-only budget: unbounded by
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .graphs import Graph, mask_members, mask_of, reach
 
@@ -86,26 +89,13 @@ def enumerate_chordless_cycles(g: Graph, max_len: Optional[int] = None, *,
                                budget: Optional[int] = None
                                ) -> list[tuple[int, ...]]:
     """All chordless cycles of length >= 3, each once, in canonical form
-    (canonical_cycle) and sorted by cycle_order.
-
-    Each cycle is found at its least vertex s, as s and an induced path
-    between two of its neighbours above it (_cycles_at), so it comes out
-    canonical and in order.  Exponential in the worst case; budget bounds
+    (canonical_cycle) and sorted by cycle_order: _cycles_through over
+    every vertex, listed.  Exponential in the worst case; budget bounds
     the search nodes.
     """
-    return _chordless_cycles(
-        g, NodeBudget("the chordless-cycle enumeration", budget), max_len)
-
-
-def _chordless_cycles(g: Graph, nodes: NodeBudget,
-                      max_len: Optional[int] = None
-                      ) -> list[tuple[int, ...]]:
-    path_len = None if max_len is None else max_len - 1
-    cycles: list[tuple[int, ...]] = []
-    for s in range(g.n):
-        cycles.extend(_cycles_at(g, s, ~((1 << (s + 1)) - 1), nodes,
-                                 path_len))
-    return cycles
+    return list(_cycles_through(
+        g, range(g.n), NodeBudget("the chordless-cycle enumeration", budget),
+        max_len))
 
 
 def chordless_cycles_through(g: Graph, fresh: Iterable[int]
@@ -115,36 +105,39 @@ def chordless_cycles_through(g: Graph, fresh: Iterable[int]
 
     The chordless cycles of g are those of g minus fresh plus these, so
     merging the two lists by cycle_order gives enumerate_chordless_cycles
-    of g.  Each cycle is found once, at its least fresh vertex f: f and an
-    induced path between two of f's neighbours that avoids every smaller
-    fresh vertex.
+    of g.
     """
-    nodes = NodeBudget("the chordless-cycle search", None)
-    found: list[tuple[int, ...]] = []
-    skip = 0
-    for f in sorted(set(fresh)):
-        skip |= 1 << f
-        found.extend(canonical_cycle(c)
-                     for c in _cycles_at(g, f, ~skip, nodes))
+    found = [canonical_cycle(c) for c in _cycles_through(
+        g, fresh, NodeBudget("the chordless-cycle search", None))]
     found.sort(key=cycle_order)
     return found
 
 
-def _cycles_at(g: Graph, s: int, allowed: int, nodes: NodeBudget,
-               path_len: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """The chordless cycles s, a, ..., w with a < w, every vertex but s in
-    the mask allowed (which holds no s) and at most path_len vertices after
-    s: for each neighbour a, the induced paths from a to a higher
-    neighbour of s whose inner vertices miss N(s)."""
-    s_mask = g.mask(s)
-    inner = allowed & ~s_mask
-    ends = s_mask & allowed
-    while ends:
-        low = ends & -ends
-        ends ^= low
-        for p in _induced_paths(g, low.bit_length() - 1, ends, inner, nodes,
-                                path_len):
-            yield (s,) + p
+def _cycles_through(g: Graph, fresh: Iterable[int], nodes: NodeBudget,
+                    max_len: Optional[int] = None
+                    ) -> Iterator[tuple[int, ...]]:
+    """The chordless cycles of at most max_len vertices through a vertex
+    of fresh, each once, as they are found: the one chordless-cycle search.
+
+    A cycle is found at its least fresh vertex f, as f, a, ..., w with
+    a < w: for each neighbour a of f, the induced paths from a to a higher
+    neighbour of f that avoid every fresh vertex up to f and whose inner
+    vertices miss N(f).  With every vertex fresh, f is the cycle's least
+    vertex, so each cycle comes canonical and in cycle_order.
+    """
+    path_len = None if max_len is None else max_len - 1
+    skip = 0
+    for f in sorted(set(fresh)):
+        skip |= 1 << f
+        f_mask = g.mask(f)
+        inner = ~skip & ~f_mask
+        ends = f_mask & ~skip
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            for p in _induced_paths(g, low.bit_length() - 1, ends, inner,
+                                    nodes, path_len):
+                yield (f,) + p
 
 
 def _induced_paths(g: Graph, x: int, ends: int, inner: int, nodes: NodeBudget,
@@ -215,23 +208,28 @@ def cycle_weight(cyc: tuple[int, ...], signing: Signing) -> int:
 def odd_signable_signing(g: Graph, *, budget: Optional[int] = None
                          ) -> Optional[Signing]:
     """A 0/1 edge signing making every chordless cycle odd, or None:
-    odd_signing on enumerate_chordless_cycles(g) under budget."""
-    return odd_signing(g, enumerate_chordless_cycles(g, budget=budget))
+    odd_signing on the chordless cycles of g as the search finds them,
+    under budget nodes of the chordless-cycle enumeration."""
+    return odd_signing(g, _cycles_through(
+        g, range(g.n), NodeBudget("the chordless-cycle enumeration", budget)))
 
 
-def odd_signing(g: Graph, cycles: Sequence[tuple[int, ...]]
+def odd_signing(g: Graph, cycles: Iterable[tuple[int, ...]]
                 ) -> Optional[Signing]:
     """A 0/1 edge signing of g making every cycle of cycles odd, or None.
 
-    Builds one GF(2) equation per cycle and eliminates over a dense
-    bit-matrix.  Any returned signing is verified against every cycle
-    before being returned.
+    Builds one GF(2) equation per cycle, in the order cycles gives them,
+    and eliminates over a dense bit-matrix.  It returns None at the first
+    cycle whose equation reduces to 0 = 1, drawing no further cycle; a
+    returned signing is verified against every cycle drawn.
     """
     edges = g.edges()
     index = {e: i for i, e in enumerate(edges)}
     const_bit = 1 << len(edges)
     pivots: dict[int, int] = {}
+    drawn: list[tuple[int, ...]] = []
     for cyc in cycles:
+        drawn.append(cyc)
         row = const_bit
         for i in range(len(cyc)):
             u, v = cyc[i], cyc[(i + 1) % len(cyc)]
@@ -256,7 +254,7 @@ def odd_signing(g: Graph, cycles: Sequence[tuple[int, ...]]
             rest ^= low
             value ^= signing[edges[low.bit_length() - 1]]
         signing[edges[piv]] = value
-    for cyc in cycles:
+    for cyc in drawn:
         certify(cycle_weight(cyc, signing) % 2 == 1, "signing failed re-check")
     return signing
 
@@ -383,23 +381,19 @@ def _find_triangle(g: Graph) -> Optional[ForbiddenWitness]:
     return None if tri is None else ForbiddenWitness("triangle", tri, (tri,))
 
 
-def _find_hole(g: Graph, nodes: NodeBudget, exact_len: Optional[int] = None
+def _find_hole(g: Graph, nodes: NodeBudget, kind: str
                ) -> Optional[ForbiddenWitness]:
-    for cyc in _chordless_cycles(g, nodes, exact_len):
-        if len(cyc) < 4 or len(cyc) % 2:
-            continue
-        kind = "4-hole" if exact_len == 4 else "even-hole"
-        return ForbiddenWitness(kind, cyc, (cyc,))
-    return None
-
-
-def _find_hole_with_apex(g: Graph, nodes: NodeBudget, kind: str
-                         ) -> Optional[ForbiddenWitness]:
-    """The first hole, in enumeration order, with the first outside vertex
-    whose positions on it pass kind's test."""
-    test = _APEX_TESTS[kind]
-    for cyc in _chordless_cycles(g, nodes):
+    """The first witness of kind among the holes, in enumeration order: an
+    even hole, a 4-hole, or a hole with the first outside vertex whose
+    positions on it pass kind's apex test."""
+    test = _APEX_TESTS.get(kind)
+    for cyc in _cycles_through(g, range(g.n), nodes,
+                               4 if kind == "4-hole" else None):
         if len(cyc) < 4:
+            continue
+        if test is None:
+            if len(cyc) % 2 == 0:
+                return ForbiddenWitness(kind, cyc, (cyc,))
             continue
         on_hole = set(cyc)
         for apex in g.vertices():
@@ -479,12 +473,10 @@ def _find_prism(g: Graph, nodes: NodeBudget) -> Optional[ForbiddenWitness]:
 
 
 _FINDERS = {
-    "even-hole": _find_hole,
-    "4-hole": partial(_find_hole, exact_len=4),
-    "cap": partial(_find_hole_with_apex, kind="cap"),
+    **{kind: partial(_find_hole, kind=kind)
+       for kind in ("even-hole", "4-hole", "cap", "even-wheel")},
     "theta": _find_theta,
     "prism": _find_prism,
-    "even-wheel": partial(_find_hole_with_apex, kind="even-wheel"),
     "triangle": lambda g, nodes: _find_triangle(g),
 }
 

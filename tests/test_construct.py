@@ -57,6 +57,12 @@ def test_ear_preconditions_are_errors():
         validate_good_ear(C5, C5_HOLE, (0, 3, 2), 1, ())     # stale interior
     with pytest.raises(ValueError):
         validate_good_ear(C5, (0, 1, 2), (0, 5, 2), 1, ())   # not a hole
+    with pytest.raises(ValueError, match="apex must lie on the host"):
+        validate_good_ear(C5, C5_HOLE, (0, 5, 2), 7, ())
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        validate_good_ear(C5, C5_HOLE, (0, 5, 5, 2), 1, ())
+    with pytest.raises(ValueError, match="apex links must be interior"):
+        validate_good_ear(C5, C5_HOLE, (0, 5, 2), 1, (6,))
 
 
 def test_skeleton_with_no_ears_is_the_base_hole():

@@ -38,6 +38,17 @@ def test_parse_comments_and_weights():
     ("e 1 2\n", 1, "header"),
     ("p 3 2\ne 1 2\n", 1, "declares 2 edges"),
     ("p 2 1\ne 1 2\nw 1 -3\n", 3, "nonnegative"),
+    ("p 1 0\np 1 0", 2, "duplicate header"),
+    ("p 1", 1, "header must be 'p <n> <m>'"),
+    ("p -1 0", 1, "nonnegative"),
+    ("p 2 1\ne 1", 2, "edge must be 'e <u> <v>'"),
+    ("p 2 1\ne 1 x", 2, "integers"),
+    ("w 1 2", 1, "weight before header"),
+    ("p 1 0\nw 1", 2, "weight must be 'w <v> <weight>'"),
+    ("p 1 0\nw 1 x", 2, "integers"),
+    ("p 1 0\nw 2 5", 2, "out of range"),
+    ("p 1 0\nx 1", 2, "unknown line kind"),
+    ("c only", 1, "missing header"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(GraphFormatError) as err:
@@ -70,6 +81,37 @@ def test_named_cube():
     assert all(g.degree(v) == 3 for v in g.vertices())
 
 
+@pytest.mark.parametrize("name,args,expected", [
+    ("complete", ("4",), complete(4)),
+    ("path", ("3",), path(3)),
+    ("gnp", ("9", "0.5", "2"), gnp(9, 0.5, 2)),
+])
+def test_named_constructions_parse_their_arguments(name, args, expected):
+    assert construct_named(name, *args) == expected
+
+
+# Each builder with an argument it refuses, and a fragment of its message.
+BAD_ARGUMENTS = {
+    "negative-n": (lambda: Graph(-1, []), "vertex count"),
+    "weights-length": (lambda: Graph(2, [], [1]), "weights length"),
+    "hole2": (lambda: hole(2), "at least 3"),
+    "path0": (lambda: path(0), "at least 1"),
+    "complete-1": (lambda: complete(-1), "nonnegative"),
+    "universal-1": (lambda: add_universal_clique(hole(4), -1),
+                    "clique size"),
+    "unknown-name": (lambda: construct_named("pentagon"),
+                     "unknown construction"),
+    "below0": (lambda: Xoshiro256StarStar(1).below(0), "n >= 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGUMENTS))
+def test_builders_refuse_bad_arguments(name):
+    build, fragment = BAD_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
 def test_hajos_matches_figure_adjacency():
     # Independent recount: the 5-hole v1..v5, v6 adjacent to {v1,v2,v3},
     # v7 adjacent to {v1,v4,v5}.
@@ -98,6 +140,8 @@ def test_gnp_is_reproducible():
 def test_gnp_validates_probability():
     with pytest.raises(ValueError):
         gnp(5, 1.5, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gnp(-1, 0.5, 0)
 
 
 def test_blow_up_g1_counts():
@@ -116,6 +160,8 @@ def test_blow_up_identity():
 def test_blow_up_rejects_zero():
     with pytest.raises(ValueError):
         blow_up(hole(4), [1, 0, 1, 1])
+    with pytest.raises(ValueError, match="sizes length"):
+        blow_up(hole(4), [1, 1, 1])
 
 
 def test_blow_up_contracts_back():

@@ -297,6 +297,17 @@ def test_long_cutset_trees_and_verdicts_pickle_and_copy():
     assert pickle.loads(pickle.dumps(verdict)) == verdict
 
 
+@pytest.mark.parametrize("g", [path(5000), hole(5), path(3)],
+                         ids=["path5000", "hole5", "path3"])
+def test_a_bare_cutset_tree_root_pickles_and_copies(g):
+    # The root of path(5000)'s tree is 4998 internal nodes deep; hole(5)'s
+    # is a leaf.
+    root = clique_cutset_tree(g).root
+    for twin in (pickle.loads(pickle.dumps(root)), copy.deepcopy(root)):
+        assert twin == root and repr(twin) == repr(root)
+        assert twin.vertices == root.vertices
+
+
 def five_hole_flower(k):
     """k 5-holes through vertex 0: k atoms that meet only there, so vertex
     0 lies in every atom and has degree 2k."""

@@ -5,9 +5,12 @@ from itertools import combinations
 
 import pytest
 
+from capfree import oracles
+from capfree.construct import GeneratorParams, generate_instance
 from capfree.graphs import (Graph, add_universal_clique, blow_up, complete,
                             cube, gnp, hole, induced_subgraph, path)
-from capfree.oracles import (ForbiddenWitness, SearchBudgetExceeded,
+from capfree.oracles import (DEFAULT_BUDGET, ForbiddenWitness,
+                             SearchBudgetExceeded,
                              brute_solve, canonical_cycle,
                              chordless_cycles_through, cycle_order,
                              cycle_weight, enumerate_chordless_cycles,
@@ -18,6 +21,7 @@ from capfree.selftest import small_graph_pool
 from capfree.solvers import _multicolor_dp, _stable_dp, greedy_color
 from capfree.treewidth import (min_fill_decomposition, nice_decomposition,
                                skeleton_tree_decomposition)
+from test_cutset_scan import disjoint_union
 
 EVEN_WHEEL = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0),
                        (4, 0), (4, 1), (4, 2), (4, 3)])
@@ -215,6 +219,8 @@ def test_find_theta_and_prism():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         find_forbidden_induced(hole(4), "pentagon")
+    with pytest.raises(ValueError, match="unknown witness kind"):
+        verify_witness(hole(4), ForbiddenWitness("pentagon", (0,), ((0,),)))
 
 
 def test_witnesses_recheck_on_pool():
@@ -396,6 +402,42 @@ def test_odd_signing_solves_the_given_cycles():
     # Without the cycles that block it, an even wheel has a signing.
     assert odd_signable_signing(EVEN_WHEEL) is None
     assert odd_signing(EVEN_WHEEL, holes_of(EVEN_WHEEL)) is not None
+
+
+def test_odd_signing_reads_its_cycles_as_a_stream(monkeypatch):
+    # The three 4-holes of K2,3 use each edge twice, so their equations
+    # sum to 0 = 1 at the third, and no later cycle is drawn.
+    def stream():
+        yield from holes_of(K23)
+        raise AssertionError("a cycle was drawn past the contradiction")
+
+    assert odd_signing(K23, stream()) is None
+    # A signing is re-checked against every cycle the stream gave.
+    checked = []
+    weight = oracles.cycle_weight
+
+    def recorded(cyc, signing):
+        checked.append(cyc)
+        return weight(cyc, signing)
+
+    monkeypatch.setattr(oracles, "cycle_weight", recorded)
+    holes = holes_of(EVEN_WHEEL)
+    assert odd_signing(EVEN_WHEEL, iter(holes)) is not None
+    assert checked == holes
+
+
+def test_the_cycle_oracles_stop_at_their_first_answer():
+    # Listing the chordless cycles of this in-class instance (n = 98)
+    # takes more than the default budget, but those of the small graph on
+    # vertices 0.. come first, and each answer is among them.
+    g, _ = generate_instance(GeneratorParams(
+        seed=11, ear_count=3, max_blowup=2, max_universal=1, glue_count=2,
+        target_class="cap-4hole-odd-signable"))
+    witness = find_forbidden_induced(disjoint_union([hole(6), g]),
+                                     "even-hole", budget=DEFAULT_BUDGET)
+    assert witness.parts == (tuple(range(6)),)
+    assert odd_signable_signing(disjoint_union([K23, g]),
+                                budget=DEFAULT_BUDGET) is None
 
 
 KINDS = ("even-hole", "4-hole", "cap", "theta", "prism", "even-wheel",

@@ -39,6 +39,14 @@ def test_greedy_c5_uses_three_colors():
     assert max(colors) == 3
 
 
+def test_is_proper_coloring_checks_length_range_and_edges():
+    assert is_proper_coloring(hole(5), [1, 2, 1, 2, 3], 3)
+    assert not is_proper_coloring(hole(5), [1, 2, 1, 2])
+    assert not is_proper_coloring(hole(5), [0, 2, 1, 2, 3])
+    assert not is_proper_coloring(hole(5), [1, 2, 1, 2, 3], 2)
+    assert not is_proper_coloring(hole(5), [1, 2, 1, 2, 1])
+
+
 def test_greedy_complete():
     assert max(greedy_color(complete(6))) == 6
 
