@@ -190,10 +190,10 @@ class Atom:
     Completeness is read off the root's masks: every vertex's closed
     neighbourhood holds the atom's mask.  A complete atom needs nothing
     more, so it builds no graph and runs no extraction; extracted is
-    COMPLETE_ATOM.  graph is the atom root[vertices], relabelled so that
-    local vertex v is vertices[v] (root itself when the atom spans it),
-    built on first read: at once for a non-complete atom, which
-    extract_skeleton reads.
+    COMPLETE_ATOM.  graph is induced_subgraph's atom root[vertices],
+    relabelled so that local vertex v is vertices[v] (root itself when
+    the atom spans it, as induced_subgraph returns it), built on first
+    read: at once for a non-complete atom, which extract_skeleton reads.
 
     For any other atom, extracted, a SkeletonDecomposition or a
     SkeletonReject, gives the twin quotient, its classes and universal
@@ -214,8 +214,6 @@ class Atom:
 
     @cached_property
     def graph(self) -> Graph:
-        if len(self.vertices) == self.root.n:
-            return self.root
         return induced_subgraph(self.root, self.vertices)[0]
 
     @cached_property

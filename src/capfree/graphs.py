@@ -36,7 +36,6 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         masks = [0] * n
-        m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -46,29 +45,32 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-            m += 1
         if weights is not None:
             weights = tuple(int(w) for w in weights)
             if len(weights) != n:
                 raise ValueError("weights length must equal vertex count")
-        self._fill(masks, m, weights)
+        self._fill(masks, weights)
 
     @classmethod
     def _from_masks(cls, masks: list[int],
-                    weights: Optional[tuple[int, ...]]) -> "Graph":
+                    weights: Optional[tuple[int, ...]],
+                    adj: Optional[list[tuple[int, ...]]] = None) -> "Graph":
         """The graph with these neighbour masks, trusted as they are: for
-        masks cut out of a valid graph, with weights already checked."""
+        masks cut out of a valid graph, with weights already checked.
+        adj, when given, holds each mask's members in ascending order, so
+        no walk over the masks builds it again."""
         g = cls.__new__(cls)
-        g._fill(masks, sum(mask.bit_count() for mask in masks) // 2, weights)
+        g._fill(masks, weights, adj)
         return g
 
-    def _fill(self, masks: list[int], m: int,
-              weights: Optional[tuple[int, ...]]) -> None:
+    def _fill(self, masks: list[int], weights: Optional[tuple[int, ...]],
+              adj: Optional[list[tuple[int, ...]]] = None) -> None:
+        if adj is None:
+            adj = [tuple(mask_members(mask)) for mask in masks]
         object.__setattr__(self, "n", len(masks))
         object.__setattr__(self, "_masks", tuple(masks))
-        object.__setattr__(self, "adj", tuple(
-            tuple(mask_members(mask)) for mask in masks))
-        object.__setattr__(self, "_m", m)
+        object.__setattr__(self, "adj", tuple(adj))
+        object.__setattr__(self, "_m", sum(map(len, adj)) // 2)
         object.__setattr__(self, "_weights", weights)
 
     def __setattr__(self, name, value):
@@ -356,33 +358,48 @@ def blow_up(g: Graph, sizes: Sequence[int]) -> Graph:
 
 
 def add_universal_clique(g: Graph, t: int) -> Graph:
-    """Append t pairwise-adjacent vertices adjacent to all of g."""
+    """Append t pairwise-adjacent vertices adjacent to all of g.  g's
+    weights stay and each new vertex weighs 1; an unweighted g gives an
+    unweighted graph."""
     if t < 0:
         raise ValueError("clique size must be nonnegative")
     edges = g.edges()
     for i in range(t):
         new = g.n + i
         edges.extend((v, new) for v in range(new))
-    return Graph(g.n + t, edges)
+    weights = g.weights + (1,) * t if g.has_weights() else None
+    return Graph(g.n + t, edges, weights)
 
 
 def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on vs, relabelled 0..|vs|-1 preserving order.
 
     Returns the subgraph and the tuple mapping new ids to old ids.
-    Weights are carried over.  Each kept vertex's mask is cut down to vs
-    and renumbered, so a vertex costs its degree inside vs, not in g.
+    Weights are carried over.  When vs holds every vertex, the subgraph
+    is g itself (a Graph is immutable, so sharing it is safe).  Otherwise
+    one walk over each kept vertex's mask cut down to vs gives both its
+    renumbered mask and its adjacency row, ascending since renumbering
+    keeps order, so a vertex costs its degree inside vs, not in g.
     """
     keep = vertex_set(vs)
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise ValueError("vertex id out of range")
+    if len(keep) == g.n:
+        return g, keep
     inside = mask_of(keep)
     index = {old: new for new, old in enumerate(keep)}
-    masks = []
+    masks, adj = [], []
     for u in keep:
         mask = 0
-        for v in mask_members(g.mask(u) & inside):
-            mask |= 1 << index[v]
+        row = []
+        rest = g.mask(u) & inside
+        while rest:
+            low = rest & -rest
+            v = index[low.bit_length() - 1]
+            mask |= 1 << v
+            row.append(v)
+            rest ^= low
         masks.append(mask)
+        adj.append(tuple(row))
     weights = tuple(g.weight(v) for v in keep) if g.has_weights() else None
-    return Graph._from_masks(masks, weights), keep
+    return Graph._from_masks(masks, weights, adj), keep

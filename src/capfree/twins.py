@@ -101,7 +101,9 @@ def extract_skeleton(atom: Graph) -> ExtractResult:
 
     The classes are the true-twin classes of the atom minus its universal
     vertices, by the grouping twin_classes runs: the rest grouped by
-    closed neighbour mask cut down to the rest.
+    closed neighbour mask cut down to the rest.  The skeleton is the atom
+    induced on the classes' first members, so an atom with no universal
+    vertex and only singleton classes is its own skeleton, not a copy.
     """
     n = atom.n
     if atom.m == n * (n - 1) // 2:

@@ -190,6 +190,14 @@ def test_universal_clique_wheel():
     assert add_universal_clique(complete(3), 2) == complete(5)
 
 
+def test_universal_clique_keeps_weights():
+    g = path(3).with_weights([5, 6, 7])
+    assert add_universal_clique(g, 1).weights == (5, 6, 7, 1)
+    assert add_universal_clique(g, 2).has_weights()
+    assert add_universal_clique(g, 0) == g
+    assert not add_universal_clique(path(3), 2).has_weights()
+
+
 def test_induced_subgraph():
     empty, _ = induced_subgraph(hole(5), [])
     assert empty.n == 0
@@ -233,6 +241,31 @@ def test_induced_subgraph_matches_an_edge_built_copy(seed):
         assert [sub.mask(v) for v in sub.vertices()] == [
             ref.mask(v) for v in ref.vertices()]
         assert sub == ref and hash(sub) == hash(ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_large_induced_subgraphs_match_an_edge_built_copy(seed):
+    """Masks that span many 30-bit digits, weighted or not, under whole,
+    contiguous-run and random selections."""
+    rng = Xoshiro256StarStar(seed)
+    for n, p in ((31, 0.3), (97, 0.1), (300, 0.02), (300, 0.2)):
+        g = gnp(n, p, 1000 * seed + n)
+        weighted = g.with_weights([rng.below(50) for _ in g.vertices()])
+        for h in (g, weighted):
+            sub, back = induced_subgraph(h, h.vertices())
+            assert sub is h and back == tuple(h.vertices())
+            start = rng.below(n)
+            run = range(start, start + rng.below(n - start) + 1)
+            picked = [v for v in h.vertices() if rng.below(3)]
+            for keep in (list(run), picked):
+                sub, back = induced_subgraph(h, keep)
+                ref = edge_built_subgraph(h, keep)
+                assert back == tuple(keep)
+                assert (sub.n, sub.m, sub.weights, sub.has_weights()) == (
+                    ref.n, ref.m, ref.weights, ref.has_weights())
+                assert sub == ref and sub.adj == ref.adj
+                assert all(sub.adj[v] == tuple(mask_members(sub.mask(v)))
+                           for v in sub.vertices())
 
 
 def test_induced_subgraph_range_check():

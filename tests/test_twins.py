@@ -170,6 +170,30 @@ def _instances():
             base_length=5))[0]
 
 
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_an_atom_without_twins_or_universal_vertices_is_its_own_skeleton(
+        seed):
+    g, _ = generate_instance(GeneratorParams(
+        seed=seed, ear_count=3, max_blowup=1, max_universal=0, glue_count=3,
+        target_class="cap-4hole-odd-signable"))
+    tree = clique_cutset_tree(g)
+    atoms = [induced_subgraph(g, vs)[0] for vs in tree.atoms()]
+    atoms = [atom for atom in atoms + [hole(7)]
+             if extract_skeleton(atom) != COMPLETE_ATOM]
+    assert len(atoms) > 1
+    for atom in atoms:
+        assert extract_skeleton(atom).skeleton is atom
+
+
+def test_a_universal_vertex_gives_a_new_skeleton():
+    atom = add_universal_clique(hole(7).with_weights(range(2, 9)), 1)
+    sd = extract_skeleton(atom)
+    assert sd.universal == (7,)
+    assert sd.skeleton is not atom
+    assert sd.skeleton == Graph(7, [(u, v) for u, v in atom.edges()
+                                    if v < 7], range(2, 9))
+
+
 def test_skeletons_of_atoms_have_no_clique_cutset():
     """extract_skeleton has no cutset check of its own: on a leaf of the
     clique-cutset tree, a skeleton clique cutset K would lift to the atom
