@@ -34,8 +34,7 @@ from .graphs import (Graph, induced_subgraph, mask_members, mask_of, reach,
                      vertex_set)
 from .oracles import (DEFAULT_BUDGET, BruteResult, SearchBudgetExceeded,
                       brute_solve)
-from .treewidth import (NiceDecomposition, mcs_m, min_fill_decomposition,
-                        nice_decomposition)
+from .treewidth import NiceDecomposition, mcs_m, min_fill_nice
 from .twins import COMPLETE_ATOM, ExtractResult, extract_skeleton
 
 
@@ -197,9 +196,9 @@ class Atom:
 
     For any other atom, extracted, a SkeletonDecomposition or a
     SkeletonReject, gives the twin quotient, its classes and universal
-    clique; nice, built on first use, is the nice form of the quotient's
-    min-fill tree decomposition at any width, which both DPs read.  The
-    DPs and brute count their work against budget.
+    clique; nice, built on first use by min_fill_nice, is the nice form
+    of the quotient's min-fill tree decomposition at any width, which both
+    DPs read.  The DPs and brute count their work against budget.
     """
 
     def __init__(self, root: Graph, vertices: tuple[int, ...], budget: int):
@@ -218,8 +217,8 @@ class Atom:
 
     @cached_property
     def nice(self) -> Optional[NiceDecomposition]:
-        return None if self.complete else nice_decomposition(
-            min_fill_decomposition(self.extracted.quotient))
+        return None if self.complete else min_fill_nice(
+            self.extracted.quotient)
 
     def brute(self, problem: str, reason: str) -> BruteResult:
         """brute_solve of problem on the atom under budget.  Past it,

@@ -9,26 +9,28 @@ which spends one node of a NodeBudget per search node, either finds a
 width-5 elimination order or proves none exists (certifying the graph is
 not a triangle-free odd-signable skeleton).  Every triangulation and
 every search step plays the one elimination game in _eliminate, on
-integer neighbour masks: min-fill records each move's neighbourhood
-while it picks the order and reads the bags and tree edges off that
-record, decomposition_from_order plays the game for a given order, and
-the exact search takes moves back by restoring the masks they saved.
-One MCS-M pass (mcs_m), also on neighbour masks, gives the minimal
-triangulation behind the clique-cutset scan and decides chordality and
-the clique number of chordal graphs.  It keeps the unnumbered vertices
-in a list of masks indexed by weight, under a top pointer that marks the
-heaviest level, so each step picks its vertex without a sort, and grows
-one reach mask level by level in ascending weight.  Validity checks of
-tree decompositions run on bag masks."""
+integer neighbour masks: decomposition_from_order plays it for a given
+order, the exact search takes moves back by restoring the masks they
+saved, and min-fill records each move's neighbourhood while it picks the
+order.  min_fill_nice, behind every atom's DP, goes from that record to
+the nice form in one pass: the clique tree's bag masks pass _valid_bags,
+the check is_valid runs too, and the nice form is emitted from the
+sorted bags as they are.  One MCS-M pass (mcs_m), also on neighbour
+masks, gives the minimal triangulation behind the clique-cutset scan and
+decides chordality and the clique number of chordal graphs.  It keeps
+the unnumbered vertices in a list of masks indexed by weight, under a
+top pointer that marks the heaviest level, so each step picks its vertex
+without a sort, and grows one reach mask level by level in ascending
+weight."""
 
 from __future__ import annotations
 
-import heapq
-from bisect import insort
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from heapq import heappop, heappush
+from itertools import repeat
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .graphs import Graph, mask_members, reach, vertex_set
+from .graphs import Graph, mask_members, mask_of, reach, vertex_set
 from .oracles import DEFAULT_BUDGET, NodeBudget, find_forbidden_induced
 
 
@@ -42,49 +44,44 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
     def is_valid(self, g: Graph) -> bool:
-        """The bag graph is a tree, and on bag masks: the bags cover every
-        vertex, every neighbour of v lies in a bag holding v, and the bags
-        holding v are connected, that is, as a forest in the tree they have
-        one more bag than tree edges."""
-        k = len(self.bags)
-        if k == 0:
-            return g.n == 0
-        if len(self.edges) != k - 1:
+        """_valid_bags, once every bag vertex is a vertex of g."""
+        return (all(0 <= v < g.n for bag in self.bags for v in bag)
+                and _valid_bags(g, [mask_of(bag) for bag in self.bags],
+                                self.bags, self.edges))
+
+
+def _valid_bags(g: Graph, bags: list[int], members: Sequence[Sequence[int]],
+                edges: Sequence[tuple[int, int]]) -> bool:
+    """The bag masks, with their vertex lists, and these tree edges form a
+    tree decomposition of g: the bag graph is a tree, the bags cover every
+    vertex and every edge, and the bags holding v are connected: as a
+    forest in the tree they have one more bag than tree edges, at least
+    one more once v is covered, so exactly one more for every v when the
+    bag sizes less the shared parts of the tree edges sum to n."""
+    k = len(bags)
+    if k == 0:
+        return g.n == 0
+    if len(edges) != k - 1:
+        return False
+    nbrs = [0] * k
+    for a, b in edges:
+        if not (0 <= a < k and 0 <= b < k):
             return False
-        nbrs = [0] * k
-        for a, b in self.edges:
-            if not (0 <= a < k and 0 <= b < k):
-                return False
-            nbrs[a] |= 1 << b
-            nbrs[b] |= 1 << a
-        every_bag = (1 << k) - 1
-        if reach(nbrs, 1, every_bag) != every_bag:
-            return False
-        masks = []
-        for bag in self.bags:
-            mask = 0
-            for v in bag:
-                if not 0 <= v < g.n:
-                    return False
-                mask |= 1 << v
-            masks.append(mask)
-        # around[v]: the union of the bags holding v; pieces[v]: the bags
-        # holding v minus the tree edges inside them.
-        around = [0] * g.n
-        pieces = [0] * g.n
-        covered = 0
-        for mask in masks:
-            covered |= mask
-            for v in mask_members(mask):
-                around[v] |= mask
-                pieces[v] += 1
-        if covered != (1 << g.n) - 1:
-            return False
-        for a, b in self.edges:
-            for v in mask_members(masks[a] & masks[b]):
-                pieces[v] -= 1
-        return all(pieces[v] == 1 and not g.mask(v) & ~around[v]
-                   for v in g.vertices())
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    # around[v]: the union of the bags holding v.
+    around = [0] * g.n
+    covered = pieces = 0
+    for mask, vs in zip(bags, members):
+        covered |= mask
+        pieces += mask.bit_count()
+        for v in vs:
+            around[v] |= mask
+    for a, b in edges:
+        pieces -= (bags[a] & bags[b]).bit_count()
+    return (reach(nbrs, 1, (1 << k) - 1) == (1 << k) - 1
+            and covered == (1 << g.n) - 1 and pieces == g.n
+            and not any(g.mask(v) & ~around[v] for v in g.vertices()))
 
 
 @dataclass(frozen=True)
@@ -95,37 +92,54 @@ class TreewidthReject:
 
 def _min_fill_order(g: Graph) -> tuple[list[int], list[int]]:
     """Greedy min-fill: eliminate the live vertex least by (fill count,
-    degree, id), and record each move's madj(v), the mask of v's
-    neighbours when it goes.  Keys wait in a heap and stale entries are
-    skipped; the ids make the key a total order, so the least live key is
-    the one a scan of every live vertex would pick.  A move changes the
-    degree of v's former neighbours only, and the fill count of a vertex
-    only when a fill edge joins two of its neighbours, so those two sets
-    get a fresh key."""
+    degree, id), the int (fill * N + degree) * N + v with N = n + 1, and
+    record each move's madj(v), the mask of v's neighbours when it goes.
+    Keys wait in a heap and stale entries are skipped; the ids make the
+    key a total order, so the least live key is the one a scan of every
+    live vertex would pick.  A move changes the degree of v's former
+    neighbours only, and the fill count of a vertex only when a fill edge
+    joins two of its neighbours, so those two sets get a fresh key, pushed
+    only when it changed; below degree 3 the fill count takes at most one
+    adjacency test."""
+    size = g.n + 1
     adj = [g.mask(v) for v in g.vertices()]
-    key: list[Optional[tuple[int, int, int]]] = [
-        (_fill_count(adj, v), adj[v].bit_count(), v) for v in g.vertices()]
-    heap = key[:]
-    heapq.heapify(heap)
+    key = [-1] * g.n
+    heap: list[int] = []
     order = []
     madj = []
-    while heap:
-        entry = heapq.heappop(heap)
-        v = entry[2]
-        if entry != key[v]:
-            continue
+    fresh: Iterable[int] = g.vertices()
+    while True:
+        for u in fresh:
+            nbrs = adj[u]
+            degree = nbrs.bit_count()
+            fill = 0
+            if degree > 2:
+                fill = _fill_count(adj, u)
+            elif degree == 2:
+                fill = 0 if adj[(nbrs & -nbrs).bit_length() - 1] & nbrs else 1
+            entry = (fill * size + degree) * size + u
+            if entry != key[u]:
+                key[u] = entry
+                heappush(heap, entry)
+        while heap:
+            v = (entry := heappop(heap)) % size
+            if entry == key[v]:
+                break
+        else:
+            return order, madj
         order.append(v)
-        key[v] = None
+        key[v] = -1
         nbrs = adj[v]
         madj.append(nbrs)
         touched = nbrs
         for a, old in _eliminate(adj, v):
-            for b in mask_members(nbrs & ~old ^ 1 << a):
-                touched |= adj[a] & adj[b]
-        for u in mask_members(touched):
-            key[u] = (_fill_count(adj, u), adj[u].bit_count(), u)
-            heapq.heappush(heap, key[u])
-    return order, madj
+            # a's fill partners, and the common neighbours of each pair.
+            new = nbrs & ~old ^ 1 << a
+            while new:
+                low = new & -new
+                touched |= adj[a] & adj[low.bit_length() - 1]
+                new ^= low
+        fresh = mask_members(touched)
 
 
 def _fill_count(adj: list[int], v: int) -> int:
@@ -145,13 +159,16 @@ def _eliminate(adj: list[int], v: int) -> list[tuple[int, int]]:
     """One move of the elimination game on neighbour masks: make v's
     neighbours a clique and isolate v.  Returns each former neighbour,
     in increasing order, with the mask it had before the move."""
-    nbrs = adj[v]
+    nbrs = rest = adj[v]
     saved = []
-    for a in mask_members(nbrs):
+    while rest:
+        low = rest & -rest
+        a = low.bit_length() - 1
         old = adj[a]
         saved.append((a, old))
         # old holds v but not a, nbrs holds a but not v.
-        adj[a] = (old | nbrs) ^ (1 << a | 1 << v)
+        adj[a] = (old | nbrs) ^ (low | 1 << v)
+        rest ^= low
     adj[v] = 0
     return saved
 
@@ -261,15 +278,20 @@ def _clique_tree(g: Graph, order: list[int], madj: list[int]
     madj(v), its neighbours at that moment, a clique.  In reverse order, v
     joins the bag of p, the first-eliminated vertex of madj(v), when that
     bag is exactly madj(v), and otherwise opens the bag madj(v) + v joined
-    to p's bag (to bag 0 when madj(v) is empty).  Bags and edges are
-    listed in sorted order."""
-    position = {v: i for i, v in enumerate(order)}
-    bag_of = {}
+    to p's bag (to bag 0 when madj(v) is empty).  bag_of[u] is the first
+    bag to hold u, so p's bag, which holds madj(v), is the last bag_of of
+    its vertices.  Bags and edges are listed in sorted order."""
+    bag_of = [0] * g.n
     bags: list[int] = []
     edges = []
     for v, later in zip(reversed(order), reversed(madj)):
         if later:
-            b = bag_of[min(mask_members(later), key=position.__getitem__)]
+            b, rest = 0, later
+            while rest:
+                low = rest & -rest
+                if bag_of[low.bit_length() - 1] > b:
+                    b = bag_of[low.bit_length() - 1]
+                rest ^= low
             # madj(v) lies inside p's bag, so equal sizes mean equal sets.
             if bags[b].bit_count() == later.bit_count():
                 bags[b] |= 1 << v
@@ -281,19 +303,24 @@ def _clique_tree(g: Graph, order: list[int], madj: list[int]
         bag_of[v] = len(bags)
         bags.append(later | 1 << v)
     listed = [tuple(mask_members(bag)) for bag in bags]
+    assert _valid_bags(g, bags, listed, edges)
     ranked = sorted(range(len(bags)), key=listed.__getitem__)
     rank = {b: r for r, b in enumerate(ranked)}
-    td = TreeDecomposition(
+    return TreeDecomposition(
         tuple(listed[b] for b in ranked),
-        tuple(sorted(tuple(sorted((rank[a], rank[b]))) for a, b in edges)))
-    assert td.is_valid(g)
-    return td
+        tuple(sorted((rank[a], rank[b]) if rank[a] < rank[b]
+                     else (rank[b], rank[a]) for a, b in edges)))
 
 
 def min_fill_decomposition(g: Graph) -> TreeDecomposition:
     """Tree decomposition from the greedy min-fill elimination order, its
     bags read off the one game that picked the order."""
     return _clique_tree(g, *_min_fill_order(g))
+
+
+def min_fill_nice(g: Graph) -> NiceDecomposition:
+    """nice_decomposition(min_fill_decomposition(g)), bags not re-sorted."""
+    return _nice_form(_clique_tree(g, *_min_fill_order(g)))
 
 
 def _exact_order(g: Graph, k: int, budget: int) -> Optional[list[int]]:
@@ -408,48 +435,41 @@ class NiceDecomposition:
 
 def nice_decomposition(td: TreeDecomposition) -> NiceDecomposition:
     """Rooted nice form: every node is a leaf, introduce, forget or join;
-    width is preserved and the root bag is empty.  Between a bag and its
+    width is preserved and the root bag is empty (see _nice_form)."""
+    return _nice_form(TreeDecomposition(tuple(map(vertex_set, td.bags)),
+                                        td.edges))
+
+
+def _nice_form(td: TreeDecomposition) -> NiceDecomposition:
+    """Nice form of a tree decomposition with sorted bags, rooted at an
+    empty bag above bag 0.  Depth-first, each bag's children are finished
+    in neighbour order and joined left to right.  Between a bag and its
     parent's, the vertices only in the bag are forgotten largest first,
-    then those only in the parent's are introduced smallest first, on one
-    sorted list that each node copies."""
-    if not td.bags:
-        return NiceDecomposition((NiceNode("leaf", (), None, ()),), 0)
-    k = len(td.bags)
-    bags = [vertex_set(bag) for bag in td.bags]
-    nbrs: list[list[int]] = [[] for _ in range(k)]
+    then those only in the parent's introduced smallest first."""
+    bags = td.bags or ((),)
+    nbrs: list[list[int]] = [[] for _ in bags]
     for a, b in td.edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
-    nodes: list[NiceNode] = []
+    nodes: list[tuple] = []
+    emit = nodes.append
 
-    def emit(kind: str, bag: tuple[int, ...], vertex=None, children=()) -> int:
-        nodes.append(NiceNode(kind, bag, vertex, children))
-        return len(nodes) - 1
-
-    def chain_up(idx: int, have: tuple[int, ...], want: tuple[int, ...]) -> int:
-        bag = list(have)
-        for v in reversed(have):
+    def chain_up(idx: int, bag: tuple[int, ...], want: tuple[int, ...]) -> int:
+        # Every vertex of want before want[i] is in bag when want[i] goes in.
+        for i in range(len(bag) - 1, -1, -1):
+            v = bag[i]
             if v not in want:
-                bag.remove(v)
-                idx = emit("forget", tuple(bag), v, (idx,))
-        for v in want:
-            if v not in have:
-                insort(bag, v)
-                idx = emit("introduce", tuple(bag), v, (idx,))
+                bag = bag[:i] + bag[i + 1:]
+                emit(("forget", bag, v, (idx,)))
+                idx = len(nodes) - 1
+        for i, v in enumerate(want):
+            if v not in bag:
+                bag = bag[:i] + (v,) + bag[i:]
+                emit(("introduce", bag, v, (idx,)))
+                idx = len(nodes) - 1
         return idx
 
-    def finish(b: int, kid_idx: list[int]) -> int:
-        if not kid_idx:
-            return chain_up(emit("leaf", ()), (), bags[b])
-        while len(kid_idx) > 1:
-            left = kid_idx.pop(0)
-            right = kid_idx.pop(0)
-            kid_idx.insert(0, emit("join", bags[b], None, (left, right)))
-        return kid_idx[0]
-
-    # Depth-first from bag 0; a bag's children are finished, in neighbor
-    # order, before its own nodes are emitted.
-    kids: list[list[int]] = [[] for _ in range(k)]
+    kids: list[list[int]] = [[] for _ in bags]
     stack = [(0, -1, iter(nbrs[0]))]
     while stack:
         b, parent, pending = stack[-1]
@@ -459,8 +479,19 @@ def nice_decomposition(td: TreeDecomposition) -> NiceDecomposition:
                 break
         else:
             stack.pop()
-            top = finish(b, kids[b])
+            below = kids[b]
+            if below:
+                top = below[0]
+                for right in below[1:]:
+                    emit(("join", bags[b], None, (top, right)))
+                    top = len(nodes) - 1
+            else:
+                emit(("leaf", (), None, ()))
+                top = chain_up(len(nodes) - 1, (), bags[b])
             if parent >= 0:
                 kids[parent].append(chain_up(top, bags[b], bags[parent]))
     top = chain_up(top, bags[0], ())
-    return NiceDecomposition(tuple(nodes), top)
+    # tuple.__new__ makes each NiceNode with no Python-level call; listing
+    # them first sizes the tuple once instead of growing it from map.
+    return NiceDecomposition(
+        tuple([*map(tuple.__new__, repeat(NiceNode), nodes)]), top)

@@ -306,7 +306,7 @@ def test_recognize_and_clique_number_build_no_tree_decomposition(
     def refuse(*args, **kwargs):
         raise AssertionError("skeleton tree decomposition built")
 
-    monkeypatch.setattr(decomposition, "min_fill_decomposition", refuse)
+    monkeypatch.setattr(decomposition, "min_fill_nice", refuse)
     verdicts = [recognize(g, cls) for cls in ("cap-even-hole-free",
                                               "cap-4hole-odd-signable")]
     assert verdicts == expected and all(v.accepted for v in verdicts)

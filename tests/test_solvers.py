@@ -308,7 +308,7 @@ GLUED3 = generate_instance(GeneratorParams(
 
 
 def _count_calls(monkeypatch, call, dp):
-    """Run call, counting nice_decomposition calls and DP passes; also
+    """Run call, counting min_fill_nice calls and DP passes; also
     returns the number of structured atoms of GLUED3."""
     structured = sum(atom.nice is not None for atom in decompose(GLUED3)[1])
     calls = {"nice": 0, "dp": 0}
@@ -319,8 +319,8 @@ def _count_calls(monkeypatch, call, dp):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(decomposition, "nice_decomposition",
-                        counted("nice", decomposition.nice_decomposition))
+    monkeypatch.setattr(decomposition, "min_fill_nice",
+                        counted("nice", decomposition.min_fill_nice))
     monkeypatch.setattr(solvers, dp, counted("dp", getattr(solvers, dp)))
     call()
     assert structured >= 2

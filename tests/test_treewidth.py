@@ -8,7 +8,7 @@ from capfree import decomposition, treewidth
 from capfree.construct import (Ear, EarSequence, GeneratorParams,
                                generate_instance, random_skeleton,
                                skeleton_from_ears, triangulation_from_ears)
-from capfree.decomposition import clique_cutset_tree
+from capfree.decomposition import clique_cutset_tree, decompose
 from capfree.graphs import (Graph, blow_up, complete, cube, gnp, hole,
                             mask_members, path)
 from capfree.oracles import SearchBudgetExceeded, brute_solve
@@ -477,6 +477,38 @@ def test_long_nice_form_matches_the_sorting_builder():
     td = long_path_decomposition()
     nd = nice_decomposition(td)
     assert nice_fields(nd) == sorted_nice_nodes(td)
+
+
+def assert_atoms_take_the_two_step_route(g):
+    """Every structured atom's nice form, built by min_fill_nice in one
+    pass, equals nice_decomposition(min_fill_decomposition(quotient)).
+    Returns the number of structured atoms."""
+    structured = [atom for atom in decompose(g)[1] if not atom.complete]
+    for atom in structured:
+        assert atom.nice == nice_decomposition(
+            min_fill_decomposition(atom.extracted.quotient))
+    return len(structured)
+
+
+@pytest.mark.parametrize("universal", [0, 1])
+@pytest.mark.parametrize("blowup", [1, 2])
+@pytest.mark.parametrize("target", ["cap-even-hole-free",
+                                    "cap-4hole-odd-signable"])
+def test_atom_nice_matches_the_two_step_route(target, blowup, universal):
+    assert all(assert_atoms_take_the_two_step_route(generate_instance(
+        GeneratorParams(seed=seed, ear_count=3, max_blowup=blowup,
+                        max_universal=universal, glue_count=3,
+                        target_class=target))[0]) for seed in range(4))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_atom_nice_matches_the_two_step_route_on_gnp(seed):
+    assert sum(map(assert_atoms_take_the_two_step_route,
+                   min_fill_corpus(40 + seed))) >= 10
+
+
+def test_atom_nice_matches_the_two_step_route_on_a_long_hole():
+    assert assert_atoms_take_the_two_step_route(hole(501)) == 1
 
 
 def test_bad_elimination_orders_are_rejected():
