@@ -29,8 +29,8 @@ from .solvers import (StableSetResult, UnsupportedInstanceError,
                       greedy_color, is_proper_coloring, mwss, q_color,
                       q_color_graph)
 from .treewidth import (NiceDecomposition, TreeDecomposition,
-                        TreewidthReject, min_fill_decomposition,
-                        nice_decomposition, skeleton_tree_decomposition)
+                        min_fill_decomposition, nice_decomposition,
+                        skeleton_tree_decomposition)
 from .twins import (SkeletonDecomposition, SkeletonReject,
                     clique_number_via_skeleton, extract_skeleton,
                     lift_tree_decomposition, reconstruct_atom, twin_classes)

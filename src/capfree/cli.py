@@ -28,8 +28,7 @@ from .oracles import (BRUTE_PROBLEMS, DEFAULT_BUDGET, ForbiddenWitness,
 from .recognition import recognize
 from .solvers import (chromatic_number, clique_number, greedy_color, mwss,
                       q_color_graph)
-from .treewidth import (TreewidthReject, min_fill_decomposition,
-                        skeleton_tree_decomposition)
+from .treewidth import min_fill_decomposition
 from .twins import (COMPLETE_ATOM, SkeletonReject, extract_skeleton)
 
 USAGE_ERROR = 2
@@ -141,17 +140,11 @@ def cmd_skeleton(args) -> int:
 
 def cmd_treewidth(args) -> int:
     g = _read_graph(args.file)
-    if find_forbidden_induced(g, "triangle") is not None:
-        td = min_fill_decomposition(g)
-        _emit({"width": td.width, "bags": [_ids(b) for b in td.bags],
-               "tree_edges": [list(e) for e in td.edges], "exact": False})
-        return 0
-    result = skeleton_tree_decomposition(g, budget=args.budget)
-    if isinstance(result, TreewidthReject):
-        _emit({"width_exceeds": result.bound})
-        return 1
-    _emit({"width": result.width, "bags": [_ids(b) for b in result.bags],
-           "tree_edges": [list(e) for e in result.edges], "exact": True})
+    td = min_fill_decomposition(g)
+    _emit({"width": td.width, "bags": [_ids(b) for b in td.bags],
+           "tree_edges": [list(e) for e in td.edges],
+           "exact": td.width <= 5
+           and find_forbidden_induced(g, "triangle") is None})
     return 0
 
 
@@ -218,8 +211,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = _read_graph(args.file)
     kind, budget = args.kind, args.budget
+    if args.max_len is not None and kind != "chordless-cycles":
+        raise ValueError("--max-len applies to chordless-cycles only")
+    g = _read_graph(args.file)
     if kind == "chordless-cycles":
         cycles = enumerate_chordless_cycles(g, args.max_len, budget=budget)
         _emit({"count": len(cycles), "cycles": [_ids(c) for c in cycles]})
@@ -283,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=cmd_skeleton)
 
-    p = sub.add_parser("treewidth", help="width <= 5 tree decomposition")
+    p = sub.add_parser("treewidth", help="min-fill tree decomposition")
     p.add_argument("file")
     p.set_defaults(fn=cmd_treewidth)
 
@@ -324,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force reference oracles")
     p.add_argument("kind", choices=("chordless-cycles", "odd-signable")
                    + FORBIDDEN_KINDS + BRUTE_PROBLEMS)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=_nonnegative, default=None,
+                   help="longest cycle chordless-cycles lists")
     p.add_argument("file")
     p.set_defaults(fn=cmd_oracle)
 

@@ -42,8 +42,8 @@ class NodeBudget:
     """The nodes one search may still visit, None for no bound: the pops
     of _induced_paths over one enumeration or finder, the frames, steps
     or subsets of a brute-force search (over every q of a chromatic one),
-    the nodes of an exact width-k search, the table entries of a DP; the
-    one place that raises SearchBudgetExceeded."""
+    the table entries of a DP; the one place that raises
+    SearchBudgetExceeded."""
 
     def __init__(self, search: str, budget: Optional[int]):
         self.search, self.budget = search, budget

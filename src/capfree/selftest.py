@@ -212,8 +212,7 @@ def criterion_5_skeleton_treewidth() -> CriterionResult:
                 violations += 1
                 continue
             td = skeleton_tree_decomposition(skeleton)
-            if not (isinstance(td, TreeDecomposition) and td.width <= 5
-                    and td.is_valid(skeleton)):
+            if not (td.width <= 5 and td.is_valid(skeleton)):
                 violations += 1
                 continue
             tri = triangulation_from_ears(es)
@@ -239,12 +238,11 @@ def criterion_6_atom_treewidth() -> CriterionResult:
                     omega = atom.graph.n
                 else:
                     sd = atom.extracted
-                    td = (skeleton_tree_decomposition(sd.skeleton)
-                          if isinstance(sd, SkeletonDecomposition) else None)
-                    if not isinstance(td, TreeDecomposition):
+                    if not isinstance(sd, SkeletonDecomposition):
                         violations += 1
                         continue
-                    td = lift_tree_decomposition(td, sd)
+                    td = lift_tree_decomposition(
+                        skeleton_tree_decomposition(sd.skeleton), sd)
                     omega = clique_number_via_skeleton(sd)
                 if not td.is_valid(atom.graph) or td.width > 6 * omega - 1:
                     violations += 1

@@ -1,17 +1,15 @@
-"""Tree decompositions: width-5 decompositions of skeletons, MCS-M and
+"""Tree decompositions: min-fill decompositions of skeletons, MCS-M and
 chordality, and nice form for dynamic programming.  From the package the
 module imports graphs and oracles alone; the ear triangulation lives in
 construct, beside the good-ear check, and lifting to atoms in twins.
 
-Strategy for skeletons: the min-fill decomposition first, whose width is
-its elimination width; if that exceeds 5, an exact branch-and-bound,
-which spends one node of a NodeBudget per search node, either finds a
-width-5 elimination order or proves none exists (certifying the graph is
-not a triangle-free odd-signable skeleton).  Every triangulation and
-every search step plays the one elimination game in _eliminate, on
-integer neighbour masks: decomposition_from_order plays it for a given
-order, the exact search takes moves back by restoring the masks they
-saved, and min-fill records each move's neighbourhood while it picks the
+Every tree decomposition comes from the greedy min-fill elimination
+game, whose width bounds the treewidth from above: triangle-free
+odd-signable skeletons have treewidth at most 5, and on the generated
+skeletons of the class min-fill stays within that.  Every
+triangulation plays the one elimination game in _eliminate, on integer
+neighbour masks: decomposition_from_order plays it for a given order,
+and min-fill records each move's neighbourhood while it picks the
 order.  min_fill_nice, behind every atom's DP, goes from that record to
 the nice form in one pass: the clique tree's bag masks pass _valid_bags,
 the check is_valid runs too, and the nice form is emitted from the
@@ -28,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import repeat
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import Graph, mask_members, mask_of, reach, vertex_set
-from .oracles import DEFAULT_BUDGET, NodeBudget, find_forbidden_induced
+from .oracles import find_forbidden_induced
 
 
 @dataclass(frozen=True)
@@ -82,12 +80,6 @@ def _valid_bags(g: Graph, bags: list[int], members: Sequence[Sequence[int]],
     return (reach(nbrs, 1, (1 << k) - 1) == (1 << k) - 1
             and covered == (1 << g.n) - 1 and pieces == g.n
             and not any(g.mask(v) & ~around[v] for v in g.vertices()))
-
-
-@dataclass(frozen=True)
-class TreewidthReject:
-    """Exact search proved the treewidth exceeds the stated bound."""
-    bound: int
 
 
 def _min_fill_order(g: Graph) -> tuple[list[int], list[int]]:
@@ -323,85 +315,18 @@ def min_fill_nice(g: Graph) -> NiceDecomposition:
     return _nice_form(_clique_tree(g, *_min_fill_order(g)))
 
 
-def _exact_order(g: Graph, k: int, budget: int) -> Optional[list[int]]:
-    """Elimination order of width <= k, or None when provably impossible.
+def skeleton_tree_decomposition(f: Graph) -> TreeDecomposition:
+    """min_fill_decomposition(f) of a triangle-free graph f, at whatever
+    width min-fill reaches.  Triangle-free odd-signable graphs have
+    treewidth at most 5, and min-fill stays within that on the generated
+    skeletons of the class; a width above 5 proves nothing, since
+    min-fill only bounds the treewidth from above.
 
-    Depth-first search over elimination prefixes on an explicit stack; the
-    elimination game is played on one list of neighbour masks and each
-    move is taken back on backtracking by restoring the masks it saved.
-    Memoizes failed masks of live vertices (the filled graph only depends
-    on the eliminated set).  The least simplicial vertex of degree <= k is
-    eliminated without branching.  Each search node spends one node of its
-    NodeBudget, which raises SearchBudgetExceeded past budget.
-    """
-    nodes = NodeBudget(f"the width-{k} search", budget)
-    adj = [g.mask(v) for v in g.vertices()]
-    live = (1 << g.n) - 1
-    failed: set[int] = set()
-    # One frame per open search node: [live mask, branches not yet tried,
-    # (vertex, its neighbour mask, saved masks) of the move in progress].
-    frames: list[list] = []
-    while True:
-        if live.bit_count() <= k + 1:
-            return [frame[2][0] for frame in frames] + mask_members(live)
-        if live not in failed:
-            nodes.spend()
-            frames.append([live, iter(_branches(adj, live, k)), None])
-        while frames:
-            frame = frames[-1]
-            live = frame[0]
-            if frame[2] is not None:
-                v, nbrs, saved = frame[2]
-                for a, old in saved:
-                    adj[a] = old
-                adj[v] = nbrs
-            v = next(frame[1], None)
-            if v is not None:
-                frame[2] = (v, adj[v], _eliminate(adj, v))
-                live ^= 1 << v
-                break
-            failed.add(live)
-            frames.pop()
-        else:
-            return None
-
-
-def _branches(adj: list[int], live: int, k: int) -> list[int]:
-    """The vertices a search node tries: the least simplicial vertex of
-    degree <= k alone, else every vertex of degree <= k by fill, degree
-    and id."""
-    keyed = []
-    for v in mask_members(live):
-        degree = adj[v].bit_count()
-        if degree <= k:
-            fill = _fill_count(adj, v)
-            if fill == 0:
-                return [v]
-            keyed.append((fill, degree, v))
-    keyed.sort()
-    return [v for _, _, v in keyed]
-
-
-def skeleton_tree_decomposition(f: Graph, *, budget: int = DEFAULT_BUDGET
-                                ) -> Union[TreeDecomposition, TreewidthReject]:
-    """Width <= 5 tree decomposition of a triangle-free graph, or a
-    TreewidthReject proving width > 5 (so f is not a triangle-free
-    odd-signable skeleton).
-
-    Raises ValueError if f has a triangle and SearchBudgetExceeded when the
-    exact fallback visits more than budget search nodes.
+    Raises ValueError if f has a triangle.
     """
     if find_forbidden_induced(f, "triangle") is not None:
         raise ValueError("input has a triangle")
-    td = min_fill_decomposition(f)
-    if td.width <= 5:
-        return td
-    exact = _exact_order(f, 5, budget)
-    if exact is None:
-        return TreewidthReject(5)
-    td = decomposition_from_order(f, exact)
-    assert td.width <= 5
-    return td
+    return min_fill_decomposition(f)
 
 
 def chordal_clique_number(g: Graph) -> int:

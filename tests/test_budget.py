@@ -9,9 +9,7 @@ from capfree.graphs import Graph, gnp, hole
 from capfree.oracles import (NodeBudget, SearchBudgetExceeded, brute_solve,
                              enumerate_chordless_cycles)
 from capfree.solvers import chromatic_number, mwss
-from capfree.treewidth import skeleton_tree_decomposition
 
-K66 = Graph(12, [(i, 6 + j) for i in range(6) for j in range(6)])
 GRID6 = Graph(36, [(r * 6 + c, r * 6 + c + 1)
                    for r in range(6) for c in range(5)]
               + [(r * 6 + c, (r + 1) * 6 + c)
@@ -60,7 +58,6 @@ def spent(monkeypatch):
 SEARCHES = {
     "the stable-set DP": lambda: mwss(GRID6),
     "the coloring DP": lambda: chromatic_number(GRID6),
-    "the width-5 search": lambda: skeleton_tree_decomposition(K66),
     "the brute-force mwss search": lambda: brute_solve(hole(7), "mwss"),
 }
 

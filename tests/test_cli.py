@@ -153,13 +153,16 @@ def test_treewidth_heuristic_on_triangles(graph_file, capsys):
     assert doc["width"] == 3 and doc["exact"] is False
 
 
-def test_treewidth_reject_exit_code(graph_file, capsys):
-    from capfree.graphs import Graph
+def test_treewidth_reports_min_fill_beyond_width_5(graph_file, capsys):
+    # K6,6 is triangle-free with treewidth 6: min-fill's decomposition
+    # comes back at that width, not exact, and the command still answers.
     k66 = Graph(12, [(i, 6 + j) for i in range(6) for j in range(6)])
     f = graph_file("k66.graph", k66)
     code, out = run(capsys, "treewidth", f)
-    assert code == 1
-    assert json.loads(out)["width_exceeds"] == 5
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["width"] == 6 and doc["exact"] is False
+    assert max(map(len, doc["bags"])) == 7
 
 
 def test_decompose_json_and_dot(graph_file, capsys):
@@ -226,6 +229,30 @@ def test_oracle_chordless_cycles_max_len(graph_file, capsys):
     assert code == 0 and doc["count"] == 6
     assert [len(c) for c in doc["cycles"]] == [4] * 6
     assert doc["cycles"][0] == [1, 6, 3, 8]
+
+
+@pytest.mark.parametrize("kind", ["even-hole", "odd-signable", "chromatic"])
+def test_oracle_max_len_is_a_usage_error_beside_other_kinds(
+        graph_file, capsys, kind):
+    # On C6 the even-hole oracle would return the 6-hole: --max-len 3
+    # cannot bound it, so it is refused, not ignored.
+    f = graph_file("c6.graph", hole(6))
+    code, out = run(capsys, "oracle", kind, "--max-len", "3", f)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_oracle_max_len_must_be_nonnegative(graph_file, capsys, value):
+    f = graph_file("c6.graph", hole(6))
+    code, out = run(capsys, "oracle", "chordless-cycles", "--max-len", value,
+                    f)
+    assert code == 2 and out == ""
+
+
+def test_oracle_max_len_zero_lists_no_cycle(graph_file, capsys):
+    f = graph_file("c6.graph", hole(6))
+    code, out = run(capsys, "oracle", "chordless-cycles", "--max-len", "0", f)
+    assert code == 0 and json.loads(out) == {"count": 0, "cycles": []}
 
 
 def test_oracle_guard_exit_code(graph_file, capsys):

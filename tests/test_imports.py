@@ -4,13 +4,42 @@ else in the package, every import names the standard library or the
 package itself (pyproject.toml declares dependencies = []), and every
 module parses as the oldest Python that pyproject.toml declares; package
 modules are imported only at module level, and those imports form an
-acyclic graph."""
+acyclic graph.  The public names of the package are pinned, so that each
+one added or dropped shows in the diff."""
 
 import ast
 import sys
 from pathlib import Path
 
+import capfree
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "capfree"
+
+# sorted(capfree.__all__): every name capfree/__init__.py binds, the
+# package modules it imports among them.
+PUBLIC_NAMES = [
+    "BruteResult", "CertificateError", "DecompositionNode",
+    "DecompositionTree", "Ear", "EarSequence", "ForbiddenWitness",
+    "GeneratorParams", "Graph", "GraphFormatError", "NiceDecomposition",
+    "RecognitionVerdict", "SearchBudgetExceeded", "SkeletonDecomposition",
+    "SkeletonReject", "StableSetResult", "TreeDecomposition",
+    "UnsupportedInstanceError", "Xoshiro256StarStar",
+    "add_universal_clique", "blow_up", "brute_solve", "certify",
+    "chromatic_number", "clique_cutset_tree", "clique_number",
+    "clique_number_via_skeleton", "combine_colorings", "complete",
+    "construct", "construct_named", "cube", "decomposition",
+    "detect_4hole", "detect_cap_fast", "enumerate_chordless_cycles",
+    "extract_skeleton", "find_clique_cutset", "find_forbidden_induced",
+    "generate_instance", "glue_atoms", "gnp", "graphs", "greedy_color",
+    "hajos", "hole", "holes_of", "induced_subgraph", "is_proper_coloring",
+    "lift_tree_decomposition", "min_fill_decomposition", "mwss",
+    "nice_decomposition", "odd_signable_signing", "oracles", "parse_graph",
+    "path", "q_color", "q_color_graph", "random_skeleton", "recognition",
+    "recognize", "reconstruct_atom", "rng", "serialize_graph",
+    "skeleton_from_ears", "skeleton_tree_decomposition", "solvers",
+    "tree_to_dot", "treewidth", "triangulation_from_ears", "twin_classes",
+    "twins", "validate_good_ear", "verify_witness", "vertex_set",
+]
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -153,3 +182,7 @@ def test_package_import_graph_is_acyclic():
     for module in graph:
         visit(module, [])
     assert cycles == []
+
+
+def test_public_names_are_pinned():
+    assert sorted(capfree.__all__) == PUBLIC_NAMES

@@ -21,10 +21,8 @@ from capfree.recognition import detect_4hole, detect_cap_fast, recognize
 from capfree.solvers import (ceil_three_halves, chromatic_number,
                              clique_number, is_proper_coloring, mwss,
                              q_color_graph)
-from capfree.oracles import SearchBudgetExceeded
-from capfree.treewidth import (TreeDecomposition, TreewidthReject,
-                               min_fill_decomposition, nice_decomposition,
-                               skeleton_tree_decomposition)
+from capfree.treewidth import (TreeDecomposition, min_fill_decomposition,
+                               nice_decomposition)
 
 
 def friendship(k):
@@ -218,22 +216,10 @@ def subdivided_grid(side, k):
     return Graph(n, edges)
 
 
-def test_exact_width_search_does_not_recurse():
-    # Triangle-free, no clique cutset, treewidth 7: min-fill exceeds 5 and
-    # the exact search descends about a thousand eliminations deep.
-    g = subdivided_grid(7, 12)
-    assert (g.n, g.m) == (1057, 1092)
-    try:
-        result = skeleton_tree_decomposition(g, budget=1500)
-    except SearchBudgetExceeded:
-        return
-    assert result == TreewidthReject(5)
-
-
 def test_solvers_answer_the_subdivided_grid_by_its_decomposition():
-    # The width-5 search cannot decompose this graph, and brute force is
-    # exponential in its 1057 vertices; the DPs over its min-fill
-    # decomposition answer in well under a second each.
+    # Triangle-free with treewidth 7, so min-fill's width exceeds 5, and
+    # brute force is exponential in its 1057 vertices; the DPs over its
+    # min-fill decomposition answer in well under a second each.
     g = subdivided_grid(7, 12)
     start = time.perf_counter()
     result = mwss(g)

@@ -19,8 +19,7 @@ from capfree.oracles import (DEFAULT_BUDGET, ForbiddenWitness,
                              verify_witness)
 from capfree.selftest import small_graph_pool
 from capfree.solvers import _multicolor_dp, _stable_dp, greedy_color
-from capfree.treewidth import (min_fill_decomposition, nice_decomposition,
-                               skeleton_tree_decomposition)
+from capfree.treewidth import min_fill_decomposition, nice_decomposition
 from test_cutset_scan import disjoint_union
 
 EVEN_WHEEL = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0),
@@ -312,8 +311,6 @@ def _dp_over_min_fill(dp, args):
 # their table entries: the stable-set DP takes every vertex of GNP30 at
 # weight 1, and the coloring DP colors K6,6 with the colors greedy uses.
 BUDGETED_SEARCHES = {
-    "width-5": (lambda g, **kw: skeleton_tree_decomposition(g, **kw),
-                K66, 0),
     **{problem: (lambda g, problem=problem, **kw:
                  brute_solve(g, problem, **kw), GNP30, 10)
        for problem in ("max-clique", "mwss", "chromatic", "clique-cutset")},

@@ -8,6 +8,8 @@ A second sha256 pins `decompose --dot` on the same graphs plus a path and
 a disconnected graph, whose tree splits along the empty cutset that the
 DOT writer labels "empty".
 
+A third sha256 pins `treewidth` on the 45 graphs of the first.
+
 To print the current digests: python tests/test_pinned_cli.py
 """
 
@@ -92,12 +94,20 @@ def dot_digest() -> str:
     return _digest(graphs, lambda file: _run("decompose", "--dot", file))
 
 
+def treewidth_digest() -> str:
+    return _digest(_graphs(), lambda file: _run("treewidth", file))
+
+
 PINNED_CLI_DIGEST = (
     "7eaf74a8a10618b2d266ab57e45aaca57fe3fb85ba699f5855e0dc3ce3f976b8")
 
 
 PINNED_DOT_DIGEST = (
     "16edd264016557ee44ca8a04301f71298e4b418728a57c6a9b0e4ef86239a09a")
+
+
+PINNED_TREEWIDTH_DIGEST = (
+    "91a77825f49ae161af398ebd3bfe77a4f671d2cd0fd1fe5d695e88aa3e5774a2")
 
 
 def test_cli_outputs_match_their_pin():
@@ -108,6 +118,11 @@ def test_dot_outputs_match_their_pin():
     assert dot_digest() == PINNED_DOT_DIGEST
 
 
+def test_treewidth_outputs_match_their_pin():
+    assert treewidth_digest() == PINNED_TREEWIDTH_DIGEST
+
+
 if __name__ == "__main__":
     print(digest())
     print(dot_digest())
+    print(treewidth_digest())

@@ -4,28 +4,21 @@ from itertools import combinations
 
 import pytest
 
-from capfree import decomposition, treewidth
+from capfree import decomposition
 from capfree.construct import (Ear, EarSequence, GeneratorParams,
                                generate_instance, random_skeleton,
                                skeleton_from_ears, triangulation_from_ears)
 from capfree.decomposition import clique_cutset_tree, decompose
 from capfree.graphs import (Graph, blow_up, complete, cube, gnp, hole,
                             mask_members, path)
-from capfree.oracles import SearchBudgetExceeded, brute_solve
-from capfree.treewidth import (TreeDecomposition, TreewidthReject,
-                               _exact_order, _min_fill_order,
+from capfree.oracles import brute_solve
+from capfree.treewidth import (TreeDecomposition, _min_fill_order,
                                chordal_clique_number,
                                decomposition_from_order, is_chordal, mcs_m,
                                min_fill_decomposition, nice_decomposition,
                                skeleton_tree_decomposition)
 from capfree.twins import extract_skeleton, lift_tree_decomposition
 from test_large_inputs import long_path_decomposition, subdivided_grid
-
-K66 = Graph(12, [(i, 6 + j) for i in range(6) for j in range(6)])
-GRID6 = Graph(36, [(r * 6 + c, r * 6 + c + 1)
-                   for r in range(6) for c in range(5)]
-              + [(r * 6 + c, (r + 1) * 6 + c)
-                 for r in range(5) for c in range(6)])
 
 GOOD_EAR_ON_C5 = Ear(path=(0, 5, 6, 7, 8, 9, 2), apex=1,
                      apex_links=(7,), host=(0, 1, 2, 3, 4))
@@ -45,17 +38,6 @@ def test_cube_width_at_most_four():
 def test_triangle_input_is_a_precondition_error():
     with pytest.raises(ValueError):
         skeleton_tree_decomposition(complete(3))
-
-
-def test_k66_rejected_by_exact_search():
-    assert skeleton_tree_decomposition(K66) == TreewidthReject(5)
-
-
-def test_budget_exhaustion_is_undecided():
-    with pytest.raises(SearchBudgetExceeded,
-                       match="^the width-5 search ran out of its budget of "
-                             "40 nodes$"):
-        skeleton_tree_decomposition(GRID6, budget=40)
 
 
 @pytest.mark.parametrize("seed", range(1, 21))
@@ -515,35 +497,6 @@ def test_bad_elimination_orders_are_rejected():
     for order in ([0, 1], [0, 1, 5], [0, 1, 2, 2]):
         with pytest.raises(ValueError):
             decomposition_from_order(path(3), order)
-
-
-def test_exact_search_spends_a_pinned_number_of_nodes():
-    # 58 search nodes settle the subdivided 4x4 grid at width 5; a change
-    # to the branch order or the memo moves that count.
-    g = subdivided_grid(4, 2)
-    td = decomposition_from_order(g, _exact_order(g, 5, 58))
-    assert td.width <= 5
-    with pytest.raises(SearchBudgetExceeded):
-        _exact_order(g, 5, 57)
-
-
-def test_exact_search_eliminates_a_simplicial_vertex_without_branching():
-    # The pendant vertex 8 is simplicial of degree 1, so the first search
-    # node tries it alone.
-    g = Graph(9, cube().edges() + [(0, 8)])
-    order = _exact_order(g, 5, 100)
-    assert order[:2] == [8, 0] and sorted(order) == list(range(9))
-    assert decomposition_from_order(g, order).width <= 5
-
-
-def test_skeleton_decomposition_falls_back_to_the_exact_search(monkeypatch):
-    g = cube()
-    monkeypatch.setattr(
-        treewidth, "min_fill_decomposition",
-        lambda f: TreeDecomposition((tuple(f.vertices()),), ()))
-    td = skeleton_tree_decomposition(g)
-    assert isinstance(td, TreeDecomposition)
-    assert td.is_valid(g) and td.width == 3
 
 
 def listed_is_valid(td, g):
