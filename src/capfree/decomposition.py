@@ -15,8 +15,8 @@ blow-up of a skeleton plus a universal clique, so its quotient is the
 skeleton plus one vertex: a blown-up hole is answered as a cycle with no
 scan.  A quotient that is a clique or a cycle is one atom.  The blocks
 come leaf-first along the block-cut tree, each split off along its parent
-cut vertex.  The tree is the scan's (cutset, atom) pieces in leaf order;
-its nested node view is built only when read.
+cut vertex.  The tree is the scan's (cutset, atom) pieces in leaf order,
+and its node view reads them.
 
 decompose gives the tree and its leaves' Atom records, each built when
 reached: completeness from the root's masks, and for a non-complete atom
@@ -36,6 +36,8 @@ from .oracles import (DEFAULT_BUDGET, BruteResult, SearchBudgetExceeded,
                       brute_solve)
 from .treewidth import NiceDecomposition, mcs_m, min_fill_nice
 from .twins import COMPLETE_ATOM, ExtractResult, extract_skeleton
+
+Piece = tuple[tuple[int, ...], tuple[int, ...]]  # (cutset, atom)
 
 
 def find_clique_cutset(g: Graph
@@ -64,115 +66,84 @@ def find_clique_cutset(g: Graph
                     vertex_set(set(g.vertices()) - set(atom)))
 
 
-@dataclass(frozen=True)
 class DecompositionNode:
-    """Node of the decomposition tree over root-graph vertex ids.  A leaf
-    holds its atom; an internal node gathers its vertices, the union of
-    the atoms below it, by a walk down the spine on first read.  Equality,
-    hash and repr are structural, as a dataclass's, but walk the tree on
-    a stack, so a spine of any length stays within the recursion limit."""
-    atom: Optional[tuple[int, ...]]
-    cutset: Optional[tuple[int, ...]] = None
-    left: Optional["DecompositionNode"] = None
-    right: Optional["DecompositionNode"] = None
+    """Node i of a DecompositionTree, viewed on its pieces: leaf i holds
+    atom i, spine node i cutset i, leaf i on its left and spine node i + 1
+    on its right, built when read; the last piece is a leaf.  Immutable and
+    flat, so its equality, hash, repr, pickles and copies never recurse."""
+
+    def __init__(self, pieces: tuple[Piece, ...], i: int, leaf: bool = False):
+        leaf = leaf or i == len(pieces) - 1
+        cutset, atom = pieces[i]
+        self.__dict__.update(_pieces=pieces, _i=i, is_leaf=leaf,
+                             atom=atom if leaf else None,
+                             cutset=None if leaf else cutset)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{name!r} is read-only: views are immutable")
+
+    __delattr__ = __setattr__
 
     @property
-    def is_leaf(self) -> bool:
-        return self.cutset is None
+    def left(self) -> Optional[DecompositionNode]:
+        return None if self.is_leaf else DecompositionNode(
+            self._pieces, self._i, True)
 
-    def _preorder(self) -> Iterator[Optional[tuple]]:
-        """(atom, cutset) of each node in preorder, None for a missing
-        child: a form that tells the tree apart from every other."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                yield None
-            else:
-                yield node.atom, node.cutset
-                stack += [node.right, node.left]
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return list(self._preorder()) == list(other._preorder())
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._preorder()))
-
-    def __repr__(self) -> str:
-        out, stack = [], [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-            elif item is None:
-                out.append("None")
-            else:
-                out.append(f"{type(item).__qualname__}(atom={item.atom!r}, "
-                           f"cutset={item.cutset!r}, left=")
-                stack += [")", item.right, ", right=", item.left]
-        return "".join(out)
+    @property
+    def right(self) -> Optional[DecompositionNode]:
+        return None if self.is_leaf else DecompositionNode(
+            self._pieces, self._i + 1)
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
-        below, node = set(), self
-        while not node.is_leaf:
-            below.update(node.left.atom)
-            node = node.right
-        return vertex_set(below.union(node.atom))
+        below = self._pieces[self._i:self._i + 1 if self.is_leaf else None]
+        return vertex_set(set().union(*(atom for _, atom in below)))
 
-    def __reduce__(self):
-        """Pickles and copies rebuild the spine from its pieces through
-        _spine, so they nest no frame per node."""
-        pieces, node = [], self
-        while not node.is_leaf:
-            pieces.append((node.cutset, node.left.atom))
-            node = node.right
-        pieces.append(((), node.atom))
-        return _spine, (tuple(pieces),)
+    def _key(self) -> tuple:
+        return self.atom if self.is_leaf else self._pieces[self._i:]
 
+    def __eq__(self, other) -> bool:
+        return (self._key() == other._key()
+                if other.__class__ is self.__class__ else NotImplemented)
 
-def _spine(pieces: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-           ) -> DecompositionNode:
-    """The nested node view of a caterpillar's (cutset, atom) pieces."""
-    node = DecompositionNode(pieces[-1][1])
-    for cutset, atom in reversed(pieces[:-1]):
-        node = DecompositionNode(None, cutset, DecompositionNode(atom), node)
-    return node
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        name = type(self).__qualname__
+        leaf = f"{name}(atom={{!r}}, cutset=None, left=None, right=None)"
+        if self.is_leaf:
+            return leaf.format(self.atom)
+        spine = self._pieces[self._i:-1]
+        return "".join(f"{name}(atom=None, cutset={cutset!r}, left="
+                       f"{leaf.format(atom)}, right=" for cutset, atom in spine
+                       ) + leaf.format(self._pieces[-1][1]) + ")" * len(spine)
 
 
 @dataclass(frozen=True)
 class DecompositionTree:
-    """A caterpillar, held as its pieces: the (cutset, atom) pairs in leaf
-    order, the last with cutset ().  The i-th spine node splits off the
-    i-th atom along its cutset, and the spine ends at the last atom.  root,
-    the nested node view of the spine, is built on first read."""
+    """A caterpillar, held as its (cutset, atom) pieces in leaf order: spine
+    node i splits off atom i along cutset i, and the last, along (), ends
+    the spine.  root, leaves() and internal_nodes() view the pieces."""
     graph: Graph
-    pieces: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    pieces: tuple[Piece, ...]
 
     @cached_property
     def root(self) -> DecompositionNode:
-        return _spine(self.pieces)
+        return DecompositionNode(self.pieces, 0)
 
     def leaves(self) -> list[DecompositionNode]:
-        """Leaves in left-to-right order: each spine node's atom from the
-        root down, then the last atom."""
-        spine = self.internal_nodes()
-        return [node.left for node in spine] + [
-            spine[-1].right if spine else self.root]
+        """Leaves in left-to-right order, one per piece."""
+        return [DecompositionNode(self.pieces, i, True)
+                for i in range(len(self.pieces))]
 
     def atoms(self) -> list[tuple[int, ...]]:
         return [atom for _, atom in self.pieces]
 
     def internal_nodes(self) -> list[DecompositionNode]:
         """The spine from the root down."""
-        out = []
-        node = self.root
-        while not node.is_leaf:
-            out.append(node)
-            node = node.right
-        return out
+        return [DecompositionNode(self.pieces, i)
+                for i in range(len(self.pieces) - 1)]
 
 
 class UnsupportedInstanceError(SearchBudgetExceeded):
@@ -246,8 +217,7 @@ def clique_cutset_tree(g: Graph) -> DecompositionTree:
     return DecompositionTree(g, tuple(_tarjan_pieces(g)))
 
 
-def _tarjan_pieces(g: Graph) -> Iterator[tuple[tuple[int, ...],
-                                             tuple[int, ...]]]:
+def _tarjan_pieces(g: Graph) -> Iterator[Piece]:
     """(cutset, atom) for every split, then ((), last atom): each block's
     pieces in scan order, the last of them split off along the block's
     parent cut vertex, or along () for a component's last block."""
@@ -296,7 +266,7 @@ def component_blocks(g: Graph) -> Iterator[list[tuple[int, list[int]]]]:
 
 
 def _block_pieces(g: Graph, top: int, block: list[int]
-                  ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+                  ) -> Iterator[Piece]:
     """The pieces of one block, ending with ((), the piece holding top).
 
     The Atoms scan runs on the block's quotient h: each thread shrunk to

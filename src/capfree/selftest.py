@@ -114,23 +114,27 @@ def skeleton_params(seed: int) -> GeneratorParams:
                            target_class=TARGET_CLASSES[seed % 2])
 
 
+# The named fixture graphs: the head of small_graph_pool, and the graphs
+# the criteria name.
+FIXTURES: dict[str, Graph] = {
+    "C4": hole(4), "C5": hole(5), "C6": hole(6), "C7": hole(7),
+    "K4": complete(4), "K5": complete(5), "cube": cube(),
+    "hajos": hajos(), "P5": path(5),
+    "even-wheel": add_universal_clique(hole(4), 1),
+    "wheel5": add_universal_clique(hole(5), 1),
+    "K23": Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+    "prism": Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                       (0, 3), (1, 4), (2, 5)]),
+    "house": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1)]),
+    "G1": blow_up(hole(5), [2] * 5),
+}
+
+
 @lru_cache(maxsize=1)
 def small_graph_pool() -> tuple[tuple[str, Graph], ...]:
     """Fixtures plus gnp graphs with at most 12 vertices."""
-    fixtures = [
-        ("C4", hole(4)), ("C5", hole(5)), ("C6", hole(6)), ("C7", hole(7)),
-        ("K4", complete(4)), ("K5", complete(5)), ("cube", cube()),
-        ("hajos", hajos()), ("P5", path(5)),
-        ("even-wheel", add_universal_clique(hole(4), 1)),
-        ("wheel5", add_universal_clique(hole(5), 1)),
-        ("K23", Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])),
-        ("prism", Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-                            (0, 3), (1, 4), (2, 5)])),
-        ("house", Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1)])),
-        ("G1", blow_up(hole(5), [2] * 5)),
-    ]
-    pool = list(fixtures)
-    for i in range(200 - len(fixtures)):
+    pool = list(FIXTURES.items())
+    for i in range(200 - len(FIXTURES)):
         n = 5 + i % 8
         pool.append((f"gnp-{i}", gnp(n, (0.2, 0.4, 0.6)[i % 3], 777 + i)))
     return tuple(pool)
@@ -149,7 +153,7 @@ def _timed(fn: Callable[[], tuple[bool, str]], name: str,
 
 def criterion_1_extremal_fixture() -> CriterionResult:
     def run():
-        g1 = blow_up(hole(5), [2] * 5)
+        g1 = FIXTURES["G1"]
         sd = extract_skeleton(g1)
         omega = clique_number_via_skeleton(sd)
         alpha = mwss(g1).weight
@@ -163,7 +167,7 @@ def criterion_1_extremal_fixture() -> CriterionResult:
 def criterion_2_odd_hole_and_hajos() -> CriterionResult:
     def run():
         results = []
-        for g, want in ((hole(5), 3), (hajos(), 4)):
+        for g, want in ((FIXTURES["C5"], 3), (FIXTURES["hajos"], 4)):
             omega = brute_solve(g, "max-clique").value
             greedy = max(greedy_color(g))
             chi = chromatic_number(g)[0]
@@ -291,10 +295,9 @@ def criterion_9_cap_detector() -> CriterionResult:
                 mismatches += 1
             elif fast is not None and not verify_witness(g, fast):
                 mismatches += 1
-        house = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1)])
-        fixtures_ok = (detect_cap_fast(house) is not None
-                       and detect_cap_fast(hole(6)) is None
-                       and detect_cap_fast(blow_up(hole(5), [2] * 5)) is None)
+        fixtures_ok = (detect_cap_fast(FIXTURES["house"]) is not None
+                       and detect_cap_fast(FIXTURES["C6"]) is None
+                       and detect_cap_fast(FIXTURES["G1"]) is None)
         return mismatches == 0 and fixtures_ok, \
             f"fast vs naive cap on 200 gnp: {mismatches} mismatches; " \
             f"house/C6/G1 fixtures {'ok' if fixtures_ok else 'BAD'}"
@@ -319,17 +322,8 @@ def criterion_11_recognition() -> CriterionResult:
             verdict = recognize(g, prov["params"]["target_class"])
             if not verdict.accepted:
                 problems.append(f"instance {seed} not accepted")
-        rejects = [
-            ("even-wheel", add_universal_clique(hole(4), 1)),
-            ("K23", Graph(5, [(0, 2), (0, 3), (0, 4),
-                              (1, 2), (1, 3), (1, 4)])),
-            ("prism", Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5),
-                                (5, 3), (0, 3), (1, 4), (2, 5)])),
-            ("house", Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0),
-                                (4, 0), (4, 1)])),
-            ("C4", hole(4)),
-        ]
-        for name, g in rejects:
+        for name in ("even-wheel", "K23", "prism", "house", "C4"):
+            g = FIXTURES[name]
             for cls in TARGET_CLASSES:
                 verdict = recognize(g, cls)
                 if verdict.status != "rejected" or \

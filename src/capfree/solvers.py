@@ -32,6 +32,7 @@ certify, which raises CertificateError under python -O too.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -535,11 +536,16 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None, *,
     A minus each closed neighborhood N[v] (v in S), reweight S by
     w'(v) = w(v) + w(I_v) - w(I'), go on to the rest of the graph, and
     combine.  The last atom is split off along S = (), so it is solved
-    whole.  The reweighting never increases a weight (asserted).
+    whole.  The reweighting never increases a weight (asserted).  weights,
+    g.weights by default, must be integers: anything else is a ValueError.
     """
     base = list(weights) if weights is not None else list(g.weights)
     if len(base) != g.n:
         raise ValueError("weights length must equal vertex count")
+    try:
+        base = [operator.index(w) for w in base]
+    except TypeError as exc:
+        raise ValueError(f"weights must be integers: {exc}") from None
     # Top-down along the spine: solve each split-off atom, reweight its
     # cutset for the graph below and record how to lift that graph's answer.
     # The cutset's new weights are written into w only after the piece's

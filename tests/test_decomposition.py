@@ -159,6 +159,33 @@ def test_tree_is_its_pieces_and_builds_its_node_view_on_read():
     assert lone.internal_nodes() == [] and lone.leaves() == [lone.root]
 
 
+def test_reading_the_root_builds_one_node_view(monkeypatch):
+    built = []
+    view = decomposition.DecompositionNode
+
+    def counted(*args):
+        built.append(args)
+        return view(*args)
+
+    monkeypatch.setattr(decomposition, "DecompositionNode", counted)
+    tree = clique_cutset_tree(path(50))
+    root = tree.root
+    assert len(built) == 1
+    assert root.right.right.cutset == tree.pieces[2][0] and len(built) == 3
+
+
+def test_tree_nodes_are_immutable():
+    root = clique_cutset_tree(path(3)).root
+    assert root.vertices == (0, 1, 2)
+    for name in ("cutset", "atom", "left", "vertices", "is_leaf"):
+        with pytest.raises(AttributeError):
+            setattr(root, name, ())
+        with pytest.raises(AttributeError):
+            delattr(root, name)
+    assert root == clique_cutset_tree(path(3)).root
+    assert root.vertices == (0, 1, 2)
+
+
 def test_dot_export():
     dot = tree_to_dot(clique_cutset_tree(TWO_TRIANGLES))
     assert dot.startswith("graph decomposition {")

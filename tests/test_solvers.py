@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,25 @@ def test_mwss_paths():
 def test_mwss_checks_the_weights_length():
     with pytest.raises(ValueError, match="weights length"):
         mwss(path(3), [1, 2])
+
+
+def test_mwss_rejects_non_integer_weights_before_any_work(monkeypatch):
+    # Float weights used to reach the DP, which failed its re-check here.
+    g, _ = generate_instance(GeneratorParams(seed=3, ear_count=2,
+                                             glue_count=4, max_blowup=2))
+    rng = random.Random(1)
+    with pytest.raises(ValueError, match="integers"):
+        mwss(g, [rng.random() for _ in g.vertices()])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposed")
+
+    monkeypatch.setattr(solvers, "decompose", refuse)
+    for weights in ([1, 2, 3.0], [1, 2, "3"], [1, 2, None]):
+        with pytest.raises(ValueError, match="integers"):
+            mwss(path(3), weights)
+    monkeypatch.undo()
+    assert mwss(path(3), [True, 1, True]) == StableSetResult((0, 2), 2)
 
 
 def test_mwss_blown_c5_unit():
