@@ -14,9 +14,8 @@ from .decomposition import (DecompositionNode, DecompositionTree,
                             clique_cutset_tree, find_clique_cutset,
                             tree_to_dot)
 from .graphs import (Graph, GraphFormatError, add_universal_clique, blow_up,
-                     complete, construct_named, cube, gnp, hajos, hole,
-                     induced_subgraph, parse_graph, path, serialize_graph,
-                     vertex_set)
+                     complete, cube, gnp, hajos, hole, induced_subgraph,
+                     parse_graph, path, serialize_graph, vertex_set)
 from .oracles import (BruteResult, CertificateError, ForbiddenWitness,
                       SearchBudgetExceeded, brute_solve, certify,
                       enumerate_chordless_cycles, find_forbidden_induced,

@@ -24,7 +24,7 @@ each stay inside one block, so gluing many atoms stays near-linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import merge
 from typing import Optional
 
@@ -242,16 +242,15 @@ def _ear_menu(max_ear_length: int, even_hole_free: bool
 
 
 def random_skeleton(params: GeneratorParams,
-                    rng: Optional[Xoshiro256StarStar] = None,
-                    even_hole_free: Optional[bool] = None
+                    rng: Optional[Xoshiro256StarStar] = None
                     ) -> tuple[Graph, EarSequence]:
     """A triangle-free, cutset-free, odd-signable skeleton built from a
     random base hole by good ear additions.
 
-    Each candidate ear must pass the good-ear conditions and, for the
-    even-hole-free target, keep the graph even-hole-free.  Fewer ears than
-    requested is permitted when sampling stalls; the ear sequence records
-    what was built.
+    Each candidate ear must pass the good-ear conditions and, when
+    params.target_class is the even-hole-free one, keep the graph
+    even-hole-free.  Fewer ears than requested is permitted when sampling
+    stalls; the ear sequence records what was built.
 
     No ear can make a clique cutset, so none is looked for.  The base hole
     has none.  Say the graph G before an ear has none, and S is a clique of
@@ -266,8 +265,7 @@ def random_skeleton(params: GeneratorParams,
     """
     if rng is None:
         rng = Xoshiro256StarStar(params.seed)
-    if even_hole_free is None:
-        even_hole_free = params.target_class == "cap-even-hole-free"
+    even_hole_free = params.target_class == "cap-even-hole-free"
     if params.base_length is not None:
         base_len = params.base_length
         if even_hole_free and base_len % 2 == 0:
@@ -384,10 +382,9 @@ def generate_instance(params: GeneratorParams) -> tuple[Graph, dict]:
     infos: list[dict] = []
     for _ in range(params.glue_count + 1):
         universal = rng.below(params.max_universal + 1)
-        even_hole_free = (params.target_class == "cap-even-hole-free"
-                          or universal > 0)
-        skeleton, es = random_skeleton(params, rng=rng,
-                                       even_hole_free=even_hole_free)
+        skeleton_params = params if universal == 0 else replace(
+            params, target_class="cap-even-hole-free")
+        skeleton, es = random_skeleton(skeleton_params, rng=rng)
         sizes = [1 + rng.below(params.max_blowup)
                  for _ in skeleton.vertices()]
         atom = add_universal_clique(blow_up(skeleton, sizes), universal)
@@ -413,7 +410,8 @@ def generate_instance(params: GeneratorParams) -> tuple[Graph, dict]:
             "ears_requested": params.ear_count,
             "blowup_sizes": sizes,
             "universal": universal,
-            "even_hole_free_skeleton": even_hole_free,
+            "even_hole_free_skeleton":
+                skeleton_params.target_class == "cap-even-hole-free",
             "classes": [list(c) for c in classes],
             "universal_ids": list(universal_ids),
             "clique_number": omega,

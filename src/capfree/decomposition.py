@@ -154,8 +154,8 @@ class UnsupportedInstanceError(SearchBudgetExceeded):
 
 class Atom:
     """One leaf of clique_cutset_tree, as decompose builds it: the root
-    vertices of the atom, their mask, whether the atom is complete, and
-    what extract_skeleton returns for it.
+    vertices of the atom, whether the atom is complete, and what
+    extract_skeleton returns for it.
 
     Completeness is read off the root's masks: every vertex's closed
     neighbourhood holds the atom's mask.  A complete atom needs nothing
@@ -175,7 +175,7 @@ class Atom:
     def __init__(self, root: Graph, vertices: tuple[int, ...], budget: int):
         self.root = root
         self.vertices = vertices
-        self.mask = mask = mask_of(vertices)
+        mask = mask_of(vertices)
         self.complete = all((root.mask(v) | 1 << v) & mask == mask
                             for v in vertices)
         self.extracted: ExtractResult = (

@@ -1,13 +1,15 @@
 """Immutable simple graphs, the text file format, and named constructions.
 
 Vertices are dense 0-based integers internally; the text format is 1-based
-(DIMACS convention).  Weights are signed 64-bit integers internally (the
+(DIMACS convention).  A vertex weight is any integer operator.index
+accepts, checked by Graph alone; negative weights are allowed (the
 stable-set machinery reweights below zero), but files only accept
 nonnegative values.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Optional, Sequence
 
 from .rng import Xoshiro256StarStar
@@ -26,7 +28,7 @@ class Graph:
 
     Instances are immutable after construction and safe to share across
     threads.  Adjacency lists are sorted; loops and parallel edges are
-    rejected.
+    rejected, as are weights that operator.index refuses.
     """
 
     __slots__ = ("n", "adj", "_masks", "_weights", "_m")
@@ -46,7 +48,10 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         if weights is not None:
-            weights = tuple(int(w) for w in weights)
+            try:
+                weights = tuple(map(operator.index, weights))
+            except TypeError as exc:
+                raise ValueError(f"weights must be integers: {exc}") from None
             if len(weights) != n:
                 raise ValueError("weights length must equal vertex count")
         self._fill(masks, weights)
@@ -309,25 +314,6 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.unit() < p]
     return Graph(n, edges)
-
-
-_NAMED = {"cube": cube, "hajos": hajos}
-
-
-def construct_named(name: str, *args) -> Graph:
-    """Build one of the named graphs: hole k, complete n, path k, cube,
-    hajos, gnp n p seed."""
-    if name == "hole":
-        return hole(int(args[0]))
-    if name == "complete":
-        return complete(int(args[0]))
-    if name == "path":
-        return path(int(args[0]))
-    if name == "gnp":
-        return gnp(int(args[0]), float(args[1]), int(args[2]))
-    if name in _NAMED:
-        return _NAMED[name]()
-    raise ValueError(f"unknown construction {name!r}")
 
 
 def blow_up(g: Graph, sizes: Sequence[int]) -> Graph:

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 from .decomposition import (Atom, DecompositionTree,
                             UnsupportedInstanceError, decompose)
-from .graphs import Graph, mask_members, mask_of, vertex_set
+from .graphs import Graph, mask_of, vertex_set
 from .oracles import (DEFAULT_BUDGET, NodeBudget, SearchBudgetExceeded,
                       certify)
 from .treewidth import (NiceDecomposition, TreeDecomposition,
@@ -300,13 +300,23 @@ def _multicolor_dp(graph: Graph, nd: NiceDecomposition,
     return total, colors
 
 
+def _color_count(q: int) -> int:
+    """q as an int of at least 1, else a ValueError."""
+    try:
+        q = operator.index(q)
+    except TypeError as exc:
+        raise ValueError(f"q must be an integer: {exc}") from None
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    return q
+
+
 def q_color(atom: Graph, td: TreeDecomposition, q: int
             ) -> Optional[list[int]]:
     """A proper q-coloring of the atom via the count DP over the
     decomposition's nice form (every demand 1), with no bound on its
     tables, or None when no q-coloring exists."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    q = _color_count(q)
     if not td.is_valid(atom):
         raise ValueError("decomposition is not valid for the graph")
     found = _multicolor_dp(atom, nice_decomposition(td), [1] * atom.n, q)
@@ -419,8 +429,7 @@ def q_color_graph(g: Graph, q: int, *, budget: int = DEFAULT_BUDGET
 
     The graph is q-colorable iff every atom is; atom colorings are merged
     along the cutsets."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    q = _color_count(q)
     if g.n == 0:
         return []
     tree, atoms = decompose(g, budget=budget)
@@ -471,12 +480,13 @@ class StableSetResult:
     weight: int
 
 
-def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int]
+def _solve_atom(atom: Atom, removed: int, weights: Sequence[int]
                 ) -> tuple[int, tuple[int, ...]]:
-    """The heaviest stable set of the atom minus the deleted atom
-    vertices, as (weight, root-id vertex tuple); weights are indexed by
-    root id.  mwss asks this of an atom minus its cutset, or minus a
-    closed neighborhood, under the current weights.
+    """The heaviest stable set of the atom minus the vertices of the
+    root-id mask removed (its bits outside the atom are ignored), as
+    (weight, root-id vertex tuple); weights are indexed by root id.  mwss
+    asks this of an atom minus its cutset, or minus a closed neighborhood,
+    under the current weights.
 
     A non-complete atom runs the stable-set DP on its twin quotient over
     the atom's shared nice decomposition: each class weighs its heaviest
@@ -486,12 +496,12 @@ def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int]
     quotient's set when heavier.  A DP past the atom's budget raises
     UnsupportedInstanceError.
     """
-    survivors = [v for v in range(len(atom.vertices)) if v not in deleted]
-    if not survivors:
+    local_w = {v: weights[r] for v, r in enumerate(atom.vertices)
+               if not removed >> r & 1}
+    if not local_w:
         return 0, ()
-    local_w = {v: weights[atom.vertices[v]] for v in survivors}
     if atom.complete:
-        best = max(survivors, key=lambda v: (local_w[v], -v))
+        best = max(local_w, key=lambda v: (local_w[v], -v))
         if local_w[best] <= 0:
             return 0, ()
         return local_w[best], (atom.vertices[best],)
@@ -499,14 +509,14 @@ def _solve_atom(atom: Atom, deleted: set[int], weights: Sequence[int]
     # Restriction soundness: surviving universal vertices stay universal
     # and surviving class members stay true twins.
     graph = atom.graph
-    alive_mask = mask_of(survivors)
-    universal_left = [v for v in sd.universal if v not in deleted]
+    alive_mask = mask_of(local_w)
+    universal_left = [v for v in sd.universal if alive_mask >> v & 1]
     for v in universal_left:
         assert (graph.mask(v) | 1 << v) & alive_mask == alive_mask
     reps: list[Optional[int]] = []
     allowed = 0
     for i, cls in enumerate(sd.classes):
-        alive = [v for v in cls if v not in deleted]
+        alive = [v for v in cls if alive_mask >> v & 1]
         masks = {(graph.mask(v) | 1 << v) & alive_mask for v in alive}
         assert len(masks) <= 1, "restricted class is not a twin class"
         reps.append(min(alive, key=lambda v: -local_w[v]) if alive else None)
@@ -537,31 +547,23 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None, *,
     w'(v) = w(v) + w(I_v) - w(I'), go on to the rest of the graph, and
     combine.  The last atom is split off along S = (), so it is solved
     whole.  The reweighting never increases a weight (asserted).  weights,
-    g.weights by default, must be integers: anything else is a ValueError.
+    when given, replace g's through g.with_weights, which checks them.
     """
-    base = list(weights) if weights is not None else list(g.weights)
-    if len(base) != g.n:
-        raise ValueError("weights length must equal vertex count")
-    try:
-        base = [operator.index(w) for w in base]
-    except TypeError as exc:
-        raise ValueError(f"weights must be integers: {exc}") from None
+    if weights is not None:
+        g = g.with_weights(weights)
     # Top-down along the spine: solve each split-off atom, reweight its
     # cutset for the graph below and record how to lift that graph's answer.
     # The cutset's new weights are written into w only after the piece's
     # last solve call, which reads the old ones.
     tree, atoms = decompose(g, budget=budget)
-    w = list(base)
+    w = list(g.weights)
     lifts = []
     for (cut, _), atom in zip(tree.pieces, atoms):
-        local = {r: i for i, r in enumerate(atom.vertices)}
-        base_value, base_set = _solve_atom(atom, {local[v] for v in cut}, w)
+        base_value, base_set = _solve_atom(atom, mask_of(cut), w)
         sub_sets = {}
         reweighted = []
         for v in cut:
-            closed = {local[u] for u in
-                      mask_members((g.mask(v) | 1 << v) & atom.mask)}
-            value_v, sub_sets[v] = _solve_atom(atom, closed, w)
+            value_v, sub_sets[v] = _solve_atom(atom, g.mask(v) | 1 << v, w)
             reweighted.append(w[v] + value_v - base_value)
             assert reweighted[-1] <= w[v], \
                 "reweighting must not increase a weight"
@@ -579,6 +581,6 @@ def mwss(g: Graph, weights: Optional[Sequence[int]] = None, *,
         value += base_value
     result = vertex_set(picked)
     certify(g.is_stable(result), "result must be a stable set")
-    certify(sum(base[v] for v in result) == value,
+    certify(sum(g.weight(v) for v in result) == value,
             "weight bookkeeping mismatch")
     return StableSetResult(result, value)

@@ -1,13 +1,13 @@
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
 from capfree.graphs import (Graph, GraphFormatError, add_universal_clique,
-                            blow_up, complete, construct_named, cube, gnp,
-                            hajos, hole, induced_subgraph, mask_members,
-                            mask_of, parse_graph, path, reach,
-                            serialize_graph)
+                            blow_up, complete, cube, gnp, hajos, hole,
+                            induced_subgraph, mask_members, mask_of,
+                            parse_graph, path, reach, serialize_graph)
 from capfree.rng import Xoshiro256StarStar
 
 C5_TEXT = "p 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
@@ -70,24 +70,15 @@ def test_weighted_round_trip():
     assert parse_graph(serialize_graph(g)) == g
 
 
-def test_named_hole():
-    g = construct_named("hole", 5)
-    assert g.n == 5 and g.m == 5
+def test_bool_weights_count_as_ints():
+    weights = path(3).with_weights([True, 1, False]).weights
+    assert weights == (1, 1, 0) and {type(w) for w in weights} == {int}
 
 
-def test_named_cube():
-    g = construct_named("cube")
+def test_cube_shape():
+    g = cube()
     assert g.n == 8 and g.m == 12
     assert all(g.degree(v) == 3 for v in g.vertices())
-
-
-@pytest.mark.parametrize("name,args,expected", [
-    ("complete", ("4",), complete(4)),
-    ("path", ("3",), path(3)),
-    ("gnp", ("9", "0.5", "2"), gnp(9, 0.5, 2)),
-])
-def test_named_constructions_parse_their_arguments(name, args, expected):
-    assert construct_named(name, *args) == expected
 
 
 # Each builder with an argument it refuses, and a fragment of its message.
@@ -99,9 +90,24 @@ BAD_ARGUMENTS = {
     "complete-1": (lambda: complete(-1), "nonnegative"),
     "universal-1": (lambda: add_universal_clique(hole(4), -1),
                     "clique size"),
-    "unknown-name": (lambda: construct_named("pentagon"),
-                     "unknown construction"),
     "below0": (lambda: Xoshiro256StarStar(1).below(0), "n >= 1"),
+    # Weights that int() would coerce, the floats by truncation.
+    "weights-float": (lambda: Graph(3, [(0, 1), (1, 2)], [0.6, 1.9, 0.7]),
+                      "integers"),
+    "weights-str": (lambda: Graph(3, [(0, 1), (1, 2)], ["2", "3", "4"]),
+                    "integers"),
+    "weights-fraction": (lambda: Graph(3, [(0, 1), (1, 2)],
+                                       [Fraction(3), 1, 1]), "integers"),
+    "weights-none": (lambda: Graph(3, [(0, 1), (1, 2)], [None, 1, 1]),
+                     "integers"),
+    "with-weights-float": (lambda: path(3).with_weights([0.6, 1.9, 0.7]),
+                           "integers"),
+    "with-weights-str": (lambda: path(3).with_weights(["2", "3", "4"]),
+                         "integers"),
+    "with-weights-fraction": (
+        lambda: path(3).with_weights([Fraction(3), 1, 1]), "integers"),
+    "with-weights-none": (lambda: path(3).with_weights([None, 1, 1]),
+                          "integers"),
 }
 
 

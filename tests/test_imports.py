@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "add_universal_clique", "blow_up", "brute_solve", "certify",
     "chromatic_number", "clique_cutset_tree", "clique_number",
     "clique_number_via_skeleton", "combine_colorings", "complete",
-    "construct", "construct_named", "cube", "decomposition",
+    "construct", "cube", "decomposition",
     "detect_4hole", "detect_cap_fast", "enumerate_chordless_cycles",
     "extract_skeleton", "find_clique_cutset", "find_forbidden_induced",
     "generate_instance", "glue_atoms", "gnp", "graphs", "greedy_color",

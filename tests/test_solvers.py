@@ -65,6 +65,27 @@ def test_q_color_c5():
     assert colors is not None and is_proper_coloring(hole(5), colors, 3)
 
 
+def test_non_integer_q_is_refused_before_any_work(monkeypatch):
+    # At 3.0 the DP used to run and combine_colorings raised TypeError;
+    # 2.5 answered None and 3.5 a coloring.
+    td = min_fill_decomposition(hole(5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked")
+
+    monkeypatch.setattr(solvers, "decompose", refuse)
+    monkeypatch.setattr(solvers, "nice_decomposition", refuse)
+    for call in (lambda: q_color_graph(hole(5), 3.0),
+                 lambda: q_color_graph(hole(5), 2.5),
+                 lambda: q_color(hole(5), td, 3.5)):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+    monkeypatch.undo()
+    assert q_color_graph(path(1), True) == [1]
+    assert q_color_graph(path(2), True) is None
+    assert q_color(path(1), min_fill_decomposition(path(1)), True) == [1]
+
+
 def test_q_color_blown_c5():
     td = lifted_decomposition(G1)
     assert q_color(G1, td, 4) is None
