@@ -192,7 +192,7 @@ def triangulation_from_ears(es: EarSequence) -> Graph:
                                ear.apex_links, holes)
         if not ok:
             raise ValueError(f"ear {ear.path} is not good: {reason}")
-        current = Graph(n, current.edges() + ear_edges)
+        current = current.extended(n, ear_edges)
         new = chordless_cycles_through(current, ear.interior)
         holes = list(merge(holes, [c for c in new if len(c) >= 4],
                            key=cycle_order))
@@ -212,7 +212,7 @@ def triangulation_from_ears(es: EarSequence) -> Graph:
     for w in es.base[2:]:
         add(u, w)
         add(v, w)
-    tri = Graph(current.n, current.edges() + sorted(extra))
+    tri = current.extended(current.n, sorted(extra))
     assert is_chordal([tri.mask(w) for w in tri.vertices()]), \
         "ear triangulation must be chordal"
     return tri
@@ -295,7 +295,7 @@ def random_skeleton(params: GeneratorParams,
             continue
         ear = Ear(path, apex, links, host)
         n, ear_edges = _add_ear(graph.n, ear)
-        candidate = Graph(n, graph.edges() + ear_edges)
+        candidate = graph.extended(n, ear_edges)
         # Only the cycles through the interior are new; the ear menu keeps
         # out triangles and 4-holes.
         new = chordless_cycles_through(candidate, interior)

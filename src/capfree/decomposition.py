@@ -13,10 +13,14 @@ a thread, a maximal run of degree-2 vertices, becomes one vertex, and so
 does each class of true twins of the block.  An in-class atom is a clique
 blow-up of a skeleton plus a universal clique, so its quotient is the
 skeleton plus one vertex: a blown-up hole is answered as a cycle with no
-scan.  A quotient that is a clique or a cycle is one atom.  The blocks
-come leaf-first along the block-cut tree, each split off along its parent
-cut vertex.  The tree is the scan's (cutset, atom) pieces in leaf order,
-and its node view reads them.
+scan.  A quotient that is a clique or a cycle is one atom.  One group-id
+list per scan gives each vertex of the block at hand its quotient vertex.
+The quotient's rows are built by symmetry from adjacency lists, each edge
+read setting both rows, and no block walks its top vertex, so the
+depth-first search and the rows each read every adjacency list at most
+once per scan.  The blocks come leaf-first along the block-cut tree, each
+split off along its parent cut vertex.  The tree is the scan's (cutset,
+atom) pieces in leaf order, and its node view reads them.
 
 decompose gives the tree and its leaves' Atom records, each built when
 reached: completeness from the root's masks, and for a non-complete atom
@@ -220,13 +224,15 @@ def clique_cutset_tree(g: Graph) -> DecompositionTree:
 def _tarjan_pieces(g: Graph) -> Iterator[Piece]:
     """(cutset, atom) for every split, then ((), last atom): each block's
     pieces in scan order, the last of them split off along the block's
-    parent cut vertex, or along () for a component's last block."""
+    parent cut vertex, or along () for a component's last block.  The scan
+    owns one group-id list, -1 outside the block being grouped."""
     if not g.n:
         yield (), ()
+    group = [-1] * g.n
     for blocks in component_blocks(g):
         # i is 0 for the component's last block.
         for i, (top, block) in enumerate(blocks, 1 - len(blocks)):
-            for cutset, atom in _block_pieces(g, top, block):
+            for cutset, atom in _block_pieces(g, top, block, group):
                 yield cutset or ((top,) if i else ()), atom
 
 
@@ -265,18 +271,24 @@ def component_blocks(g: Graph) -> Iterator[list[tuple[int, list[int]]]]:
         yield blocks or [(root, [root])]
 
 
-def _block_pieces(g: Graph, top: int, block: list[int]
+def _block_pieces(g: Graph, top: int, block: list[int], group: list[int]
                   ) -> Iterator[Piece]:
     """The pieces of one block, ending with ((), the piece holding top).
 
     The Atoms scan runs on the block's quotient h: each thread shrunk to
     one vertex, each class of true twins of the block merged into one, and
-    top's group as vertex 0, which MCS-M eliminates last.  A group's row
-    of h comes from one walk over the block mask of each thread vertex,
-    or of one twin standing for its class.  A generator x
-    whose madj(x), a minimal separator of the minimal triangulation, is a
-    clique splits off x's component of the rest: that component lies below
-    x in elimination order, every later generator above it.
+    top's group as vertex 0, which MCS-M eliminates last.  group, the
+    scan's group-id list, holds each block vertex's vertex of h while the
+    rows are built, and is reset to -1 before the block yields.  The rows
+    are built by symmetry: each edge of h is set in both rows from the
+    adjacency list of a thread vertex, or of one twin standing for its
+    class.  Every edge of h has an end other than top's group, whose walk
+    finds it, so top's group is never walked, and a cut vertex's list is
+    read only in the one block where it is not top, once per scan.  A
+    generator x whose madj(x), a minimal separator of the minimal
+    triangulation, is a clique splits off x's component of the rest: that
+    component lies below x in elimination order, every later generator
+    above it.
 
     The quotient is exact.  A vertex u of a minimal separator S sees both
     full sides of S, and so does every true twin of u, so no separator
@@ -288,26 +300,23 @@ def _block_pieces(g: Graph, top: int, block: list[int]
     vertex of h), so h is one atom when it is a clique or when every
     degree is 2, a cycle; a block of thread vertices alone is a cycle and
     is not grouped at all."""
-    if len(block) <= 2:
-        yield (), vertex_set(block)
-        return
-    thread = {v for v in block if len(g.adj[v]) == 2}
-    if len(thread) == len(block):
+    adj = g.adj
+    if len(block) <= 2 or all(len(adj[v]) == 2 for v in block):
         yield (), vertex_set(block)
         return
     inside = mask_of(block)
-    group: dict[int, int] = {}
     members: list[list[int]] = []
     twins: dict[int, int] = {}
     for v in [top, *sorted(block)]:
-        if v in group:
+        if group[v] >= 0:
             continue
-        if v in thread:
+        if len(adj[v]) == 2:
+            # Both neighbours of a thread vertex lie in the block.
             group[v] = len(members)
             members.append([v])
             for x in members[-1]:
-                for u in g.adj[x]:
-                    if u in thread and u not in group:
+                for u in adj[x]:
+                    if len(adj[u]) == 2 and group[u] < 0:
                         group[u] = group[v]
                         members[-1].append(u)
         else:
@@ -317,18 +326,21 @@ def _block_pieces(g: Graph, top: int, block: list[int]
                 members.append([])
             members[i].append(v)
     # Twins share their neighbours, so one of them stands for its class.
-    adj = []
-    for i, vs in enumerate(members):
-        row = 0
-        for x in vs if vs[0] in thread else vs[:1]:
-            nbrs = g.mask(x) & inside
-            while nbrs:
-                low = nbrs & -nbrs
-                row |= 1 << group[low.bit_length() - 1]
-                nbrs ^= low
-        adj.append(row & ~(1 << i))
-    degrees = [mask.bit_count() for mask in adj]
-    if (sum(degrees) == len(adj) * (len(adj) - 1)
+    rows = [0] * len(members)
+    for i in range(1, len(members)):
+        vs, row, bit = members[i], 0, 1 << i
+        for x in vs if len(adj[vs[0]]) == 2 else vs[:1]:
+            for u in adj[x]:
+                j = group[u]
+                if j >= 0:
+                    row |= 1 << j
+                    rows[j] |= bit
+        # Only group i's own walk sets bit i in its row.
+        rows[i] = (rows[i] | row) & ~bit
+    for v in block:
+        group[v] = -1
+    degrees = [row.bit_count() for row in rows]
+    if (sum(degrees) == len(rows) * (len(rows) - 1)
             or all(d == 2 for d in degrees)):
         yield (), vertex_set(block)
         return
@@ -336,15 +348,20 @@ def _block_pieces(g: Graph, top: int, block: list[int]
     def lift(mask: int) -> tuple[int, ...]:
         return vertex_set(u for i in mask_members(mask) for u in members[i])
 
-    _, madj, generators = mcs_m(adj)
-    alive = (1 << len(adj)) - 1
+    _, madj, generators = mcs_m(rows)
+    alive = everything = (1 << len(rows)) - 1
     for x in generators:
-        cut = madj[x]
-        if all((adj[u] | 1 << u) & cut == cut for u in mask_members(cut)):
-            side = reach(adj, 1 << x, alive & ~cut)
+        cut = rest = madj[x]
+        while rest:
+            low = rest & -rest
+            if (rows[low.bit_length() - 1] | low) & cut != cut:
+                break
+            rest ^= low
+        else:
+            side = reach(rows, 1 << x, alive & ~cut)
             alive ^= side
             yield lift(cut), lift(side | cut)
-    yield (), lift(alive)
+    yield (), vertex_set(block) if alive == everything else lift(alive)
 
 
 def tree_to_dot(tree: DecompositionTree) -> str:

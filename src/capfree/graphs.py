@@ -38,15 +38,7 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         masks = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if masks[u] >> v & 1:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        _add_edges(masks, edges)
         if weights is not None:
             try:
                 weights = tuple(map(operator.index, weights))
@@ -133,6 +125,24 @@ class Graph:
         members = mask_of(vs)
         return not any(self._masks[v] & members for v in vs)
 
+    def extended(self, n: int, edges: Iterable[tuple[int, int]]
+                 ) -> "Graph":
+        """This graph on n >= self.n vertices, plus edges.  Only the new
+        edges are checked, as Graph checks edges, and the rows they miss
+        are reused.  New vertices weigh 1."""
+        if n < self.n:
+            raise ValueError(f"cannot shrink n={self.n} to {n}")
+        edges = list(edges)
+        masks = list(self._masks) + [0] * (n - self.n)
+        _add_edges(masks, edges)
+        adj = list(self.adj) + [()] * (n - self.n)
+        for v in {v for edge in edges for v in edge}:
+            adj[v] = tuple(mask_members(masks[v]))
+        weights = self._weights
+        if weights is not None:
+            weights += (1,) * (n - self.n)
+        return Graph._from_masks(masks, weights, adj)
+
     def with_weights(self, weights: Sequence[int]) -> "Graph":
         return Graph(self.n, self.edges(), weights)
 
@@ -147,6 +157,21 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _add_edges(masks: list[int], edges: Iterable[tuple[int, int]]) -> None:
+    """Add edges to the neighbour masks, rejecting an edge out of range, a
+    loop or an edge already there."""
+    n = len(masks)
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if masks[u] >> v & 1:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
 
 
 def mask_members(mask: int) -> list[int]:

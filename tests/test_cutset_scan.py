@@ -4,6 +4,9 @@ Atoms as sets and find_clique_cutset's verdict must agree, and the exact
 spines (cutsets and atoms in order) are pinned by one digest."""
 
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import pytest
 
@@ -319,3 +322,41 @@ def test_a_large_blown_up_wheel_is_one_atom(monkeypatch):
     g = add_universal_clique(blow_up(hole(9), [40] * 9), 2)
     assert clique_cutset_tree(g).atoms() == [tuple(g.vertices())]
     assert sizes == [10]
+
+
+# Glued instances whose blocks hold twins and split: every scan groups
+# vertices, and their ids differ between the graphs.
+SHARED = ["blown_glue10_seed0", "blown_glue10_seed1", "blown_glue3_seed2",
+          "glue10_seed1"]
+
+
+def test_interleaved_scans_keep_their_own_state():
+    a, b = FAMILIES[SHARED[0]], FAMILIES[SHARED[1]]
+    expected = [list(decomposition._tarjan_pieces(g)) for g in (a, b)]
+    assert a.n != b.n and min(map(len, expected)) > 10
+    scans = [decomposition._tarjan_pieces(a), decomposition._tarjan_pieces(b)]
+    got = [[], []]
+    for _ in range(max(map(len, expected)) + 1):
+        for i, scan in enumerate(scans):
+            got[i] += islice(scan, 1)
+            # Its own scan stops after one piece.
+            find_clique_cutset((b, a)[i])
+    assert got == expected
+
+
+def test_threads_share_graphs_in_the_scan():
+    graphs = [FAMILIES[name] for name in SHARED]
+    expected = [clique_cutset_tree(g).pieces for g in graphs]
+
+    def run(offset):
+        order = [(offset + j) % len(graphs) for j in range(3 * len(graphs))]
+        return [(i, clique_cutset_tree(graphs[i]).pieces) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = list(pool.map(run, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(pieces == expected[i] for got in runs for i, pieces in got)

@@ -299,6 +299,38 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 5)])
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_extended_matches_an_edge_built_graph(seed):
+    rng = Xoshiro256StarStar(seed)
+    for i in range(30):
+        g = gnp(rng.below(14), (0.1, 0.3, 0.6)[i % 3], 100 * seed + i)
+        if i % 2:
+            g = g.with_weights([rng.below(50) for _ in g.vertices()])
+        n = g.n + rng.below(4)
+        new = [(u, v) for u in range(n) for v in range(u + 1, n)
+               if (v >= g.n or not g.has_edge(u, v)) and not rng.below(4)]
+        ext = g.extended(n, new)
+        weights = g.weights + (1,) * (n - g.n) if g.has_weights() else None
+        ref = Graph(n, g.edges() + new, weights)
+        assert (ext.n, ext.adj, ext.m, ext.weights, ext.has_weights()) == (
+            ref.n, ref.adj, ref.m, ref.weights, ref.has_weights())
+        assert ext == ref and hash(ext) == hash(ref)
+        # Rows no new edge touches are the old ones.
+        touched = {v for edge in new for v in edge}
+        assert all(ext.adj[v] is g.adj[v]
+                   for v in g.vertices() if v not in touched)
+
+
+def test_extended_checks_the_new_edges():
+    g = hole(5)
+    for edges in ([(0, 1)], [(1, 0)], [(4, 6)], [(5, 5)], [(5, 6), (6, 5)]):
+        with pytest.raises(ValueError):
+            g.extended(6, edges)
+    with pytest.raises(ValueError):
+        g.extended(4, [])
+    assert g.extended(5, []) == g and hole(5).m == 5
+
+
 def test_graph_is_immutable():
     g = hole(4)
     with pytest.raises(AttributeError):

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from capfree import treewidth
-from capfree.construct import GeneratorParams, generate_instance
+from capfree.construct import GeneratorParams, generate_instance, glue_atoms
 from capfree.decomposition import clique_cutset_tree, tree_to_dot
 from capfree.graphs import (Graph, add_universal_clique, blow_up, hole,
                             path, serialize_graph)
@@ -320,6 +320,49 @@ def test_recognize_scales_near_linearly_on_a_flower():
     # work 64 times (a 4-hole scan over every pair at distance two took
     # over 100 times as long).
     assert seconds(2000, 2) < 30 * seconds(250, 5)
+
+
+class CountedRow(tuple):
+    """An adjacency list that adds each entry read from it to reads[0]."""
+
+    def __iter__(self):
+        for u in super().__iter__():
+            self.reads[0] += 1
+            yield u
+
+
+class CountingGraph(Graph):
+    """g with every adjacency list counting the entries read from it."""
+    __slots__ = ("reads",)
+
+    def __init__(self, g):
+        super().__init__(g.n, g.edges())
+        reads = [0]
+        rows = []
+        for row in self.adj:
+            rows.append(CountedRow(row))
+            rows[-1].reads = reads
+        object.__setattr__(self, "adj", tuple(rows))
+        object.__setattr__(self, "reads", reads)
+
+
+def glued_wheels(k):
+    """k 5-wheels glued at one rim vertex, which lies in every block and
+    has degree 3k: each block is a wheel, which the Atoms scan runs on."""
+    wheel = add_universal_clique(hole(5), 1)
+    return glue_atoms([wheel] * k, [(0, i, (0,), (0,)) for i in range(1, k)]
+                      )[0]
+
+
+@pytest.mark.parametrize("k", [250, 2000])
+def test_the_cutset_scan_reads_each_adjacency_list_a_few_times(k):
+    # A scan that read the shared vertex's list once per block would read
+    # 3k entries k times: 12 million at k = 2000.
+    g = CountingGraph(glued_wheels(k))
+    tree = clique_cutset_tree(g)
+    assert len(tree.pieces) == k
+    assert tree.pieces == clique_cutset_tree(glued_wheels(k)).pieces
+    assert 0 < g.reads[0] <= 3 * 2 * g.m
 
 
 def test_detectors_pass_a_long_hole():
